@@ -16,6 +16,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .kljn import (
     BudgetExhaustedError,
     CurrentInjectionAttacker,
@@ -99,14 +101,31 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+class _CellLabels(dict):
+    """Memo of value -> CSV cell text; a matrix holds few distinct values.
+
+    Keys compare as floats, so -0.0 would share 0.0's label.  Trust values
+    are never -0.0: a kill multiplies non-negative values by 0.0.
+    """
+
+    def __init__(self, full_precision: bool):
+        super().__init__()
+        self.full_precision = full_precision
+
+    def __missing__(self, value: float) -> str:
+        label = self[value] = repr(value) if self.full_precision else f"{value:.3f}"
+        return label
+
+
 def matrix_to_csv(order, values, full_precision: bool = False) -> str:
     """Trust matrix as CSV, rows = evaluator, columns = evaluated peer."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["sensor", *order])
+    labels = _CellLabels(full_precision)
     for row_id, row in zip(order, values):
-        cells = [repr(float(v)) if full_precision else f"{v:.3f}" for v in row]
-        writer.writerow([row_id, *cells])
+        cells = row.tolist() if isinstance(row, np.ndarray) else map(float, row)
+        writer.writerow([row_id, *map(labels.__getitem__, cells)])
     return buf.getvalue()
 
 
@@ -136,7 +155,7 @@ def _cmd_trust_matrix(args) -> int:
     if args.format == "json":
         doc = {
             "order": matrix.order,
-            "values": [[float(v) for v in row] for row in matrix.values],
+            "values": matrix.values.tolist(),
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:

@@ -148,7 +148,7 @@ def trust_report(state: NetworkKeyState, coef: TrustCoefficients) -> dict:
         "killed": sorted(state.kill.killed),
         "matrix": {
             "order": matrix.order,
-            "values": [[float(v) for v in row] for row in matrix.values],
+            "values": matrix.values.tolist(),
         },
         "rankings": {
             i: [[j, value] for j, value in rank_peers(t, coef, state.kill, i)]
@@ -200,22 +200,37 @@ def state_to_json(state: NetworkKeyState) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+_STATE_KEYS = ("topology", "clock", "records", "kill")
+
+
 def state_from_json(text: str) -> NetworkKeyState:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("state file must hold a JSON object")
+    missing = [key for key in _STATE_KEYS if key not in doc]
+    if missing:
+        raise ValueError(f"state file is missing {', '.join(map(repr, missing))}")
+    if not isinstance(doc["clock"], int):
+        raise ValueError("state file 'clock' must be an integer")
     topology = parse_topology(json.dumps(doc["topology"]))
-    records = {}
-    for r in doc["records"]:
-        a, b = r["pair"]
-        records[(a, b)] = KeyRecord(
-            (a, b), r["channel"], r["key_id"], r["established_at"], r["status"]
+    try:
+        records = {}
+        for r in doc["records"]:
+            a, b = r["pair"]
+            records[(a, b)] = KeyRecord(
+                (a, b), r["channel"], r["key_id"], r["established_at"], r["status"]
+            )
+        kill = KillSwitchState(
+            killed=set(doc["kill"]["killed"]),
+            event_log=[
+                KillEvent(e["timestamp"], e["sensor"], e["action"], e.get("note", ""))
+                for e in doc["kill"]["events"]
+            ],
         )
-    kill = KillSwitchState(
-        killed=set(doc["kill"]["killed"]),
-        event_log=[
-            KillEvent(e["timestamp"], e["sensor"], e["action"], e.get("note", ""))
-            for e in doc["kill"]["events"]
-        ],
-    )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(
+            f"state file has a malformed record or kill log ({type(exc).__name__}: {exc})"
+        ) from None
     return NetworkKeyState(topology, records, kill, doc["clock"])
 
 

@@ -14,6 +14,7 @@ new objects or plain data.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -43,11 +44,18 @@ class Topology:
     violated by construction.  ``wireless_sets`` is ``None`` until sets are
     given explicitly or derived with :func:`derive_wireless_sets`; accessors
     fall back to the complement rule when it is ``None``.
+
+    Construction indexes the edges once: a per-sensor list of wired peers
+    (every edge endpoint gets an entry, so edges naming unknown sensors stay
+    visible to :func:`validate`) and the sensor set.  Lookups read the index
+    instead of rescanning ``kljn_edges``.
     """
 
     sensors: tuple[SensorId, ...]
     kljn_edges: frozenset[tuple[SensorId, SensorId]]
     wireless_sets: dict[SensorId, frozenset[SensorId]] | None = None
+    _sensor_set: frozenset[SensorId] = field(init=False, repr=False, compare=False)
+    _kljn_index: dict[SensorId, list[SensorId]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sensors", tuple(self.sensors))
@@ -62,21 +70,26 @@ class Topology:
                 "wireless_sets",
                 {s: frozenset(peers) for s, peers in self.wireless_sets.items()},
             )
+        index: dict[SensorId, list[SensorId]] = defaultdict(list)
+        for a, b in self.kljn_edges:
+            if a != b:
+                index[a].append(b)
+                index[b].append(a)
+        object.__setattr__(self, "_sensor_set", frozenset(self.sensors))
+        object.__setattr__(self, "_kljn_index", index)
 
     @property
     def sensor_set(self) -> frozenset[SensorId]:
-        return frozenset(self.sensors)
+        return self._sensor_set
 
     def has_sensor(self, i: SensorId) -> bool:
-        return i in self.sensor_set
+        return i in self._sensor_set
 
     def kljn_set(self, i: SensorId) -> frozenset[SensorId]:
-        """Wired-KLJN peers of ``i``, read off the undirected edge set."""
+        """Wired-KLJN peers of ``i``, read off the per-sensor edge index."""
         if not self.has_sensor(i):
             raise UnknownSensorError(f"unknown sensor {i!r}")
-        return frozenset(
-            b if a == i else a for a, b in self.kljn_edges if i in (a, b) and a != b
-        )
+        return frozenset(self._kljn_index.get(i, ()))
 
     def wireless_set(self, i: SensorId) -> frozenset[SensorId]:
         """Wireless peers of ``i``: explicit if present, else the complement rule."""
@@ -84,7 +97,7 @@ class Topology:
             raise UnknownSensorError(f"unknown sensor {i!r}")
         if self.wireless_sets is not None:
             return self.wireless_sets.get(i, frozenset())
-        return self.sensor_set - self.kljn_set(i) - {i}
+        return self._sensor_set - self.kljn_set(i) - {i}
 
 
 @dataclass(frozen=True)
@@ -145,17 +158,17 @@ def parse_topology(text: str) -> Topology:
     raw_edges = doc.get("kljn_edges", [])
     if not isinstance(raw_edges, list):
         raise TopologyFormatError("'kljn_edges' must be a list of [id, id] pairs")
-    edges: set[tuple[SensorId, SensorId]] = set()
+    edges: list[tuple[SensorId, SensorId]] = []  # Topology canonicalizes and dedups
     for e in raw_edges:
         if not isinstance(e, list) or len(e) != 2:
             raise TopologyFormatError(f"KLJN edge must be a pair, got {e!r}")
         a, b = e
         for endpoint in (a, b):
-            if endpoint not in seen:
+            if not isinstance(endpoint, str) or endpoint not in seen:
                 raise TopologyFormatError(f"KLJN edge {e!r} references unknown sensor {endpoint!r}")
         if a == b:
             raise TopologyFormatError(f"KLJN edge {e!r} is a self-loop")
-        edges.add(_canonical_edge(a, b))
+        edges.append((a, b))
 
     wireless = None
     if "wireless_sets" in doc:
@@ -166,9 +179,14 @@ def parse_topology(text: str) -> Topology:
         for s, peers in raw_wireless.items():
             if not isinstance(peers, list):
                 raise TopologyFormatError(f"wireless set of {s!r} must be a list")
+            for p in peers:
+                if not isinstance(p, str) or not p:
+                    raise TopologyFormatError(
+                        f"wireless peer of {s!r} must be a non-empty string, got {p!r}"
+                    )
             wireless[s] = frozenset(peers)
 
-    return Topology(tuple(sensors), frozenset(edges), wireless)
+    return Topology(tuple(sensors), edges, wireless)
 
 
 def serialize_topology(t: Topology) -> str:

@@ -201,7 +201,7 @@ def counts(t: Topology, i: SensorId, j: SensorId) -> TrustCounts:
     j_k = t.kljn_set(j)
     j_w = t.wireless_set(j)
     k = len(i_k & j_k)
-    return TrustCounts(k=k, w=len(j_k) - k, z=len(j_w - {i}))
+    return TrustCounts(k=k, w=len(j_k) - k, z=len(j_w) - (i in j_w))
 
 
 def trust(
@@ -252,11 +252,15 @@ class TrustMatrix:
     w_counts: np.ndarray
     z_counts: np.ndarray
     coefficients: TrustCoefficients
+    _positions: dict[SensorId, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._positions = {s: p for p, s in enumerate(self.order)}
 
     def index(self, sensor: SensorId) -> int:
         try:
-            return self.order.index(sensor)
-        except ValueError:
+            return self._positions[sensor]
+        except KeyError:
             raise UnknownSensorError(f"unknown sensor {sensor!r}") from None
 
     def value(self, i: SensorId, j: SensorId) -> float:
@@ -288,34 +292,52 @@ def trust_matrix(
 
     Cells are computed from adjacency-matrix products and partial-sum
     lookup tables; the result is identical, float for float, to calling
-    :func:`trust` per cell, but scales to thousands of sensors.
+    :func:`trust` per cell, but scales to thousands of sensors.  Under the
+    complement rule (``wireless_sets is None``) Z needs no membership scan:
+    ``|W_j| = n - 1 - deg_j`` and i is in ``W_j`` unless i is wired to j, so
+    ``Z[i, j] = (n - 1 - deg_j) - (1 - adj[i, j])`` off the diagonal.
     """
     order = list(t.sensors)
     n = len(order)
     idx = {s: p for p, s in enumerate(order)}
 
-    adj = np.zeros((n, n))
-    for a, b in t.kljn_edges:
-        if a == b:
-            continue
-        adj[idx[a], idx[b]] = 1.0
-        adj[idx[b], idx[a]] = 1.0
+    ends = np.array(
+        [(idx[a], idx[b]) for a, b in t.kljn_edges if a != b], dtype=np.intp
+    ).reshape(-1, 2)
+    # float32 is exact here: the product sums at most n ones, and float32
+    # represents every integer below 2**24.
+    adj = np.zeros((n, n), dtype=np.float32)
+    adj[ends[:, 0], ends[:, 1]] = 1.0
+    adj[ends[:, 1], ends[:, 0]] = 1.0
+    wired = adj.astype(bool)
 
     # K[i, j] = |i_kljn & j_kljn| as an exact small-integer matmul
     k_mat = (adj @ adj).astype(np.int64)
-    degree = adj.sum(axis=1).astype(np.int64)
+    del adj
+    degree = wired.sum(axis=1, dtype=np.int64)
     w_mat = degree[None, :] - k_mat
 
-    wireless_in = np.zeros((n, n), dtype=bool)  # [i, j] = i in j_wireless
-    z_base = np.zeros(n, dtype=np.int64)
-    for j_id in order:
-        j_pos = idx[j_id]
-        peers = t.wireless_set(j_id)
-        z_base[j_pos] = len(peers)
-        for p in peers:
-            if p in idx:
-                wireless_in[idx[p], j_pos] = True
-    z_mat = z_base[None, :] - wireless_in.astype(np.int64)
+    if t.wireless_sets is None:
+        # the complement-rule closed form of the docstring
+        z_mat = (n - 2 - degree)[None, :] + wired
+    else:
+        # Z[i, j] = |W_j| - [i in W_j]: collect the memberships, then one
+        # fancy-index update (each (i, j) occurs once, W_j being a set).
+        z_base = np.zeros(n, dtype=np.int64)
+        rows: list[int] = []
+        cols: list[int] = []
+        for j_pos, j_id in enumerate(order):
+            peers = t.wireless_set(j_id)
+            z_base[j_pos] = len(peers)
+            members = [idx[p] for p in peers if p in idx]
+            rows += members
+            cols += [j_pos] * len(members)
+        z_mat = np.tile(z_base, (n, 1))
+        z_mat[rows, cols] -= 1
+
+    np.fill_diagonal(k_mat, 0)
+    np.fill_diagonal(w_mat, 0)
+    np.fill_diagonal(z_mat, 0)
 
     sum_a = _partial_sum_table(coef.a, int(k_mat.max(initial=0)))
     sum_b = _partial_sum_table(coef.b, int(w_mat.max(initial=0)))
@@ -323,7 +345,7 @@ def trust_matrix(
 
     values = sum_a[k_mat] + sum_b[w_mat] + sum_c[z_mat]
     np.minimum(values, 1.0, out=values)
-    values[adj.astype(bool)] = 1.0
+    values[wired] = 1.0
     np.fill_diagonal(values, 1.0)
 
     if ks is not None and ks.killed:
@@ -331,9 +353,6 @@ def trust_matrix(
         values *= gamma[None, :]
         np.fill_diagonal(values, gamma)
 
-    np.fill_diagonal(k_mat, 0)
-    np.fill_diagonal(w_mat, 0)
-    np.fill_diagonal(z_mat, 0)
     return TrustMatrix(order, values, k_mat, w_mat, z_mat, coef)
 
 
@@ -343,9 +362,15 @@ def rank_peers(
     ks: KillSwitchState | None,
     i: SensorId,
 ) -> list[tuple[SensorId, float]]:
-    """Peers of ``i`` ordered by descending trust, ties broken by sensor id."""
+    """Peers of ``i`` ordered by descending trust, ties broken by sensor id.
+
+    A live wired peer ranks above every non-wired peer of equal value: from
+    K = W = Z = 39 on, a non-wired peer's sum saturates to exactly 1.0 and
+    would otherwise interleave with the wired peers by id.
+    """
     if not t.has_sensor(i):
         raise UnknownSensorError(f"unknown sensor {i!r}")
+    live_wired = {j for j in t.kljn_set(i) if ks is None or ks.gamma(j)}
     scored = [(j, trust(t, coef, ks, i, j)) for j in t.sensors if j != i]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    scored.sort(key=lambda pair: (-pair[1], pair[0] not in live_wired, pair[0]))
     return scored

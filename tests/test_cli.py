@@ -259,6 +259,29 @@ class TestStateWorkflow:
         assert json.loads(state_path.read_text())["kill"]["killed"] == []
         assert json.loads(out_path.read_text())["kill"]["killed"] == ["A"]
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[]", "state file must hold a JSON object"),
+            ('{"topology": {"sensors": []}, "clock": 0, "kill": {}}',
+             "state file is missing 'records'"),
+            ('{"topology": {"sensors": []}, "clock": 0, "records": [1], "kill": {}}',
+             "state file has a malformed record or kill log (TypeError"),
+            ('{"topology": {"sensors": []}, "clock": 0, "records": [], "kill": []}',
+             "state file has a malformed record or kill log (TypeError"),
+            ('{"topology": {"sensors": []}, "clock": "0", "records": [], "kill": {}}',
+             "state file 'clock' must be an integer"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["report", "kill"])
+    def test_malformed_state_file(self, capsys, tmp_path, command, text, message):
+        state_path = tmp_path / "state.json"
+        state_path.write_text(text)
+        argv = [command, str(state_path)] + (["A"] if command == "kill" else [])
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     def test_kill_unknown_sensor(self, capsys, fig2_file, tmp_path):
         state_path = tmp_path / "state.json"
         run_cli(capsys, "establish", fig2_file, "--seed", "1", "--bits", "16",

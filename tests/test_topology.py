@@ -59,6 +59,9 @@ def test_parse_reports_syntax_position():
         '{"sensors": [""], "kljn_edges": []}',
         '{"sensors": ["A"], "kljn_edges": [], "extra": 1}',
         '{"sensors": ["A"], "kljn_edges": [], "wireless_sets": []}',
+        '{"sensors": ["A", "B"], "kljn_edges": [], "wireless_sets": {"A": [1, "B"]}}',
+        '{"sensors": ["A"], "kljn_edges": [], "wireless_sets": {"A": [["x"]]}}',
+        '{"sensors": ["A", "B"], "kljn_edges": [[["x"], "A"]]}',
     ],
 )
 def test_parse_rejects_malformed_documents(text):
@@ -122,6 +125,15 @@ def test_validate_flags_self_in_wireless():
 def test_validate_flags_programmatic_self_loop():
     t = Topology(("A", "B"), frozenset({("A", "A")}))
     assert "self-loop" in validate(t).error_codes()
+    assert t.kljn_set("A") == frozenset()
+
+
+def test_index_keeps_edges_to_unknown_sensors():
+    t = Topology(("A", "B"), frozenset({("A", "Q")}))
+    assert t.kljn_set("A") == frozenset({"Q"})
+    assert "unknown-sensor" in validate(t).error_codes()
+    with pytest.raises(UnknownSensorError):
+        t.kljn_set("Q")
 
 
 def test_validate_warns_on_partial_wireless_coverage():
@@ -175,6 +187,8 @@ def test_random_topologies_round_trip_and_invariants():
         assert validate(t).ok
         n = len(t.sensors)
         for i in t.sensors:
+            scanned = frozenset(b if a == i else a for a, b in t.kljn_edges if i in (a, b))
+            assert t.kljn_set(i) == scanned
             kljn, wireless = peer_sets(t, i)
             assert not kljn & wireless
             assert i not in wireless

@@ -172,20 +172,24 @@ class TestTrustMatrix:
         assert np.array_equal(killed.values[:, mask], baseline.values[:, mask])
 
     def test_matches_scalar_evaluation_exactly(self):
+        # Each topology runs under the complement rule (closed-form Z) and
+        # with the same sets given explicitly (membership scan).
         rng = np.random.default_rng(5)
         for _ in range(10):
-            t = derive_wireless_sets(random_topology(rng, int(rng.integers(2, 25))))
+            bare = random_topology(rng, int(rng.integers(2, 25)))
             ks = KillSwitchState()
-            for s in t.sensors:
+            for s in bare.sensors:
                 if rng.random() < 0.2:
                     ks.kill(s)
-            matrix = trust_matrix(t, COEF, ks)
-            for a, i in enumerate(t.sensors):
-                for b, j in enumerate(t.sensors):
-                    if i == j:
-                        assert matrix.values[a, b] == ks.gamma(i)
-                    else:
-                        assert matrix.values[a, b] == trust(t, COEF, ks, i, j)
+            for t in (bare, derive_wireless_sets(bare)):
+                matrix = trust_matrix(t, COEF, ks)
+                for a, i in enumerate(t.sensors):
+                    for b, j in enumerate(t.sensors):
+                        if i == j:
+                            assert matrix.values[a, b] == ks.gamma(i)
+                        else:
+                            assert matrix.values[a, b] == trust(t, COEF, ks, i, j)
+                            assert matrix.counts_for(i, j) == counts(t, i, j)
 
     def test_counts_recorded_for_audit(self, fig2):
         matrix = trust_matrix(fig2, COEF)
@@ -224,6 +228,29 @@ class TestRankPeers:
     def test_unknown_sensor(self, fig2):
         with pytest.raises(UnknownSensorError):
             rank_peers(fig2, COEF, None, "Q")
+
+    def test_saturated_peer_ranks_below_wired_peers(self):
+        # "a" is not wired to "i" but has K = W = Z = 40, where the sum
+        # saturates to exactly 1.0 and ties the wired peers m00..m39.
+        mutual = [f"m{k:02d}" for k in range(40)]
+        others = [f"w{k:02d}" for k in range(40)]
+        isolated = [f"z{k:02d}" for k in range(40)]
+        edges = {("a", m) for m in mutual} | {("i", m) for m in mutual}
+        edges |= {("a", w) for w in others}
+        t = Topology(("i", "a", *mutual, *others, *isolated), frozenset(edges))
+        c = counts(t, "i", "a")
+        assert (c.k, c.w, c.z) == (40, 40, 40)
+        assert trust(t, COEF, None, "i", "a") == 1.0
+        assert trust_matrix(t, COEF).value("i", "a") == 1.0
+        ranking = rank_peers(t, COEF, None, "i")
+        assert ranking[:41] == [(m, 1.0) for m in mutual] + [("a", 1.0)]
+        # killed peers, wired or not, stay in id order at 0.0
+        ks = KillSwitchState()
+        for s in ("m00", "a", "w05"):
+            ks.kill(s)
+        ranking = rank_peers(t, COEF, ks, "i")
+        assert [s for s, v in ranking if v == 0.0] == ["a", "m00", "w05"]
+        assert ranking[:39] == [(m, 1.0) for m in mutual[1:]]
 
 
 class TestMonotonicity:
