@@ -27,6 +27,7 @@ from .kljn import (
     run_key_exchange,
 )
 from .orchestrator import (
+    NetworkKeyState,
     apply_kill_event,
     establish_network_keys,
     load_state,
@@ -66,13 +67,22 @@ def _read_topology_text(arg: str) -> str:
     raise DomainError(f"topology file not found: {arg}")
 
 
-def _load_checked_topology(arg: str) -> Topology:
-    t = parse_topology(_read_topology_text(arg))
+def _check_topology(t: Topology) -> Topology:
     report = validate(t)
     if report.errors:
         details = "; ".join(issue.message for issue in report.errors)
         raise DomainError(f"invalid topology: {details}")
     return t
+
+
+def _load_checked_topology(arg: str) -> Topology:
+    return _check_topology(parse_topology(_read_topology_text(arg)))
+
+
+def _load_checked_state(path: str) -> NetworkKeyState:
+    state = load_state(path)
+    _check_topology(state.topology)
+    return state
 
 
 def _kill_state(kill_list: str | None, t: Topology) -> KillSwitchState:
@@ -129,6 +139,21 @@ def matrix_to_csv(order, values, full_precision: bool = False) -> str:
     return buf.getvalue()
 
 
+def matrix_to_json(order, values) -> str:
+    """``json.dumps({"order": order, "values": values}, indent=2) + "\n"``.
+
+    Cells are labelled once per distinct value; ``repr`` is the encoding
+    ``json`` uses for a finite float.
+    """
+    labels = _CellLabels(full_precision=True)
+    rows = ",\n".join(
+        "    [\n      " + ",\n      ".join(map(labels.__getitem__, row.tolist())) + "\n    ]"
+        for row in values
+    )
+    head = json.dumps({"order": order}, indent=2)[:-2]  # without the closing "\n}"
+    return f'{head},\n  "values": ' + (f"[\n{rows}\n  ]" if rows else "[]") + "\n}\n"
+
+
 def _cmd_validate(args) -> int:
     t = parse_topology(_read_topology_text(args.topology))
     report = validate(t)
@@ -153,11 +178,7 @@ def _cmd_trust_matrix(args) -> int:
     t = _load_checked_topology(args.topology)
     matrix = trust_matrix(t, _coefficients(args), _kill_state(args.kill, t))
     if args.format == "json":
-        doc = {
-            "order": matrix.order,
-            "values": matrix.values.tolist(),
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(matrix_to_json(matrix.order, matrix.values), args.out)
     else:
         _emit(matrix_to_csv(matrix.order, matrix.values, args.full_precision), args.out)
     return 0
@@ -271,14 +292,14 @@ def _cmd_establish(args) -> int:
 
 
 def _cmd_kill(args) -> int:
-    state = load_state(args.state)
+    state = _load_checked_state(args.state)
     apply_kill_event(state, args.sensor, note=args.note)
     save_state(state, args.out or args.state)
     return 0
 
 
 def _cmd_report(args) -> int:
-    state = load_state(args.state)
+    state = _load_checked_state(args.state)
     doc = trust_report(state, _coefficients(args))
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     if args.csv:

@@ -22,6 +22,9 @@ Active interventions (wire substitution, current injection) break the
 equality of the two ends' instantaneous measurements.  The defense
 mirrors that: both parties publish their quantized sample words over an
 authenticated public channel and compare; any mismatch voids the period.
+On an untampered period (no attacker, or one not yet active) both ends
+see the one shared waveform, so it is quantized once and both parties
+publish that same trace; the comparison still runs on every period.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -144,9 +148,20 @@ def resistor_noise(cfg: KljnSessionConfig, resistance: float, n: int, rng) -> np
 
 
 def channel_waveforms(r_a, r_b, u_a, u_b):
-    """Superpose the two generator noises into wire voltage and loop current."""
+    """Superpose the two generator noises into wire voltage and loop current.
+
+    Computes ``(u_a*r_b + u_b*r_a) / (r_a + r_b)`` and ``(u_a - u_b) /
+    (r_a + r_b)`` in place: the noise arrays are consumed (the voltage is
+    returned in ``u_a``'s buffer and ``u_b`` is overwritten).
+    """
     denom = r_a + r_b
-    return (u_a * r_b + u_b * r_a) / denom, (u_a - u_b) / denom
+    current = u_a - u_b
+    current /= denom
+    u_a *= r_b
+    u_b *= r_a
+    u_a += u_b
+    u_a /= denom
+    return u_a, current
 
 
 def quantize_words(samples: np.ndarray, full_scale: float, word_bits: int) -> np.ndarray:
@@ -156,8 +171,25 @@ def quantize_words(samples: np.ndarray, full_scale: float, word_bits: int) -> np
     observations produce equal words.
     """
     top = (1 << word_bits) - 1
-    scaled = np.rint((samples + full_scale) * (top / (2.0 * full_scale)))
-    return np.clip(scaled, 0, top).astype(np.int64)
+    scaled = samples + full_scale
+    scaled *= top / (2.0 * full_scale)
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, 0, top, out=scaled)
+    return scaled.astype(np.int64)
+
+
+@lru_cache(maxsize=64)
+def _period_grid(cfg: KljnSessionConfig) -> tuple[ChannelLevels, float, float]:
+    """Theoretical levels and the voltage/current quantizer full scales."""
+    levels = theoretical_levels(cfg)
+    v_scale = _CLIP_SIGMA * math.sqrt(levels.voltage[2])
+    i_scale = _CLIP_SIGMA * math.sqrt(levels.current[0])
+    return levels, v_scale, i_scale
+
+
+def _mean_square(x: np.ndarray) -> float:
+    # the same pairwise sum and division np.mean performs
+    return float(np.add.reduce(x * x)) / len(x)
 
 
 @dataclass(frozen=True)
@@ -229,7 +261,7 @@ class CurrentInjectionAttacker:
 
     def tamper(self, cfg, r_a, r_b, u_a, u_b):
         u_ch, i_ch = channel_waveforms(r_a, r_b, u_a, u_b)
-        levels = theoretical_levels(cfg)
+        levels = _period_grid(cfg)[0]
         injected = self._rng.normal(0.0, self.scale * math.sqrt(levels.current[1]), len(u_a))
         return u_ch, i_ch + injected / 2.0, u_ch, i_ch - injected / 2.0
 
@@ -247,6 +279,12 @@ def _combine_classes(by_voltage: LevelClass, by_current: LevelClass) -> LevelCla
 def _words_mismatch(a: PeriodTrace, b: PeriodTrace, tol_words: int = 0) -> bool:
     if a.voltage_words.shape != b.voltage_words.shape:
         raise ValueError("trace length mismatch")
+    if tol_words == 0:
+        # integer words: equality is exactly "no |a - b| > 0"
+        return not (
+            np.array_equal(a.voltage_words, b.voltage_words)
+            and np.array_equal(a.current_words, b.current_words)
+        )
     return bool(
         np.any(np.abs(a.voltage_words - b.voltage_words) > tol_words)
         or np.any(np.abs(a.current_words - b.current_words) > tol_words)
@@ -265,10 +303,12 @@ def simulate_bit_period(
     Both parties pick Low/High with equal probability and the wire noise is
     synthesized for one window.  Measurements recorded in the outcome are
     the first party's view, which equals the second party's except under an
-    active attack.  The shared bit convention: in a mixed period the bit is
-    1 iff the first (lexicographically smaller) party holds the high
-    resistor; either party can compute it from its own choice once the
-    level class is known.
+    active attack.  An untampered period (no attacker, or one not yet
+    active) quantizes the shared waveform once and publishes that one trace
+    for both parties; the public word comparison still runs on it.  The
+    shared bit convention: in a mixed period the bit is 1 iff the first
+    (lexicographically smaller) party holds the high resistor; either party
+    can compute it from its own choice once the level class is known.
     """
     alice_choice = ResistorChoice.HIGH if alice_rng.integers(0, 2) else ResistorChoice.LOW
     bob_choice = ResistorChoice.HIGH if bob_rng.integers(0, 2) else ResistorChoice.LOW
@@ -278,32 +318,32 @@ def simulate_bit_period(
     u_a = resistor_noise(cfg, r_a, n, alice_rng)
     u_b = resistor_noise(cfg, r_b, n, bob_rng)
 
-    if attacker is not None and attacker.active(period_index):
+    tampered = attacker is not None and attacker.active(period_index)
+    if tampered:
         alice_u, alice_i, bob_u, bob_i = attacker.tamper(cfg, r_a, r_b, u_a, u_b)
     else:
-        u_ch, i_ch = channel_waveforms(r_a, r_b, u_a, u_b)
-        alice_u = bob_u = u_ch
-        alice_i = bob_i = i_ch
+        alice_u, alice_i = channel_waveforms(r_a, r_b, u_a, u_b)
 
-    ms_voltage = float(np.mean(alice_u * alice_u))
-    ms_current = float(np.mean(alice_i * alice_i))
+    ms_voltage = _mean_square(alice_u)
+    ms_current = _mean_square(alice_i)
 
-    levels = theoretical_levels(cfg)
+    levels, v_scale, i_scale = _period_grid(cfg)
     level_class = _combine_classes(
         classify_level(ms_voltage, levels.voltage, cfg.level_tolerance),
         classify_level(ms_current, levels.current, cfg.level_tolerance),
     )
 
-    v_scale = _CLIP_SIGMA * math.sqrt(levels.voltage[2])
-    i_scale = _CLIP_SIGMA * math.sqrt(levels.current[0])
     alice_trace = PeriodTrace(
         quantize_words(alice_u, v_scale, cfg.data_word_bits),
         quantize_words(alice_i, i_scale, cfg.data_word_bits),
     )
-    bob_trace = PeriodTrace(
-        quantize_words(bob_u, v_scale, cfg.data_word_bits),
-        quantize_words(bob_i, i_scale, cfg.data_word_bits),
-    )
+    if tampered:
+        bob_trace = PeriodTrace(
+            quantize_words(bob_u, v_scale, cfg.data_word_bits),
+            quantize_words(bob_i, i_scale, cfg.data_word_bits),
+        )
+    else:
+        bob_trace = alice_trace  # one shared waveform, one shared trace
     attack_flag = _words_mismatch(alice_trace, bob_trace)
 
     bit = None

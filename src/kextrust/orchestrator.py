@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .kljn import BudgetExhaustedError, KljnSessionConfig, run_key_exchange
 from .topology import SensorId, Topology, UnknownSensorError, parse_topology, serialize_topology
@@ -88,6 +89,9 @@ def establish_network_keys(
 
     ordered = sorted(t.sensors)
     pairs = [(a, b) for idx, a in enumerate(ordered) for b in ordered[idx + 1 :]]
+    # json.dumps([master_seed, a, b, CHANNEL_WIRELESS]), spelled out per pair
+    seed_json = json.dumps(master_seed)
+    wireless_json = _json_str(CHANNEL_WIRELESS)
     for a, b in pairs:
         state.clock += 1
         if (a, b) in t.kljn_edges:
@@ -110,7 +114,7 @@ def establish_network_keys(
                     key_bits=result.key_bits,
                 )
         else:
-            token = _fingerprint(json.dumps([master_seed, a, b, CHANNEL_WIRELESS]))
+            token = _fingerprint(f"[{seed_json}, {_json_str(a)}, {_json_str(b)}, {wireless_json}]")
             record = KeyRecord((a, b), CHANNEL_WIRELESS, token, state.clock, STATUS_OK)
         state.records[(a, b)] = record
     return state
@@ -178,29 +182,63 @@ def _event_to_dict(event: KillEvent) -> dict:
 
 
 def state_to_json(state: NetworkKeyState) -> str:
-    """Serialize the state deterministically (key material is not persisted)."""
-    doc = {
-        "topology": json.loads(serialize_topology(state.topology)),
-        "clock": state.clock,
-        "records": [
-            {
-                "pair": list(r.pair),
-                "channel": r.channel,
-                "key_id": r.key_id,
-                "established_at": r.established_at,
-                "status": r.status,
+    """Serialize the state deterministically (key material is not persisted).
+
+    The bytes are those of ``json.dumps(doc, indent=2) + "\n"`` for the
+    document ``{"topology", "clock", "records", "kill"}``; the records, one
+    per sensor pair, are written from a fixed template.
+    """
+    head = json.dumps(
+        {"topology": json.loads(serialize_topology(state.topology)), "clock": state.clock},
+        indent=2,
+    )
+    tail = json.dumps(
+        {
+            "kill": {
+                "killed": sorted(state.kill.killed),
+                "events": [_event_to_dict(e) for e in state.kill.event_log],
             }
-            for r in state.records_sorted()
-        ],
-        "kill": {
-            "killed": sorted(state.kill.killed),
-            "events": [_event_to_dict(e) for e in state.kill.event_log],
         },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        indent=2,
+    )
+    records = ",\n".join(
+        f'    {{\n      "pair": [\n        {_json_str(r.pair[0])},\n        {_json_str(r.pair[1])}\n'
+        f'      ],\n      "channel": {_json_str(r.channel)},\n'
+        f'      "key_id": {_json_str(r.key_id)},\n'
+        f'      "established_at": {r.established_at},\n'
+        f'      "status": {_json_str(r.status)}\n    }}'
+        for r in state.records_sorted()
+    )
+    records = f"[\n{records}\n  ]" if records else "[]"
+    # head without its closing "\n}", tail without its opening "{\n"
+    return f'{head[:-2]},\n  "records": {records},\n{tail[2:]}\n'
 
 
 _STATE_KEYS = ("topology", "clock", "records", "kill")
+
+
+class StateFormatError(ValueError):
+    """A state file whose content is not a network key state."""
+
+
+def _record_from_doc(index: int, r: dict) -> KeyRecord:
+    """One ``KeyRecord`` from its JSON object, with every field type checked.
+
+    The checks guarantee that :func:`state_to_json` writes back exactly what
+    ``json.dumps`` would.
+    """
+    pair, channel, key_id = r["pair"], r["channel"], r["key_id"]
+    established_at, status = r["established_at"], r["status"]
+    if not (isinstance(pair, list) and len(pair) == 2
+            and isinstance(pair[0], str) and isinstance(pair[1], str)):
+        problem = "'pair' must be two strings"
+    elif not (isinstance(channel, str) and isinstance(key_id, str) and isinstance(status, str)):
+        problem = "'channel', 'key_id' and 'status' must be strings"
+    elif type(established_at) is not int:  # a JSON true/false loads as bool, an int subclass
+        problem = "'established_at' must be an integer"
+    else:
+        return KeyRecord(tuple(pair), channel, key_id, established_at, status)
+    raise StateFormatError(f"state file record {index} (pair {pair!r}): {problem}")
 
 
 def state_from_json(text: str) -> NetworkKeyState:
@@ -215,11 +253,9 @@ def state_from_json(text: str) -> NetworkKeyState:
     topology = parse_topology(json.dumps(doc["topology"]))
     try:
         records = {}
-        for r in doc["records"]:
-            a, b = r["pair"]
-            records[(a, b)] = KeyRecord(
-                (a, b), r["channel"], r["key_id"], r["established_at"], r["status"]
-            )
+        for index, r in enumerate(doc["records"]):
+            record = _record_from_doc(index, r)
+            records[record.pair] = record
         kill = KillSwitchState(
             killed=set(doc["kill"]["killed"]),
             event_log=[
@@ -227,6 +263,8 @@ def state_from_json(text: str) -> NetworkKeyState:
                 for e in doc["kill"]["events"]
             ],
         )
+    except StateFormatError:
+        raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(
             f"state file has a malformed record or kill log ({type(exc).__name__}: {exc})"

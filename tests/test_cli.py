@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from kextrust.cli import main
+from kextrust.cli import main, matrix_to_json
 from kextrust.topology import bundled_topology_path
+from kextrust.trust import KillSwitchState, coefficients_closed_form, trust_matrix
 from reference_data import EXPECTED_TRUST, SENSORS, expected_tolerance
 
 
@@ -18,6 +20,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _state_with_record(**fields):
+    """A state file text for sensors A, B whose one record has ``fields`` changed."""
+    record = {"pair": ["A", "B"], "channel": "wireless", "key_id": "k",
+              "established_at": 1, "status": "ok", **fields}
+    return json.dumps({"topology": {"sensors": ["A", "B"]}, "clock": 1, "records": [record],
+                       "kill": {"killed": [], "events": []}})
 
 
 def parse_csv_matrix(text):
@@ -124,6 +134,24 @@ class TestTrustCommands:
         doc = json.loads(out)
         assert doc["order"] == SENSORS
         assert doc["values"][0][0] == 1.0
+
+    @pytest.mark.parametrize("kill", [[], ["H"], ["A", "J"]])
+    def test_matrix_json_bytes_equal_json_dumps(self, capsys, fig2_file, fig2, kill):
+        flags = ["--kill", ",".join(kill)] if kill else []
+        code, out, _ = run_cli(capsys, "trust-matrix", fig2_file, "--format", "json", *flags)
+        assert code == 0
+        ks = KillSwitchState()
+        for sensor in kill:
+            ks.kill(sensor)
+        matrix = trust_matrix(fig2, coefficients_closed_form(), ks)
+        doc = {"order": matrix.order, "values": matrix.values.tolist()}
+        assert out == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("order", [[], ["A"], ["A", "B\u00e9"]])
+    def test_matrix_to_json_small_shapes(self, order):
+        values = np.linspace(0.0, 1.0, len(order) ** 2).reshape(len(order), len(order))
+        doc = {"order": order, "values": values.tolist()}
+        assert matrix_to_json(order, values) == json.dumps(doc, indent=2) + "\n"
 
     def test_matrix_byte_identical_runs(self, capsys, fig2_file, tmp_path):
         first = tmp_path / "a.csv"
@@ -271,6 +299,24 @@ class TestStateWorkflow:
              "state file has a malformed record or kill log (TypeError"),
             ('{"topology": {"sensors": []}, "clock": "0", "records": [], "kill": {}}',
              "state file 'clock' must be an integer"),
+            (_state_with_record(pair=["A"]),
+             "state file record 0 (pair ['A']): 'pair' must be two strings"),
+            (_state_with_record(pair=["A", 2]),
+             "state file record 0 (pair ['A', 2]): 'pair' must be two strings"),
+            (_state_with_record(pair="AB"),
+             "state file record 0 (pair 'AB'): 'pair' must be two strings"),
+            (_state_with_record(channel=1),
+             "state file record 0 (pair ['A', 'B']): 'channel', 'key_id' and 'status'"),
+            (_state_with_record(key_id=None),
+             "state file record 0 (pair ['A', 'B']): 'channel', 'key_id' and 'status'"),
+            (_state_with_record(status=["ok"]),
+             "state file record 0 (pair ['A', 'B']): 'channel', 'key_id' and 'status'"),
+            (_state_with_record(established_at="1"),
+             "state file record 0 (pair ['A', 'B']): 'established_at' must be an integer"),
+            (_state_with_record(established_at=True),
+             "state file record 0 (pair ['A', 'B']): 'established_at' must be an integer"),
+            (_state_with_record(established_at=1.0),
+             "state file record 0 (pair ['A', 'B']): 'established_at' must be an integer"),
         ],
     )
     @pytest.mark.parametrize("command", ["report", "kill"])
@@ -281,6 +327,26 @@ class TestStateWorkflow:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["report", "kill"])
+    def test_state_with_invalid_topology(self, capsys, tmp_path, command):
+        # B is both a wired and a wireless peer of A
+        doc = {
+            "topology": {"sensors": ["A", "B"], "kljn_edges": [["A", "B"]],
+                         "wireless_sets": {"A": ["B"], "B": ["A"]}},
+            "clock": 1,
+            "records": [{"pair": ["A", "B"], "channel": "kljn", "key_id": "k",
+                         "established_at": 1, "status": "ok"}],
+            "kill": {"killed": [], "events": []},
+        }
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(doc))
+        before = state_path.read_bytes()
+        argv = [command, str(state_path)] + (["A"] if command == "kill" else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: invalid topology: ") and err.count("\n") == 1
+        assert state_path.read_bytes() == before
 
     def test_kill_unknown_sensor(self, capsys, fig2_file, tmp_path):
         state_path = tmp_path / "state.json"

@@ -1,0 +1,350 @@
+"""Exactness of the fast wired-exchange path and the templated writers.
+
+Each fast path is checked against a straightforward reference: a copy of
+the plain waveform bit period (both ends quantized and compared, numpy
+temporaries everywhere), ``json.dumps`` of the whole state document, and
+SHA-256 digests of CLI output recorded before the fast paths existed.
+"""
+
+import hashlib
+import json
+import math
+
+import numpy as np
+import pytest
+
+from kextrust.cli import main
+from kextrust.kljn import (
+    CurrentInjectionAttacker,
+    KeyExchangeResult,
+    KljnSessionConfig,
+    LevelClass,
+    PeriodTrace,
+    ResistorChoice,
+    WireSubstitutionAttacker,
+    _combine_classes,
+    _words_mismatch,
+    channel_waveforms,
+    classify_level,
+    quantize_words,
+    resistor_noise,
+    run_key_exchange,
+    simulate_bit_period,
+    theoretical_levels,
+)
+from kextrust.orchestrator import (
+    CHANNEL_WIRELESS,
+    apply_kill_event,
+    establish_network_keys,
+    state_from_json,
+    state_to_json,
+)
+from kextrust.topology import Topology, serialize_topology
+
+CFG = KljnSessionConfig()
+KINDS = ("none", "wire-substitution", "current-injection")
+
+
+# --- reference bit period: every step spelled out, nothing shared or reused
+
+
+def _ref_channel(r_a, r_b, u_a, u_b):
+    denom = r_a + r_b
+    return (u_a * r_b + u_b * r_a) / denom, (u_a - u_b) / denom
+
+
+def _ref_quantize(samples, full_scale, word_bits):
+    top = (1 << word_bits) - 1
+    scaled = np.rint((samples + full_scale) * (top / (2.0 * full_scale)))
+    return np.clip(scaled, 0, top).astype(np.int64)
+
+
+def _ref_mismatch(a, b, tol_words=0):
+    return bool(
+        np.any(np.abs(a.voltage_words - b.voltage_words) > tol_words)
+        or np.any(np.abs(a.current_words - b.current_words) > tol_words)
+    )
+
+
+class _RefWireSubstitution(WireSubstitutionAttacker):
+    def tamper(self, cfg, r_a, r_b, u_a, u_b):
+        n = len(u_a)
+        r_e1 = cfg.r_high if self._rng.integers(0, 2) else cfg.r_low
+        r_e2 = cfg.r_high if self._rng.integers(0, 2) else cfg.r_low
+        u_e1 = resistor_noise(cfg, r_e1, n, self._rng)
+        u_e2 = resistor_noise(cfg, r_e2, n, self._rng)
+        alice_u, alice_i = _ref_channel(r_a, r_e1, u_a, u_e1)
+        bob_u, bob_i = _ref_channel(r_e2, r_b, u_e2, u_b)
+        return alice_u, alice_i, bob_u, bob_i
+
+
+class _RefCurrentInjection(CurrentInjectionAttacker):
+    def tamper(self, cfg, r_a, r_b, u_a, u_b):
+        u_ch, i_ch = _ref_channel(r_a, r_b, u_a, u_b)
+        levels = theoretical_levels(cfg)
+        injected = self._rng.normal(0.0, self.scale * math.sqrt(levels.current[1]), len(u_a))
+        return u_ch, i_ch + injected / 2.0, u_ch, i_ch - injected / 2.0
+
+
+def _ref_period(cfg, alice_rng, bob_rng, attacker=None, period_index=0):
+    alice_choice = ResistorChoice.HIGH if alice_rng.integers(0, 2) else ResistorChoice.LOW
+    bob_choice = ResistorChoice.HIGH if bob_rng.integers(0, 2) else ResistorChoice.LOW
+    r_a, r_b = cfg.resistance(alice_choice), cfg.resistance(bob_choice)
+    n = cfg.samples_per_period
+    u_a = resistor_noise(cfg, r_a, n, alice_rng)
+    u_b = resistor_noise(cfg, r_b, n, bob_rng)
+    if attacker is not None and attacker.active(period_index):
+        alice_u, alice_i, bob_u, bob_i = attacker.tamper(cfg, r_a, r_b, u_a, u_b)
+    else:
+        u_ch, i_ch = _ref_channel(r_a, r_b, u_a, u_b)
+        alice_u = bob_u = u_ch
+        alice_i = bob_i = i_ch
+    ms_voltage = float(np.mean(alice_u * alice_u))
+    ms_current = float(np.mean(alice_i * alice_i))
+    levels = theoretical_levels(cfg)
+    level_class = _combine_classes(
+        classify_level(ms_voltage, levels.voltage, cfg.level_tolerance),
+        classify_level(ms_current, levels.current, cfg.level_tolerance),
+    )
+    v_scale = 6.0 * math.sqrt(levels.voltage[2])
+    i_scale = 6.0 * math.sqrt(levels.current[0])
+    alice_trace = PeriodTrace(
+        _ref_quantize(alice_u, v_scale, cfg.data_word_bits),
+        _ref_quantize(alice_i, i_scale, cfg.data_word_bits),
+    )
+    bob_trace = PeriodTrace(
+        _ref_quantize(bob_u, v_scale, cfg.data_word_bits),
+        _ref_quantize(bob_i, i_scale, cfg.data_word_bits),
+    )
+    attack_flag = _ref_mismatch(alice_trace, bob_trace)
+    bit = None
+    if level_class is LevelClass.INTERMEDIATE and not attack_flag:
+        bit = 1 if alice_choice is ResistorChoice.HIGH else 0
+    return (alice_choice, bob_choice, ms_voltage, ms_current, level_class, bit, attack_flag,
+            alice_trace, bob_trace)
+
+
+def _ref_session(cfg, target_bits, attacker=None):
+    alice_seq, bob_seq = np.random.SeedSequence(cfg.seed).spawn(2)
+    alice_rng, bob_rng = np.random.default_rng(alice_seq), np.random.default_rng(bob_seq)
+    bits, histogram = [], {cls.value: 0 for cls in LevelClass}
+    discards = undecided = periods = 0
+    for period in range(64 * target_bits):
+        _, _, _, _, level_class, bit, attack_flag, _, _ = _ref_period(
+            cfg, alice_rng, bob_rng, attacker, period)
+        periods += 1
+        histogram[level_class.value] += 1
+        if attack_flag:
+            return KeyExchangeResult("", periods, discards, undecided, True, histogram)
+        if level_class is LevelClass.INTERMEDIATE:
+            bits.append(str(bit))
+            if len(bits) == target_bits:
+                break
+        elif level_class is LevelClass.UNDECIDED:
+            undecided += 1
+        else:
+            discards += 1
+    return KeyExchangeResult("".join(bits), periods, discards, undecided, False, histogram)
+
+
+def _attackers(kind, seed):
+    """(fast-path attacker, reference attacker) with identical RNG streams."""
+    if kind == "wire-substitution":
+        return (WireSubstitutionAttacker(start_period=25, seed=seed),
+                _RefWireSubstitution(start_period=25, seed=seed))
+    if kind == "current-injection":
+        return (CurrentInjectionAttacker(start_period=25, seed=seed),
+                _RefCurrentInjection(start_period=25, seed=seed))
+    return None, None
+
+
+def _same_trace(a, b):
+    return (a.voltage_words.dtype == b.voltage_words.dtype
+            and np.array_equal(a.voltage_words, b.voltage_words)
+            and np.array_equal(a.current_words, b.current_words))
+
+
+class TestBitPeriodExactness:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_periods_equal_reference(self, kind):
+        # 48 seeds x 50 periods in total; attacked runs turn active at period 25
+        first = 16 * KINDS.index(kind)
+        for seed in range(first, first + 16):
+            fast_rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+            ref_rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+            fast_attacker, ref_attacker = _attackers(kind, seed + 1000)
+            for period in range(50):
+                got = simulate_bit_period(CFG, *fast_rngs, fast_attacker, period_index=period)
+                (alice, bob, ms_v, ms_i, level_class, bit, attack_flag,
+                 ref_alice, ref_bob) = _ref_period(CFG, *ref_rngs, ref_attacker, period)
+                assert (got.alice_choice, got.bob_choice) == (alice, bob)
+                assert got.ms_voltage == ms_v and got.ms_current == ms_i
+                assert got.level_class is level_class
+                assert got.bit == bit and got.attack_flag == attack_flag
+                assert _same_trace(got.alice_trace, ref_alice)
+                assert _same_trace(got.bob_trace, ref_bob)
+
+    def test_untampered_period_publishes_one_shared_trace(self):
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(2)]
+        outcome = simulate_bit_period(CFG, *rngs)
+        assert outcome.bob_trace is outcome.alice_trace
+        assert not outcome.attack_flag
+
+    def test_channel_waveforms_equal_reference(self):
+        rng = np.random.default_rng(11)
+        for r_a, r_b in ((CFG.r_low, CFG.r_high), (CFG.r_high, CFG.r_high), (3.5, 7.25)):
+            u_a, u_b = rng.normal(0.0, 1e3, 2000), rng.normal(0.0, 2e3, 2000)
+            want_u, want_i = _ref_channel(r_a, r_b, u_a, u_b)
+            got_u, got_i = channel_waveforms(r_a, r_b, u_a.copy(), u_b.copy())
+            assert np.array_equal(got_u, want_u) and np.array_equal(got_i, want_i)
+
+    def test_quantize_words_equal_reference_and_keep_input(self):
+        rng = np.random.default_rng(12)
+        samples = rng.normal(0.0, 2.0, 5000)
+        before = samples.copy()
+        for full_scale, bits in ((1.0, 8), (6.0, 16), (12.5, 48)):
+            got = quantize_words(samples, full_scale, bits)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _ref_quantize(samples, full_scale, bits))
+        assert np.array_equal(samples, before)
+
+
+class TestSessionExactness:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sessions_equal_reference(self, kind):
+        for seed in range(10):
+            cfg = KljnSessionConfig(seed=seed)
+            fast_attacker, ref_attacker = _attackers(kind, seed)
+            assert run_key_exchange(cfg, 64, fast_attacker) == _ref_session(cfg, 64, ref_attacker)
+
+
+class TestWordsMismatch:
+    def _tampered_traces(self):
+        for kind in ("wire-substitution", "current-injection"):
+            attacker, _ = _attackers(kind, 3)
+            attacker.start_period = 0
+            rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(4).spawn(2)]
+            for period in range(10):
+                outcome = simulate_bit_period(CFG, *rngs, attacker, period_index=period)
+                yield outcome.alice_trace, outcome.bob_trace
+
+    def test_zero_tolerance_agrees_with_absolute_difference(self):
+        rng = np.random.default_rng(13)
+        cases = list(self._tampered_traces())
+        words = rng.integers(0, 1 << 16, 2000)
+        for delta in (1, -1, 1 << 15):
+            for index in (0, 999, 1999):
+                shifted = words.copy()
+                shifted[index] += delta
+                cases.append((PeriodTrace(words, words), PeriodTrace(shifted, words)))
+                cases.append((PeriodTrace(words, words), PeriodTrace(words, shifted)))
+        cases.append((PeriodTrace(words, words), PeriodTrace(words.copy(), words.copy())))
+        for a, b in cases:
+            assert _words_mismatch(a, b) == _ref_mismatch(a, b)
+            assert _words_mismatch(a, b, tol_words=0) == _ref_mismatch(a, b, 0)
+        assert any(_ref_mismatch(a, b) for a, b in cases)
+        assert not all(_ref_mismatch(a, b) for a, b in cases)
+
+    def test_shape_mismatch_rejected(self):
+        words = np.zeros(10, dtype=np.int64)
+        with pytest.raises(ValueError):
+            _words_mismatch(PeriodTrace(words, words), PeriodTrace(words[:9], words))
+
+
+# --- state writer
+
+
+def _ref_state_json(state):
+    def event(e):
+        return {"timestamp": e.timestamp, "sensor": e.sensor, "action": e.action, "note": e.note}
+
+    doc = {
+        "topology": json.loads(serialize_topology(state.topology)),
+        "clock": state.clock,
+        "records": [
+            {
+                "pair": list(r.pair),
+                "channel": r.channel,
+                "key_id": r.key_id,
+                "established_at": r.established_at,
+                "status": r.status,
+            }
+            for r in state.records_sorted()
+        ],
+        "kill": {
+            "killed": sorted(state.kill.killed),
+            "events": [event(e) for e in state.kill.event_log],
+        },
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+ODD_IDS = ('q"1', "back\\slash", "é", "\u2603snow", "tab\there", "plain")
+
+
+class TestStateWriter:
+    def test_fig2_before_and_after_kill(self, fig2):
+        state = establish_network_keys(fig2, CFG, master_seed=42, target_bits=16)
+        assert state_to_json(state) == _ref_state_json(state)
+        apply_kill_event(state, "H", note='field "alert" \\ \u00e9\u2603')
+        apply_kill_event(state, "A")
+        assert state_to_json(state) == _ref_state_json(state)
+
+    def test_escaped_ids_and_notes(self):
+        t = Topology(ODD_IDS, frozenset({(ODD_IDS[0], ODD_IDS[2]), (ODD_IDS[1], ODD_IDS[3])}))
+        state = establish_network_keys(t, CFG, master_seed=9, target_bits=8)
+        apply_kill_event(state, ODD_IDS[3], note='say "\u00e9" \\n\n\u2603')
+        text = state_to_json(state)
+        assert text == _ref_state_json(state)
+        assert state_to_json(state_from_json(text)) == text
+
+    def test_wireless_tokens_match_json_material(self):
+        t = Topology(ODD_IDS, frozenset())
+        state = establish_network_keys(t, CFG, master_seed=123, target_bits=8)
+        for (a, b), record in state.records.items():
+            material = json.dumps([123, a, b, CHANNEL_WIRELESS]).encode()
+            assert record.key_id == hashlib.sha256(material).hexdigest()[:16]
+
+    @pytest.mark.parametrize("sensors", [("A",), ()])
+    def test_empty_records(self, sensors):
+        state = establish_network_keys(Topology(sensors, frozenset()), CFG, master_seed=1)
+        assert state.records == {}
+        assert state_to_json(state) == _ref_state_json(state)
+        if sensors:
+            apply_kill_event(state, "A", note="lone")
+            assert state_to_json(state) == _ref_state_json(state)
+
+
+# --- CLI output pinned to digests recorded with the plain waveform path
+# (numpy's PCG64 normal stream is stable across releases)
+
+PINNED_SESSIONS = {
+    ("3", "none"): "07f74806e451b46cdb57cee9700a9944c5435b33f46e9e6cb2c8344934c6d9a7",
+    ("3", "wire-substitution"): "55fc0a75922c543373848f68a3f00cf92010f10c6977eb3237ebcec61e745229",
+    ("3", "current-injection"): "5dc1ace96d83064ab852fbb63e294ec7ba49e921d29017751c27a48174318356",
+    ("77", "none"): "6c4d586b3deb66dd366bbf3916f28f4428e0d7193d282a56c1646eedb42ec104",
+    ("77", "wire-substitution"): "9d619f990abe8c25fd1e3ac65bcd56957995ddb79bb58761897a2f22d57b38b9",
+    ("77", "current-injection"): "655bdfd3576a19d0d24fff3c8b06cc0156df67172e1182ff3b6c4ad23e939151",
+    ("2024", "none"): "f23bf5df00fe4f9a6fbfd6c5749893d7304ff7e19e3d9297384d4c64f22088fc",
+    ("2024", "wire-substitution"): "74e6a5566c7188e9f90e56eff268c929e124b92409b8037b538b396d512ecfba",
+    ("2024", "current-injection"): "2161158521b8bb9d9d68cf0279e5bde162e7d0ae64d9833d91ac22bbf7a4906e",
+}
+PINNED_ESTABLISH_FIG2_SEED_42 = "6b59fb0689af38a70b1654063fb6e032153262b3f30f9b750f7776cfd8233961"
+
+
+def _cli_digest(capsys, *argv):
+    code = main(list(argv))
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("seed,attacker", sorted(PINNED_SESSIONS))
+    def test_simulate_kljn_emit_key(self, capsys, seed, attacker):
+        code, digest = _cli_digest(capsys, "simulate-kljn", "--seed", seed, "--emit-key",
+                                   "--attacker", attacker, "--attack-start", "30")
+        assert code == (0 if attacker == "none" else 1)
+        assert digest == PINNED_SESSIONS[(seed, attacker)]
+
+    def test_establish_fig2(self, capsys):
+        assert _cli_digest(capsys, "establish", "fig2", "--seed", "42") == (
+            0, PINNED_ESTABLISH_FIG2_SEED_42)
