@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .orchestrator import (
     apply_kill_event,
     establish_network_keys,
     load_state,
+    records_to_json,
     save_state,
     state_to_json,
     trust_report,
@@ -139,19 +141,64 @@ def matrix_to_csv(order, values, full_precision: bool = False) -> str:
     return buf.getvalue()
 
 
-def matrix_to_json(order, values) -> str:
-    """``json.dumps({"order": order, "values": values}, indent=2) + "\n"``.
+def _json_list(items, pad: str) -> str:
+    """A list as ``json.dumps(..., indent=2)`` writes it where its opening
+    line is indented by ``pad``; ``items`` are already JSON text."""
+    body = f",\n{pad}  ".join(items)
+    return f"[\n{pad}  {body}\n{pad}]" if body else "[]"
 
-    Cells are labelled once per distinct value; ``repr`` is the encoding
+
+def _float_rows_json(rows, pad: str, labels: _CellLabels) -> str:
+    """A list of float lists (the trust matrix ``values``) at indent ``pad``.
+
+    Each cell is labelled once per distinct value; ``repr`` is the encoding
     ``json`` uses for a finite float.
     """
+    inner = pad + "  "
+    return _json_list((_json_list(map(labels.__getitem__, row), inner) for row in rows), pad)
+
+
+def matrix_to_json(order, values) -> str:
+    """``json.dumps({"order": order, "values": values}, indent=2) + "\n"``."""
+    order_json = _json_list(map(_json_str, order), "  ")
+    values_json = _float_rows_json((row.tolist() for row in values), "  ",
+                                   _CellLabels(full_precision=True))
+    return f'{{\n  "order": {order_json},\n  "values": {values_json}\n}}\n'
+
+
+def report_to_json(doc: dict) -> str:
+    """``json.dumps(doc, indent=2) + "\n"``, byte for byte, for a
+    :func:`~kextrust.orchestrator.trust_report` document.
+
+    The head (``sensors``, ``coefficients``, ``killed``) and the
+    ``kill_log`` go through ``json.dumps``.  The matrix, the rankings and
+    the records are written from templates: floats share one label memo
+    with :func:`matrix_to_json`, records use the state file's record
+    template, and strings go through ``encode_basestring_ascii``, the
+    escaping ``json.dumps`` applies.
+    """
     labels = _CellLabels(full_precision=True)
-    rows = ",\n".join(
-        "    [\n      " + ",\n      ".join(map(labels.__getitem__, row.tolist())) + "\n    ]"
-        for row in values
+    head = json.dumps({key: doc[key] for key in ("sensors", "coefficients", "killed")}, indent=2)
+    tail = json.dumps({"kill_log": doc["kill_log"]}, indent=2)
+    order_json = _json_list(map(_json_str, doc["matrix"]["order"]), "    ")
+    values_json = _float_rows_json(doc["matrix"]["values"], "    ", labels)
+    rankings = ",\n".join(
+        f"    {_json_str(sensor)}: "
+        + _json_list(
+            (f"[\n        {_json_str(peer)},\n        {labels[value]}\n      ]"
+             for peer, value in ranking),
+            "    ",
+        )
+        for sensor, ranking in doc["rankings"].items()
     )
-    head = json.dumps({"order": order}, indent=2)[:-2]  # without the closing "\n}"
-    return f'{head},\n  "values": ' + (f"[\n{rows}\n  ]" if rows else "[]") + "\n}\n"
+    rankings = f"{{\n{rankings}\n  }}" if rankings else "{}"
+    records = records_to_json(map(dict.values, doc["records"]))
+    # head without its closing "\n}", tail without its opening "{\n"
+    return (
+        f'{head[:-2]},\n  "matrix": {{\n    "order": {order_json},\n'
+        f'    "values": {values_json}\n  }},\n  "rankings": {rankings},\n'
+        f'  "records": {records},\n{tail[2:]}\n'
+    )
 
 
 def _cmd_validate(args) -> int:
@@ -301,7 +348,7 @@ def _cmd_kill(args) -> int:
 def _cmd_report(args) -> int:
     state = _load_checked_state(args.state)
     doc = trust_report(state, _coefficients(args))
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(report_to_json(doc), args.out)
     if args.csv:
         text = matrix_to_csv(
             doc["matrix"]["order"], doc["matrix"]["values"], args.full_precision

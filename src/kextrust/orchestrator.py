@@ -16,9 +16,10 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
 
 from .kljn import BudgetExhaustedError, KljnSessionConfig, run_key_exchange
-from .topology import SensorId, Topology, UnknownSensorError, parse_topology, serialize_topology
+from .topology import SensorId, Topology, UnknownSensorError, parse_topology, topology_to_doc
 from .trust import (
     KillEvent,
     KillSwitchState,
@@ -138,7 +139,16 @@ def apply_kill_event(state: NetworkKeyState, sensor: SensorId, note: str = "") -
 
 
 def trust_report(state: NetworkKeyState, coef: TrustCoefficients) -> dict:
-    """Bundle the trust matrix, rankings, record statuses, and kill log."""
+    """Bundle the trust matrix, rankings, record statuses, and kill log.
+
+    Returns a JSON-ready document with the keys ``sensors``,
+    ``coefficients``, ``killed``, ``matrix`` (``order`` and ``values``, one
+    list of floats per evaluator), ``rankings`` (each sensor's
+    :func:`rank_peers` as ``[peer, value]`` pairs), ``records`` (one object
+    per sensor pair) and ``kill_log``, in that order.  ``kextrust.cli``
+    writes it with ``report_to_json``, byte-identical to
+    ``json.dumps(doc, indent=2) + "\n"``.
+    """
     t = state.topology
     matrix = trust_matrix(t, coef, state.kill)
     return {
@@ -181,15 +191,38 @@ def _event_to_dict(event: KillEvent) -> dict:
     }
 
 
+_record_fields = attrgetter("pair", "channel", "key_id", "established_at", "status")
+
+
+def records_to_json(records) -> str:
+    """A top-level ``"records"`` list as ``json.dumps(doc, indent=2)`` writes it.
+
+    ``records`` yields ``(pair, channel, key_id, established_at, status)``
+    per record, in the key order of the record objects of both the state
+    file and the trust report; ``pair`` holds two strings, ``established_at``
+    is an int and the rest are strings.  Empty gives ``[]``.
+    """
+    body = ",\n".join([  # a list joins faster than a generator
+        f'    {{\n      "pair": [\n        {_json_str(a)},\n        {_json_str(b)}\n'
+        f'      ],\n      "channel": {_json_str(channel)},\n'
+        f'      "key_id": {_json_str(key_id)},\n'
+        f'      "established_at": {established_at},\n'
+        f'      "status": {_json_str(status)}\n    }}'
+        for (a, b), channel, key_id, established_at, status in records
+    ])
+    return f"[\n{body}\n  ]" if body else "[]"
+
+
 def state_to_json(state: NetworkKeyState) -> str:
     """Serialize the state deterministically (key material is not persisted).
 
     The bytes are those of ``json.dumps(doc, indent=2) + "\n"`` for the
     document ``{"topology", "clock", "records", "kill"}``; the records, one
-    per sensor pair, are written from a fixed template.
+    per sensor pair, are written by :func:`records_to_json`, the template
+    the trust report writer shares.
     """
     head = json.dumps(
-        {"topology": json.loads(serialize_topology(state.topology)), "clock": state.clock},
+        {"topology": topology_to_doc(state.topology), "clock": state.clock},
         indent=2,
     )
     tail = json.dumps(
@@ -201,15 +234,7 @@ def state_to_json(state: NetworkKeyState) -> str:
         },
         indent=2,
     )
-    records = ",\n".join(
-        f'    {{\n      "pair": [\n        {_json_str(r.pair[0])},\n        {_json_str(r.pair[1])}\n'
-        f'      ],\n      "channel": {_json_str(r.channel)},\n'
-        f'      "key_id": {_json_str(r.key_id)},\n'
-        f'      "established_at": {r.established_at},\n'
-        f'      "status": {_json_str(r.status)}\n    }}'
-        for r in state.records_sorted()
-    )
-    records = f"[\n{records}\n  ]" if records else "[]"
+    records = records_to_json(map(_record_fields, state.records_sorted()))
     # head without its closing "\n}", tail without its opening "{\n"
     return f'{head[:-2]},\n  "records": {records},\n{tail[2:]}\n'
 
@@ -221,48 +246,71 @@ class StateFormatError(ValueError):
     """A state file whose content is not a network key state."""
 
 
-def _record_from_doc(index: int, r: dict) -> KeyRecord:
-    """One ``KeyRecord`` from its JSON object, with every field type checked.
-
-    The checks guarantee that :func:`state_to_json` writes back exactly what
-    ``json.dumps`` would.
-    """
-    pair, channel, key_id = r["pair"], r["channel"], r["key_id"]
-    established_at, status = r["established_at"], r["status"]
-    if not (isinstance(pair, list) and len(pair) == 2
-            and isinstance(pair[0], str) and isinstance(pair[1], str)):
-        problem = "'pair' must be two strings"
-    elif not (isinstance(channel, str) and isinstance(key_id, str) and isinstance(status, str)):
-        problem = "'channel', 'key_id' and 'status' must be strings"
-    elif type(established_at) is not int:  # a JSON true/false loads as bool, an int subclass
-        problem = "'established_at' must be an integer"
-    else:
-        return KeyRecord(tuple(pair), channel, key_id, established_at, status)
-    raise StateFormatError(f"state file record {index} (pair {pair!r}): {problem}")
+def _kill_from_doc(kill: dict, t: Topology) -> KillSwitchState:
+    """The kill switch from its JSON object; every sensor it names must be
+    one of ``t``'s, and every event field is type checked."""
+    killed = kill["killed"]
+    if not isinstance(killed, list):
+        raise StateFormatError("state file 'killed' must be a list of sensor ids")
+    for sensor in killed:
+        if not (isinstance(sensor, str) and t.has_sensor(sensor)):
+            raise StateFormatError(
+                f"state file 'killed' names {sensor!r}, which is not a sensor of its topology"
+            )
+    events = []
+    for index, e in enumerate(kill["events"]):
+        timestamp, sensor, action, note = e["timestamp"], e["sensor"], e["action"], e.get("note", "")
+        if type(timestamp) is not int:
+            problem = "'timestamp' must be an integer"
+        elif not (isinstance(sensor, str) and t.has_sensor(sensor)):
+            problem = f"'sensor' {sensor!r} is not a sensor of the topology"
+        elif action not in ("set", "clear"):
+            problem = "'action' must be \"set\" or \"clear\""
+        elif not isinstance(note, str):
+            problem = "'note' must be a string"
+        else:
+            events.append(KillEvent(timestamp, sensor, action, note))
+            continue
+        raise StateFormatError(f"state file kill event {index}: {problem}")
+    return KillSwitchState(killed=set(killed), event_log=events)
 
 
 def state_from_json(text: str) -> NetworkKeyState:
+    """Parse a state file; anything but a well-formed state raises ``ValueError``.
+
+    Every record and kill-event field is type checked, so :func:`state_to_json`
+    writes back exactly what ``json.dumps`` would, and the kill section may
+    only name sensors of the state's topology.
+    """
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("state file must hold a JSON object")
     missing = [key for key in _STATE_KEYS if key not in doc]
     if missing:
         raise ValueError(f"state file is missing {', '.join(map(repr, missing))}")
-    if not isinstance(doc["clock"], int):
+    # a JSON true/false loads as bool, an int subclass
+    if type(doc["clock"]) is not int:
         raise ValueError("state file 'clock' must be an integer")
     topology = parse_topology(json.dumps(doc["topology"]))
     try:
         records = {}
         for index, r in enumerate(doc["records"]):
-            record = _record_from_doc(index, r)
-            records[record.pair] = record
-        kill = KillSwitchState(
-            killed=set(doc["kill"]["killed"]),
-            event_log=[
-                KillEvent(e["timestamp"], e["sensor"], e["action"], e.get("note", ""))
-                for e in doc["kill"]["events"]
-            ],
-        )
+            pair, channel, key_id = r["pair"], r["channel"], r["key_id"]
+            established_at, status = r["established_at"], r["status"]
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and isinstance(pair[0], str) and isinstance(pair[1], str)):
+                problem = "'pair' must be two strings"
+            elif not (isinstance(channel, str) and isinstance(key_id, str)
+                      and isinstance(status, str)):
+                problem = "'channel', 'key_id' and 'status' must be strings"
+            elif type(established_at) is not int:
+                problem = "'established_at' must be an integer"
+            else:
+                pair = tuple(pair)
+                records[pair] = KeyRecord(pair, channel, key_id, established_at, status)
+                continue
+            raise StateFormatError(f"state file record {index} (pair {pair!r}): {problem}")
+        kill = _kill_from_doc(doc["kill"], topology)
     except StateFormatError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -36,6 +36,26 @@ def _canonical_edge(a: SensorId, b: SensorId) -> tuple[SensorId, SensorId]:
     return (a, b) if a <= b else (b, a)
 
 
+class _PeerSets(dict):
+    """Memo of sensor -> frozenset of its wired peers, built from the
+    per-sensor peer lists on first lookup.
+
+    Only known sensors are stored; any other id raises
+    :class:`UnknownSensorError` on every lookup.
+    """
+
+    def __init__(self, sensors: frozenset[SensorId], index: dict[SensorId, list[SensorId]]):
+        super().__init__()
+        self._sensors = sensors
+        self._index = index
+
+    def __missing__(self, i: SensorId) -> frozenset[SensorId]:
+        if i not in self._sensors:
+            raise UnknownSensorError(f"unknown sensor {i!r}")
+        peers = self[i] = frozenset(self._index.get(i, ()))
+        return peers
+
+
 @dataclass(frozen=True)
 class Topology:
     """Sensors plus wired KLJN links and (optional) explicit wireless sets.
@@ -48,14 +68,15 @@ class Topology:
     Construction indexes the edges once: a per-sensor list of wired peers
     (every edge endpoint gets an entry, so edges naming unknown sensors stay
     visible to :func:`validate`) and the sensor set.  Lookups read the index
-    instead of rescanning ``kljn_edges``.
+    instead of rescanning ``kljn_edges``; each sensor's wired-peer frozenset
+    is built on its first lookup and reused after that.
     """
 
     sensors: tuple[SensorId, ...]
     kljn_edges: frozenset[tuple[SensorId, SensorId]]
     wireless_sets: dict[SensorId, frozenset[SensorId]] | None = None
     _sensor_set: frozenset[SensorId] = field(init=False, repr=False, compare=False)
-    _kljn_index: dict[SensorId, list[SensorId]] = field(init=False, repr=False, compare=False)
+    _kljn_sets: _PeerSets = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sensors", tuple(self.sensors))
@@ -76,7 +97,7 @@ class Topology:
                 index[a].append(b)
                 index[b].append(a)
         object.__setattr__(self, "_sensor_set", frozenset(self.sensors))
-        object.__setattr__(self, "_kljn_index", index)
+        object.__setattr__(self, "_kljn_sets", _PeerSets(self._sensor_set, index))
 
     @property
     def sensor_set(self) -> frozenset[SensorId]:
@@ -87,9 +108,7 @@ class Topology:
 
     def kljn_set(self, i: SensorId) -> frozenset[SensorId]:
         """Wired-KLJN peers of ``i``, read off the per-sensor edge index."""
-        if not self.has_sensor(i):
-            raise UnknownSensorError(f"unknown sensor {i!r}")
-        return frozenset(self._kljn_index.get(i, ()))
+        return self._kljn_sets[i]
 
     def wireless_set(self, i: SensorId) -> frozenset[SensorId]:
         """Wireless peers of ``i``: explicit if present, else the complement rule."""
@@ -189,8 +208,8 @@ def parse_topology(text: str) -> Topology:
     return Topology(tuple(sensors), edges, wireless)
 
 
-def serialize_topology(t: Topology) -> str:
-    """Serialize to the canonical document form (round-trips with parse)."""
+def topology_to_doc(t: Topology) -> dict:
+    """The canonical document form: sorted sensors, edges and wireless sets."""
     doc: dict = {
         "sensors": sorted(t.sensors),
         "kljn_edges": sorted(list(e) for e in t.kljn_edges),
@@ -199,7 +218,12 @@ def serialize_topology(t: Topology) -> str:
         doc["wireless_sets"] = {
             s: sorted(peers) for s, peers in sorted(t.wireless_sets.items())
         }
-    return json.dumps(doc, indent=2) + "\n"
+    return doc
+
+
+def serialize_topology(t: Topology) -> str:
+    """Serialize to the canonical document form (round-trips with parse)."""
+    return json.dumps(topology_to_doc(t), indent=2) + "\n"
 
 
 def load_topology(path) -> Topology:

@@ -30,6 +30,14 @@ def _state_with_record(**fields):
                        "kill": {"killed": [], "events": []}})
 
 
+def _state_with_kill(clock=1, killed=(), **event):
+    """A state file text for sensors A, B with ``killed`` and, if ``event``
+    holds fields, one kill event changed by them."""
+    events = [{"timestamp": 1, "sensor": "A", "action": "set", "note": "", **event}] if event else []
+    return json.dumps({"topology": {"sensors": ["A", "B"]}, "clock": clock, "records": [],
+                       "kill": {"killed": killed, "events": events}})
+
+
 def parse_csv_matrix(text):
     lines = [line for line in text.splitlines() if line]
     order = lines[0].split(",")[1:]
@@ -317,6 +325,24 @@ class TestStateWorkflow:
              "state file record 0 (pair ['A', 'B']): 'established_at' must be an integer"),
             (_state_with_record(established_at=1.0),
              "state file record 0 (pair ['A', 'B']): 'established_at' must be an integer"),
+            (_state_with_kill(clock=True), "state file 'clock' must be an integer"),
+            (_state_with_kill(clock=2.0), "state file 'clock' must be an integer"),
+            (_state_with_kill(killed=("Z",)),
+             "state file 'killed' names 'Z', which is not a sensor of its topology"),
+            (_state_with_kill(killed=("A", 5)),
+             "state file 'killed' names 5, which is not a sensor of its topology"),
+            (_state_with_kill(killed="AB"), "state file 'killed' must be a list of sensor ids"),
+            (_state_with_kill(timestamp="x"),
+             "state file kill event 0: 'timestamp' must be an integer"),
+            (_state_with_kill(timestamp=False),
+             "state file kill event 0: 'timestamp' must be an integer"),
+            (_state_with_kill(sensor=5),
+             "state file kill event 0: 'sensor' 5 is not a sensor of the topology"),
+            (_state_with_kill(sensor="Z"),
+             "state file kill event 0: 'sensor' 'Z' is not a sensor of the topology"),
+            (_state_with_kill(action="kill"),
+             "state file kill event 0: 'action' must be \"set\" or \"clear\""),
+            (_state_with_kill(note=["x"]), "state file kill event 0: 'note' must be a string"),
         ],
     )
     @pytest.mark.parametrize("command", ["report", "kill"])

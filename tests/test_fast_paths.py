@@ -2,8 +2,9 @@
 
 Each fast path is checked against a straightforward reference: a copy of
 the plain waveform bit period (both ends quantized and compared, numpy
-temporaries everywhere), ``json.dumps`` of the whole state document, and
-SHA-256 digests of CLI output recorded before the fast paths existed.
+temporaries everywhere), ``json.dumps`` of the whole state or report
+document, and SHA-256 digests of CLI output recorded before the fast paths
+existed.
 """
 
 import hashlib
@@ -13,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from kextrust.cli import main
+from kextrust.cli import main, report_to_json
 from kextrust.kljn import (
     CurrentInjectionAttacker,
     KeyExchangeResult,
@@ -38,10 +39,14 @@ from kextrust.orchestrator import (
     establish_network_keys,
     state_from_json,
     state_to_json,
+    trust_report,
 )
 from kextrust.topology import Topology, serialize_topology
+from kextrust.trust import coefficients_closed_form, coefficients_fixed_point
+from reference_data import random_topology
 
 CFG = KljnSessionConfig()
+COEF = coefficients_closed_form()
 KINDS = ("none", "wire-substitution", "current-injection")
 
 
@@ -315,6 +320,59 @@ class TestStateWriter:
             assert state_to_json(state) == _ref_state_json(state)
 
 
+def _assert_report_equals_json_dumps(state, coef=COEF):
+    doc = trust_report(state, coef)
+    assert report_to_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def _explicit_sets_topology(seed, n):
+    """A random network whose wireless sets are given explicitly and cover
+    about a third of the non-wired pairs."""
+    rng = np.random.default_rng(seed)
+    wired = random_topology(rng, n, edge_prob=0.04)
+    reach = {s: set() for s in wired.sensors}
+    for x, a in enumerate(wired.sensors):
+        for b in wired.sensors[x + 1:]:
+            if b not in wired.kljn_set(a) and rng.random() < 0.3:
+                reach[a].add(b)
+                reach[b].add(a)
+    return Topology(wired.sensors, wired.kljn_edges, reach)
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize(
+        "sensors,edges",
+        [((), ()), (("A",), ()), (("A", "B"), ()), (("A", "B\u00e9"), (("A", "B\u00e9"),))],
+    )
+    def test_small_topologies(self, sensors, edges):
+        state = establish_network_keys(Topology(sensors, frozenset(edges)), CFG,
+                                       master_seed=5, target_bits=8)
+        _assert_report_equals_json_dumps(state)
+        if sensors:
+            apply_kill_event(state, sensors[-1], note="last")
+            _assert_report_equals_json_dumps(state)
+
+    def test_fig2_before_and_after_kill(self, fig2):
+        state = establish_network_keys(fig2, CFG, master_seed=42, target_bits=16)
+        _assert_report_equals_json_dumps(state)
+        apply_kill_event(state, "H", note='q"uote \\ back\ttab \u00e9\u2603')
+        _assert_report_equals_json_dumps(state)
+        _assert_report_equals_json_dumps(state, coefficients_fixed_point(1e-6))
+
+    def test_escaped_ids(self):
+        t = Topology(ODD_IDS, frozenset({(ODD_IDS[0], ODD_IDS[2]), (ODD_IDS[1], ODD_IDS[3])}))
+        state = establish_network_keys(t, CFG, master_seed=9, target_bits=8)
+        apply_kill_event(state, ODD_IDS[3], note='say "\u00e9" \\n\n\u2603')
+        _assert_report_equals_json_dumps(state)
+
+    def test_generated_explicit_sets_two_kills(self):
+        t = _explicit_sets_topology(60, 60)
+        state = establish_network_keys(t, CFG, master_seed=61, target_bits=8)
+        for sensor in (t.sensors[7], t.sensors[42]):
+            apply_kill_event(state, sensor, note=f"alarm {sensor}")
+            _assert_report_equals_json_dumps(state)
+
+
 # --- CLI output pinned to digests recorded with the plain waveform path
 # (numpy's PCG64 normal stream is stable across releases)
 
@@ -330,6 +388,13 @@ PINNED_SESSIONS = {
     ("2024", "current-injection"): "2161158521b8bb9d9d68cf0279e5bde162e7d0ae64d9833d91ac22bbf7a4906e",
 }
 PINNED_ESTABLISH_FIG2_SEED_42 = "6b59fb0689af38a70b1654063fb6e032153262b3f30f9b750f7776cfd8233961"
+# report --out/--csv after establish fig2 --seed 42 and kill H, recorded
+# with the json.dumps report writer
+PINNED_REPORT_FIG2_KILL_H = {
+    "report.json": "6d50938d1aaa94c33f6a22e5b86a849b2a927ffa0f2493563610f850fc4d5279",
+    "report.csv": "1763ee60018fde7e97a6ce7ed3535b0b60f48d80865f52eab6ffcaf4582d1466",
+    "full.csv": "ba4fa585dc36d90adee3717e8e9bd09222e52f2c270a55791e4fa9a3b30c6386",
+}
 
 
 def _cli_digest(capsys, *argv):
@@ -348,3 +413,16 @@ class TestPinnedOutput:
     def test_establish_fig2(self, capsys):
         assert _cli_digest(capsys, "establish", "fig2", "--seed", "42") == (
             0, PINNED_ESTABLISH_FIG2_SEED_42)
+
+    def test_report_fig2_after_kill(self, capsys, tmp_path):
+        state = str(tmp_path / "state.json")
+        assert main(["establish", "fig2", "--seed", "42", "--out", state]) == 0
+        assert main(["kill", state, "H"]) == 0
+        assert main(["report", state, "--out", str(tmp_path / "report.json"),
+                     "--csv", str(tmp_path / "report.csv")]) == 0
+        assert main(["report", state, "--full-precision",
+                     "--csv", str(tmp_path / "full.csv")]) == 0
+        assert capsys.readouterr().out == (tmp_path / "report.json").read_text(encoding="utf-8")
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in PINNED_REPORT_FIG2_KILL_H}
+        assert digests == PINNED_REPORT_FIG2_KILL_H

@@ -152,11 +152,14 @@ class TestPersistence:
     def test_round_trip_preserves_bytes(self, fig2, tmp_path):
         state = establish_network_keys(fig2, CFG, master_seed=42, target_bits=KEY_BITS)
         apply_kill_event(state, "B", note="drill")
+        apply_kill_event(state, "C")
+        state.kill.clear("C", note="false alarm", timestamp=state.clock)
         path = tmp_path / "state.json"
         save_state(state, path)
         loaded = load_state(path)
         assert state_to_json(loaded) == state_to_json(state)
         assert loaded.kill.killed == {"B"}
+        assert [e.action for e in loaded.kill.event_log] == ["set", "set", "clear"]
         assert loaded.clock == state.clock
 
     def test_key_material_not_persisted(self, fig2_state):

@@ -229,6 +229,25 @@ class TestRankPeers:
         with pytest.raises(UnknownSensorError):
             rank_peers(fig2, COEF, None, "Q")
 
+    def test_values_equal_matrix_rows(self):
+        # with and without kills, under both Z branches
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            bare = random_topology(rng, int(rng.integers(2, 30)))
+            ks = KillSwitchState()
+            for s in bare.sensors:
+                if rng.random() < 0.2:
+                    ks.kill(s)
+            for t in (bare, derive_wireless_sets(bare)):
+                for kill in (None, ks):
+                    matrix = trust_matrix(t, COEF, kill)
+                    for i in t.sensors:
+                        row = matrix.values[matrix.index(i)]
+                        ranked = rank_peers(t, COEF, kill, i)
+                        assert sorted(j for j, _ in ranked) == sorted(set(t.sensors) - {i})
+                        for j, value in ranked:
+                            assert value == row[matrix.index(j)]
+
     def test_saturated_peer_ranks_below_wired_peers(self):
         # "a" is not wired to "i" but has K = W = Z = 40, where the sum
         # saturates to exactly 1.0 and ties the wired peers m00..m39.
