@@ -29,8 +29,10 @@ from .kljn import (
 )
 from .orchestrator import (
     NetworkKeyState,
+    STATUS_FAILED,
     apply_kill_event,
     establish_network_keys,
+    json_block,
     load_state,
     records_to_json,
     save_state,
@@ -141,13 +143,6 @@ def matrix_to_csv(order, values, full_precision: bool = False) -> str:
     return buf.getvalue()
 
 
-def _json_list(items, pad: str) -> str:
-    """A list as ``json.dumps(..., indent=2)`` writes it where its opening
-    line is indented by ``pad``; ``items`` are already JSON text."""
-    body = f",\n{pad}  ".join(items)
-    return f"[\n{pad}  {body}\n{pad}]" if body else "[]"
-
-
 def _float_rows_json(rows, pad: str, labels: _CellLabels) -> str:
     """A list of float lists (the trust matrix ``values``) at indent ``pad``.
 
@@ -155,12 +150,12 @@ def _float_rows_json(rows, pad: str, labels: _CellLabels) -> str:
     ``json`` uses for a finite float.
     """
     inner = pad + "  "
-    return _json_list((_json_list(map(labels.__getitem__, row), inner) for row in rows), pad)
+    return json_block((json_block(map(labels.__getitem__, row), inner) for row in rows), pad)
 
 
 def matrix_to_json(order, values) -> str:
     """``json.dumps({"order": order, "values": values}, indent=2) + "\n"``."""
-    order_json = _json_list(map(_json_str, order), "  ")
+    order_json = json_block(map(_json_str, order), "  ")
     values_json = _float_rows_json((row.tolist() for row in values), "  ",
                                    _CellLabels(full_precision=True))
     return f'{{\n  "order": {order_json},\n  "values": {values_json}\n}}\n'
@@ -180,11 +175,11 @@ def report_to_json(doc: dict) -> str:
     labels = _CellLabels(full_precision=True)
     head = json.dumps({key: doc[key] for key in ("sensors", "coefficients", "killed")}, indent=2)
     tail = json.dumps({"kill_log": doc["kill_log"]}, indent=2)
-    order_json = _json_list(map(_json_str, doc["matrix"]["order"]), "    ")
+    order_json = json_block(map(_json_str, doc["matrix"]["order"]), "    ")
     values_json = _float_rows_json(doc["matrix"]["values"], "    ", labels)
     rankings = ",\n".join(
         f"    {_json_str(sensor)}: "
-        + _json_list(
+        + json_block(
             (f"[\n        {_json_str(peer)},\n        {labels[value]}\n      ]"
              for peer, value in ranking),
             "    ",
@@ -332,7 +327,7 @@ def _cmd_establish(args) -> int:
         save_state(state, args.out)
     else:
         sys.stdout.write(state_to_json(state))
-    failed = sum(1 for r in state.records.values() if r.status == "failed")
+    failed = sum(1 for r in state.stored.values() if r.status == STATUS_FAILED)
     if failed:
         print(f"warning: {failed} record(s) failed", file=sys.stderr)
     return 0
@@ -455,7 +450,7 @@ def main(argv=None) -> int:
     except (DomainError, TopologyFormatError, UnknownSensorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,22 +4,27 @@ Wired pairs were authenticated against each other before deployment, so
 their key exchange runs directly over the simulated wire protocol; every
 other pair gets an abstract wireless exchange record (the wireless
 handshake is conditionally-secure commodity and contributes nothing to
-the trust math beyond its classification).  The resulting state tracks
-one record per unordered sensor pair, the operator kill switch, and a
-logical clock so repeated runs with the same master seed serialize to
-identical bytes.
+the trust math beyond its classification).  The state has one record per
+unordered sensor pair, the operator kill switch, and a logical clock so
+repeated runs with the same master seed serialize to identical bytes.
+Only the wired sessions and the kill events are stored: a wireless record
+is a pure function of the master seed and its pair, the killed set is the
+replay of the kill events, and a record is revoked iff one of its sensors
+has a ``set`` kill event.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+import os
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import attrgetter
+from pathlib import Path
 
 from .kljn import BudgetExhaustedError, KljnSessionConfig, run_key_exchange
-from .topology import SensorId, Topology, UnknownSensorError, parse_topology, topology_to_doc
+from .topology import SensorId, Topology, UnknownSensorError, topology_from_doc, topology_to_doc
 from .trust import (
     KillEvent,
     KillSwitchState,
@@ -35,30 +40,110 @@ STATUS_OK = "ok"
 STATUS_FAILED = "failed"
 STATUS_REVOKED = "revoked"
 
+Pair = tuple[SensorId, SensorId]
+
 
 @dataclass
 class KeyRecord:
-    pair: tuple[SensorId, SensorId]  # canonical: pair[0] < pair[1]
+    pair: Pair  # canonical: pair[0] < pair[1]
     channel: str
     key_id: str
-    established_at: int
+    established_at: int  # the pair's 1-based position in canonical order
     status: str
     key_bits: str | None = None  # in-memory only, never serialized
 
 
 @dataclass
 class NetworkKeyState:
+    """Key state of a network.
+
+    ``stored`` holds the wired-session records with status ``ok`` or
+    ``failed``; when ``master_seed`` is ``None`` (a state read from a
+    version 1 file, which does not record it) it holds every record.
+    ``records`` is the read-only view of all records.
+    """
+
     topology: Topology
-    records: dict[tuple[SensorId, SensorId], KeyRecord]
+    stored: dict[Pair, KeyRecord]
     kill: KillSwitchState
     clock: int
+    master_seed: int | None = None
+    _positions: dict[SensorId, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._positions = {s: k for k, s in enumerate(sorted(self.topology.sensor_set))}
+
+    @property
+    def records(self) -> KeyRecords:
+        return KeyRecords(self)
+
+    def pair_index(self, a: SensorId, b: SensorId) -> int | None:
+        """1-based position of ``(a, b)`` among the canonical sensor pairs
+        (sorted, first sensor below the second), or ``None`` if it is not one."""
+        p, q = self._positions.get(a), self._positions.get(b)
+        if p is None or q is None or p >= q:
+            return None
+        return p * (2 * len(self._positions) - p - 1) // 2 + q - p
+
+    def pairs(self):
+        """Every canonical sensor pair, in canonical order."""
+        ordered = list(self._positions)
+        return ((a, b) for x, a in enumerate(ordered) for b in ordered[x + 1 :])
 
     def record_for(self, a: SensorId, b: SensorId) -> KeyRecord:
         key = (a, b) if a < b else (b, a)
         return self.records[key]
 
     def records_sorted(self) -> list[KeyRecord]:
-        return [self.records[k] for k in sorted(self.records)]
+        """``list(self.records.values())`` without a position lookup per pair."""
+        records = self.records
+        return [records._record(pair, index) for index, pair in enumerate(self.pairs(), 1)]
+
+
+def _revoked_sensors(kill: KillSwitchState) -> set[SensorId]:
+    """Sensors with a ``set`` kill event: their records are revoked."""
+    return {e.sensor for e in kill.event_log if e.action == "set"}
+
+
+class KeyRecords(Mapping):
+    """All records of a state, keyed by canonical pair, in canonical order.
+
+    Stored records are returned as they are; wireless records are derived
+    from the master seed on each lookup.  A record one of whose sensors
+    has a ``set`` kill event comes back as a revoked copy without key bits.
+    """
+
+    def __init__(self, state: NetworkKeyState):
+        self._state, self._revoked = state, _revoked_sensors(state.kill)
+        self._seed_json = json.dumps(state.master_seed)
+
+    def __getitem__(self, pair: Pair) -> KeyRecord:
+        state = self._state
+        index = state.pair_index(*pair)
+        if pair not in state.stored and (
+            state.master_seed is None or index is None or pair in state.topology.kljn_edges
+        ):
+            raise KeyError(pair)
+        return self._record(pair, index)
+
+    def _record(self, pair: Pair, index: int) -> KeyRecord:
+        """The record of canonical pair ``pair`` at 1-based position ``index``:
+        stored, or else derived as a wireless record."""
+        record = self._state.stored.get(pair)
+        if record is None:  # token of json.dumps([master_seed, a, b, "wireless"])
+            a, b = pair
+            token = _fingerprint(f'[{self._seed_json}, {_json_str(a)}, {_json_str(b)}, "wireless"]')
+            record = KeyRecord(pair, CHANNEL_WIRELESS, token, index, STATUS_OK)
+        if not self._revoked.isdisjoint(pair):
+            record = replace(record, status=STATUS_REVOKED, key_bits=None)
+        return record
+
+    def __iter__(self):
+        return self._state.pairs()
+
+    def __len__(self) -> int:
+        n = len(self._state._positions)
+        return n * (n - 1) // 2
 
 
 def _derive_seed(master_seed: int, *parts: str) -> int:
@@ -67,7 +152,8 @@ def _derive_seed(master_seed: int, *parts: str) -> int:
 
 
 def _fingerprint(material: str) -> str:
-    return hashlib.sha256(material.encode()).hexdigest()[:16]
+    """The first 16 hex digits of the SHA-256 of ``material``."""
+    return hashlib.sha256(material.encode()).digest()[:8].hex()
 
 
 def establish_network_keys(
@@ -75,54 +161,42 @@ def establish_network_keys(
     cfg: KljnSessionConfig,
     master_seed: int,
     target_bits: int = 128,
-    attackers: dict[tuple[SensorId, SensorId], object] | None = None,
+    attackers: dict[Pair, object] | None = None,
 ) -> NetworkKeyState:
     """Establish a key record for every unordered sensor pair.
 
     Wired edges each run a full simulated key-exchange session seeded from
     ``hash(master_seed, edge)``; a session that ends in attack detection or
     budget exhaustion marks just that record failed.  Wireless pairs get an
-    opaque deterministic key token.  ``attackers`` maps canonical edges to
-    attacker models, for exercising fault isolation.
+    opaque deterministic key token, derived when read (see
+    :class:`KeyRecords`).  ``attackers`` maps canonical edges to attacker
+    models, for exercising fault isolation.  The clock counts one tick per
+    pair, as if every pair were established in canonical order.
     """
     attackers = attackers or {}
-    state = NetworkKeyState(topology=t, records={}, kill=KillSwitchState(), clock=0)
-
-    ordered = sorted(t.sensors)
-    pairs = [(a, b) for idx, a in enumerate(ordered) for b in ordered[idx + 1 :]]
-    # json.dumps([master_seed, a, b, CHANNEL_WIRELESS]), spelled out per pair
-    seed_json = json.dumps(master_seed)
-    wireless_json = _json_str(CHANNEL_WIRELESS)
-    for a, b in pairs:
-        state.clock += 1
-        if (a, b) in t.kljn_edges:
-            session_cfg = replace(cfg, seed=_derive_seed(master_seed, a, b))
-            try:
-                result = run_key_exchange(
-                    session_cfg, target_bits, attacker=attackers.get((a, b))
-                )
-            except BudgetExhaustedError:
-                result = None
-            if result is None or result.attack_detected:
-                record = KeyRecord((a, b), CHANNEL_KLJN, "", state.clock, STATUS_FAILED)
-            else:
-                record = KeyRecord(
-                    (a, b),
-                    CHANNEL_KLJN,
-                    _fingerprint(f"kljn|{result.key_bits}"),
-                    state.clock,
-                    STATUS_OK,
-                    key_bits=result.key_bits,
-                )
+    n = len(t.sensor_set)
+    state = NetworkKeyState(t, {}, KillSwitchState(), n * (n - 1) // 2, master_seed)
+    for a, b in sorted(t.kljn_edges):
+        index = state.pair_index(a, b)
+        if index is None:  # an edge naming an unknown sensor gets no record
+            continue
+        session_cfg = replace(cfg, seed=_derive_seed(master_seed, a, b))
+        try:
+            result = run_key_exchange(session_cfg, target_bits, attacker=attackers.get((a, b)))
+        except BudgetExhaustedError:
+            result = None
+        if result is None or result.attack_detected:
+            record = KeyRecord((a, b), CHANNEL_KLJN, "", index, STATUS_FAILED)
         else:
-            token = _fingerprint(f"[{seed_json}, {_json_str(a)}, {_json_str(b)}, {wireless_json}]")
-            record = KeyRecord((a, b), CHANNEL_WIRELESS, token, state.clock, STATUS_OK)
-        state.records[(a, b)] = record
+            token = _fingerprint(f"kljn|{result.key_bits}")
+            record = KeyRecord((a, b), CHANNEL_KLJN, token, index, STATUS_OK, result.key_bits)
+        state.stored[(a, b)] = record
     return state
 
 
 def apply_kill_event(state: NetworkKeyState, sensor: SensorId, note: str = "") -> NetworkKeyState:
-    """Mark a sensor compromised: flag it, revoke its records, log the event.
+    """Mark a sensor compromised: log a ``set`` kill event, which revokes its
+    records, and drop the key bits of its wired sessions.
 
     Idempotent on the records and the killed set; every call appends one
     log entry.  Mutates and returns ``state`` (single-writer contract).
@@ -131,9 +205,9 @@ def apply_kill_event(state: NetworkKeyState, sensor: SensorId, note: str = "") -
         raise UnknownSensorError(f"unknown sensor {sensor!r}")
     state.clock += 1
     state.kill.kill(sensor, note=note, timestamp=state.clock)
-    for record in state.records.values():
-        if sensor in record.pair and record.status != STATUS_REVOKED:
-            record.status = STATUS_REVOKED
+    for peer in state.topology.kljn_set(sensor):
+        record = state.stored.get((sensor, peer) if sensor < peer else (peer, sensor))
+        if record is not None:
             record.key_bits = None
     return state
 
@@ -168,17 +242,18 @@ def trust_report(state: NetworkKeyState, coef: TrustCoefficients) -> dict:
             i: [[j, value] for j, value in rank_peers(t, coef, state.kill, i)]
             for i in t.sensors
         },
-        "records": [
-            {
-                "pair": list(r.pair),
-                "channel": r.channel,
-                "key_id": r.key_id,
-                "established_at": r.established_at,
-                "status": r.status,
-            }
-            for r in state.records_sorted()
-        ],
+        "records": [_record_to_dict(r) for r in state.records_sorted()],
         "kill_log": [_event_to_dict(e) for e in state.kill.event_log],
+    }
+
+
+def _record_to_dict(r: KeyRecord) -> dict:
+    return {
+        "pair": list(r.pair),
+        "channel": r.channel,
+        "key_id": r.key_id,
+        "established_at": r.established_at,
+        "status": r.status,
     }
 
 
@@ -191,74 +266,94 @@ def _event_to_dict(event: KillEvent) -> dict:
     }
 
 
-_record_fields = attrgetter("pair", "channel", "key_id", "established_at", "status")
+def json_block(items, pad: str, brackets: str = "[]") -> str:
+    """A list (an object with ``brackets="{}"``) laid out as ``json.dumps(...,
+    indent=2)`` lays it out where its opening line is indented by ``pad``:
+    one entry per line.  ``items`` are the entries as JSON text, so an entry
+    may itself span lines.  Empty gives ``[]`` or ``{}``."""
+    body = f",\n{pad}  ".join(items)
+    return f"{brackets[0]}\n{pad}  {body}\n{pad}{brackets[1]}" if body else brackets
 
 
 def records_to_json(records) -> str:
-    """A top-level ``"records"`` list as ``json.dumps(doc, indent=2)`` writes it.
+    """The trust report's top-level ``"records"`` list as ``json.dumps(doc,
+    indent=2)`` writes it.
 
     ``records`` yields ``(pair, channel, key_id, established_at, status)``
-    per record, in the key order of the record objects of both the state
-    file and the trust report; ``pair`` holds two strings, ``established_at``
-    is an int and the rest are strings.  Empty gives ``[]``.
+    per record, in the key order of the report's record objects; ``pair``
+    holds two strings, ``established_at`` is an int and the rest are
+    strings.
     """
-    body = ",\n".join([  # a list joins faster than a generator
-        f'    {{\n      "pair": [\n        {_json_str(a)},\n        {_json_str(b)}\n'
+    return json_block([  # a list joins faster than a generator
+        f'{{\n      "pair": [\n        {_json_str(a)},\n        {_json_str(b)}\n'
         f'      ],\n      "channel": {_json_str(channel)},\n'
         f'      "key_id": {_json_str(key_id)},\n'
         f'      "established_at": {established_at},\n'
         f'      "status": {_json_str(status)}\n    }}'
         for (a, b), channel, key_id, established_at, status in records
-    ])
-    return f"[\n{body}\n  ]" if body else "[]"
+    ], "  ")
+
+
+def _json_ids(ids) -> str:
+    """A list of strings as ``json.dumps`` writes it without ``indent``."""
+    return f'[{", ".join(map(_json_str, ids))}]'
 
 
 def state_to_json(state: NetworkKeyState) -> str:
-    """Serialize the state deterministically (key material is not persisted).
+    """Serialize the state as a version 2 document; key bits are not persisted.
 
-    The bytes are those of ``json.dumps(doc, indent=2) + "\n"`` for the
-    document ``{"topology", "clock", "records", "kill"}``; the records, one
-    per sensor pair, are written by :func:`records_to_json`, the template
-    the trust report writer shares.
+    The document holds ``version``, ``topology``, ``clock``, ``master_seed``,
+    the stored records and the kill events (README: "State files").  It is
+    indented two spaces per level; a list of sensor ids is one line, every
+    other list or object has one entry per line, and each entry is written
+    as ``json.dumps`` writes it without ``indent`` (no pure-Python encoder
+    runs).
     """
-    head = json.dumps(
-        {"topology": topology_to_doc(state.topology), "clock": state.clock},
-        indent=2,
+    t = topology_to_doc(state.topology)
+    topology = [
+        f'"sensors": {_json_ids(t["sensors"])}',
+        f'"kljn_edges": {json_block(map(_json_ids, t["kljn_edges"]), "    ")}',
+    ]
+    if "wireless_sets" in t:
+        sets = (f"{_json_str(s)}: {_json_ids(peers)}" for s, peers in t["wireless_sets"].items())
+        topology.append(f'"wireless_sets": {json_block(sets, "    ", "{}")}')
+    records = (json.dumps(_record_to_dict(state.stored[p])) for p in sorted(state.stored))
+    events = (json.dumps(_event_to_dict(e)) for e in state.kill.event_log)
+    return (
+        f'{{\n  "version": 2,\n  "topology": {json_block(topology, "  ", "{}")},\n'
+        f'  "clock": {state.clock},\n  "master_seed": {json.dumps(state.master_seed)},\n'
+        f'  "records": {json_block(records, "  ")},\n'
+        f'  "kill_events": {json_block(events, "  ")}\n}}\n'
     )
-    tail = json.dumps(
-        {
-            "kill": {
-                "killed": sorted(state.kill.killed),
-                "events": [_event_to_dict(e) for e in state.kill.event_log],
-            }
-        },
-        indent=2,
-    )
-    records = records_to_json(map(_record_fields, state.records_sorted()))
-    # head without its closing "\n}", tail without its opening "{\n"
-    return f'{head[:-2]},\n  "records": {records},\n{tail[2:]}\n'
 
 
-_STATE_KEYS = ("topology", "clock", "records", "kill")
+# the keys of each state file version; version 1 files have no "version"
+_STATE_KEYS = {
+    1: ("topology", "clock", "records", "kill"),
+    2: ("version", "topology", "clock", "master_seed", "records", "kill_events"),
+}
 
 
 class StateFormatError(ValueError):
     """A state file whose content is not a network key state."""
 
 
-def _kill_from_doc(kill: dict, t: Topology) -> KillSwitchState:
-    """The kill switch from its JSON object; every sensor it names must be
-    one of ``t``'s, and every event field is type checked."""
-    killed = kill["killed"]
-    if not isinstance(killed, list):
-        raise StateFormatError("state file 'killed' must be a list of sensor ids")
-    for sensor in killed:
-        if not (isinstance(sensor, str) and t.has_sensor(sensor)):
-            raise StateFormatError(
-                f"state file 'killed' names {sensor!r}, which is not a sensor of its topology"
-            )
-    events = []
-    for index, e in enumerate(kill["events"]):
+def _kill_from_doc(events: list, t: Topology, killed: list | None = None) -> KillSwitchState:
+    """The kill switch replayed from its event list.  Every sensor named must
+    be one of ``t``'s and every event field is type checked; ``killed``, the
+    killed list a version 1 file stores, must agree with the replay."""
+    if not isinstance(events, list):
+        raise StateFormatError("state file kill events must be a list")
+    if killed is not None:
+        if not isinstance(killed, list):
+            raise StateFormatError("state file 'killed' must be a list of sensor ids")
+        for sensor in killed:
+            if not (isinstance(sensor, str) and t.has_sensor(sensor)):
+                raise StateFormatError(
+                    f"state file 'killed' names {sensor!r}, which is not a sensor of its topology"
+                )
+    kill = KillSwitchState()
+    for index, e in enumerate(events):
         timestamp, sensor, action, note = e["timestamp"], e["sensor"], e["action"], e.get("note", "")
         if type(timestamp) is not int:
             problem = "'timestamp' must be an integer"
@@ -269,60 +364,125 @@ def _kill_from_doc(kill: dict, t: Topology) -> KillSwitchState:
         elif not isinstance(note, str):
             problem = "'note' must be a string"
         else:
-            events.append(KillEvent(timestamp, sensor, action, note))
+            (kill.kill if action == "set" else kill.clear)(sensor, note, timestamp)
             continue
         raise StateFormatError(f"state file kill event {index}: {problem}")
-    return KillSwitchState(killed=set(killed), event_log=events)
+    if killed is not None and set(killed) != kill.killed:
+        raise StateFormatError(
+            f"state file 'killed' lists {sorted(set(killed))}, but its kill events "
+            f"leave {sorted(kill.killed)} killed"
+        )
+    return kill
+
+
+def _store_records(state: NetworkKeyState, records: list, statuses: tuple[str, ...]) -> None:
+    """Check each of a file's records against the state's topology and
+    master seed, and store it."""
+    if not isinstance(records, list):
+        raise StateFormatError("state file 'records' must be a list")
+    kljn_edges = state.topology.kljn_edges
+    for index, r in enumerate(records):
+        pair, channel, key_id = r["pair"], r["channel"], r["key_id"]
+        established_at, status = r["established_at"], r["status"]
+        if not (isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], str) and isinstance(pair[1], str)):
+            problem = "'pair' must be two strings"
+        elif not (isinstance(channel, str) and isinstance(key_id, str)
+                  and isinstance(status, str)):
+            problem = "'channel', 'key_id' and 'status' must be strings"
+        elif type(established_at) is not int:
+            problem = "'established_at' must be an integer"
+        elif (key := tuple(pair)) in state.stored:
+            problem = "a second record for the pair"
+        elif (position := state.pair_index(*key)) is None:
+            problem = "'pair' must be two sensors of the topology in sorted order"
+        elif channel != (kind := CHANNEL_KLJN if key in kljn_edges else CHANNEL_WIRELESS):
+            problem = f"'channel' must be {kind!r}"
+        elif kind == CHANNEL_WIRELESS and state.master_seed is not None:
+            problem = "a wireless record is derived from 'master_seed', not stored"
+        elif status not in statuses:
+            problem = f"'status' must be one of {', '.join(map(repr, statuses))}"
+        elif established_at != position:
+            problem = f"'established_at' must be {position}, the pair's canonical position"
+        else:
+            state.stored[key] = KeyRecord(key, channel, key_id, established_at, status)
+            continue
+        raise StateFormatError(f"state file record {index} (pair {pair!r}): {problem}")
+
+
+def _unrevoke_v1_records(state: NetworkKeyState) -> None:
+    """Check a version 1 file's ``revoked`` statuses against its kill events
+    and store each as its status before the kill (``failed``: no key id)."""
+    revoked = _revoked_sensors(state.kill)
+    for index, r in enumerate(state.stored.values()):
+        if (r.status == STATUS_REVOKED) == revoked.isdisjoint(r.pair):
+            raise StateFormatError(
+                f"state file record {index} (pair {list(r.pair)!r}): "
+                f"status {r.status!r} disagrees with the kill events"
+            )
+        if r.status == STATUS_REVOKED:
+            r.status = STATUS_OK if r.key_id else STATUS_FAILED
 
 
 def state_from_json(text: str) -> NetworkKeyState:
-    """Parse a state file; anything but a well-formed state raises ``ValueError``.
+    """Parse a state file of version 2 or 1 (no ``version``; every record,
+    ``revoked`` statuses and ``killed`` stored, no master seed); anything but
+    a well-formed state raises ``ValueError``.
 
-    Every record and kill-event field is type checked, so :func:`state_to_json`
-    writes back exactly what ``json.dumps`` would, and the kill section may
-    only name sensors of the state's topology.
+    Every field is type checked.  The records must be the canonical wired
+    edges (every canonical pair without a master seed), each once, with the
+    right channel and ``established_at``; the kill events may only name
+    sensors of the topology and must agree with version 1's stored statuses.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("state file must hold a JSON object")
-    missing = [key for key in _STATE_KEYS if key not in doc]
+    version = doc.get("version", 1)
+    if type(version) is not int or version not in _STATE_KEYS:
+        raise ValueError(f"state file version {version!r} is not supported (1 or 2)")
+    missing = [key for key in _STATE_KEYS[version] if key not in doc]
     if missing:
         raise ValueError(f"state file is missing {', '.join(map(repr, missing))}")
     # a JSON true/false loads as bool, an int subclass
     if type(doc["clock"]) is not int:
         raise ValueError("state file 'clock' must be an integer")
-    topology = parse_topology(json.dumps(doc["topology"]))
+    master_seed = doc["master_seed"] if version == 2 else None
+    if master_seed is not None and type(master_seed) is not int:
+        raise ValueError("state file 'master_seed' must be an integer or null")
+    t = topology_from_doc(doc["topology"])
+    state = NetworkKeyState(t, {}, KillSwitchState(), doc["clock"], master_seed)
     try:
-        records = {}
-        for index, r in enumerate(doc["records"]):
-            pair, channel, key_id = r["pair"], r["channel"], r["key_id"]
-            established_at, status = r["established_at"], r["status"]
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and isinstance(pair[0], str) and isinstance(pair[1], str)):
-                problem = "'pair' must be two strings"
-            elif not (isinstance(channel, str) and isinstance(key_id, str)
-                      and isinstance(status, str)):
-                problem = "'channel', 'key_id' and 'status' must be strings"
-            elif type(established_at) is not int:
-                problem = "'established_at' must be an integer"
-            else:
-                pair = tuple(pair)
-                records[pair] = KeyRecord(pair, channel, key_id, established_at, status)
-                continue
-            raise StateFormatError(f"state file record {index} (pair {pair!r}): {problem}")
-        kill = _kill_from_doc(doc["kill"], topology)
+        if version == 1:
+            _store_records(state, doc["records"], (STATUS_OK, STATUS_FAILED, STATUS_REVOKED))
+            kill = doc["kill"]
+            state.kill = _kill_from_doc(kill["events"], t, killed=kill["killed"])
+            _unrevoke_v1_records(state)
+        else:
+            _store_records(state, doc["records"], (STATUS_OK, STATUS_FAILED))
+            state.kill = _kill_from_doc(doc["kill_events"], t)
     except StateFormatError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(
             f"state file has a malformed record or kill log ({type(exc).__name__}: {exc})"
         ) from None
-    return NetworkKeyState(topology, records, kill, doc["clock"])
+    wanted = state.pairs() if master_seed is None else sorted(t.kljn_edges)
+    absent = next((pair for pair in wanted if pair not in state.stored), None)
+    if absent is not None:
+        raise StateFormatError(f"state file has no record for pair {list(absent)!r}")
+    return state
 
 
 def save_state(state: NetworkKeyState, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(state_to_json(state))
+    """Write the state file through a temporary file next to it, so an
+    interrupted write leaves any earlier file at ``path`` whole."""
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        partial.write_text(state_to_json(state), encoding="utf-8")
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def load_state(path) -> NetworkKeyState:

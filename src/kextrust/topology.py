@@ -140,14 +140,7 @@ class ValidationReport:
 
 
 def parse_topology(text: str) -> Topology:
-    """Parse a JSON topology document.
-
-    The document is an object ``{"sensors": [...], "kljn_edges": [[a,b],...],
-    "wireless_sets": {id: [...]}}`` with ``wireless_sets`` optional.  Only
-    structural problems raise here (syntax, duplicate ids, self-loop edges,
-    edges naming unknown sensors); set-level inconsistencies such as a
-    KLJN/wireless overlap are left for :func:`validate` to report.
-    """
+    """Parse a JSON topology document (see :func:`topology_from_doc`)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -155,6 +148,18 @@ def parse_topology(text: str) -> Topology:
             f"topology document is not valid JSON: {exc.msg} "
             f"(line {exc.lineno}, column {exc.colno})"
         ) from exc
+    return topology_from_doc(doc)
+
+
+def topology_from_doc(doc) -> Topology:
+    """Build a topology from its decoded JSON document.
+
+    The document is an object ``{"sensors": [...], "kljn_edges": [[a,b],...],
+    "wireless_sets": {id: [...]}}`` with ``wireless_sets`` optional.  Only
+    structural problems raise here (duplicate ids, self-loop edges, edges
+    naming unknown sensors); set-level inconsistencies such as a
+    KLJN/wireless overlap are left for :func:`validate` to report.
+    """
     if not isinstance(doc, dict):
         raise TopologyFormatError("topology document must be a JSON object")
     unknown_keys = set(doc) - set(_DOC_KEYS)

@@ -50,3 +50,15 @@ def random_topology(rng, n_sensors: int, edge_prob: float | None = None) -> Topo
             if rng.random() < edge_prob:
                 edges.add((sensors[a_idx], sensors[b_idx]))
     return Topology(sensors, frozenset(edges))
+
+
+def with_explicit_wireless_sets(t: Topology, rng, reach: float) -> Topology:
+    """``t`` with explicit, symmetric wireless sets that cover about ``reach``
+    of its non-wired pairs."""
+    sets = {s: set() for s in t.sensors}
+    for x, a in enumerate(t.sensors):
+        for b in t.sensors[x + 1:]:
+            if b not in t.kljn_set(a) and rng.random() < reach:
+                sets[a].add(b)
+                sets[b].add(a)
+    return Topology(t.sensors, t.kljn_edges, sets)

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from kextrust import orchestrator
 from kextrust.cli import main, matrix_to_json
+from kextrust.orchestrator import load_state
 from kextrust.topology import bundled_topology_path
 from kextrust.trust import KillSwitchState, coefficients_closed_form, trust_matrix
 from reference_data import EXPECTED_TRUST, SENSORS, expected_tolerance
@@ -22,12 +24,28 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _state_with_record(**fields):
-    """A state file text for sensors A, B whose one record has ``fields`` changed."""
+def _state_with_record(kill=None, **fields):
+    """A version 1 state file text for sensors A, B whose one record has
+    ``fields`` changed, and whose kill section is ``kill`` if given."""
     record = {"pair": ["A", "B"], "channel": "wireless", "key_id": "k",
               "established_at": 1, "status": "ok", **fields}
     return json.dumps({"topology": {"sensors": ["A", "B"]}, "clock": 1, "records": [record],
-                       "kill": {"killed": [], "events": []}})
+                       "kill": kill or {"killed": [], "events": []}})
+
+
+_SET_A = {"timestamp": 2, "sensor": "A", "action": "set", "note": ""}
+_WIRED_AB = {"pair": ["A", "B"], "channel": "kljn", "key_id": "k", "established_at": 1,
+             "status": "ok"}
+_WIRELESS_AC = {"pair": ["A", "C"], "channel": "wireless", "key_id": "k", "established_at": 2,
+                "status": "ok"}
+
+
+def _v2_state(records=(_WIRED_AB,), sensors=("A", "B"), **fields):
+    """A version 2 state file text whose one wired link is A-B, with
+    top-level ``fields`` changed."""
+    doc = {"version": 2, "topology": {"sensors": list(sensors), "kljn_edges": [["A", "B"]]},
+           "clock": 1, "master_seed": 7, "records": records, "kill_events": [], **fields}
+    return json.dumps(doc)
 
 
 def _state_with_kill(clock=1, killed=(), **event):
@@ -257,17 +275,16 @@ class TestStateWorkflow:
             "--out", str(state_path),
         )
         assert code == 0
-        state_doc = json.loads(state_path.read_text())
-        assert len(state_doc["records"]) == 45
+        assert len(load_state(state_path).records) == 45
 
         code, _, _ = run_cli(
             capsys, "kill", str(state_path), "H", "--note", "field alert"
         )
         assert code == 0
-        state_doc = json.loads(state_path.read_text())
-        revoked = [r for r in state_doc["records"] if r["status"] == "revoked"]
+        state = load_state(state_path)
+        revoked = [r for r in state.records.values() if r.status == "revoked"]
         assert len(revoked) == 9
-        assert state_doc["kill"]["killed"] == ["H"]
+        assert state.kill.killed == {"H"}
 
         report_path = tmp_path / "report.json"
         csv_path = tmp_path / "matrix.csv"
@@ -292,8 +309,8 @@ class TestStateWorkflow:
         out_path = tmp_path / "s2.json"
         code, _, _ = run_cli(capsys, "kill", str(state_path), "A", "--out", str(out_path))
         assert code == 0
-        assert json.loads(state_path.read_text())["kill"]["killed"] == []
-        assert json.loads(out_path.read_text())["kill"]["killed"] == ["A"]
+        assert load_state(state_path).kill.killed == set()
+        assert load_state(out_path).kill.killed == {"A"}
 
     @pytest.mark.parametrize(
         "text,message",
@@ -343,6 +360,58 @@ class TestStateWorkflow:
             (_state_with_kill(action="kill"),
              "state file kill event 0: 'action' must be \"set\" or \"clear\""),
             (_state_with_kill(note=["x"]), "state file kill event 0: 'note' must be a string"),
+            # version 1 records checked against the topology and the kill events
+            (_state_with_record(pair=["B", "A"]),
+             "state file record 0 (pair ['B', 'A']): 'pair' must be two sensors of the "
+             "topology in sorted order"),
+            (_state_with_record(pair=["A", "Z"]),
+             "state file record 0 (pair ['A', 'Z']): 'pair' must be two sensors of the "
+             "topology in sorted order"),
+            (_state_with_record(channel="bogus"),
+             "state file record 0 (pair ['A', 'B']): 'channel' must be 'wireless'"),
+            (_state_with_record(channel="kljn"),
+             "state file record 0 (pair ['A', 'B']): 'channel' must be 'wireless'"),
+            (_state_with_record(status="lost"),
+             "state file record 0 (pair ['A', 'B']): 'status' must be one of 'ok', 'failed', "
+             "'revoked'"),
+            (_state_with_record(established_at=2),
+             "state file record 0 (pair ['A', 'B']): 'established_at' must be 1, the pair's "
+             "canonical position"),
+            (_state_with_kill(), "state file has no record for pair ['A', 'B']"),
+            (_state_with_record(status="revoked"),
+             "state file record 0 (pair ['A', 'B']): status 'revoked' disagrees with the "
+             "kill events"),
+            (_state_with_record(kill={"killed": ["A"], "events": [_SET_A]}),
+             "state file record 0 (pair ['A', 'B']): status 'ok' disagrees with the kill events"),
+            (_state_with_record(kill={"killed": ["A"], "events": []}),
+             "state file 'killed' lists ['A'], but its kill events leave [] killed"),
+            (_state_with_record(kill={"killed": [], "events": [_SET_A]}, status="revoked"),
+             "state file 'killed' lists [], but its kill events leave ['A'] killed"),
+            # version 2
+            (_v2_state(version=3), "state file version 3 is not supported (1 or 2)"),
+            (_v2_state(version=True), "state file version True is not supported (1 or 2)"),
+            ('{"version": 2, "topology": {"sensors": []}, "clock": 0, "records": [], '
+             '"kill_events": []}', "state file is missing 'master_seed'"),
+            (_v2_state(master_seed="7"), "state file 'master_seed' must be an integer or null"),
+            (_v2_state(records={}), "state file 'records' must be a list"),
+            (_v2_state(kill_events={}), "state file kill events must be a list"),
+            (_v2_state(kill_events=[{**_SET_A, "sensor": "Z"}]),
+             "state file kill event 0: 'sensor' 'Z' is not a sensor of the topology"),
+            (_v2_state(records=[]), "state file has no record for pair ['A', 'B']"),
+            (_v2_state(records=[_WIRED_AB, _WIRED_AB]),
+             "state file record 1 (pair ['A', 'B']): a second record for the pair"),
+            (_v2_state(records=[{**_WIRED_AB, "channel": "wireless"}]),
+             "state file record 0 (pair ['A', 'B']): 'channel' must be 'kljn'"),
+            (_v2_state(records=[{**_WIRED_AB, "status": "revoked"}]),
+             "state file record 0 (pair ['A', 'B']): 'status' must be one of 'ok', 'failed'"),
+            (_v2_state(records=[{**_WIRED_AB, "established_at": 2}]),
+             "state file record 0 (pair ['A', 'B']): 'established_at' must be 1, the pair's "
+             "canonical position"),
+            (_v2_state(records=[_WIRED_AB, _WIRELESS_AC], sensors=("A", "B", "C")),
+             "state file record 1 (pair ['A', 'C']): a wireless record is derived from "
+             "'master_seed', not stored"),
+            (_v2_state(sensors=("A", "B", "C"), master_seed=None),
+             "state file has no record for pair ['A', 'C']"),
         ],
     )
     @pytest.mark.parametrize("command", ["report", "kill"])
@@ -381,3 +450,52 @@ class TestStateWorkflow:
         code, _, err = run_cli(capsys, "kill", str(state_path), "Q")
         assert code == 1
         assert "unknown sensor" in err
+
+    def test_version_2_without_master_seed_lists_every_record(self, capsys, tmp_path):
+        state_path = tmp_path / "state.json"
+        wireless_bc = {**_WIRELESS_AC, "pair": ["B", "C"], "established_at": 3}
+        state_path.write_text(_v2_state(records=[_WIRED_AB, _WIRELESS_AC, wireless_bc],
+                                         sensors=("A", "B", "C"), master_seed=None))
+        assert run_cli(capsys, "kill", str(state_path), "C") == (0, "", "")
+        state = load_state(state_path)
+        assert [(r.pair, r.channel, r.status) for r in state.records_sorted()] == [
+            (("A", "B"), "kljn", "ok"), (("A", "C"), "wireless", "revoked"),
+            (("B", "C"), "wireless", "revoked")]
+
+
+class TestOutputPaths:
+    """Output and state paths the system refuses: exit 1 with a message."""
+
+    def _assert_error(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_establish_out_is_a_directory(self, capsys, tmp_path):
+        self._assert_error(capsys, "establish", "fig2", "--bits", "8", "--out", str(tmp_path))
+        assert list(tmp_path.iterdir()) == []  # no temporary file left behind
+
+    def test_state_is_a_directory(self, capsys, tmp_path):
+        self._assert_error(capsys, "kill", str(tmp_path), "H")
+        self._assert_error(capsys, "report", str(tmp_path))
+
+    def test_report_outputs_are_directories(self, capsys, tmp_path):
+        state = str(tmp_path / "state.json")
+        assert main(["establish", "fig2", "--bits", "8", "--out", state]) == 0
+        self._assert_error(capsys, "report", state, "--out", str(tmp_path))
+        self._assert_error(capsys, "report", state, "--out", str(tmp_path / "report.json"),
+                           "--csv", str(tmp_path))
+        self._assert_error(capsys, "trust-matrix", "fig2", "--out", str(tmp_path))
+
+    def test_failed_save_keeps_the_old_state(self, capsys, tmp_path, monkeypatch):
+        state_path = tmp_path / "state.json"
+        assert main(["establish", "fig2", "--bits", "8", "--out", str(state_path)]) == 0
+        before = state_path.read_bytes()
+
+        def interrupted(src, dst):
+            raise OSError("interrupted before the rename")
+
+        monkeypatch.setattr(orchestrator.os, "replace", interrupted)
+        self._assert_error(capsys, "kill", str(state_path), "H")
+        assert state_path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [state_path]

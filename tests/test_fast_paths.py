@@ -2,14 +2,16 @@
 
 Each fast path is checked against a straightforward reference: a copy of
 the plain waveform bit period (both ends quantized and compared, numpy
-temporaries everywhere), ``json.dumps`` of the whole state or report
-document, and SHA-256 digests of CLI output recorded before the fast paths
-existed.
+temporaries everywhere), the state file layout spelled as a rule over
+``json.dumps``, ``json.dumps`` of the whole report document, and SHA-256
+digests of CLI output recorded before the fast paths existed.
 """
 
 import hashlib
 import json
 import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ from kextrust.orchestrator import (
 )
 from kextrust.topology import Topology, serialize_topology
 from kextrust.trust import coefficients_closed_form, coefficients_fixed_point
-from reference_data import random_topology
+from reference_data import random_topology, with_explicit_wireless_sets
 
 CFG = KljnSessionConfig()
 COEF = coefficients_closed_form()
@@ -259,29 +261,56 @@ class TestWordsMismatch:
 # --- state writer
 
 
+# The version 2 layout, spelled as a rule: these containers (by key path,
+# "*" for any list entry) have one entry per line, everything else is
+# written as json.dumps writes it without indent.
+_EXPANDED = {(), ("topology",), ("topology", "kljn_edges"), ("topology", "wireless_sets"),
+             ("records",), ("kill_events",)}
+
+
+def _ref_layout(value, path=(), pad=""):
+    if path not in _EXPANDED or not value:
+        return json.dumps(value)
+    if isinstance(value, dict):
+        entries = [f"{json.dumps(k)}: {_ref_layout(v, path + (k,), pad + '  ')}"
+                   for k, v in value.items()]
+        opening, closing = "{}"
+    else:
+        entries = [_ref_layout(v, path + ("*",), pad + "  ") for v in value]
+        opening, closing = "[]"
+    body = ",\n".join(pad + "  " + entry for entry in entries)
+    return f"{opening}\n{body}\n{pad}{closing}"
+
+
 def _ref_state_json(state):
+    """The version 2 document of ``state``, read off its records view: the
+    wired records (every record without a master seed) with the status they
+    had before any kill, and the kill events."""
     def event(e):
         return {"timestamp": e.timestamp, "sensor": e.sensor, "action": e.action, "note": e.note}
 
+    def unrevoked(r):
+        return r.status if r.status != "revoked" else ("ok" if r.key_id else "failed")
+
     doc = {
+        "version": 2,
         "topology": json.loads(serialize_topology(state.topology)),
         "clock": state.clock,
+        "master_seed": state.master_seed,
         "records": [
             {
                 "pair": list(r.pair),
                 "channel": r.channel,
                 "key_id": r.key_id,
                 "established_at": r.established_at,
-                "status": r.status,
+                "status": unrevoked(r),
             }
             for r in state.records_sorted()
+            if r.channel == "kljn" or state.master_seed is None
         ],
-        "kill": {
-            "killed": sorted(state.kill.killed),
-            "events": [event(e) for e in state.kill.event_log],
-        },
+        "kill_events": [event(e) for e in state.kill.event_log],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _ref_layout(doc) + "\n"
 
 
 ODD_IDS = ('q"1', "back\\slash", "é", "\u2603snow", "tab\there", "plain")
@@ -329,14 +358,7 @@ def _explicit_sets_topology(seed, n):
     """A random network whose wireless sets are given explicitly and cover
     about a third of the non-wired pairs."""
     rng = np.random.default_rng(seed)
-    wired = random_topology(rng, n, edge_prob=0.04)
-    reach = {s: set() for s in wired.sensors}
-    for x, a in enumerate(wired.sensors):
-        for b in wired.sensors[x + 1:]:
-            if b not in wired.kljn_set(a) and rng.random() < 0.3:
-                reach[a].add(b)
-                reach[b].add(a)
-    return Topology(wired.sensors, wired.kljn_edges, reach)
+    return with_explicit_wireless_sets(random_topology(rng, n, edge_prob=0.04), rng, 0.3)
 
 
 class TestReportWriter:
@@ -387,7 +409,11 @@ PINNED_SESSIONS = {
     ("2024", "wire-substitution"): "74e6a5566c7188e9f90e56eff268c929e124b92409b8037b538b396d512ecfba",
     ("2024", "current-injection"): "2161158521b8bb9d9d68cf0279e5bde162e7d0ae64d9833d91ac22bbf7a4906e",
 }
-PINNED_ESTABLISH_FIG2_SEED_42 = "6b59fb0689af38a70b1654063fb6e032153262b3f30f9b750f7776cfd8233961"
+PINNED_ESTABLISH_FIG2_SEED_42 = "97ab36c0333bcf56d70c19dda3138e9619d045fdea089f71b6b51c2c67b5d5da"
+# The same command wrote a version 1 state file (every record and the killed
+# list stored) before version 2; those bytes are kept as a fixture.
+PINNED_ESTABLISH_FIG2_SEED_42_V1 = "6b59fb0689af38a70b1654063fb6e032153262b3f30f9b750f7776cfd8233961"
+V1_FIG2_STATE = Path(__file__).parent / "data" / "state_v1_fig2_seed42.json"
 # report --out/--csv after establish fig2 --seed 42 and kill H, recorded
 # with the json.dumps report writer
 PINNED_REPORT_FIG2_KILL_H = {
@@ -414,10 +440,15 @@ class TestPinnedOutput:
         assert _cli_digest(capsys, "establish", "fig2", "--seed", "42") == (
             0, PINNED_ESTABLISH_FIG2_SEED_42)
 
-    def test_report_fig2_after_kill(self, capsys, tmp_path):
-        state = str(tmp_path / "state.json")
-        assert main(["establish", "fig2", "--seed", "42", "--out", state]) == 0
+    def test_v1_fixture_bytes(self):
+        digest = hashlib.sha256(V1_FIG2_STATE.read_bytes()).hexdigest()
+        assert digest == PINNED_ESTABLISH_FIG2_SEED_42_V1
+
+    def _assert_pinned_report_after_kill(self, capsys, tmp_path, state, master_seed, records):
         assert main(["kill", state, "H"]) == 0
+        doc = json.loads(Path(state).read_text(encoding="utf-8"))
+        assert (doc["version"], doc["master_seed"], len(doc["records"])) == (
+            2, master_seed, records)
         assert main(["report", state, "--out", str(tmp_path / "report.json"),
                      "--csv", str(tmp_path / "report.csv")]) == 0
         assert main(["report", state, "--full-precision",
@@ -426,3 +457,14 @@ class TestPinnedOutput:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in PINNED_REPORT_FIG2_KILL_H}
         assert digests == PINNED_REPORT_FIG2_KILL_H
+
+    def test_report_fig2_after_kill(self, capsys, tmp_path):
+        state = str(tmp_path / "state.json")
+        assert main(["establish", "fig2", "--seed", "42", "--out", state]) == 0
+        self._assert_pinned_report_after_kill(capsys, tmp_path, state, 42, 6)
+
+    def test_report_fig2_after_kill_from_v1_state(self, capsys, tmp_path):
+        # a version 1 file has no master seed: it is rewritten with every record
+        state = str(tmp_path / "state.json")
+        shutil.copyfile(V1_FIG2_STATE, state)
+        self._assert_pinned_report_after_kill(capsys, tmp_path, state, None, 45)

@@ -1,0 +1,206 @@
+"""The derived state against an eager oracle.
+
+The oracle is the earlier state model, kept here as it was: one stored
+record per sensor pair, a kill that revokes every record of the sensor, and
+a version 1 file (``json.dumps(doc, indent=2)`` of every record and the
+``killed`` list).  The state under test stores only the wired sessions and
+the kill events, and derives the rest; every view of it must equal the
+oracle's records.
+"""
+
+import hashlib
+import json
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+import pytest
+
+from kextrust.kljn import (
+    BudgetExhaustedError,
+    KljnSessionConfig,
+    WireSubstitutionAttacker,
+    run_key_exchange,
+)
+from kextrust.orchestrator import (
+    KeyRecord,
+    apply_kill_event,
+    establish_network_keys,
+    state_from_json,
+    state_to_json,
+)
+from kextrust.topology import Topology, serialize_topology
+from kextrust.trust import KillSwitchState
+from reference_data import random_topology, with_explicit_wireless_sets
+
+CFG = KljnSessionConfig()
+KEY_BITS = 8
+
+
+# --- the oracle: eager establishment and kills, and the version 1 writer
+
+
+def _oracle_derive_seed(master_seed, *parts):
+    material = json.dumps([master_seed, *parts]).encode()
+    return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
+
+
+def _oracle_fingerprint(material):
+    return hashlib.sha256(material.encode()).hexdigest()[:16]
+
+
+@dataclass
+class EagerState:
+    topology: Topology
+    records: dict
+    kill: KillSwitchState = field(default_factory=KillSwitchState)
+    clock: int = 0
+
+
+def eager_establish(t, cfg, master_seed, target_bits, attackers):
+    state = EagerState(t, {})
+    ordered = sorted(t.sensors)
+    pairs = [(a, b) for idx, a in enumerate(ordered) for b in ordered[idx + 1:]]
+    for a, b in pairs:
+        state.clock += 1
+        if (a, b) in t.kljn_edges:
+            session_cfg = replace(cfg, seed=_oracle_derive_seed(master_seed, a, b))
+            try:
+                result = run_key_exchange(session_cfg, target_bits, attacker=attackers.get((a, b)))
+            except BudgetExhaustedError:
+                result = None
+            if result is None or result.attack_detected:
+                record = KeyRecord((a, b), "kljn", "", state.clock, "failed")
+            else:
+                record = KeyRecord((a, b), "kljn", _oracle_fingerprint(f"kljn|{result.key_bits}"),
+                                   state.clock, "ok", key_bits=result.key_bits)
+        else:
+            token = _oracle_fingerprint(json.dumps([master_seed, a, b, "wireless"]))
+            record = KeyRecord((a, b), "wireless", token, state.clock, "ok")
+        state.records[(a, b)] = record
+    return state
+
+
+def eager_kill(state, sensor, note=""):
+    state.clock += 1
+    state.kill.kill(sensor, note=note, timestamp=state.clock)
+    for record in state.records.values():
+        if sensor in record.pair and record.status != "revoked":
+            record.status = "revoked"
+            record.key_bits = None
+
+
+def eager_v1_json(state):
+    doc = {
+        "topology": json.loads(serialize_topology(state.topology)),
+        "clock": state.clock,
+        "records": [
+            {"pair": list(r.pair), "channel": r.channel, "key_id": r.key_id,
+             "established_at": r.established_at, "status": r.status}
+            for _, r in sorted(state.records.items())
+        ],
+        "kill": {
+            "killed": sorted(state.kill.killed),
+            "events": [{"timestamp": e.timestamp, "sensor": e.sensor, "action": e.action,
+                        "note": e.note} for e in state.kill.event_log],
+        },
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# --- comparison
+
+
+def _row(r):
+    return (r.pair, r.channel, r.key_id, r.established_at, r.status)
+
+
+def assert_same_records(state, oracle):
+    expected = [_row(r) for _, r in sorted(oracle.records.items())]
+    assert [_row(r) for r in state.records_sorted()] == expected
+    assert [_row(r) for r in state.records.values()] == expected
+    assert len(state.records) == len(expected)
+    assert list(state.records) == [row[0] for row in expected]
+    for pair, record in oracle.records.items():
+        assert _row(state.record_for(*reversed(pair))) == _row(record)
+    assert state.kill.killed == oracle.kill.killed
+    assert state.kill.event_log == oracle.kill.event_log
+    assert state.clock == oracle.clock
+
+
+def assert_same_key_bits(state, oracle):
+    for pair, record in oracle.records.items():
+        assert state.records[pair].key_bits == record.key_bits
+
+
+def assert_files_load_to_oracle(state, oracle):
+    """The state's own file, the oracle's version 1 file, and that file
+    rewritten as version 2 all load to the oracle's records."""
+    assert_same_records(state_from_json(state_to_json(state)), oracle)
+    from_v1 = state_from_json(eager_v1_json(oracle))
+    assert from_v1.master_seed is None
+    assert_same_records(from_v1, oracle)
+    rewritten = state_to_json(from_v1)
+    assert json.loads(rewritten)["master_seed"] is None
+    assert_same_records(state_from_json(rewritten), oracle)
+    assert state_to_json(state_from_json(rewritten)) == rewritten
+
+
+def _attackers(t, rng):
+    """Fresh attackers on about a third of the wired edges (sessions that fail)."""
+    edges = sorted(t.kljn_edges)
+    picks = [e for e in edges if rng.random() < 0.35]
+    return {e: WireSubstitutionAttacker(start_period=0, seed=k) for k, e in enumerate(picks)}
+
+
+@pytest.mark.parametrize("wireless", ["complement", "explicit"])
+@pytest.mark.parametrize("seed", [3, 17, 29, 41])
+def test_derived_state_equals_eager_oracle(seed, wireless):
+    rng = np.random.default_rng(seed)
+    t = random_topology(rng, int(rng.integers(6, 14)), edge_prob=0.25)
+    if wireless == "explicit":
+        t = with_explicit_wireless_sets(t, rng, 0.5)
+    master_seed = int(rng.integers(0, 2**31))
+    attack_rng = np.random.default_rng(seed + 1000)
+    state = establish_network_keys(t, CFG, master_seed, KEY_BITS,
+                                   attackers=_attackers(t, attack_rng))
+    attack_rng = np.random.default_rng(seed + 1000)
+    oracle = eager_establish(t, CFG, master_seed, KEY_BITS, _attackers(t, attack_rng))
+    assert any(r.status == "failed" for r in oracle.records.values())
+    assert_same_records(state, oracle)
+    assert_same_key_bits(state, oracle)
+    assert_files_load_to_oracle(state, oracle)
+
+    first, second = t.sensors[int(rng.integers(len(t.sensors)))], t.sensors[0]
+    steps = [("kill", first), ("kill", second), ("kill", first),  # a repeated kill
+             ("clear", second), ("kill", t.sensors[-1])]
+    for action, sensor in steps:
+        for s, kill in ((state, apply_kill_event), (oracle, eager_kill)):
+            if action == "kill":
+                kill(s, sensor, note=f"alarm {sensor}")
+            else:
+                s.kill.clear(sensor, note="false alarm", timestamp=s.clock)
+        assert_same_records(state, oracle)
+        assert_same_key_bits(state, oracle)
+        assert_files_load_to_oracle(state, oracle)
+
+
+def test_cleared_sensor_keeps_revoked_records():
+    t = Topology(("A", "B", "C"), frozenset({("A", "B")}))
+    state = establish_network_keys(t, CFG, master_seed=5, target_bits=KEY_BITS)
+    apply_kill_event(state, "B")
+    state.kill.clear("B", timestamp=state.clock)
+    assert state.kill.killed == set()
+    assert [(r.pair, r.status) for r in state.records_sorted()] == [
+        (("A", "B"), "revoked"), (("A", "C"), "ok"), (("B", "C"), "revoked")]
+    assert state.records[("A", "B")].key_bits is None
+
+
+def test_records_view_is_read_only_and_keyed_by_canonical_pairs():
+    t = Topology(("A", "B", "C"), frozenset({("A", "B")}))
+    state = establish_network_keys(t, CFG, master_seed=5, target_bits=KEY_BITS)
+    assert ("B", "A") not in state.records and ("A", "A") not in state.records
+    assert ("A", "Z") not in state.records
+    assert ("A", "C") in state.records
+    with pytest.raises(TypeError):
+        state.records[("A", "C")] = None
+    assert set(state.stored) == {("A", "B")}  # wireless records are never stored
