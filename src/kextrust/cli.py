@@ -38,6 +38,7 @@ from .orchestrator import (
     save_state,
     state_to_json,
     trust_report,
+    write_files,
 )
 from .topology import (
     Topology,
@@ -343,12 +344,17 @@ def _cmd_kill(args) -> int:
 def _cmd_report(args) -> int:
     state = _load_checked_state(args.state)
     doc = trust_report(state, _coefficients(args))
-    _emit(report_to_json(doc), args.out)
+    report = report_to_json(doc)
+    # both texts first, then the files, then stdout: a failed write leaves
+    # no output behind
+    files = {args.out: report} if args.out else {}
     if args.csv:
-        text = matrix_to_csv(
+        files[args.csv] = matrix_to_csv(
             doc["matrix"]["order"], doc["matrix"]["values"], args.full_precision
         )
-        Path(args.csv).write_text(text, encoding="utf-8")
+    write_files(files)
+    if not args.out:
+        sys.stdout.write(report)
     return 0
 
 

@@ -15,6 +15,7 @@ has a ``set`` kill event.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -473,16 +474,35 @@ def state_from_json(text: str) -> NetworkKeyState:
     return state
 
 
-def save_state(state: NetworkKeyState, path) -> None:
-    """Write the state file through a temporary file next to it, so an
-    interrupted write leaves any earlier file at ``path`` whole."""
-    path = Path(path)
-    partial = path.with_name(f".{path.name}.partial")
+def write_files(texts: Mapping) -> None:
+    """Write each ``path: text`` item through a temporary file next to its
+    path, and move the files into place only once every one is written.
+
+    A directory among the paths is refused before anything is written, and
+    a failed or interrupted write leaves every earlier file at the paths
+    whole.  Only a rename that fails after an earlier one succeeded (the
+    filesystem changing during the call) would leave some paths replaced.
+    """
+    partials: dict[Path, Path] = {}
     try:
-        partial.write_text(state_to_json(state), encoding="utf-8")
-        os.replace(partial, path)
+        for path, text in texts.items():
+            path = Path(path)
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            partial = path.with_name(f".{path.name}.partial")
+            partials[partial] = path
+            partial.write_text(text, encoding="utf-8")
+        for partial, path in partials.items():
+            os.replace(partial, path)
     finally:
-        partial.unlink(missing_ok=True)
+        for partial in partials:
+            partial.unlink(missing_ok=True)
+
+
+def save_state(state: NetworkKeyState, path) -> None:
+    """Write the state file with :func:`write_files`, so an interrupted
+    write leaves any earlier file at ``path`` whole."""
+    write_files({path: state_to_json(state)})
 
 
 def load_state(path) -> NetworkKeyState:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from collections.abc import Set
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -41,19 +42,55 @@ class _PeerSets(dict):
     per-sensor peer lists on first lookup.
 
     Only known sensors are stored; any other id raises
-    :class:`UnknownSensorError` on every lookup.
+    :class:`UnknownSensorError` on every lookup.  ``known_degree`` holds,
+    for each stored sensor, how many of its wired peers are known sensors.
     """
 
     def __init__(self, sensors: frozenset[SensorId], index: dict[SensorId, list[SensorId]]):
         super().__init__()
         self._sensors = sensors
         self._index = index
+        self.known_degree: dict[SensorId, int] = {}
 
     def __missing__(self, i: SensorId) -> frozenset[SensorId]:
         if i not in self._sensors:
             raise UnknownSensorError(f"unknown sensor {i!r}")
         peers = self[i] = frozenset(self._index.get(i, ()))
+        self.known_degree[i] = len(peers & self._sensors)
         return peers
+
+
+class _ComplementSet(Set):
+    """The wireless peers of ``i`` under the complement rule, as a read-only
+    view: every known sensor except ``i`` and its wired peers.
+
+    ``len`` and ``in`` take O(1); iteration walks the distinct sensors in
+    topology order.  ``&``, ``|``, ``-`` and ``^`` return frozensets.  A view
+    compares equal to the frozenset of its members but is unhashable, since
+    its hash could not equal that frozenset's without visiting every member.
+    """
+
+    __slots__ = ("_t", "_i", "_wired", "_len")
+
+    def __init__(self, t: Topology, i: SensorId):
+        self._t = t
+        self._i = i
+        self._wired = t.kljn_set(i)
+        self._len = len(t.sensor_set) - 1 - t._kljn_sets.known_degree[i]
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __contains__(self, p) -> bool:
+        return p != self._i and p not in self._wired and p in self._t.sensor_set
+
+    def __iter__(self):
+        i, wired = self._i, self._wired
+        return (s for s in self._t._distinct_sensors if s != i and s not in wired)
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset[SensorId]:
+        return frozenset(it)
 
 
 @dataclass(frozen=True)
@@ -69,7 +106,8 @@ class Topology:
     (every edge endpoint gets an entry, so edges naming unknown sensors stay
     visible to :func:`validate`) and the sensor set.  Lookups read the index
     instead of rescanning ``kljn_edges``; each sensor's wired-peer frozenset
-    is built on its first lookup and reused after that.
+    is built on its first lookup and reused after that.  Under the complement
+    rule :meth:`wireless_set` returns an O(1) view over that index.
     """
 
     sensors: tuple[SensorId, ...]
@@ -77,6 +115,7 @@ class Topology:
     wireless_sets: dict[SensorId, frozenset[SensorId]] | None = None
     _sensor_set: frozenset[SensorId] = field(init=False, repr=False, compare=False)
     _kljn_sets: _PeerSets = field(init=False, repr=False, compare=False)
+    _distinct_sensors: tuple[SensorId, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sensors", tuple(self.sensors))
@@ -98,6 +137,7 @@ class Topology:
                 index[b].append(a)
         object.__setattr__(self, "_sensor_set", frozenset(self.sensors))
         object.__setattr__(self, "_kljn_sets", _PeerSets(self._sensor_set, index))
+        object.__setattr__(self, "_distinct_sensors", tuple(dict.fromkeys(self.sensors)))
 
     @property
     def sensor_set(self) -> frozenset[SensorId]:
@@ -110,13 +150,15 @@ class Topology:
         """Wired-KLJN peers of ``i``, read off the per-sensor edge index."""
         return self._kljn_sets[i]
 
-    def wireless_set(self, i: SensorId) -> frozenset[SensorId]:
-        """Wireless peers of ``i``: explicit if present, else the complement rule."""
+    def wireless_set(self, i: SensorId) -> Set[SensorId]:
+        """Wireless peers of ``i``: the explicit frozenset if sets are given,
+        else the complement rule ``sensor_set - kljn_set(i) - {i}`` as an
+        O(1) read-only view (see :class:`_ComplementSet`)."""
         if not self.has_sensor(i):
             raise UnknownSensorError(f"unknown sensor {i!r}")
         if self.wireless_sets is not None:
             return self.wireless_sets.get(i, frozenset())
-        return self._sensor_set - self.kljn_set(i) - {i}
+        return _ComplementSet(self, i)
 
 
 @dataclass(frozen=True)
@@ -327,7 +369,7 @@ def validate(t: Topology) -> ValidationReport:
     return report
 
 
-def peer_sets(t: Topology, i: SensorId) -> tuple[frozenset[SensorId], frozenset[SensorId]]:
+def peer_sets(t: Topology, i: SensorId) -> tuple[frozenset[SensorId], Set[SensorId]]:
     """Return ``(kljn peers, wireless peers)`` of sensor ``i``."""
     return t.kljn_set(i), t.wireless_set(i)
 

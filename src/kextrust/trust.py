@@ -38,7 +38,6 @@ __all__ = [
     "coefficients_closed_form",
     "coefficients_fixed_point",
     "geometric_partial_sum",
-    "geometric_sum_naive",
     "counts",
     "trust",
     "trust_matrix",
@@ -132,18 +131,6 @@ def geometric_partial_sum(r: float, n: int) -> float:
     return r * (1.0 - r**n) / (1.0 - r)
 
 
-def geometric_sum_naive(r: float, n: int) -> float:
-    """Term-by-term evaluation of the same sum; test oracle only."""
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"ratio must be in (0, 1), got {r}")
-    total = 0.0
-    term = 1.0
-    for _ in range(n):
-        term *= r
-        total += term
-    return total
-
-
 @dataclass(frozen=True)
 class TrustCounts:
     """The per-pair counts feeding the three series (meaningless for wired pairs)."""
@@ -193,7 +180,10 @@ def counts(t: Topology, i: SensorId, j: SensorId) -> TrustCounts:
     """Count mutual wired peers, j's other wired peers, and j's wireless-only peers.
 
     K = |i_kljn & j_kljn|; W = |j_kljn| - K; Z = |j_wireless - {i}|.
-    Third-party kill flags do not enter: membership is purely topological.
+    Under the complement rule ``wireless_set(j)`` is an O(1) view, so Z is
+    the closed form ``(n - 1 - deg_j) - [i not wired to j]`` of
+    :func:`trust_matrix`.  Third-party kill flags do not enter: membership
+    is purely topological.
     """
     if i == j:
         raise ValueError(f"counts are defined for ordered pairs of distinct sensors, got {i!r} twice")

@@ -39,6 +39,17 @@ def expected_tolerance(i: str, j: str) -> float:
     return 0.0005 if (i, j) == ("J", "G") else 0.001
 
 
+def geometric_sum_naive(r: float, n: int) -> float:
+    """r^1 + r^2 + ... + r^n term by term: the oracle for the closed form
+    of :func:`kextrust.trust.geometric_partial_sum`."""
+    total = 0.0
+    term = 1.0
+    for _ in range(n):
+        term *= r
+        total += term
+    return total
+
+
 def random_topology(rng, n_sensors: int, edge_prob: float | None = None) -> Topology:
     """Random network with well-formed undirected wired links."""
     sensors = tuple(f"s{k:03d}" for k in range(n_sensors))
@@ -50,6 +61,18 @@ def random_topology(rng, n_sensors: int, edge_prob: float | None = None) -> Topo
             if rng.random() < edge_prob:
                 edges.add((sensors[a_idx], sensors[b_idx]))
     return Topology(sensors, frozenset(edges))
+
+
+def messy_topology(rng, n_sensors: int) -> Topology:
+    """Random complement-rule network as only programmatic construction can
+    make it: repeated sensor ids, self-loop edges and edges to sensors that
+    are not in the topology (``validate`` reports all three)."""
+    sensors = [f"s{k:02d}" for k in range(n_sensors)]
+    sensors += [str(s) for s in rng.choice(sensors, size=int(rng.integers(0, 3)))]
+    rng.shuffle(sensors)
+    ends = sensors + ["ghost0", "ghost1"]
+    edges = {(str(a), str(b)) for a, b in rng.choice(ends, size=(2 * n_sensors, 2))}
+    return Topology(tuple(sensors), frozenset(edges))
 
 
 def with_explicit_wireless_sets(t: Topology, rng, reach: float) -> Topology:

@@ -33,11 +33,16 @@ from kextrust.trust import (
     coefficients_closed_form,
     coefficients_fixed_point,
     geometric_partial_sum,
-    geometric_sum_naive,
     trust,
     trust_matrix,
 )
-from reference_data import EXPECTED_TRUST, SENSORS, expected_tolerance, random_topology
+from reference_data import (
+    EXPECTED_TRUST,
+    SENSORS,
+    expected_tolerance,
+    geometric_sum_naive,
+    random_topology,
+)
 
 COEF = coefficients_closed_form()
 
@@ -109,9 +114,14 @@ def test_criterion_3_saturation_ceilings():
     c = b / (1 + b)
     if sp.expand(a**2 - 3 * a + 1) != 0:
         failures.append("a does not satisfy a/(1-a) + a = 1 exactly")
-    if not (b / (1 - b) - (a - b)).equals(0):
+    # The b and c identities in polynomial form, which sympy decides exactly
+    # by expansion and cancellation.  Multiplying b/(1-b) = a - b by 1 - b
+    # gives b^2 - (a+2)b + a = 0; the two are equivalent because that
+    # polynomial is -1 at b = 1, so none of its roots is 1.  The c identity
+    # needs c != 1, which holds since c = b/(1+b) = 1 has no solution.
+    if sp.expand(b**2 - (a + 2) * b + a) != 0:
         failures.append("b does not satisfy b/(1-b) = a - b exactly")
-    if not (c / (1 - c) - b).equals(0):
+    if sp.cancel(c / (1 - c) - b) != 0:
         failures.append("c does not satisfy c/(1-c) = b exactly")
     ordering = [sp.N(d, 30) for d in (c, b - c, a - b, 1 - a)]
     if not all(d > 0 for d in ordering):

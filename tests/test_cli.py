@@ -487,6 +487,33 @@ class TestOutputPaths:
                            "--csv", str(tmp_path))
         self._assert_error(capsys, "trust-matrix", "fig2", "--out", str(tmp_path))
 
+    def test_report_csv_is_a_directory(self, capsys, tmp_path):
+        state = str(tmp_path / "state.json")
+        assert main(["establish", "fig2", "--bits", "8", "--out", state]) == 0
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        self._assert_error(capsys, "report", state, "--csv", str(out_dir))
+        report = out_dir / "report.json"
+        self._assert_error(capsys, "report", state, "--out", str(report), "--csv", str(out_dir))
+        assert list(out_dir.iterdir()) == []  # no report, no temporary file
+
+    @pytest.mark.parametrize("bad", ["out", "csv"])
+    def test_failed_report_write_changes_no_file(self, capsys, tmp_path, bad):
+        state = str(tmp_path / "state.json")
+        assert main(["establish", "fig2", "--bits", "8", "--out", state]) == 0
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        paths = {"out": out_dir / "report.json", "csv": out_dir / "matrix.csv"}
+        for path in paths.values():
+            path.write_text("earlier\n")
+        (out_dir / "dir").mkdir()
+        paths[bad] = out_dir / "dir"
+        self._assert_error(capsys, "report", state, "--out", str(paths["out"]),
+                           "--csv", str(paths["csv"]))
+        assert sorted(p.name for p in out_dir.iterdir()) == ["dir", "matrix.csv", "report.json"]
+        assert all(p.read_text() == "earlier\n" for p in out_dir.iterdir() if p.is_file())
+        assert list((out_dir / "dir").iterdir()) == []
+
     def test_failed_save_keeps_the_old_state(self, capsys, tmp_path, monkeypatch):
         state_path = tmp_path / "state.json"
         assert main(["establish", "fig2", "--bits", "8", "--out", str(state_path)]) == 0

@@ -14,7 +14,7 @@ from kextrust.topology import (
     serialize_topology,
     validate,
 )
-from reference_data import EXCHANGE_SETS, SENSORS, random_topology
+from reference_data import EXCHANGE_SETS, SENSORS, messy_topology, random_topology
 
 
 def test_parse_bundled_network_matches_reference_sets(fig2):
@@ -195,3 +195,56 @@ def test_random_topologies_round_trip_and_invariants():
             assert not kljn & wireless
             assert i not in wireless
             assert len(kljn) + len(wireless) == n - 1
+
+
+class TestComplementView:
+    """Under the complement rule ``wireless_set(i)`` is a read-only view that
+    must behave as the frozenset ``sensor_set - kljn_set(i) - {i}``."""
+
+    @staticmethod
+    def _topologies():
+        rng = np.random.default_rng(23)
+        for k in range(30):
+            n = int(rng.integers(1, 25))
+            yield rng, (messy_topology(rng, n) if k % 2 else random_topology(rng, n))
+
+    def test_view_behaves_as_the_frozenset(self):
+        for rng, t in self._topologies():
+            probes = [*t.sensor_set, "ghost0", "ghost1", "nobody"]
+            for i in t.sensor_set:
+                view = t.wireless_set(i)
+                ref = t.sensor_set - t.kljn_set(i) - {i}
+                assert view == ref and ref == view and not view != ref
+                assert len(view) == len(ref)
+                assert [p for p in probes if p in view] == [p for p in probes if p in ref]
+                assert list(view) == [s for s in dict.fromkeys(t.sensors) if s in ref]
+                for other in (
+                    frozenset(), ref, t.sensor_set, {i},
+                    {str(p) for p in rng.choice(probes, size=int(rng.integers(1, 8)))},
+                ):
+                    for op in ("__and__", "__or__", "__sub__", "__xor__"):
+                        got = getattr(view, op)(other)
+                        assert type(got) is frozenset and got == getattr(ref, op)(other), op
+                    assert other - view == other - ref
+                    assert (view <= other) == (ref <= other)
+                    assert (view >= other) == (ref >= other)
+                    assert view.isdisjoint(other) == ref.isdisjoint(other)
+
+    def test_view_is_unhashable(self, fig2):
+        view = Topology(fig2.sensors, fig2.kljn_edges).wireless_set("A")
+        with pytest.raises(TypeError):
+            hash(view)
+        assert frozenset(view) == fig2.wireless_set("A")
+
+    def test_explicit_sets_stay_frozensets(self):
+        for _, t in self._topologies():
+            derived = derive_wireless_sets(t)
+            for i in t.sensor_set:
+                assert type(derived.wireless_set(i)) is frozenset
+                assert derived.wireless_set(i) == t.wireless_set(i)
+
+    def test_unknown_sensor(self):
+        t = Topology(("A", "B"), frozenset({("A", "ghost")}))
+        assert t.wireless_set("A") == {"B"}
+        with pytest.raises(UnknownSensorError):
+            t.wireless_set("ghost")

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,12 +11,18 @@ from kextrust.trust import (
     coefficients_fixed_point,
     counts,
     geometric_partial_sum,
-    geometric_sum_naive,
     rank_peers,
     trust,
     trust_matrix,
 )
-from reference_data import EXPECTED_TRUST, SENSORS, expected_tolerance, random_topology
+from reference_data import (
+    EXPECTED_TRUST,
+    SENSORS,
+    expected_tolerance,
+    geometric_sum_naive,
+    messy_topology,
+    random_topology,
+)
 
 COEF = coefficients_closed_form()
 
@@ -247,6 +254,52 @@ class TestRankPeers:
                         assert sorted(j for j, _ in ranked) == sorted(set(t.sensors) - {i})
                         for j, value in ranked:
                             assert value == row[matrix.index(j)]
+
+    def test_complement_rule_equals_derived_sets(self):
+        # The complement-rule view and the same sets made explicit give the
+        # same counts, values and rankings, with and without kills.
+        rng = np.random.default_rng(29)
+        for k in range(12):
+            n = int(rng.integers(2, 25))
+            t = messy_topology(rng, n) if k % 2 else random_topology(rng, n)
+            derived = derive_wireless_sets(t)
+            ks = KillSwitchState()
+            for s in t.sensor_set:
+                if rng.random() < 0.2:
+                    ks.kill(s)
+            for kill in (None, ks):
+                for i in t.sensor_set:
+                    assert rank_peers(t, COEF, kill, i) == rank_peers(derived, COEF, kill, i)
+                    for j in t.sensor_set - {i}:
+                        assert counts(t, i, j) == counts(derived, i, j)
+                        assert trust(t, COEF, kill, i, j) == trust(derived, COEF, kill, i, j)
+
+    def test_rank_at_twenty_thousand_sensors(self):
+        # Under the complement rule a peer's Z is a view length, so ranking
+        # costs O(n * deg); scanning the n sensors per peer took ~39 s here.
+        rng = np.random.default_rng(41)
+        n = 20_000
+        sensors = tuple(f"s{k:05d}" for k in range(n))
+        picks = rng.integers(0, n, size=(3 * n, 2))
+        t = Topology(sensors, frozenset((sensors[a], sensors[b]) for a, b in picks if a != b))
+        i = sensors[int(rng.integers(0, n))]
+        start = time.perf_counter()
+        ranking = rank_peers(t, COEF, None, i)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"rank at n = {n} took {elapsed:.2f} s"
+        assert sorted(j for j, _ in ranking) == sorted(set(sensors) - {i})
+        wired = t.kljn_set(i)
+        assert {j for j, _ in ranking[: len(wired)]} == wired
+        for j, value in ranking[len(wired) :: 997]:
+            # the closed form of trust_matrix: Z = n - 2 - deg_j off the wired pairs
+            j_k = t.kljn_set(j)
+            k = len(wired & j_k)
+            expected = (
+                geometric_partial_sum(COEF.a, k)
+                + geometric_partial_sum(COEF.b, len(j_k) - k)
+                + geometric_partial_sum(COEF.c, n - 2 - len(j_k))
+            )
+            assert value == min(expected, 1.0)
 
     def test_saturated_peer_ranks_below_wired_peers(self):
         # "a" is not wired to "i" but has K = W = Z = 40, where the sum
