@@ -43,7 +43,6 @@ from .topology import (
     derive_wireless_sets,
     load_topology,
     parse_topology,
-    peer_sets,
     serialize_topology,
     validate,
 )

@@ -35,22 +35,18 @@ from .orchestrator import (
     json_block,
     load_state,
     records_to_json,
-    save_state,
     state_to_json,
     trust_report,
     write_files,
 )
 from .topology import (
     Topology,
-    TopologyFormatError,
-    UnknownSensorError,
     bundled_topology_path,
     parse_topology,
     validate,
 )
 from .trust import (
     KillSwitchState,
-    TrustCoefficients,
     coefficients_closed_form,
     coefficients_fixed_point,
     rank_peers,
@@ -103,16 +99,15 @@ def _kill_state(kill_list: str | None, t: Topology) -> KillSwitchState:
     return ks
 
 
-def _coefficients(args) -> TrustCoefficients:
-    if getattr(args, "coefficients", "closed-form") == "fixed-point":
-        return coefficients_fixed_point(args.tol if args.tol is not None else 1e-10)
-    return coefficients_closed_form()
+def _emit(text: str, out: str | None, *files: tuple[str, str]) -> None:
+    """Write ``text`` to the file ``out``, or to stdout if ``out`` is not
+    given, and each further ``(path, text)`` to its file.
 
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    Every file goes through :func:`~kextrust.orchestrator.write_files` before
+    stdout sees anything, so a failed write leaves no output behind.
+    """
+    write_files([(out, text), *files] if out else files)
+    if not out:
         sys.stdout.write(text)
 
 
@@ -212,14 +207,15 @@ def _cmd_validate(args) -> int:
 
 def _cmd_trust(args) -> int:
     t = _load_checked_topology(args.topology)
-    value = trust(t, _coefficients(args), _kill_state(args.kill, t), args.evaluator, args.peer)
+    ks = _kill_state(args.kill, t)
+    value = trust(t, coefficients_closed_form(), ks, args.evaluator, args.peer)
     print(repr(value) if args.full_precision else f"{value:.3f}")
     return 0
 
 
 def _cmd_trust_matrix(args) -> int:
     t = _load_checked_topology(args.topology)
-    matrix = trust_matrix(t, _coefficients(args), _kill_state(args.kill, t))
+    matrix = trust_matrix(t, coefficients_closed_form(), _kill_state(args.kill, t))
     if args.format == "json":
         _emit(matrix_to_json(matrix.order, matrix.values), args.out)
     else:
@@ -229,7 +225,7 @@ def _cmd_trust_matrix(args) -> int:
 
 def _cmd_rank(args) -> int:
     t = _load_checked_topology(args.topology)
-    ranking = rank_peers(t, _coefficients(args), _kill_state(args.kill, t), args.evaluator)
+    ranking = rank_peers(t, coefficients_closed_form(), _kill_state(args.kill, t), args.evaluator)
     lines = [f"{sensor},{value:.3f}" for sensor, value in ranking]
     _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
     return 0
@@ -324,10 +320,7 @@ def _cmd_establish(args) -> int:
     t = _load_checked_topology(args.topology)
     cfg = KljnSessionConfig(seed=args.seed)
     state = establish_network_keys(t, cfg, master_seed=args.seed, target_bits=args.bits)
-    if args.out:
-        save_state(state, args.out)
-    else:
-        sys.stdout.write(state_to_json(state))
+    _emit(state_to_json(state), args.out)
     failed = sum(1 for r in state.stored.values() if r.status == STATUS_FAILED)
     if failed:
         print(f"warning: {failed} record(s) failed", file=sys.stderr)
@@ -337,35 +330,20 @@ def _cmd_establish(args) -> int:
 def _cmd_kill(args) -> int:
     state = _load_checked_state(args.state)
     apply_kill_event(state, args.sensor, note=args.note)
-    save_state(state, args.out or args.state)
+    _emit(state_to_json(state), args.out or args.state)
     return 0
 
 
 def _cmd_report(args) -> int:
     state = _load_checked_state(args.state)
-    doc = trust_report(state, _coefficients(args))
-    report = report_to_json(doc)
-    # both texts first, then the files, then stdout: a failed write leaves
-    # no output behind
-    files = {args.out: report} if args.out else {}
+    doc = trust_report(state, coefficients_closed_form())
+    files = []
     if args.csv:
-        files[args.csv] = matrix_to_csv(
-            doc["matrix"]["order"], doc["matrix"]["values"], args.full_precision
-        )
-    write_files(files)
-    if not args.out:
-        sys.stdout.write(report)
+        matrix = doc["matrix"]
+        files.append((args.csv, matrix_to_csv(matrix["order"], matrix["values"],
+                                              args.full_precision)))
+    _emit(report_to_json(doc), args.out, *files)
     return 0
-
-
-def _add_coefficient_flags(sub) -> None:
-    sub.add_argument(
-        "--coefficients",
-        choices=["closed-form", "fixed-point"],
-        default="closed-form",
-        help="how to obtain the tier coefficients",
-    )
-    sub.add_argument("--tol", type=float, default=None, help="fixed-point solver tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("peer")
     p.add_argument("--kill", default=None, help="comma-separated compromised sensors")
     p.add_argument("--full-precision", action="store_true")
-    _add_coefficient_flags(p)
     p.set_defaults(handler=_cmd_trust)
 
     p = subs.add_parser("trust-matrix", help="all-pairs trust values")
@@ -394,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--full-precision", action="store_true")
     p.add_argument("--out", default=None)
-    _add_coefficient_flags(p)
     p.set_defaults(handler=_cmd_trust_matrix)
 
     p = subs.add_parser("rank", help="peers of a sensor by descending trust")
@@ -402,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("evaluator")
     p.add_argument("--kill", default=None)
     p.add_argument("--out", default=None)
-    _add_coefficient_flags(p)
     p.set_defaults(handler=_cmd_rank)
 
     p = subs.add_parser("coefficients", help="tier coefficients and residuals")
@@ -443,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None, help="also write the matrix as CSV here")
     p.add_argument("--full-precision", action="store_true")
-    _add_coefficient_flags(p)
     p.set_defaults(handler=_cmd_report)
 
     return parser
@@ -453,9 +427,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (DomainError, TopologyFormatError, UnknownSensorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

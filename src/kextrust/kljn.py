@@ -276,18 +276,12 @@ def _combine_classes(by_voltage: LevelClass, by_current: LevelClass) -> LevelCla
     return LevelClass.UNDECIDED  # contradictory measurements
 
 
-def _words_mismatch(a: PeriodTrace, b: PeriodTrace, tol_words: int = 0) -> bool:
+def _words_mismatch(a: PeriodTrace, b: PeriodTrace) -> bool:
     if a.voltage_words.shape != b.voltage_words.shape:
         raise ValueError("trace length mismatch")
-    if tol_words == 0:
-        # integer words: equality is exactly "no |a - b| > 0"
-        return not (
-            np.array_equal(a.voltage_words, b.voltage_words)
-            and np.array_equal(a.current_words, b.current_words)
-        )
-    return bool(
-        np.any(np.abs(a.voltage_words - b.voltage_words) > tol_words)
-        or np.any(np.abs(a.current_words - b.current_words) > tol_words)
+    return not (
+        np.array_equal(a.voltage_words, b.voltage_words)
+        and np.array_equal(a.current_words, b.current_words)
     )
 
 
@@ -363,12 +357,11 @@ def simulate_bit_period(
     )
 
 
-def detect_active_attack(alice_trace, bob_trace, tol_words: int = 0) -> AttackVerdict:
+def detect_active_attack(alice_trace, bob_trace) -> AttackVerdict:
     """Compare the two parties' published word sequences period by period.
 
     Both ends of an untampered wire observe the same waveform and quantize
-    on the same grid, so any word pair differing by more than ``tol_words``
-    convicts an active intervention.
+    on the same grid, so any differing word convicts an active intervention.
     """
     if len(alice_trace) != len(bob_trace):
         raise ValueError(
@@ -377,7 +370,7 @@ def detect_active_attack(alice_trace, bob_trace, tol_words: int = 0) -> AttackVe
     mismatches = tuple(
         period
         for period, (a, b) in enumerate(zip(alice_trace, bob_trace))
-        if _words_mismatch(a, b, tol_words)
+        if _words_mismatch(a, b)
     )
     return AttackVerdict(clean=not mismatches, mismatch_periods=mismatches)
 

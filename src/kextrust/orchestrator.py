@@ -403,6 +403,8 @@ def _store_records(state: NetworkKeyState, records: list, statuses: tuple[str, .
             problem = "a wireless record is derived from 'master_seed', not stored"
         elif status not in statuses:
             problem = f"'status' must be one of {', '.join(map(repr, statuses))}"
+        elif status != STATUS_REVOKED and (status == STATUS_FAILED) != (key_id == ""):
+            problem = "'key_id' must be empty exactly when 'status' is 'failed'"
         elif established_at != position:
             problem = f"'established_at' must be {position}, the pair's canonical position"
         else:
@@ -474,24 +476,36 @@ def state_from_json(text: str) -> NetworkKeyState:
     return state
 
 
-def write_files(texts: Mapping) -> None:
-    """Write each ``path: text`` item through a temporary file next to its
-    path, and move the files into place only once every one is written.
+def write_files(files) -> None:
+    """Write each ``(path, text)`` of ``files`` through a temporary file next
+    to its path, and move the files into place only once every one is written.
 
-    A directory among the paths is refused before anything is written, and
-    a failed or interrupted write leaves every earlier file at the paths
-    whole.  Only a rename that fails after an earlier one succeeded (the
-    filesystem changing during the call) would leave some paths replaced.
+    A directory among the paths, or two paths naming the same file, is
+    refused before anything is written, and a failed or interrupted write
+    leaves every earlier file at the paths whole.  Only a rename that fails
+    after an earlier one succeeded (the filesystem changing during the call)
+    would leave some paths replaced.
     """
+    files = list(files)
+    named: dict[str, object] = {}
+    for path, _ in files:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        real = os.path.realpath(path)
+        if real in named:
+            raise ValueError(f"output paths {str(named[real])!r} and {str(path)!r} "
+                             "name the same file")
+        named[real] = path
     partials: dict[Path, Path] = {}
     try:
-        for path, text in texts.items():
+        for path, text in files:
             path = Path(path)
-            if path.is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
             partial = path.with_name(f".{path.name}.partial")
             partials[partial] = path
-            partial.write_text(text, encoding="utf-8")
+            try:
+                partial.write_text(text, encoding="utf-8")
+            except OSError as exc:  # name the path asked for, not the temporary file
+                raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         for partial, path in partials.items():
             os.replace(partial, path)
     finally:
@@ -502,7 +516,7 @@ def write_files(texts: Mapping) -> None:
 def save_state(state: NetworkKeyState, path) -> None:
     """Write the state file with :func:`write_files`, so an interrupted
     write leaves any earlier file at ``path`` whole."""
-    write_files({path: state_to_json(state)})
+    write_files([(path, state_to_json(state))])
 
 
 def load_state(path) -> NetworkKeyState:

@@ -369,11 +369,6 @@ def validate(t: Topology) -> ValidationReport:
     return report
 
 
-def peer_sets(t: Topology, i: SensorId) -> tuple[frozenset[SensorId], Set[SensorId]]:
-    """Return ``(kljn peers, wireless peers)`` of sensor ``i``."""
-    return t.kljn_set(i), t.wireless_set(i)
-
-
 def bundled_topology_path(name: str = "fig2"):
     """Path to a topology document shipped with the package.
 

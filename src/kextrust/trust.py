@@ -282,34 +282,43 @@ def trust_matrix(
 
     Cells are computed from adjacency-matrix products and partial-sum
     lookup tables; the result is identical, float for float, to calling
-    :func:`trust` per cell, but scales to thousands of sensors.  Under the
+    :func:`trust` per cell, but scales to thousands of sensors.  ``order``
+    holds each sensor once, in topology order.  Under the
     complement rule (``wireless_sets is None``) Z needs no membership scan:
     ``|W_j| = n - 1 - deg_j`` and i is in ``W_j`` unless i is wired to j, so
     ``Z[i, j] = (n - 1 - deg_j) - (1 - adj[i, j])`` off the diagonal.
     """
-    order = list(t.sensors)
+    order = list(t._distinct_sensors)
     n = len(order)
     idx = {s: p for p, s in enumerate(order)}
 
+    # A wired peer outside the topology counts toward K and W, as in
+    # counts(): each one gets a row and column past the sensors'.
+    ends_idx = dict(idx)
     ends = np.array(
-        [(idx[a], idx[b]) for a, b in t.kljn_edges if a != b], dtype=np.intp
+        [(ends_idx.setdefault(a, len(ends_idx)), ends_idx.setdefault(b, len(ends_idx)))
+         for a, b in t.kljn_edges if a != b],
+        dtype=np.intp,
     ).reshape(-1, 2)
-    # float32 is exact here: the product sums at most n ones, and float32
+    m = len(ends_idx)
+    # float32 is exact here: the product sums at most m ones, and float32
     # represents every integer below 2**24.
-    adj = np.zeros((n, n), dtype=np.float32)
+    adj = np.zeros((m, m), dtype=np.float32)
     adj[ends[:, 0], ends[:, 1]] = 1.0
     adj[ends[:, 1], ends[:, 0]] = 1.0
-    wired = adj.astype(bool)
+    wired = adj[:n].astype(bool)
 
     # K[i, j] = |i_kljn & j_kljn| as an exact small-integer matmul
-    k_mat = (adj @ adj).astype(np.int64)
+    k_mat = (adj @ adj)[:n, :n].astype(np.int64)
     del adj
     degree = wired.sum(axis=1, dtype=np.int64)
     w_mat = degree[None, :] - k_mat
+    wired, outside_peers = wired[:, :n], wired[:, n:].sum(axis=1)
 
     if t.wireless_sets is None:
-        # the complement-rule closed form of the docstring
-        z_mat = (n - 2 - degree)[None, :] + wired
+        # the complement-rule closed form of the docstring, over the wired
+        # peers that are sensors
+        z_mat = (n - 2 - degree + outside_peers)[None, :] + wired
     else:
         # Z[i, j] = |W_j| - [i in W_j]: collect the memberships, then one
         # fancy-index update (each (i, j) occurs once, W_j being a set).
@@ -361,6 +370,6 @@ def rank_peers(
     if not t.has_sensor(i):
         raise UnknownSensorError(f"unknown sensor {i!r}")
     live_wired = {j for j in t.kljn_set(i) if ks is None or ks.gamma(j)}
-    scored = [(j, trust(t, coef, ks, i, j)) for j in t.sensors if j != i]
+    scored = [(j, trust(t, coef, ks, i, j)) for j in t._distinct_sensors if j != i]
     scored.sort(key=lambda pair: (-pair[1], pair[0] not in live_wired, pair[0]))
     return scored

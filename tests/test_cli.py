@@ -115,6 +115,16 @@ class TestUsage:
             main(["simulate-kljn", "--bits", "many"])
         assert exc_info.value.code == 2
 
+    @pytest.mark.parametrize("flag", [("--coefficients", "fixed-point"), ("--tol", "1e-10")])
+    @pytest.mark.parametrize("command", [("trust", "fig2", "A", "C"), ("trust-matrix", "fig2"),
+                                         ("rank", "fig2", "A"), ("report", "state.json")])
+    def test_trust_commands_take_no_coefficient_flags(self, capsys, command, flag):
+        # every trust evaluation uses the closed-form coefficients
+        with pytest.raises(SystemExit) as exc_info:
+            main([*command, *flag])
+        assert exc_info.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestTrustCommands:
     def test_single_pair(self, capsys, fig2_file):
@@ -185,13 +195,6 @@ class TestTrustCommands:
         assert main(["trust-matrix", fig2_file, "--out", str(first)]) == 0
         assert main(["trust-matrix", fig2_file, "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
-
-    def test_fixed_point_coefficients_mode(self, capsys, fig2_file):
-        code, out, _ = run_cli(
-            capsys, "trust", fig2_file, "A", "C", "--coefficients", "fixed-point"
-        )
-        assert code == 0
-        assert out.strip() == "0.555"
 
     def test_rank(self, capsys, fig2_file):
         code, out, _ = run_cli(capsys, "rank", fig2_file, "A")
@@ -412,6 +415,12 @@ class TestStateWorkflow:
              "'master_seed', not stored"),
             (_v2_state(sensors=("A", "B", "C"), master_seed=None),
              "state file has no record for pair ['A', 'C']"),
+            (_v2_state(records=[{**_WIRED_AB, "key_id": ""}]),
+             "state file record 0 (pair ['A', 'B']): 'key_id' must be empty exactly when "
+             "'status' is 'failed'"),
+            (_v2_state(records=[{**_WIRED_AB, "status": "failed"}]),
+             "state file record 0 (pair ['A', 'B']): 'key_id' must be empty exactly when "
+             "'status' is 'failed'"),
         ],
     )
     @pytest.mark.parametrize("command", ["report", "kill"])
@@ -513,6 +522,38 @@ class TestOutputPaths:
         assert sorted(p.name for p in out_dir.iterdir()) == ["dir", "matrix.csv", "report.json"]
         assert all(p.read_text() == "earlier\n" for p in out_dir.iterdir() if p.is_file())
         assert list((out_dir / "dir").iterdir()) == []
+
+    def test_out_in_a_missing_directory(self, capsys, tmp_path):
+        out = str(tmp_path / "missing" / "rank.csv")
+        code, stdout, err = run_cli(capsys, "rank", "fig2", "A", "--out", out)
+        assert code == 1 and stdout == ""
+        assert err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+
+    @pytest.mark.parametrize("out", ["x.json", "./x.json", "sub/../x.json"])
+    def test_report_outputs_naming_one_file(self, capsys, tmp_path, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert main(["establish", "fig2", "--bits", "8", "--out", "state.json"]) == 0
+        self._assert_error(capsys, "report", "state.json", "--out", out, "--csv", "x.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("trust-matrix", "fig2"), ("trust-matrix", "fig2", "--format", "json"),
+        ("rank", "fig2", "A"), ("coefficients",), ("simulate-kljn", "--bits", "4"),
+        ("establish", "fig2", "--bits", "8"),
+    ])
+    def test_failed_write_keeps_the_old_output(self, capsys, tmp_path, monkeypatch, argv):
+        out = tmp_path / "out.txt"
+        out.write_text("earlier\n")
+
+        def interrupted(src, dst):
+            raise OSError("interrupted before the rename")
+
+        monkeypatch.setattr(orchestrator.os, "replace", interrupted)
+        self._assert_error(capsys, *argv, "--out", str(out))
+        assert out.read_text() == "earlier\n"
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_failed_save_keeps_the_old_state(self, capsys, tmp_path, monkeypatch):
         state_path = tmp_path / "state.json"

@@ -10,7 +10,6 @@ from kextrust.topology import (
     bundled_topology_path,
     derive_wireless_sets,
     parse_topology,
-    peer_sets,
     serialize_topology,
     validate,
 )
@@ -145,22 +144,23 @@ def test_validate_warns_on_partial_wireless_coverage():
 
 
 def test_peer_sets_examples(fig2):
-    kljn, wireless = peer_sets(fig2, "D")
-    assert kljn == frozenset({"A", "C", "E"})
-    assert wireless == frozenset({"B", "F", "G", "H", "I", "J"})
-    kljn, wireless = peer_sets(fig2, "J")
-    assert kljn == frozenset()
-    assert len(wireless) == 9
+    assert fig2.kljn_set("D") == frozenset({"A", "C", "E"})
+    assert fig2.wireless_set("D") == frozenset({"B", "F", "G", "H", "I", "J"})
+    assert fig2.kljn_set("J") == frozenset()
+    assert len(fig2.wireless_set("J")) == 9
 
 
 def test_peer_sets_single_sensor():
     t = Topology(("A",), frozenset())
-    assert peer_sets(t, "A") == (frozenset(), frozenset())
+    assert t.kljn_set("A") == frozenset()
+    assert t.wireless_set("A") == frozenset()
 
 
 def test_peer_sets_unknown_sensor(fig2):
     with pytest.raises(UnknownSensorError):
-        peer_sets(fig2, "Q")
+        fig2.kljn_set("Q")
+    with pytest.raises(UnknownSensorError):
+        fig2.wireless_set("Q")
 
 
 def test_serialize_parse_round_trip(fig2):
@@ -191,7 +191,7 @@ def test_random_topologies_round_trip_and_invariants():
             scanned = frozenset(b if a == i else a for a, b in t.kljn_edges if i in (a, b))
             assert t.kljn_set(i) == scanned
             assert t.kljn_set(i) is t.kljn_set(i)  # built once, then memoized
-            kljn, wireless = peer_sets(t, i)
+            kljn, wireless = t.kljn_set(i), t.wireless_set(i)
             assert not kljn & wireless
             assert i not in wireless
             assert len(kljn) + len(wireless) == n - 1

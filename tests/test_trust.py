@@ -180,18 +180,23 @@ class TestTrustMatrix:
 
     def test_matches_scalar_evaluation_exactly(self):
         # Each topology runs under the complement rule (closed-form Z) and
-        # with the same sets given explicitly (membership scan).
+        # with the same sets given explicitly (membership scan).  The last
+        # ten repeat sensor ids and have self-loops and wired peers outside
+        # the topology: the matrix has one row per distinct sensor, and the
+        # outside peers count toward K and W as in counts().
         rng = np.random.default_rng(5)
-        for _ in range(10):
-            bare = random_topology(rng, int(rng.integers(2, 25)))
+        for k in range(20):
+            make = random_topology if k < 10 else messy_topology
+            bare = make(rng, int(rng.integers(2, 25)))
             ks = KillSwitchState()
             for s in bare.sensors:
                 if rng.random() < 0.2:
                     ks.kill(s)
             for t in (bare, derive_wireless_sets(bare)):
                 matrix = trust_matrix(t, COEF, ks)
-                for a, i in enumerate(t.sensors):
-                    for b, j in enumerate(t.sensors):
+                assert matrix.order == list(dict.fromkeys(t.sensors))
+                for a, i in enumerate(matrix.order):
+                    for b, j in enumerate(matrix.order):
                         if i == j:
                             assert matrix.values[a, b] == ks.gamma(i)
                         else:
@@ -237,10 +242,12 @@ class TestRankPeers:
             rank_peers(fig2, COEF, None, "Q")
 
     def test_values_equal_matrix_rows(self):
-        # with and without kills, under both Z branches
+        # with and without kills, under both Z branches, and with repeated ids
+        # and wired peers outside the topology (no peer listed twice)
         rng = np.random.default_rng(17)
-        for _ in range(6):
-            bare = random_topology(rng, int(rng.integers(2, 30)))
+        for k in range(12):
+            make = random_topology if k < 6 else messy_topology
+            bare = make(rng, int(rng.integers(2, 30)))
             ks = KillSwitchState()
             for s in bare.sensors:
                 if rng.random() < 0.2:
@@ -248,10 +255,10 @@ class TestRankPeers:
             for t in (bare, derive_wireless_sets(bare)):
                 for kill in (None, ks):
                     matrix = trust_matrix(t, COEF, kill)
-                    for i in t.sensors:
+                    for i in t.sensor_set:
                         row = matrix.values[matrix.index(i)]
                         ranked = rank_peers(t, COEF, kill, i)
-                        assert sorted(j for j, _ in ranked) == sorted(set(t.sensors) - {i})
+                        assert sorted(j for j, _ in ranked) == sorted(t.sensor_set - {i})
                         for j, value in ranked:
                             assert value == row[matrix.index(j)]
 
