@@ -111,49 +111,86 @@ def _emit(text: str, out: str | None, *files: tuple[str, str]) -> None:
         sys.stdout.write(text)
 
 
-class _CellLabels(dict):
-    """Memo of value -> CSV cell text; a matrix holds few distinct values.
+_BLOCK_ROWS = 64  # rows labelled per pass; bounds the temporaries to ~64 * n cells
 
-    Keys compare as floats, so -0.0 would share 0.0's label.  Trust values
-    are never -0.0: a kill multiplies non-negative values by 0.0.
+
+class _CellLabeller:
+    """Cell text of float matrices, from a table of the distinct values.
+
+    A trust matrix holds few distinct values.  Cells are looked up by their
+    ``uint64`` bit pattern (so ``-0.0`` keeps its own label) with
+    ``np.searchsorted`` in a sorted table of the patterns seen so far; a
+    pattern is formatted by ``fmt`` once, when it is first seen.  The
+    default ``fmt`` is the JSON text of a float: ``repr`` when finite.
+    (``np.unique`` would import ``numpy.ma``, about 1 MB, on first use.)
     """
 
-    def __init__(self, full_precision: bool):
-        super().__init__()
-        self.full_precision = full_precision
+    def __init__(self, fmt=json.dumps):
+        self._fmt = fmt
+        self._keys = np.empty(0, dtype=np.uint64)  # sorted, distinct
+        self._table = np.empty(0, dtype=object)  # label of each key
 
-    def __missing__(self, value: float) -> str:
-        label = self[value] = repr(value) if self.full_precision else f"{value:.3f}"
-        return label
+    def rows(self, values):
+        """Each row of the matrix ``values`` (a 2-D array or a list of float
+        lists) as a list of cell labels."""
+        for start in range(0, len(values), _BLOCK_ROWS):
+            yield from self.labels(values[start:start + _BLOCK_ROWS])
+
+    def labels(self, values) -> list:
+        """The labels of the floats ``values`` (an array or nested lists),
+        as nested lists of the same shape."""
+        bits = np.asarray(values, dtype=np.float64).view(np.uint64)
+        pos = np.searchsorted(self._keys, bits)
+        if bits.size and (pos.max() == len(self._keys) or (self._keys[pos] != bits).any()):
+            self._learn(bits)
+            pos = np.searchsorted(self._keys, bits)
+        return self._table[pos].tolist()
+
+    def _learn(self, bits: np.ndarray) -> None:
+        """Add the patterns of the non-empty ``bits`` to the table."""
+        keys = np.sort(np.concatenate((self._keys, bits.ravel())))
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        known = dict(zip(self._keys.tolist(), self._table.tolist()))
+        self._table = np.array(
+            [known[k] if k in known else self._fmt(v)
+             for k, v in zip(keys.tolist(), keys.view(np.float64).tolist())],
+            dtype=object,
+        )
+        self._keys = keys
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one field of a ``csv`` row, quoted where it needs it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]  # drop the empty field's "," and the "\n"
 
 
 def matrix_to_csv(order, values, full_precision: bool = False) -> str:
-    """Trust matrix as CSV, rows = evaluator, columns = evaluated peer."""
+    """Trust matrix as CSV, rows = evaluator, columns = evaluated peer.
+
+    Byte-identical to a ``csv.writer`` row per evaluator with every cell
+    written as ``repr(value)`` (``full_precision``) or ``f"{value:.3f}"``.
+    """
+    labeller = _CellLabeller(repr if full_precision else "{:.3f}".format)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["sensor", *order])
-    labels = _CellLabels(full_precision)
-    for row_id, row in zip(order, values):
-        cells = row.tolist() if isinstance(row, np.ndarray) else map(float, row)
-        writer.writerow([row_id, *map(labels.__getitem__, cells)])
+    csv.writer(buf, lineterminator="\n").writerow(["sensor", *order])
+    buf.writelines(f"{_csv_field(row_id)},{','.join(cells)}\n"
+                   for row_id, cells in zip(order, labeller.rows(values)))
     return buf.getvalue()
 
 
-def _float_rows_json(rows, pad: str, labels: _CellLabels) -> str:
-    """A list of float lists (the trust matrix ``values``) at indent ``pad``.
-
-    Each cell is labelled once per distinct value; ``repr`` is the encoding
-    ``json`` uses for a finite float.
-    """
+def _float_rows_json(values, pad: str, labeller: _CellLabeller) -> str:
+    """The trust matrix ``values`` as a JSON list of float lists at indent ``pad``."""
     inner = pad + "  "
-    return json_block((json_block(map(labels.__getitem__, row), inner) for row in rows), pad)
+    return json_block((json_block(row, inner) for row in labeller.rows(values)), pad)
 
 
 def matrix_to_json(order, values) -> str:
-    """``json.dumps({"order": order, "values": values}, indent=2) + "\n"``."""
+    """``json.dumps({"order": order, "values": values}, indent=2) + "\n"``
+    for a float matrix ``values``."""
     order_json = json_block(map(_json_str, order), "  ")
-    values_json = _float_rows_json((row.tolist() for row in values), "  ",
-                                   _CellLabels(full_precision=True))
+    values_json = _float_rows_json(values, "  ", _CellLabeller())
     return f'{{\n  "order": {order_json},\n  "values": {values_json}\n}}\n'
 
 
@@ -163,21 +200,21 @@ def report_to_json(doc: dict) -> str:
 
     The head (``sensors``, ``coefficients``, ``killed``) and the
     ``kill_log`` go through ``json.dumps``.  The matrix, the rankings and
-    the records are written from templates: floats share one label memo
-    with :func:`matrix_to_json`, records use the state file's record
-    template, and strings go through ``encode_basestring_ascii``, the
-    escaping ``json.dumps`` applies.
+    the records are written from templates: the floats of the matrix and of
+    the rankings share one :class:`_CellLabeller`, records use the state
+    file's record template, and strings go through
+    ``encode_basestring_ascii``, the escaping ``json.dumps`` applies.
     """
-    labels = _CellLabels(full_precision=True)
+    labeller = _CellLabeller()
     head = json.dumps({key: doc[key] for key in ("sensors", "coefficients", "killed")}, indent=2)
     tail = json.dumps({"kill_log": doc["kill_log"]}, indent=2)
     order_json = json_block(map(_json_str, doc["matrix"]["order"]), "    ")
-    values_json = _float_rows_json(doc["matrix"]["values"], "    ", labels)
+    values_json = _float_rows_json(doc["matrix"]["values"], "    ", labeller)
     rankings = ",\n".join(
         f"    {_json_str(sensor)}: "
         + json_block(
-            (f"[\n        {_json_str(peer)},\n        {labels[value]}\n      ]"
-             for peer, value in ranking),
+            (f"[\n        {_json_str(peer)},\n        {label}\n      ]"
+             for (peer, _), label in zip(ranking, labeller.labels([v for _, v in ranking]))),
             "    ",
         )
         for sensor, ranking in doc["rankings"].items()

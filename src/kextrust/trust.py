@@ -85,7 +85,7 @@ def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
         raise ValueError("root not bracketed")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
+        if hi - lo < tol or mid in (lo, hi):  # no float lies strictly between lo and hi
             return mid
         f_mid = f(mid)
         if f_mid == 0.0:
@@ -100,11 +100,12 @@ def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
 def coefficients_fixed_point(tol: float) -> TrustCoefficients:
     """Solve the three saturation equations numerically, in order a, b, c.
 
-    Each root is bracketed in (0, 1) and bisected well below ``tol`` so the
-    result agrees with :func:`coefficients_closed_form` component-wise to
-    within ``tol`` (the b and c equations damp upstream error, so no
-    amplification occurs).  Serves as the independent oracle for the
-    closed forms.
+    Each root is bracketed in (0, 1) and bisected well below ``tol``, or
+    until the bracket is one ulp wide, so the result agrees with
+    :func:`coefficients_closed_form` component-wise to within ``tol`` or
+    about one ulp, whichever is larger (the b and c equations damp
+    upstream error, so no amplification occurs).  Serves as the
+    independent oracle for the closed forms.
     """
     if not (0.0 < tol < 1e-3):
         raise ValueError(f"tol must be in (0, 1e-3), got {tol}")
@@ -233,7 +234,9 @@ class TrustMatrix:
 
     ``values[i][j]`` follows :func:`trust` off the diagonal; the diagonal is
     the sensor's own kill flag (all ones in a healthy network).  Counts are
-    kept as dense integer arrays for audit.
+    kept for audit as dense ``int32`` arrays: no count exceeds m, the number
+    of sensors plus outside wired peers, and :func:`trust_matrix` needs
+    m < 2**24 anyway for its float32 product to be exact.
     """
 
     order: list[SensorId]
@@ -308,12 +311,13 @@ def trust_matrix(
     adj[ends[:, 1], ends[:, 0]] = 1.0
     wired = adj[:n].astype(bool)
 
-    # K[i, j] = |i_kljn & j_kljn| as an exact small-integer matmul
-    k_mat = (adj @ adj)[:n, :n].astype(np.int64)
+    # K[i, j] = |i_kljn & j_kljn| as an exact small-integer matmul; every
+    # count is below m < 2**24, so the count arrays are int32
+    k_mat = (adj @ adj)[:n, :n].astype(np.int32)
     del adj
-    degree = wired.sum(axis=1, dtype=np.int64)
+    degree = wired.sum(axis=1, dtype=np.int32)
     w_mat = degree[None, :] - k_mat
-    wired, outside_peers = wired[:, :n], wired[:, n:].sum(axis=1)
+    wired, outside_peers = wired[:, :n], wired[:, n:].sum(axis=1, dtype=np.int32)
 
     if t.wireless_sets is None:
         # the complement-rule closed form of the docstring, over the wired
@@ -322,7 +326,7 @@ def trust_matrix(
     else:
         # Z[i, j] = |W_j| - [i in W_j]: collect the memberships, then one
         # fancy-index update (each (i, j) occurs once, W_j being a set).
-        z_base = np.zeros(n, dtype=np.int64)
+        z_base = np.zeros(n, dtype=np.int32)
         rows: list[int] = []
         cols: list[int] = []
         for j_pos, j_id in enumerate(order):

@@ -1,4 +1,10 @@
-"""Shared fixtures data: the ten-sensor example network and its published values."""
+"""Shared fixtures data: the ten-sensor example network and its published
+values, random topology generators and plain reference writers."""
+
+import csv
+import io
+
+import numpy as np
 
 from kextrust.topology import Topology
 
@@ -85,3 +91,21 @@ def with_explicit_wireless_sets(t: Topology, rng, reach: float) -> Topology:
                 sets[a].add(b)
                 sets[b].add(a)
     return Topology(t.sensors, t.kljn_edges, sets)
+
+
+def matrix_to_csv_reference(order, values, full_precision: bool = False) -> str:
+    """The trust matrix as CSV through ``csv.writer``, one row per evaluator:
+    the oracle for the table-driven :func:`kextrust.cli.matrix_to_csv`.
+
+    Every cell is formatted on its own, ``repr`` or three decimals.  (A
+    float-keyed label memo, as the writer once used, would give ``-0.0``
+    the label of ``0.0`` whenever ``0.0`` came first.)
+    """
+    label = repr if full_precision else "{:.3f}".format
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["sensor", *order])
+    for row_id, row in zip(order, values):
+        cells = row.tolist() if isinstance(row, np.ndarray) else map(float, row)
+        writer.writerow([row_id, *map(label, cells)])
+    return buf.getvalue()

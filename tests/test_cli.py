@@ -218,6 +218,18 @@ class TestCoefficients:
         assert max(doc["residuals"].values()) < 1e-12
         assert max(doc["deviations"].values()) < 1e-10
 
+    @pytest.mark.parametrize("tol", ["1e-16", "1e-300", "5e-324"])
+    def test_check_below_one_ulp(self, capsys, tol):
+        # the bisection stops once no float lies inside its bracket, so a TOL
+        # below one ulp is a verdict (pass or "deviates beyond"), not a traceback
+        code, out, err = run_cli(capsys, "coefficients", "--check", tol, "--format", "json")
+        deviation = max(json.loads(out)["deviations"].values())
+        assert deviation < 1e-15
+        if deviation < float(tol):
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (1, f"error: fixed-point solution deviates beyond {tol}\n")
+
 
 class TestSimulate:
     def test_deterministic_report(self, capsys):

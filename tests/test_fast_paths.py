@@ -7,7 +7,9 @@ temporaries everywhere), the state file layout spelled as a rule over
 digests of CLI output recorded before the fast paths existed.
 """
 
+import csv
 import hashlib
+import io
 import json
 import math
 import shutil
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kextrust.cli import main, report_to_json
+from kextrust.cli import main, matrix_to_csv, matrix_to_json, report_to_json
 from kextrust.kljn import (
     CurrentInjectionAttacker,
     KeyExchangeResult,
@@ -45,7 +47,7 @@ from kextrust.orchestrator import (
 )
 from kextrust.topology import Topology, serialize_topology
 from kextrust.trust import coefficients_closed_form, coefficients_fixed_point
-from reference_data import random_topology, with_explicit_wireless_sets
+from reference_data import matrix_to_csv_reference, random_topology, with_explicit_wireless_sets
 
 CFG = KljnSessionConfig()
 COEF = coefficients_closed_form()
@@ -392,6 +394,66 @@ class TestReportWriter:
         for sensor in (t.sensors[7], t.sensors[42]):
             apply_kill_event(state, sensor, note=f"alarm {sensor}")
             _assert_report_equals_json_dumps(state)
+
+
+# --- table-driven matrix writers against csv.writer and json.dumps
+
+# ids csv must quote (comma, quote, newline, carriage return) and the empty id
+CSV_IDS = ("a,b", 'q"t', "new\nline", "", "cr\rid", "plain", "\u00e9")
+# trust-like values, the signed zeros, the smallest subnormal and one above 1
+CELL_POOL = (0.0, -0.0, 1.0, 0.3819660112501051, 0.17290283575201,
+             0.1474, 1e-05, 0.999999, 5e-324, 123.456)
+
+
+def _writer_inputs(n, seed, zeros=False):
+    """``n`` ids (the quoting ones first) and an ``n`` x ``n`` float64
+    matrix.  Most cells come from ``CELL_POOL``, some are random, so later
+    row blocks hold values the earlier ones did not; with ``zeros`` every
+    cell is 0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    order = [*CSV_IDS, *(f"s{k:03d}" for k in range(n))][:n]
+    if zeros:
+        return order, rng.choice([0.0, -0.0], size=(n, n))
+    values = rng.choice(CELL_POOL, size=(n, n))
+    fresh = rng.random((n, n)) < 0.05
+    values[fresh] = rng.random(int(fresh.sum()))
+    return order, values
+
+
+def _lines(text):
+    return text.splitlines(keepends=True)
+
+
+class TestMatrixWriters:
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 129])
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("as_lists", [False, True])
+    def test_equal_csv_writer_and_json_dumps(self, n, zeros, as_lists):
+        # compared as lists of lines: a failing diff of the whole texts is slow
+        order, array = _writer_inputs(n, seed=n, zeros=zeros)
+        values = array.tolist() if as_lists else array
+        for full_precision in (False, True):
+            assert _lines(matrix_to_csv(order, values, full_precision)) == _lines(
+                matrix_to_csv_reference(order, values, full_precision))
+        doc = {"order": order, "values": array.tolist()}
+        assert _lines(matrix_to_json(order, values)) == _lines(json.dumps(doc, indent=2) + "\n")
+
+    def test_signed_zeros_keep_their_labels(self):
+        values = np.array([[-0.0, 0.0], [0.0, -0.0]])
+        assert matrix_to_csv(["A", "B"], values) == (
+            "sensor,A,B\nA,-0.000,0.000\nB,0.000,-0.000\n")
+        assert matrix_to_csv(["A", "B"], values, full_precision=True) == (
+            "sensor,A,B\nA,-0.0,0.0\nB,0.0,-0.0\n")
+
+    def test_quoted_ids_round_trip(self):
+        # with "\n" as line terminator csv leaves a lone "\r" unquoted, so
+        # such an id is only checked byte for byte above
+        order = [i for i in CSV_IDS if "\r" not in i]
+        values = _writer_inputs(len(order), seed=3)[1]
+        rows = list(csv.reader(io.StringIO(matrix_to_csv(order, values, True), newline="")))
+        assert rows[0] == ["sensor", *order]
+        assert [row[0] for row in rows[1:]] == order
+        assert [[float(cell) for cell in row[1:]] for row in rows[1:]] == values.tolist()
 
 
 # --- CLI output pinned to digests recorded with the plain waveform path

@@ -22,6 +22,7 @@ from reference_data import (
     geometric_sum_naive,
     messy_topology,
     random_topology,
+    with_explicit_wireless_sets,
 )
 
 COEF = coefficients_closed_form()
@@ -202,6 +203,24 @@ class TestTrustMatrix:
                         else:
                             assert matrix.values[a, b] == trust(t, COEF, ks, i, j)
                             assert matrix.counts_for(i, j) == counts(t, i, j)
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_counts_are_int32(self, explicit):
+        # under the complement rule (closed-form Z) and with explicit sets
+        rng = np.random.default_rng(13)
+        t = random_topology(rng, 30, edge_prob=0.2)
+        if explicit:
+            t = with_explicit_wireless_sets(t, rng, 0.5)
+        assert (t.wireless_sets is not None) == explicit
+        matrix = trust_matrix(t, COEF)
+        for array in (matrix.k_counts, matrix.w_counts, matrix.z_counts):
+            assert array.dtype == np.int32
+        for i in t.sensors:
+            for j in t.sensors:
+                if i != j:
+                    c = matrix.counts_for(i, j)
+                    assert {type(c.k), type(c.w), type(c.z)} == {int}
+                    assert c == counts(t, i, j)
 
     def test_counts_recorded_for_audit(self, fig2):
         matrix = trust_matrix(fig2, COEF)
