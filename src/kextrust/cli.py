@@ -9,8 +9,6 @@ byte-identical output for identical inputs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from dataclasses import replace
@@ -160,24 +158,26 @@ class _CellLabeller:
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as one field of a ``csv`` row, quoted where it needs it."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]  # drop the empty field's "," and the "\n"
+    """``text`` as one CSV field: in double quotes, with each ``"`` doubled,
+    if it holds a ``,``, ``"``, ``\\r`` or ``\\n``, so that ``csv.reader``
+    reads it back whole; as it is otherwise."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def matrix_to_csv(order, values, full_precision: bool = False) -> str:
     """Trust matrix as CSV, rows = evaluator, columns = evaluated peer.
 
-    Byte-identical to a ``csv.writer`` row per evaluator with every cell
-    written as ``repr(value)`` (``full_precision``) or ``f"{value:.3f}"``.
+    Sensor ids are written with :func:`_csv_field`, and every cell as
+    ``repr(value)`` (``full_precision``) or ``f"{value:.3f}"``; lines end
+    in ``"\\n"``.
     """
     labeller = _CellLabeller(repr if full_precision else "{:.3f}".format)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(["sensor", *order])
-    buf.writelines(f"{_csv_field(row_id)},{','.join(cells)}\n"
-                   for row_id, cells in zip(order, labeller.rows(values)))
-    return buf.getvalue()
+    lines = [",".join(["sensor", *map(_csv_field, order)]) + "\n"]
+    lines.extend(f"{_csv_field(row_id)},{','.join(cells)}\n"
+                 for row_id, cells in zip(order, labeller.rows(values)))
+    return "".join(lines)
 
 
 def _float_rows_json(values, pad: str, labeller: _CellLabeller) -> str:
@@ -263,7 +263,7 @@ def _cmd_trust_matrix(args) -> int:
 def _cmd_rank(args) -> int:
     t = _load_checked_topology(args.topology)
     ranking = rank_peers(t, coefficients_closed_form(), _kill_state(args.kill, t), args.evaluator)
-    lines = [f"{sensor},{value:.3f}" for sensor, value in ranking]
+    lines = [f"{_csv_field(sensor)},{value:.3f}" for sensor, value in ranking]
     _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
     return 0
 

@@ -59,16 +59,14 @@ class NetworkKeyState:
     """Key state of a network.
 
     ``stored`` holds the wired-session records with status ``ok`` or
-    ``failed``; when ``master_seed`` is ``None`` (a state read from a
-    version 1 file, which does not record it) it holds every record.
-    ``records`` is the read-only view of all records.
+    ``failed``.  ``records`` is the read-only view of all records.
     """
 
     topology: Topology
     stored: dict[Pair, KeyRecord]
     kill: KillSwitchState
     clock: int
-    master_seed: int | None = None
+    master_seed: int
     _positions: dict[SensorId, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -101,11 +99,6 @@ class NetworkKeyState:
         return [records._record(pair, index) for index, pair in enumerate(self.pairs(), 1)]
 
 
-def _revoked_sensors(kill: KillSwitchState) -> set[SensorId]:
-    """Sensors with a ``set`` kill event: their records are revoked."""
-    return {e.sensor for e in kill.event_log if e.action == "set"}
-
-
 class KeyRecords(Mapping):
     """All records of a state, keyed by canonical pair, in canonical order.
 
@@ -115,15 +108,13 @@ class KeyRecords(Mapping):
     """
 
     def __init__(self, state: NetworkKeyState):
-        self._state, self._revoked = state, _revoked_sensors(state.kill)
-        self._seed_json = json.dumps(state.master_seed)
+        self._state, self._seed = state, state.master_seed
+        self._revoked = {e.sensor for e in state.kill.event_log if e.action == "set"}
 
     def __getitem__(self, pair: Pair) -> KeyRecord:
         state = self._state
         index = state.pair_index(*pair)
-        if pair not in state.stored and (
-            state.master_seed is None or index is None or pair in state.topology.kljn_edges
-        ):
+        if pair not in state.stored and (index is None or pair in state.topology.kljn_edges):
             raise KeyError(pair)
         return self._record(pair, index)
 
@@ -133,7 +124,7 @@ class KeyRecords(Mapping):
         record = self._state.stored.get(pair)
         if record is None:  # token of json.dumps([master_seed, a, b, "wireless"])
             a, b = pair
-            token = _fingerprint(f'[{self._seed_json}, {_json_str(a)}, {_json_str(b)}, "wireless"]')
+            token = _fingerprint(f'[{self._seed}, {_json_str(a)}, {_json_str(b)}, "wireless"]')
             record = KeyRecord(pair, CHANNEL_WIRELESS, token, index, STATUS_OK)
         if not self._revoked.isdisjoint(pair):
             record = replace(record, status=STATUS_REVOKED, key_bits=None)
@@ -172,8 +163,12 @@ def establish_network_keys(
     opaque deterministic key token, derived when read (see
     :class:`KeyRecords`).  ``attackers`` maps canonical edges to attacker
     models, for exercising fault isolation.  The clock counts one tick per
-    pair, as if every pair were established in canonical order.
+    pair, as if every pair were established in canonical order.  A
+    ``master_seed`` that is not an ``int`` (a ``bool`` included) raises
+    ``ValueError``.
     """
+    if type(master_seed) is not int:
+        raise ValueError(f"master seed must be an int, not {master_seed!r}")
     attackers = attackers or {}
     n = len(t.sensor_set)
     state = NetworkKeyState(t, {}, KillSwitchState(), n * (n - 1) // 2, master_seed)
@@ -322,37 +317,25 @@ def state_to_json(state: NetworkKeyState) -> str:
     events = (json.dumps(_event_to_dict(e)) for e in state.kill.event_log)
     return (
         f'{{\n  "version": 2,\n  "topology": {json_block(topology, "  ", "{}")},\n'
-        f'  "clock": {state.clock},\n  "master_seed": {json.dumps(state.master_seed)},\n'
+        f'  "clock": {state.clock},\n  "master_seed": {state.master_seed},\n'
         f'  "records": {json_block(records, "  ")},\n'
         f'  "kill_events": {json_block(events, "  ")}\n}}\n'
     )
 
 
-# the keys of each state file version; version 1 files have no "version"
-_STATE_KEYS = {
-    1: ("topology", "clock", "records", "kill"),
-    2: ("version", "topology", "clock", "master_seed", "records", "kill_events"),
-}
+_STATE_KEYS = ("version", "topology", "clock", "master_seed", "records", "kill_events")
+_REESTABLISH = "re-run 'kextrust establish' to write a version 2 state file"
 
 
 class StateFormatError(ValueError):
     """A state file whose content is not a network key state."""
 
 
-def _kill_from_doc(events: list, t: Topology, killed: list | None = None) -> KillSwitchState:
+def _kill_from_doc(events: list, t: Topology) -> KillSwitchState:
     """The kill switch replayed from its event list.  Every sensor named must
-    be one of ``t``'s and every event field is type checked; ``killed``, the
-    killed list a version 1 file stores, must agree with the replay."""
+    be one of ``t``'s and every event field is type checked."""
     if not isinstance(events, list):
         raise StateFormatError("state file kill events must be a list")
-    if killed is not None:
-        if not isinstance(killed, list):
-            raise StateFormatError("state file 'killed' must be a list of sensor ids")
-        for sensor in killed:
-            if not (isinstance(sensor, str) and t.has_sensor(sensor)):
-                raise StateFormatError(
-                    f"state file 'killed' names {sensor!r}, which is not a sensor of its topology"
-                )
     kill = KillSwitchState()
     for index, e in enumerate(events):
         timestamp, sensor, action, note = e["timestamp"], e["sensor"], e["action"], e.get("note", "")
@@ -368,17 +351,12 @@ def _kill_from_doc(events: list, t: Topology, killed: list | None = None) -> Kil
             (kill.kill if action == "set" else kill.clear)(sensor, note, timestamp)
             continue
         raise StateFormatError(f"state file kill event {index}: {problem}")
-    if killed is not None and set(killed) != kill.killed:
-        raise StateFormatError(
-            f"state file 'killed' lists {sorted(set(killed))}, but its kill events "
-            f"leave {sorted(kill.killed)} killed"
-        )
     return kill
 
 
-def _store_records(state: NetworkKeyState, records: list, statuses: tuple[str, ...]) -> None:
-    """Check each of a file's records against the state's topology and
-    master seed, and store it."""
+def _store_records(state: NetworkKeyState, records: list) -> None:
+    """Check each of a file's records against the state's topology, and
+    store it: only wired-session records, with status ``ok`` or ``failed``."""
     if not isinstance(records, list):
         raise StateFormatError("state file 'records' must be a list")
     kljn_edges = state.topology.kljn_edges
@@ -399,11 +377,11 @@ def _store_records(state: NetworkKeyState, records: list, statuses: tuple[str, .
             problem = "'pair' must be two sensors of the topology in sorted order"
         elif channel != (kind := CHANNEL_KLJN if key in kljn_edges else CHANNEL_WIRELESS):
             problem = f"'channel' must be {kind!r}"
-        elif kind == CHANNEL_WIRELESS and state.master_seed is not None:
+        elif kind == CHANNEL_WIRELESS:
             problem = "a wireless record is derived from 'master_seed', not stored"
-        elif status not in statuses:
-            problem = f"'status' must be one of {', '.join(map(repr, statuses))}"
-        elif status != STATUS_REVOKED and (status == STATUS_FAILED) != (key_id == ""):
+        elif status not in (STATUS_OK, STATUS_FAILED):
+            problem = "'status' must be 'ok' or 'failed'"
+        elif (status == STATUS_FAILED) != (key_id == ""):
             problem = "'key_id' must be empty exactly when 'status' is 'failed'"
         elif established_at != position:
             problem = f"'established_at' must be {position}, the pair's canonical position"
@@ -413,64 +391,47 @@ def _store_records(state: NetworkKeyState, records: list, statuses: tuple[str, .
         raise StateFormatError(f"state file record {index} (pair {pair!r}): {problem}")
 
 
-def _unrevoke_v1_records(state: NetworkKeyState) -> None:
-    """Check a version 1 file's ``revoked`` statuses against its kill events
-    and store each as its status before the kill (``failed``: no key id)."""
-    revoked = _revoked_sensors(state.kill)
-    for index, r in enumerate(state.stored.values()):
-        if (r.status == STATUS_REVOKED) == revoked.isdisjoint(r.pair):
-            raise StateFormatError(
-                f"state file record {index} (pair {list(r.pair)!r}): "
-                f"status {r.status!r} disagrees with the kill events"
-            )
-        if r.status == STATUS_REVOKED:
-            r.status = STATUS_OK if r.key_id else STATUS_FAILED
-
-
 def state_from_json(text: str) -> NetworkKeyState:
-    """Parse a state file of version 2 or 1 (no ``version``; every record,
-    ``revoked`` statuses and ``killed`` stored, no master seed); anything but
-    a well-formed state raises ``ValueError``.
+    """Parse a version 2 state file with an integer master seed; anything
+    else raises ``ValueError``, with a one-line message.
 
     Every field is type checked.  The records must be the canonical wired
-    edges (every canonical pair without a master seed), each once, with the
-    right channel and ``established_at``; the kill events may only name
-    sensors of the topology and must agree with version 1's stored statuses.
+    edges, each once, with the right channel and ``established_at``; the
+    kill events may only name sensors of the topology.  A file of another
+    version (an earlier one has no ``version``) or without a master seed is
+    refused: its keys cannot be derived, so the state must be established
+    again.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("state file must hold a JSON object")
-    version = doc.get("version", 1)
-    if type(version) is not int or version not in _STATE_KEYS:
-        raise ValueError(f"state file version {version!r} is not supported (1 or 2)")
-    missing = [key for key in _STATE_KEYS[version] if key not in doc]
+    if "version" not in doc:
+        raise ValueError(f"state file has no 'version'; {_REESTABLISH}")
+    version = doc["version"]
+    # a JSON true/false loads as bool, an int subclass
+    if type(version) is not int or version != 2:
+        raise ValueError(f"state file version {version!r} is not supported; {_REESTABLISH}")
+    missing = [key for key in _STATE_KEYS if key not in doc]
     if missing:
         raise ValueError(f"state file is missing {', '.join(map(repr, missing))}")
-    # a JSON true/false loads as bool, an int subclass
     if type(doc["clock"]) is not int:
         raise ValueError("state file 'clock' must be an integer")
-    master_seed = doc["master_seed"] if version == 2 else None
-    if master_seed is not None and type(master_seed) is not int:
-        raise ValueError("state file 'master_seed' must be an integer or null")
+    master_seed = doc["master_seed"]
+    if type(master_seed) is not int:
+        raise ValueError(f"state file 'master_seed' must be an integer, not "
+                         f"{json.dumps(master_seed)}; {_REESTABLISH}")
     t = topology_from_doc(doc["topology"])
     state = NetworkKeyState(t, {}, KillSwitchState(), doc["clock"], master_seed)
     try:
-        if version == 1:
-            _store_records(state, doc["records"], (STATUS_OK, STATUS_FAILED, STATUS_REVOKED))
-            kill = doc["kill"]
-            state.kill = _kill_from_doc(kill["events"], t, killed=kill["killed"])
-            _unrevoke_v1_records(state)
-        else:
-            _store_records(state, doc["records"], (STATUS_OK, STATUS_FAILED))
-            state.kill = _kill_from_doc(doc["kill_events"], t)
+        _store_records(state, doc["records"])
+        state.kill = _kill_from_doc(doc["kill_events"], t)
     except StateFormatError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(
             f"state file has a malformed record or kill log ({type(exc).__name__}: {exc})"
         ) from None
-    wanted = state.pairs() if master_seed is None else sorted(t.kljn_edges)
-    absent = next((pair for pair in wanted if pair not in state.stored), None)
+    absent = next((pair for pair in sorted(t.kljn_edges) if pair not in state.stored), None)
     if absent is not None:
         raise StateFormatError(f"state file has no record for pair {list(absent)!r}")
     return state

@@ -278,13 +278,11 @@ def load_topology(path) -> Topology:
         return parse_topology(f.read())
 
 
-def derive_wireless_sets(t: Topology, overwrite: bool = False) -> Topology:
-    """Fill in wireless sets as ``sensors - kljn_set(i) - {i}`` for every i.
-
-    Refuses to clobber explicit sets unless ``overwrite`` is passed.
-    """
-    if t.wireless_sets is not None and not overwrite:
-        raise ValueError("topology already has explicit wireless sets (pass overwrite=True)")
+def derive_wireless_sets(t: Topology) -> Topology:
+    """Fill in wireless sets as ``sensors - kljn_set(i) - {i}`` for every i;
+    a topology that already has explicit sets is refused."""
+    if t.wireless_sets is not None:
+        raise ValueError("topology already has explicit wireless sets")
     full = t.sensor_set
     derived = {i: full - t.kljn_set(i) - {i} for i in t.sensors}
     return Topology(t.sensors, t.kljn_edges, derived)

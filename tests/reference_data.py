@@ -94,18 +94,25 @@ def with_explicit_wireless_sets(t: Topology, rng, reach: float) -> Topology:
 
 
 def matrix_to_csv_reference(order, values, full_precision: bool = False) -> str:
-    """The trust matrix as CSV through ``csv.writer``, one row per evaluator:
-    the oracle for the table-driven :func:`kextrust.cli.matrix_to_csv`.
+    """The trust matrix as CSV through ``csv.writer``, one row per evaluator,
+    lines ending in ``"\\n"``: the oracle for the table-driven
+    :func:`kextrust.cli.matrix_to_csv`.
 
-    Every cell is formatted on its own, ``repr`` or three decimals.  (A
-    float-keyed label memo, as the writer once used, would give ``-0.0``
-    the label of ``0.0`` whenever ``0.0`` came first.)
+    Each row is written with the line terminator ``"\\r\\n"``, so that
+    ``csv`` quotes a field holding a ``\\r`` as well as one holding a
+    ``\\n``, and its terminator is then cut to ``"\\n"``.  Every cell is
+    formatted on its own, ``repr`` or three decimals.  (A float-keyed label
+    memo, as the writer once used, would give ``-0.0`` the label of ``0.0``
+    whenever ``0.0`` came first.)
     """
+    def line(fields):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(fields)
+        return buf.getvalue()[:-2] + "\n"
+
     label = repr if full_precision else "{:.3f}".format
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["sensor", *order])
+    lines = [line(["sensor", *order])]
     for row_id, row in zip(order, values):
         cells = row.tolist() if isinstance(row, np.ndarray) else map(float, row)
-        writer.writerow([row_id, *map(label, cells)])
-    return buf.getvalue()
+        lines.append(line([row_id, *map(label, cells)]))
+    return "".join(lines)

@@ -24,15 +24,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _state_with_record(kill=None, **fields):
-    """A version 1 state file text for sensors A, B whose one record has
-    ``fields`` changed, and whose kill section is ``kill`` if given."""
-    record = {"pair": ["A", "B"], "channel": "wireless", "key_id": "k",
-              "established_at": 1, "status": "ok", **fields}
-    return json.dumps({"topology": {"sensors": ["A", "B"]}, "clock": 1, "records": [record],
-                       "kill": kill or {"killed": [], "events": []}})
-
-
 _SET_A = {"timestamp": 2, "sensor": "A", "action": "set", "note": ""}
 _WIRED_AB = {"pair": ["A", "B"], "channel": "kljn", "key_id": "k", "established_at": 1,
              "status": "ok"}
@@ -48,12 +39,29 @@ def _v2_state(records=(_WIRED_AB,), sensors=("A", "B"), **fields):
     return json.dumps(doc)
 
 
-def _state_with_kill(clock=1, killed=(), **event):
-    """A state file text for sensors A, B with ``killed`` and, if ``event``
+def _state_with_record(**fields):
+    """A version 2 state file text whose one record, A-B, has ``fields`` changed."""
+    return _v2_state(records=[{**_WIRED_AB, **fields}])
+
+
+def _state_with_kill(clock=1, **event):
+    """A version 2 state file text with the clock ``clock`` and, if ``event``
     holds fields, one kill event changed by them."""
-    events = [{"timestamp": 1, "sensor": "A", "action": "set", "note": "", **event}] if event else []
-    return json.dumps({"topology": {"sensors": ["A", "B"]}, "clock": clock, "records": [],
-                       "kill": {"killed": killed, "events": events}})
+    events = [{**_SET_A, "timestamp": 1, **event}] if event else []
+    return _v2_state(clock=clock, kill_events=events)
+
+
+def _v2_state_without(*keys):
+    """A version 2 state file text with the top-level ``keys`` left out."""
+    doc = json.loads(_v2_state())
+    return json.dumps({key: value for key, value in doc.items() if key not in keys})
+
+
+_REESTABLISH = "re-run 'kextrust establish' to write a version 2 state file"
+# the same network as version 1 wrote it: every record, no master seed
+_V1_STATE = json.dumps({
+    "topology": {"sensors": ["A", "B"], "kljn_edges": [["A", "B"]]}, "clock": 1,
+    "records": [_WIRED_AB], "kill": {"killed": [], "events": []}})
 
 
 def parse_csv_matrix(text):
@@ -331,14 +339,40 @@ class TestStateWorkflow:
         "text,message",
         [
             ("[]", "state file must hold a JSON object"),
-            ('{"topology": {"sensors": []}, "clock": 0, "kill": {}}',
-             "state file is missing 'records'"),
-            ('{"topology": {"sensors": []}, "clock": 0, "records": [1], "kill": {}}',
+            # earlier versions and seedless states: the keys cannot be derived
+            (_V1_STATE, f"state file has no 'version'; {_REESTABLISH}"),
+            (_v2_state(version=1), f"state file version 1 is not supported; {_REESTABLISH}"),
+            (_v2_state(version=3), f"state file version 3 is not supported; {_REESTABLISH}"),
+            (_v2_state(version=True), f"state file version True is not supported; {_REESTABLISH}"),
+            (_v2_state(version="2"), f"state file version '2' is not supported; {_REESTABLISH}"),
+            (_v2_state(master_seed=None),
+             f"state file 'master_seed' must be an integer, not null; {_REESTABLISH}"),
+            (_v2_state(master_seed="7"),
+             f'state file \'master_seed\' must be an integer, not "7"; {_REESTABLISH}'),
+            (_v2_state(master_seed=7.0),
+             f"state file 'master_seed' must be an integer, not 7.0; {_REESTABLISH}"),
+            (_v2_state(master_seed=True),
+             f"state file 'master_seed' must be an integer, not true; {_REESTABLISH}"),
+            ('{"version": 2, "topology": {"sensors": []}, "clock": 0, "master_seed": 0, '
+             '"kill_events": []}', "state file is missing 'records'"),
+            ('{"version": 2, "topology": {"sensors": []}, "clock": 0, "records": [], '
+             '"kill_events": []}', "state file is missing 'master_seed'"),
+            (_v2_state_without("kill_events"), "state file is missing 'kill_events'"),
+            (_v2_state_without("records", "kill_events"),
+             "state file is missing 'records', 'kill_events'"),
+            (_v2_state(topology=[]), "topology document must be a JSON object"),
+            (_v2_state(records=[1]), "state file has a malformed record or kill log (TypeError"),
+            (_v2_state(kill_events=[1]),
              "state file has a malformed record or kill log (TypeError"),
-            ('{"topology": {"sensors": []}, "clock": 0, "records": [], "kill": []}',
-             "state file has a malformed record or kill log (TypeError"),
-            ('{"topology": {"sensors": []}, "clock": "0", "records": [], "kill": {}}',
-             "state file 'clock' must be an integer"),
+            (_v2_state(records=[{k: v for k, v in _WIRED_AB.items() if k != "status"}]),
+             "state file has a malformed record or kill log (KeyError: 'status')"),
+            (_v2_state(kill_events=[{k: v for k, v in _SET_A.items() if k != "sensor"}]),
+             "state file has a malformed record or kill log (KeyError: 'sensor')"),
+            (_v2_state(clock="0"), "state file 'clock' must be an integer"),
+            (_state_with_kill(clock=True), "state file 'clock' must be an integer"),
+            (_state_with_kill(clock=2.0), "state file 'clock' must be an integer"),
+            # records
+            (_v2_state(records={}), "state file 'records' must be a list"),
             (_state_with_record(pair=["A"]),
              "state file record 0 (pair ['A']): 'pair' must be two strings"),
             (_state_with_record(pair=["A", 2]),
@@ -357,13 +391,43 @@ class TestStateWorkflow:
              "state file record 0 (pair ['A', 'B']): 'established_at' must be an integer"),
             (_state_with_record(established_at=1.0),
              "state file record 0 (pair ['A', 'B']): 'established_at' must be an integer"),
-            (_state_with_kill(clock=True), "state file 'clock' must be an integer"),
-            (_state_with_kill(clock=2.0), "state file 'clock' must be an integer"),
-            (_state_with_kill(killed=("Z",)),
-             "state file 'killed' names 'Z', which is not a sensor of its topology"),
-            (_state_with_kill(killed=("A", 5)),
-             "state file 'killed' names 5, which is not a sensor of its topology"),
-            (_state_with_kill(killed="AB"), "state file 'killed' must be a list of sensor ids"),
+            (_state_with_record(pair=["B", "A"]),
+             "state file record 0 (pair ['B', 'A']): 'pair' must be two sensors of the "
+             "topology in sorted order"),
+            (_state_with_record(pair=["A", "Z"]),
+             "state file record 0 (pair ['A', 'Z']): 'pair' must be two sensors of the "
+             "topology in sorted order"),
+            (_state_with_record(pair=["A", "A"]),
+             "state file record 0 (pair ['A', 'A']): 'pair' must be two sensors of the "
+             "topology in sorted order"),
+            (_state_with_record(channel="bogus"),
+             "state file record 0 (pair ['A', 'B']): 'channel' must be 'kljn'"),
+            (_state_with_record(channel="wireless"),
+             "state file record 0 (pair ['A', 'B']): 'channel' must be 'kljn'"),
+            (_v2_state(records=[_WIRED_AB, {**_WIRELESS_AC, "channel": "kljn"}],
+                       sensors=("A", "B", "C")),
+             "state file record 1 (pair ['A', 'C']): 'channel' must be 'wireless'"),
+            (_v2_state(records=[_WIRED_AB, _WIRELESS_AC], sensors=("A", "B", "C")),
+             "state file record 1 (pair ['A', 'C']): a wireless record is derived from "
+             "'master_seed', not stored"),
+            (_state_with_record(status="lost"),
+             "state file record 0 (pair ['A', 'B']): 'status' must be 'ok' or 'failed'"),
+            (_state_with_record(status="revoked"),
+             "state file record 0 (pair ['A', 'B']): 'status' must be 'ok' or 'failed'"),
+            (_state_with_record(key_id=""),
+             "state file record 0 (pair ['A', 'B']): 'key_id' must be empty exactly when "
+             "'status' is 'failed'"),
+            (_state_with_record(status="failed"),
+             "state file record 0 (pair ['A', 'B']): 'key_id' must be empty exactly when "
+             "'status' is 'failed'"),
+            (_state_with_record(established_at=2),
+             "state file record 0 (pair ['A', 'B']): 'established_at' must be 1, the pair's "
+             "canonical position"),
+            (_v2_state(records=[_WIRED_AB, _WIRED_AB]),
+             "state file record 1 (pair ['A', 'B']): a second record for the pair"),
+            (_v2_state(records=[]), "state file has no record for pair ['A', 'B']"),
+            # kill events
+            (_v2_state(kill_events={}), "state file kill events must be a list"),
             (_state_with_kill(timestamp="x"),
              "state file kill event 0: 'timestamp' must be an integer"),
             (_state_with_kill(timestamp=False),
@@ -375,88 +439,26 @@ class TestStateWorkflow:
             (_state_with_kill(action="kill"),
              "state file kill event 0: 'action' must be \"set\" or \"clear\""),
             (_state_with_kill(note=["x"]), "state file kill event 0: 'note' must be a string"),
-            # version 1 records checked against the topology and the kill events
-            (_state_with_record(pair=["B", "A"]),
-             "state file record 0 (pair ['B', 'A']): 'pair' must be two sensors of the "
-             "topology in sorted order"),
-            (_state_with_record(pair=["A", "Z"]),
-             "state file record 0 (pair ['A', 'Z']): 'pair' must be two sensors of the "
-             "topology in sorted order"),
-            (_state_with_record(channel="bogus"),
-             "state file record 0 (pair ['A', 'B']): 'channel' must be 'wireless'"),
-            (_state_with_record(channel="kljn"),
-             "state file record 0 (pair ['A', 'B']): 'channel' must be 'wireless'"),
-            (_state_with_record(status="lost"),
-             "state file record 0 (pair ['A', 'B']): 'status' must be one of 'ok', 'failed', "
-             "'revoked'"),
-            (_state_with_record(established_at=2),
-             "state file record 0 (pair ['A', 'B']): 'established_at' must be 1, the pair's "
-             "canonical position"),
-            (_state_with_kill(), "state file has no record for pair ['A', 'B']"),
-            (_state_with_record(status="revoked"),
-             "state file record 0 (pair ['A', 'B']): status 'revoked' disagrees with the "
-             "kill events"),
-            (_state_with_record(kill={"killed": ["A"], "events": [_SET_A]}),
-             "state file record 0 (pair ['A', 'B']): status 'ok' disagrees with the kill events"),
-            (_state_with_record(kill={"killed": ["A"], "events": []}),
-             "state file 'killed' lists ['A'], but its kill events leave [] killed"),
-            (_state_with_record(kill={"killed": [], "events": [_SET_A]}, status="revoked"),
-             "state file 'killed' lists [], but its kill events leave ['A'] killed"),
-            # version 2
-            (_v2_state(version=3), "state file version 3 is not supported (1 or 2)"),
-            (_v2_state(version=True), "state file version True is not supported (1 or 2)"),
-            ('{"version": 2, "topology": {"sensors": []}, "clock": 0, "records": [], '
-             '"kill_events": []}', "state file is missing 'master_seed'"),
-            (_v2_state(master_seed="7"), "state file 'master_seed' must be an integer or null"),
-            (_v2_state(records={}), "state file 'records' must be a list"),
-            (_v2_state(kill_events={}), "state file kill events must be a list"),
-            (_v2_state(kill_events=[{**_SET_A, "sensor": "Z"}]),
-             "state file kill event 0: 'sensor' 'Z' is not a sensor of the topology"),
-            (_v2_state(records=[]), "state file has no record for pair ['A', 'B']"),
-            (_v2_state(records=[_WIRED_AB, _WIRED_AB]),
-             "state file record 1 (pair ['A', 'B']): a second record for the pair"),
-            (_v2_state(records=[{**_WIRED_AB, "channel": "wireless"}]),
-             "state file record 0 (pair ['A', 'B']): 'channel' must be 'kljn'"),
-            (_v2_state(records=[{**_WIRED_AB, "status": "revoked"}]),
-             "state file record 0 (pair ['A', 'B']): 'status' must be one of 'ok', 'failed'"),
-            (_v2_state(records=[{**_WIRED_AB, "established_at": 2}]),
-             "state file record 0 (pair ['A', 'B']): 'established_at' must be 1, the pair's "
-             "canonical position"),
-            (_v2_state(records=[_WIRED_AB, _WIRELESS_AC], sensors=("A", "B", "C")),
-             "state file record 1 (pair ['A', 'C']): a wireless record is derived from "
-             "'master_seed', not stored"),
-            (_v2_state(sensors=("A", "B", "C"), master_seed=None),
-             "state file has no record for pair ['A', 'C']"),
-            (_v2_state(records=[{**_WIRED_AB, "key_id": ""}]),
-             "state file record 0 (pair ['A', 'B']): 'key_id' must be empty exactly when "
-             "'status' is 'failed'"),
-            (_v2_state(records=[{**_WIRED_AB, "status": "failed"}]),
-             "state file record 0 (pair ['A', 'B']): 'key_id' must be empty exactly when "
-             "'status' is 'failed'"),
         ],
     )
     @pytest.mark.parametrize("command", ["report", "kill"])
     def test_malformed_state_file(self, capsys, tmp_path, command, text, message):
         state_path = tmp_path / "state.json"
         state_path.write_text(text)
+        before = state_path.read_bytes()
         argv = [command, str(state_path)] + (["A"] if command == "kill" else [])
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 1
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert state_path.read_bytes() == before
 
     @pytest.mark.parametrize("command", ["report", "kill"])
     def test_state_with_invalid_topology(self, capsys, tmp_path, command):
         # B is both a wired and a wireless peer of A
-        doc = {
-            "topology": {"sensors": ["A", "B"], "kljn_edges": [["A", "B"]],
-                         "wireless_sets": {"A": ["B"], "B": ["A"]}},
-            "clock": 1,
-            "records": [{"pair": ["A", "B"], "channel": "kljn", "key_id": "k",
-                         "established_at": 1, "status": "ok"}],
-            "kill": {"killed": [], "events": []},
-        }
+        topology = {"sensors": ["A", "B"], "kljn_edges": [["A", "B"]],
+                    "wireless_sets": {"A": ["B"], "B": ["A"]}}
         state_path = tmp_path / "state.json"
-        state_path.write_text(json.dumps(doc))
+        state_path.write_text(_v2_state(topology=topology))
         before = state_path.read_bytes()
         argv = [command, str(state_path)] + (["A"] if command == "kill" else [])
         code, out, err = run_cli(capsys, *argv)
@@ -471,18 +473,6 @@ class TestStateWorkflow:
         code, _, err = run_cli(capsys, "kill", str(state_path), "Q")
         assert code == 1
         assert "unknown sensor" in err
-
-    def test_version_2_without_master_seed_lists_every_record(self, capsys, tmp_path):
-        state_path = tmp_path / "state.json"
-        wireless_bc = {**_WIRELESS_AC, "pair": ["B", "C"], "established_at": 3}
-        state_path.write_text(_v2_state(records=[_WIRED_AB, _WIRELESS_AC, wireless_bc],
-                                         sensors=("A", "B", "C"), master_seed=None))
-        assert run_cli(capsys, "kill", str(state_path), "C") == (0, "", "")
-        state = load_state(state_path)
-        assert [(r.pair, r.channel, r.status) for r in state.records_sorted()] == [
-            (("A", "B"), "kljn", "ok"), (("A", "C"), "wireless", "revoked"),
-            (("B", "C"), "wireless", "revoked")]
-
 
 class TestOutputPaths:
     """Output and state paths the system refuses: exit 1 with a message."""

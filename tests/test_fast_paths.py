@@ -12,7 +12,6 @@ import hashlib
 import io
 import json
 import math
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -285,8 +284,8 @@ def _ref_layout(value, path=(), pad=""):
 
 def _ref_state_json(state):
     """The version 2 document of ``state``, read off its records view: the
-    wired records (every record without a master seed) with the status they
-    had before any kill, and the kill events."""
+    wired records with the status they had before any kill, and the kill
+    events."""
     def event(e):
         return {"timestamp": e.timestamp, "sensor": e.sensor, "action": e.action, "note": e.note}
 
@@ -307,7 +306,7 @@ def _ref_state_json(state):
                 "status": unrevoked(r),
             }
             for r in state.records_sorted()
-            if r.channel == "kljn" or state.master_seed is None
+            if r.channel == "kljn"
         ],
         "kill_events": [event(e) for e in state.kill.event_log],
     }
@@ -446,14 +445,22 @@ class TestMatrixWriters:
             "sensor,A,B\nA,-0.0,0.0\nB,0.0,-0.0\n")
 
     def test_quoted_ids_round_trip(self):
-        # with "\n" as line terminator csv leaves a lone "\r" unquoted, so
-        # such an id is only checked byte for byte above
-        order = [i for i in CSV_IDS if "\r" not in i]
-        values = _writer_inputs(len(order), seed=3)[1]
+        order, values = _writer_inputs(len(CSV_IDS), seed=3)
         rows = list(csv.reader(io.StringIO(matrix_to_csv(order, values, True), newline="")))
         assert rows[0] == ["sensor", *order]
         assert [row[0] for row in rows[1:]] == order
         assert [[float(cell) for cell in row[1:]] for row in rows[1:]] == values.tolist()
+
+    def test_rank_quotes_ids(self, capsys, tmp_path):
+        # every id but "" (which validate refuses) around a hub wired to all
+        peers = [i for i in CSV_IDS if i]
+        doc = {"sensors": ["hub", *peers], "kljn_edges": [["hub", p] for p in peers]}
+        topology = tmp_path / "t.json"
+        topology.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["rank", str(topology), "hub"]) == 0
+        out = capsys.readouterr().out
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert rows == [[peer, "1.000"] for peer in sorted(peers)]
 
 
 # --- CLI output pinned to digests recorded with the plain waveform path
@@ -471,10 +478,6 @@ PINNED_SESSIONS = {
     ("2024", "current-injection"): "2161158521b8bb9d9d68cf0279e5bde162e7d0ae64d9833d91ac22bbf7a4906e",
 }
 PINNED_ESTABLISH_FIG2_SEED_42 = "97ab36c0333bcf56d70c19dda3138e9619d045fdea089f71b6b51c2c67b5d5da"
-# The same command wrote a version 1 state file (every record and the killed
-# list stored) before version 2; those bytes are kept as a fixture.
-PINNED_ESTABLISH_FIG2_SEED_42_V1 = "6b59fb0689af38a70b1654063fb6e032153262b3f30f9b750f7776cfd8233961"
-V1_FIG2_STATE = Path(__file__).parent / "data" / "state_v1_fig2_seed42.json"
 # report --out/--csv after establish fig2 --seed 42 and kill H, recorded
 # with the json.dumps report writer
 PINNED_REPORT_FIG2_KILL_H = {
@@ -501,15 +504,12 @@ class TestPinnedOutput:
         assert _cli_digest(capsys, "establish", "fig2", "--seed", "42") == (
             0, PINNED_ESTABLISH_FIG2_SEED_42)
 
-    def test_v1_fixture_bytes(self):
-        digest = hashlib.sha256(V1_FIG2_STATE.read_bytes()).hexdigest()
-        assert digest == PINNED_ESTABLISH_FIG2_SEED_42_V1
-
-    def _assert_pinned_report_after_kill(self, capsys, tmp_path, state, master_seed, records):
+    def test_report_fig2_after_kill(self, capsys, tmp_path):
+        state = str(tmp_path / "state.json")
+        assert main(["establish", "fig2", "--seed", "42", "--out", state]) == 0
         assert main(["kill", state, "H"]) == 0
         doc = json.loads(Path(state).read_text(encoding="utf-8"))
-        assert (doc["version"], doc["master_seed"], len(doc["records"])) == (
-            2, master_seed, records)
+        assert (doc["version"], doc["master_seed"], len(doc["records"])) == (2, 42, 6)
         assert main(["report", state, "--out", str(tmp_path / "report.json"),
                      "--csv", str(tmp_path / "report.csv")]) == 0
         assert main(["report", state, "--full-precision",
@@ -518,14 +518,3 @@ class TestPinnedOutput:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in PINNED_REPORT_FIG2_KILL_H}
         assert digests == PINNED_REPORT_FIG2_KILL_H
-
-    def test_report_fig2_after_kill(self, capsys, tmp_path):
-        state = str(tmp_path / "state.json")
-        assert main(["establish", "fig2", "--seed", "42", "--out", state]) == 0
-        self._assert_pinned_report_after_kill(capsys, tmp_path, state, 42, 6)
-
-    def test_report_fig2_after_kill_from_v1_state(self, capsys, tmp_path):
-        # a version 1 file has no master seed: it is rewritten with every record
-        state = str(tmp_path / "state.json")
-        shutil.copyfile(V1_FIG2_STATE, state)
-        self._assert_pinned_report_after_kill(capsys, tmp_path, state, None, 45)

@@ -86,6 +86,12 @@ class TestEstablish:
         assert report["records"] == []
         assert report["matrix"]["values"] == [[1.0]]
 
+    @pytest.mark.parametrize("master_seed", [None, True, 4.0, "4", np.int64(4)])
+    def test_master_seed_must_be_an_int(self, master_seed):
+        t = Topology(("A", "B", "C"), frozenset({("A", "B")}))
+        with pytest.raises(ValueError, match="master seed must be an int"):
+            establish_network_keys(t, CFG, master_seed=master_seed)
+
 
 class TestKillEvents:
     def test_kill_revokes_incident_records(self, fig2):

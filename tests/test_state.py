@@ -1,11 +1,10 @@
 """The derived state against an eager oracle.
 
 The oracle is the earlier state model, kept here as it was: one stored
-record per sensor pair, a kill that revokes every record of the sensor, and
-a version 1 file (``json.dumps(doc, indent=2)`` of every record and the
-``killed`` list).  The state under test stores only the wired sessions and
-the kill events, and derives the rest; every view of it must equal the
-oracle's records.
+record per sensor pair, and a kill that revokes every record of the sensor.
+The state under test stores only the wired sessions and the kill events,
+and derives the rest; every view of it, and of the state its file loads
+to, must equal the oracle's records.
 """
 
 import hashlib
@@ -28,7 +27,7 @@ from kextrust.orchestrator import (
     state_from_json,
     state_to_json,
 )
-from kextrust.topology import Topology, serialize_topology
+from kextrust.topology import Topology
 from kextrust.trust import KillSwitchState
 from reference_data import random_topology, with_explicit_wireless_sets
 
@@ -36,7 +35,7 @@ CFG = KljnSessionConfig()
 KEY_BITS = 8
 
 
-# --- the oracle: eager establishment and kills, and the version 1 writer
+# --- the oracle: eager establishment and kills
 
 
 def _oracle_derive_seed(master_seed, *parts):
@@ -89,24 +88,6 @@ def eager_kill(state, sensor, note=""):
             record.key_bits = None
 
 
-def eager_v1_json(state):
-    doc = {
-        "topology": json.loads(serialize_topology(state.topology)),
-        "clock": state.clock,
-        "records": [
-            {"pair": list(r.pair), "channel": r.channel, "key_id": r.key_id,
-             "established_at": r.established_at, "status": r.status}
-            for _, r in sorted(state.records.items())
-        ],
-        "kill": {
-            "killed": sorted(state.kill.killed),
-            "events": [{"timestamp": e.timestamp, "sensor": e.sensor, "action": e.action,
-                        "note": e.note} for e in state.kill.event_log],
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 # --- comparison
 
 
@@ -132,17 +113,13 @@ def assert_same_key_bits(state, oracle):
         assert state.records[pair].key_bits == record.key_bits
 
 
-def assert_files_load_to_oracle(state, oracle):
-    """The state's own file, the oracle's version 1 file, and that file
-    rewritten as version 2 all load to the oracle's records."""
-    assert_same_records(state_from_json(state_to_json(state)), oracle)
-    from_v1 = state_from_json(eager_v1_json(oracle))
-    assert from_v1.master_seed is None
-    assert_same_records(from_v1, oracle)
-    rewritten = state_to_json(from_v1)
-    assert json.loads(rewritten)["master_seed"] is None
-    assert_same_records(state_from_json(rewritten), oracle)
-    assert state_to_json(state_from_json(rewritten)) == rewritten
+def assert_file_loads_to_oracle(state, oracle):
+    """The state's own file loads to the oracle's records, and writes back
+    the same bytes."""
+    text = state_to_json(state)
+    loaded = state_from_json(text)
+    assert_same_records(loaded, oracle)
+    assert state_to_json(loaded) == text
 
 
 def _attackers(t, rng):
@@ -168,7 +145,7 @@ def test_derived_state_equals_eager_oracle(seed, wireless):
     assert any(r.status == "failed" for r in oracle.records.values())
     assert_same_records(state, oracle)
     assert_same_key_bits(state, oracle)
-    assert_files_load_to_oracle(state, oracle)
+    assert_file_loads_to_oracle(state, oracle)
 
     first, second = t.sensors[int(rng.integers(len(t.sensors)))], t.sensors[0]
     steps = [("kill", first), ("kill", second), ("kill", first),  # a repeated kill
@@ -181,7 +158,7 @@ def test_derived_state_equals_eager_oracle(seed, wireless):
                 s.kill.clear(sensor, note="false alarm", timestamp=s.clock)
         assert_same_records(state, oracle)
         assert_same_key_bits(state, oracle)
-        assert_files_load_to_oracle(state, oracle)
+        assert_file_loads_to_oracle(state, oracle)
 
 
 def test_cleared_sensor_keeps_revoked_records():

@@ -86,11 +86,9 @@ def test_derive_single_sensor_network():
     assert t.wireless_set("A") == frozenset()
 
 
-def test_derive_refuses_overwrite_unless_asked(fig2):
-    with pytest.raises(ValueError, match="overwrite"):
+def test_derive_refuses_explicit_sets(fig2):
+    with pytest.raises(ValueError, match="explicit wireless sets"):
         derive_wireless_sets(fig2)
-    again = derive_wireless_sets(fig2, overwrite=True)
-    assert again == fig2
 
 
 def test_validate_bundled_network_clean(fig2):
