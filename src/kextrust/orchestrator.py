@@ -25,7 +25,13 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from .kljn import BudgetExhaustedError, KljnSessionConfig, run_key_exchange
-from .topology import SensorId, Topology, UnknownSensorError, topology_from_doc, topology_to_doc
+from .topology import (
+    SensorId,
+    Topology,
+    decode_json,
+    topology_from_doc,
+    topology_to_doc,
+)
 from .trust import (
     KillEvent,
     KillSwitchState,
@@ -174,8 +180,6 @@ def establish_network_keys(
     state = NetworkKeyState(t, {}, KillSwitchState(), n * (n - 1) // 2, master_seed)
     for a, b in sorted(t.kljn_edges):
         index = state.pair_index(a, b)
-        if index is None:  # an edge naming an unknown sensor gets no record
-            continue
         session_cfg = replace(cfg, seed=_derive_seed(master_seed, a, b))
         try:
             result = run_key_exchange(session_cfg, target_bits, attacker=attackers.get((a, b)))
@@ -197,11 +201,10 @@ def apply_kill_event(state: NetworkKeyState, sensor: SensorId, note: str = "") -
     Idempotent on the records and the killed set; every call appends one
     log entry.  Mutates and returns ``state`` (single-writer contract).
     """
-    if not state.topology.has_sensor(sensor):
-        raise UnknownSensorError(f"unknown sensor {sensor!r}")
+    peers = state.topology.kljn_set(sensor)  # an unknown id raises UnknownSensorError
     state.clock += 1
     state.kill.kill(sensor, note=note, timestamp=state.clock)
-    for peer in state.topology.kljn_set(sensor):
+    for peer in peers:
         record = state.stored.get((sensor, peer) if sensor < peer else (peer, sensor))
         if record is not None:
             record.key_bits = None
@@ -402,7 +405,7 @@ def state_from_json(text: str) -> NetworkKeyState:
     refused: its keys cannot be derived, so the state must be established
     again.
     """
-    doc = json.loads(text)
+    doc = decode_json(text, "state file", StateFormatError)
     if not isinstance(doc, dict):
         raise ValueError("state file must hold a JSON object")
     if "version" not in doc:

@@ -33,30 +33,23 @@ class UnknownSensorError(ValueError):
     """Raised when an operation references a sensor not in the topology."""
 
 
-def _canonical_edge(a: SensorId, b: SensorId) -> tuple[SensorId, SensorId]:
-    return (a, b) if a <= b else (b, a)
-
-
 class _PeerSets(dict):
     """Memo of sensor -> frozenset of its wired peers, built from the
     per-sensor peer lists on first lookup.
 
     Only known sensors are stored; any other id raises
-    :class:`UnknownSensorError` on every lookup.  ``known_degree`` holds,
-    for each stored sensor, how many of its wired peers are known sensors.
+    :class:`UnknownSensorError` on every lookup.
     """
 
     def __init__(self, sensors: frozenset[SensorId], index: dict[SensorId, list[SensorId]]):
         super().__init__()
         self._sensors = sensors
         self._index = index
-        self.known_degree: dict[SensorId, int] = {}
 
     def __missing__(self, i: SensorId) -> frozenset[SensorId]:
         if i not in self._sensors:
             raise UnknownSensorError(f"unknown sensor {i!r}")
         peers = self[i] = frozenset(self._index.get(i, ()))
-        self.known_degree[i] = len(peers & self._sensors)
         return peers
 
 
@@ -64,8 +57,8 @@ class _ComplementSet(Set):
     """The wireless peers of ``i`` under the complement rule, as a read-only
     view: every known sensor except ``i`` and its wired peers.
 
-    ``len`` and ``in`` take O(1); iteration walks the distinct sensors in
-    topology order.  ``&``, ``|``, ``-`` and ``^`` return frozensets.  A view
+    ``len`` and ``in`` take O(1); iteration walks the sensors in topology
+    order.  ``&``, ``|``, ``-`` and ``^`` return frozensets.  A view
     compares equal to the frozenset of its members but is unhashable, since
     its hash could not equal that frozenset's without visiting every member.
     """
@@ -76,7 +69,7 @@ class _ComplementSet(Set):
         self._t = t
         self._i = i
         self._wired = t.kljn_set(i)
-        self._len = len(t.sensor_set) - 1 - t._kljn_sets.known_degree[i]
+        self._len = len(t.sensors) - 1 - len(self._wired)
 
     def __len__(self) -> int:
         return self._len
@@ -86,7 +79,7 @@ class _ComplementSet(Set):
 
     def __iter__(self):
         i, wired = self._i, self._wired
-        return (s for s in self._t._distinct_sensors if s != i and s not in wired)
+        return (s for s in self._t.sensors if s != i and s not in wired)
 
     @classmethod
     def _from_iterable(cls, it) -> frozenset[SensorId]:
@@ -97,17 +90,20 @@ class _ComplementSet(Set):
 class Topology:
     """Sensors plus wired KLJN links and (optional) explicit wireless sets.
 
-    ``kljn_edges`` holds canonical sorted pairs, so link symmetry cannot be
-    violated by construction.  ``wireless_sets`` is ``None`` until sets are
-    given explicitly or derived with :func:`derive_wireless_sets`; accessors
-    fall back to the complement rule when it is ``None``.
+    Construction refuses, with :class:`TopologyFormatError`, a sensor id
+    that is not a non-empty string or repeats one, and an edge that is not
+    a pair of two distinct sensors of the topology.  ``kljn_edges`` holds
+    canonical sorted pairs, so link symmetry cannot be violated by
+    construction.  ``wireless_sets`` is ``None`` until sets are given
+    explicitly or derived with :func:`derive_wireless_sets`; accessors fall
+    back to the complement rule when it is ``None``.  :func:`validate`
+    checks explicit sets.
 
     Construction indexes the edges once: a per-sensor list of wired peers
-    (every edge endpoint gets an entry, so edges naming unknown sensors stay
-    visible to :func:`validate`) and the sensor set.  Lookups read the index
-    instead of rescanning ``kljn_edges``; each sensor's wired-peer frozenset
-    is built on its first lookup and reused after that.  Under the complement
-    rule :meth:`wireless_set` returns an O(1) view over that index.
+    and the sensor set.  Lookups read the index instead of rescanning
+    ``kljn_edges``; each sensor's wired-peer frozenset is built on its first
+    lookup and reused after that.  Under the complement rule
+    :meth:`wireless_set` returns an O(1) view over that index.
     """
 
     sensors: tuple[SensorId, ...]
@@ -115,14 +111,30 @@ class Topology:
     wireless_sets: dict[SensorId, frozenset[SensorId]] | None = None
     _sensor_set: frozenset[SensorId] = field(init=False, repr=False, compare=False)
     _kljn_sets: _PeerSets = field(init=False, repr=False, compare=False)
-    _distinct_sensors: tuple[SensorId, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sensors", tuple(self.sensors))
+        seen: set[SensorId] = set()
+        for s in self.sensors:
+            if not isinstance(s, str) or not s:
+                raise TopologyFormatError(f"sensor id must be a non-empty string, got {s!r}")
+            if s in seen:
+                raise TopologyFormatError(f"duplicate sensor id {s!r}")
+            seen.add(s)
+        edges = list(self.kljn_edges)
+        for e in edges:
+            if not isinstance(e, (list, tuple)) or len(e) != 2:
+                raise TopologyFormatError(f"KLJN edge must be a pair, got {e!r}")
+            a, b = e
+            for end in (a, b):
+                if not isinstance(end, str) or end not in seen:
+                    raise TopologyFormatError(f"KLJN edge {e!r} references unknown sensor {end!r}")
+            if a == b:
+                raise TopologyFormatError(f"KLJN edge {e!r} is a self-loop")
         object.__setattr__(
             self,
             "kljn_edges",
-            frozenset(_canonical_edge(a, b) for a, b in self.kljn_edges),
+            frozenset((a, b) if a < b else (b, a) for a, b in edges),
         )
         if self.wireless_sets is not None:
             object.__setattr__(
@@ -132,12 +144,10 @@ class Topology:
             )
         index: dict[SensorId, list[SensorId]] = defaultdict(list)
         for a, b in self.kljn_edges:
-            if a != b:
-                index[a].append(b)
-                index[b].append(a)
+            index[a].append(b)
+            index[b].append(a)
         object.__setattr__(self, "_sensor_set", frozenset(self.sensors))
         object.__setattr__(self, "_kljn_sets", _PeerSets(self._sensor_set, index))
-        object.__setattr__(self, "_distinct_sensors", tuple(dict.fromkeys(self.sensors)))
 
     @property
     def sensor_set(self) -> frozenset[SensorId]:
@@ -181,26 +191,32 @@ class ValidationReport:
         return {issue.code for issue in self.errors}
 
 
+def decode_json(text: str, what: str, error: type[ValueError]):
+    """``json.loads(text)``; text that is not JSON, or that nests too deeply
+    for the decoder, raises ``error`` with a one-line message naming ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        detail = f"{exc.msg} (line {exc.lineno}, column {exc.colno})"
+    except RecursionError:
+        detail = "nested too deeply"
+    raise error(f"{what} is not valid JSON: {detail}")
+
+
 def parse_topology(text: str) -> Topology:
     """Parse a JSON topology document (see :func:`topology_from_doc`)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TopologyFormatError(
-            f"topology document is not valid JSON: {exc.msg} "
-            f"(line {exc.lineno}, column {exc.colno})"
-        ) from exc
-    return topology_from_doc(doc)
+    return topology_from_doc(decode_json(text, "topology document", TopologyFormatError))
 
 
 def topology_from_doc(doc) -> Topology:
     """Build a topology from its decoded JSON document.
 
     The document is an object ``{"sensors": [...], "kljn_edges": [[a,b],...],
-    "wireless_sets": {id: [...]}}`` with ``wireless_sets`` optional.  Only
-    structural problems raise here (duplicate ids, self-loop edges, edges
-    naming unknown sensors); set-level inconsistencies such as a
-    KLJN/wireless overlap are left for :func:`validate` to report.
+    "wireless_sets": {id: [...]}}`` with ``wireless_sets`` optional.  This
+    checks the document's shape; :class:`Topology` refuses duplicate ids
+    and edges that are not pairs of distinct sensors, and set-level
+    inconsistencies such as a KLJN/wireless overlap are left for
+    :func:`validate` to report.
     """
     if not isinstance(doc, dict):
         raise TopologyFormatError("topology document must be a JSON object")
@@ -208,33 +224,12 @@ def topology_from_doc(doc) -> Topology:
     if unknown_keys:
         raise TopologyFormatError(f"unknown keys in topology document: {sorted(unknown_keys)}")
 
-    raw_sensors = doc.get("sensors")
-    if not isinstance(raw_sensors, list):
+    sensors = doc.get("sensors")
+    if not isinstance(sensors, list):
         raise TopologyFormatError("'sensors' must be a list of sensor ids")
-    sensors: list[SensorId] = []
-    seen: set[SensorId] = set()
-    for s in raw_sensors:
-        if not isinstance(s, str) or not s:
-            raise TopologyFormatError(f"sensor id must be a non-empty string, got {s!r}")
-        if s in seen:
-            raise TopologyFormatError(f"duplicate sensor id {s!r}")
-        seen.add(s)
-        sensors.append(s)
-
-    raw_edges = doc.get("kljn_edges", [])
-    if not isinstance(raw_edges, list):
+    edges = doc.get("kljn_edges", [])  # Topology canonicalizes and dedups
+    if not isinstance(edges, list):
         raise TopologyFormatError("'kljn_edges' must be a list of [id, id] pairs")
-    edges: list[tuple[SensorId, SensorId]] = []  # Topology canonicalizes and dedups
-    for e in raw_edges:
-        if not isinstance(e, list) or len(e) != 2:
-            raise TopologyFormatError(f"KLJN edge must be a pair, got {e!r}")
-        a, b = e
-        for endpoint in (a, b):
-            if not isinstance(endpoint, str) or endpoint not in seen:
-                raise TopologyFormatError(f"KLJN edge {e!r} references unknown sensor {endpoint!r}")
-        if a == b:
-            raise TopologyFormatError(f"KLJN edge {e!r} is a self-loop")
-        edges.append((a, b))
 
     wireless = None
     if "wireless_sets" in doc:
@@ -252,7 +247,7 @@ def topology_from_doc(doc) -> Topology:
                     )
             wireless[s] = frozenset(peers)
 
-    return Topology(tuple(sensors), edges, wireless)
+    return Topology(sensors, edges, wireless)
 
 
 def topology_to_doc(t: Topology) -> dict:
@@ -289,36 +284,13 @@ def derive_wireless_sets(t: Topology) -> Topology:
 
 
 def validate(t: Topology) -> ValidationReport:
-    """Check every topology invariant; violations are data, not exceptions."""
+    """Check explicit wireless sets, the part of the model that
+    :class:`Topology` does not enforce: a set of or naming an unknown sensor
+    (``unknown-sensor``), a sensor in its own set (``self-in-wireless``), a
+    wired peer in a set (``kljn-wireless-overlap``) and, as a warning, a
+    sensor without a set.  Violations are data, not exceptions."""
     report = ValidationReport()
     known = t.sensor_set
-
-    seen: set[SensorId] = set()
-    for s in t.sensors:
-        if not isinstance(s, str) or not s:
-            report.errors.append(
-                ValidationIssue("empty-id", f"sensor id {s!r} is not a non-empty string", (str(s),))
-            )
-        elif s in seen:
-            report.errors.append(
-                ValidationIssue("duplicate-sensor", f"sensor id {s!r} appears more than once", (s,))
-            )
-        seen.add(s)
-
-    for a, b in sorted(t.kljn_edges):
-        if a == b:
-            report.errors.append(
-                ValidationIssue("self-loop", f"KLJN edge {a!r}-{b!r} is a self-loop", (a,))
-            )
-        for endpoint in (a, b):
-            if endpoint not in known:
-                report.errors.append(
-                    ValidationIssue(
-                        "unknown-sensor",
-                        f"KLJN edge ({a!r}, {b!r}) references unknown sensor {endpoint!r}",
-                        (a, b),
-                    )
-                )
 
     if t.wireless_sets is not None:
         for s in sorted(t.wireless_sets):
@@ -345,8 +317,7 @@ def validate(t: Topology) -> ValidationReport:
                         "self-in-wireless", f"sensor {s!r} lists itself as a wireless peer", (s,)
                     )
                 )
-            overlap = peers & t.kljn_set(s) if s in known else frozenset()
-            for p in sorted(overlap):
+            for p in sorted(peers & t.kljn_set(s)):
                 report.errors.append(
                     ValidationIssue(
                         "kljn-wireless-overlap",

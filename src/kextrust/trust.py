@@ -234,9 +234,9 @@ class TrustMatrix:
 
     ``values[i][j]`` follows :func:`trust` off the diagonal; the diagonal is
     the sensor's own kill flag (all ones in a healthy network).  Counts are
-    kept for audit as dense ``int32`` arrays: no count exceeds m, the number
-    of sensors plus outside wired peers, and :func:`trust_matrix` needs
-    m < 2**24 anyway for its float32 product to be exact.
+    kept for audit as dense ``int32`` arrays: no count exceeds n, the number
+    of sensors, and :func:`trust_matrix` needs n < 2**24 anyway for its
+    float32 product to be exact.
     """
 
     order: list[SensorId]
@@ -286,43 +286,34 @@ def trust_matrix(
     Cells are computed from adjacency-matrix products and partial-sum
     lookup tables; the result is identical, float for float, to calling
     :func:`trust` per cell, but scales to thousands of sensors.  ``order``
-    holds each sensor once, in topology order.  Under the
-    complement rule (``wireless_sets is None``) Z needs no membership scan:
-    ``|W_j| = n - 1 - deg_j`` and i is in ``W_j`` unless i is wired to j, so
-    ``Z[i, j] = (n - 1 - deg_j) - (1 - adj[i, j])`` off the diagonal.
+    is the topology's sensor order; the counts are exact for n < 2**24.
+    Under the complement rule (``wireless_sets is None``) Z needs no
+    membership scan: ``|W_j| = n - 1 - deg_j`` and i is in ``W_j`` unless i
+    is wired to j, so ``Z[i, j] = (n - 1 - deg_j) - (1 - adj[i, j])`` off
+    the diagonal.
     """
-    order = list(t._distinct_sensors)
+    order = list(t.sensors)
     n = len(order)
     idx = {s: p for p, s in enumerate(order)}
 
-    # A wired peer outside the topology counts toward K and W, as in
-    # counts(): each one gets a row and column past the sensors'.
-    ends_idx = dict(idx)
-    ends = np.array(
-        [(ends_idx.setdefault(a, len(ends_idx)), ends_idx.setdefault(b, len(ends_idx)))
-         for a, b in t.kljn_edges if a != b],
-        dtype=np.intp,
-    ).reshape(-1, 2)
-    m = len(ends_idx)
-    # float32 is exact here: the product sums at most m ones, and float32
+    ends = np.array([(idx[a], idx[b]) for a, b in t.kljn_edges], dtype=np.intp).reshape(-1, 2)
+    # float32 is exact here: the product sums at most n ones, and float32
     # represents every integer below 2**24.
-    adj = np.zeros((m, m), dtype=np.float32)
+    adj = np.zeros((n, n), dtype=np.float32)
     adj[ends[:, 0], ends[:, 1]] = 1.0
     adj[ends[:, 1], ends[:, 0]] = 1.0
-    wired = adj[:n].astype(bool)
+    wired = adj.astype(bool)
 
     # K[i, j] = |i_kljn & j_kljn| as an exact small-integer matmul; every
-    # count is below m < 2**24, so the count arrays are int32
-    k_mat = (adj @ adj)[:n, :n].astype(np.int32)
+    # count is below n < 2**24, so the count arrays are int32
+    k_mat = (adj @ adj).astype(np.int32)
     del adj
     degree = wired.sum(axis=1, dtype=np.int32)
     w_mat = degree[None, :] - k_mat
-    wired, outside_peers = wired[:, :n], wired[:, n:].sum(axis=1, dtype=np.int32)
 
     if t.wireless_sets is None:
-        # the complement-rule closed form of the docstring, over the wired
-        # peers that are sensors
-        z_mat = (n - 2 - degree + outside_peers)[None, :] + wired
+        # the complement-rule closed form of the docstring
+        z_mat = (n - 2 - degree)[None, :] + wired
     else:
         # Z[i, j] = |W_j| - [i in W_j]: collect the memberships, then one
         # fancy-index update (each (i, j) occurs once, W_j being a set).
@@ -371,9 +362,7 @@ def rank_peers(
     K = W = Z = 39 on, a non-wired peer's sum saturates to exactly 1.0 and
     would otherwise interleave with the wired peers by id.
     """
-    if not t.has_sensor(i):
-        raise UnknownSensorError(f"unknown sensor {i!r}")
     live_wired = {j for j in t.kljn_set(i) if ks is None or ks.gamma(j)}
-    scored = [(j, trust(t, coef, ks, i, j)) for j in t._distinct_sensors if j != i]
+    scored = [(j, trust(t, coef, ks, i, j)) for j in t.sensors if j != i]
     scored.sort(key=lambda pair: (-pair[1], pair[0] not in live_wired, pair[0]))
     return scored

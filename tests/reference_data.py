@@ -69,18 +69,6 @@ def random_topology(rng, n_sensors: int, edge_prob: float | None = None) -> Topo
     return Topology(sensors, frozenset(edges))
 
 
-def messy_topology(rng, n_sensors: int) -> Topology:
-    """Random complement-rule network as only programmatic construction can
-    make it: repeated sensor ids, self-loop edges and edges to sensors that
-    are not in the topology (``validate`` reports all three)."""
-    sensors = [f"s{k:02d}" for k in range(n_sensors)]
-    sensors += [str(s) for s in rng.choice(sensors, size=int(rng.integers(0, 3)))]
-    rng.shuffle(sensors)
-    ends = sensors + ["ghost0", "ghost1"]
-    edges = {(str(a), str(b)) for a, b in rng.choice(ends, size=(2 * n_sensors, 2))}
-    return Topology(tuple(sensors), frozenset(edges))
-
-
 def with_explicit_wireless_sets(t: Topology, rng, reach: float) -> Topology:
     """``t`` with explicit, symmetric wireless sets that cover about ``reach``
     of its non-wired pairs."""

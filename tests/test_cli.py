@@ -106,6 +106,70 @@ class TestValidate:
         assert code == 1
         assert "line" in err
 
+    @pytest.mark.parametrize("command", ["validate", "trust-matrix"])
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"sensors": ' * 100_000],
+                             ids=["arrays", "objects"])
+    def test_deeply_nested_document(self, capsys, tmp_path, command, text):
+        # the decoder gives up before the nesting ends: not a traceback
+        deep = tmp_path / "deep.json"
+        deep.write_text(text)
+        code, out, err = run_cli(capsys, command, str(deep))
+        assert (code, out) == (1, "")
+        assert err == "error: topology document is not valid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"sensors": ["A", "B", "A"]}, "duplicate sensor id 'A'"),
+            ({"sensors": ["A", ""]}, "sensor id must be a non-empty string, got ''"),
+            ({"sensors": ["A", 3]}, "sensor id must be a non-empty string, got 3"),
+            ({"sensors": ["A", "B"], "kljn_edges": [["A", "A"]]},
+             "KLJN edge ['A', 'A'] is a self-loop"),
+            ({"sensors": ["A", "B"], "kljn_edges": [["A", "Q"]]},
+             "KLJN edge ['A', 'Q'] references unknown sensor 'Q'"),
+            ({"sensors": ["A", "B"], "kljn_edges": [["Q", "A"]]},
+             "KLJN edge ['Q', 'A'] references unknown sensor 'Q'"),
+            ({"sensors": ["A", "B"], "kljn_edges": [["A", 5]]},
+             "KLJN edge ['A', 5] references unknown sensor 5"),
+            ({"sensors": ["A", "B"], "kljn_edges": [["A"]]}, "KLJN edge must be a pair, got ['A']"),
+            ({"sensors": "A"}, "'sensors' must be a list of sensor ids"),
+            ({"sensors": ["A"], "kljn_edges": "AB"},
+             "'kljn_edges' must be a list of [id, id] pairs"),
+            ({"sensors": ["A"], "extra": 1}, "unknown keys in topology document: ['extra']"),
+            ({"sensors": ["A"], "wireless_sets": []},
+             "'wireless_sets' must be an object mapping id -> [id...]"),
+            ({"sensors": ["A"], "wireless_sets": {"A": "B"}}, "wireless set of 'A' must be a list"),
+            ({"sensors": ["A"], "wireless_sets": {"A": [1]}},
+             "wireless peer of 'A' must be a non-empty string, got 1"),
+        ],
+    )
+    def test_refused_document_message(self, capsys, tmp_path, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(capsys, "validate", str(bad)) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "edges, sets, code, report",
+        [
+            ([], {"A": ["Z"], "B": []}, 1,
+             "error [unknown-sensor]: wireless set of 'A' contains unknown sensor 'Z'\n"),
+            ([], {"A": [], "B": [], "Z": []}, 1,
+             "error [unknown-sensor]: wireless set given for unknown sensor 'Z'\n"),
+            ([], {"A": ["A"], "B": []}, 1,
+             "error [self-in-wireless]: sensor 'A' lists itself as a wireless peer\n"),
+            ([["A", "B"]], {"A": ["B"], "B": []}, 1,
+             "error [kljn-wireless-overlap]: 'B' is both a KLJN and a wireless peer of 'A'\n"),
+            ([], {"A": ["B"]}, 0,
+             "warning [missing-wireless-entry]: no explicit wireless set for ['B'] "
+             "(treated as empty)\nok: 2 sensors, 0 KLJN edges\n"),
+        ],
+    )
+    def test_wireless_set_fault_report(self, capsys, tmp_path, edges, sets, code, report):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"sensors": ["A", "B"], "kljn_edges": edges,
+                                   "wireless_sets": sets}))
+        assert run_cli(capsys, "validate", str(bad)) == (code, report, "")
+
 
 class TestUsage:
     def test_no_subcommand(self, capsys):
@@ -338,6 +402,14 @@ class TestStateWorkflow:
     @pytest.mark.parametrize(
         "text,message",
         [
+            # text that is not JSON, or that nests too deeply for the decoder
+            ("not json", "state file is not valid JSON: Expecting value (line 1, column 1)"),
+            ('{"version": 2,\n  "clock": }',
+             "state file is not valid JSON: Expecting value (line 2, column 12)"),
+            pytest.param("[" * 100_000, "state file is not valid JSON: nested too deeply",
+                         id="deep-arrays"),
+            pytest.param('{"version": 2, "topology": ' + '{"a": ' * 100_000,
+                         "state file is not valid JSON: nested too deeply", id="deep-objects"),
             ("[]", "state file must hold a JSON object"),
             # earlier versions and seedless states: the keys cannot be derived
             (_V1_STATE, f"state file has no 'version'; {_REESTABLISH}"),
