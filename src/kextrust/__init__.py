@@ -26,6 +26,7 @@ from .kljn import (
     theoretical_levels,
 )
 from .orchestrator import (
+    KillSwitchState,
     NetworkKeyState,
     apply_kill_event,
     establish_network_keys,
@@ -47,7 +48,6 @@ from .topology import (
     validate,
 )
 from .trust import (
-    KillSwitchState,
     TrustCoefficients,
     TrustCounts,
     TrustMatrix,

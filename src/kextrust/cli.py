@@ -38,13 +38,13 @@ from .orchestrator import (
     write_files,
 )
 from .topology import (
+    SensorId,
     Topology,
     bundled_topology_path,
     parse_topology,
     validate,
 )
 from .trust import (
-    KillSwitchState,
     coefficients_closed_form,
     coefficients_fixed_point,
     rank_peers,
@@ -84,17 +84,14 @@ def _load_checked_state(path: str) -> NetworkKeyState:
     return state
 
 
-def _kill_state(kill_list: str | None, t: Topology) -> KillSwitchState:
-    ks = KillSwitchState()
-    if kill_list:
-        for sensor in kill_list.split(","):
-            sensor = sensor.strip()
-            if not sensor:
-                continue
-            if not t.has_sensor(sensor):
-                raise DomainError(f"--kill names unknown sensor {sensor!r}")
-            ks.kill(sensor, note="cli flag")
-    return ks
+def _killed(kill_list: str | None, t: Topology) -> frozenset[SensorId]:
+    """The sensors named by ``--kill``, comma-separated with blanks skipped;
+    the first name, in the order given, that is not a sensor is an error."""
+    names = [s for s in map(str.strip, (kill_list or "").split(",")) if s]
+    unknown = next((s for s in names if not t.has_sensor(s)), None)
+    if unknown is not None:
+        raise DomainError(f"--kill names unknown sensor {unknown!r}")
+    return frozenset(names)
 
 
 def _emit(text: str, out: str | None, *files: tuple[str, str]) -> None:
@@ -244,15 +241,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_trust(args) -> int:
     t = _load_checked_topology(args.topology)
-    ks = _kill_state(args.kill, t)
-    value = trust(t, coefficients_closed_form(), ks, args.evaluator, args.peer)
+    value = trust(t, coefficients_closed_form(), _killed(args.kill, t), args.evaluator, args.peer)
     print(repr(value) if args.full_precision else f"{value:.3f}")
     return 0
 
 
 def _cmd_trust_matrix(args) -> int:
     t = _load_checked_topology(args.topology)
-    matrix = trust_matrix(t, coefficients_closed_form(), _kill_state(args.kill, t))
+    matrix = trust_matrix(t, coefficients_closed_form(), _killed(args.kill, t))
     if args.format == "json":
         _emit(matrix_to_json(matrix.order, matrix.values), args.out)
     else:
@@ -262,7 +258,7 @@ def _cmd_trust_matrix(args) -> int:
 
 def _cmd_rank(args) -> int:
     t = _load_checked_topology(args.topology)
-    ranking = rank_peers(t, coefficients_closed_form(), _kill_state(args.kill, t), args.evaluator)
+    ranking = rank_peers(t, coefficients_closed_form(), _killed(args.kill, t), args.evaluator)
     lines = [f"{_csv_field(sensor)},{value:.3f}" for sensor, value in ranking]
     _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
     return 0

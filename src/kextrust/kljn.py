@@ -24,7 +24,8 @@ mirrors that: both parties publish their quantized sample words over an
 authenticated public channel and compare; any mismatch voids the period.
 On an untampered period (no attacker, or one not yet active) both ends
 see the one shared waveform, so it is quantized once and both parties
-publish that same trace; the comparison still runs on every period.
+publish that same trace, which cannot mismatch; only tampered periods
+run the comparison.
 """
 
 from __future__ import annotations
@@ -299,10 +300,11 @@ def simulate_bit_period(
     the first party's view, which equals the second party's except under an
     active attack.  An untampered period (no attacker, or one not yet
     active) quantizes the shared waveform once and publishes that one trace
-    for both parties; the public word comparison still runs on it.  The
-    shared bit convention: in a mixed period the bit is 1 iff the first
-    (lexicographically smaller) party holds the high resistor; either party
-    can compute it from its own choice once the level class is known.
+    for both parties; a trace cannot mismatch itself, so only a tampered
+    period runs the public word comparison.  The shared bit convention: in
+    a mixed period the bit is 1 iff the first (lexicographically smaller)
+    party holds the high resistor; either party can compute it from its own
+    choice once the level class is known.
     """
     alice_choice = ResistorChoice.HIGH if alice_rng.integers(0, 2) else ResistorChoice.LOW
     bob_choice = ResistorChoice.HIGH if bob_rng.integers(0, 2) else ResistorChoice.LOW
@@ -338,7 +340,7 @@ def simulate_bit_period(
         )
     else:
         bob_trace = alice_trace  # one shared waveform, one shared trace
-    attack_flag = _words_mismatch(alice_trace, bob_trace)
+    attack_flag = tampered and _words_mismatch(alice_trace, bob_trace)
 
     bit = None
     if level_class is LevelClass.INTERMEDIATE and not attack_flag:
@@ -415,19 +417,18 @@ def run_key_exchange(
     cfg: KljnSessionConfig,
     target_bits: int,
     attacker=None,
-    period_budget: int | None = None,
 ) -> KeyExchangeResult:
     """Repeat bit periods until the key is complete or something stops us.
 
     Stops early when the public comparison flags a period (the whole key is
-    discarded) and raises :class:`BudgetExhaustedError` if the budget
-    (default 64 periods per requested bit) runs out first.  Deterministic
-    for a given config seed: the two parties draw from independent streams
-    spawned from it.
+    discarded) and raises :class:`BudgetExhaustedError` if the budget of
+    ``64 * target_bits`` periods runs out first.  Deterministic for a given
+    config seed: the two parties draw from independent streams spawned
+    from it.
     """
     if target_bits < 1:
         raise ValueError("target_bits must be at least 1")
-    budget = period_budget if period_budget is not None else 64 * target_bits
+    budget = 64 * target_bits
     alice_seq, bob_seq = np.random.SeedSequence(cfg.seed).spawn(2)
     alice_rng = np.random.default_rng(alice_seq)
     bob_rng = np.random.default_rng(bob_seq)

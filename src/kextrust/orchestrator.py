@@ -32,13 +32,7 @@ from .topology import (
     topology_from_doc,
     topology_to_doc,
 )
-from .trust import (
-    KillEvent,
-    KillSwitchState,
-    TrustCoefficients,
-    rank_peers,
-    trust_matrix,
-)
+from .trust import TrustCoefficients, rank_peers, trust_matrix
 
 CHANNEL_KLJN = "kljn"
 CHANNEL_WIRELESS = "wireless"
@@ -48,6 +42,39 @@ STATUS_FAILED = "failed"
 STATUS_REVOKED = "revoked"
 
 Pair = tuple[SensorId, SensorId]
+
+
+@dataclass
+class KillEvent:
+    timestamp: int
+    sensor: SensorId
+    action: str  # "set" (kill the sensor) or "clear" (revive it)
+    note: str = ""
+
+
+@dataclass
+class KillSwitchState:
+    """The operator's kill log, the one source of the killed sensors.
+
+    Each event is stamped with the state's logical clock.  A sensor is
+    killed while its last event is a ``set``.
+    """
+
+    event_log: list[KillEvent] = field(default_factory=list)
+
+    @property
+    def killed(self) -> frozenset[SensorId]:
+        """The sensors killed after replaying ``event_log``."""
+        killed: set[SensorId] = set()
+        for e in self.event_log:
+            (killed.add if e.action == "set" else killed.discard)(e.sensor)
+        return frozenset(killed)
+
+    def kill(self, sensor: SensorId, timestamp: int, note: str = "") -> None:
+        self.event_log.append(KillEvent(timestamp, sensor, "set", note))
+
+    def clear(self, sensor: SensorId, timestamp: int, note: str = "") -> None:
+        self.event_log.append(KillEvent(timestamp, sensor, "clear", note))
 
 
 @dataclass
@@ -203,7 +230,7 @@ def apply_kill_event(state: NetworkKeyState, sensor: SensorId, note: str = "") -
     """
     peers = state.topology.kljn_set(sensor)  # an unknown id raises UnknownSensorError
     state.clock += 1
-    state.kill.kill(sensor, note=note, timestamp=state.clock)
+    state.kill.kill(sensor, state.clock, note)
     for peer in peers:
         record = state.stored.get((sensor, peer) if sensor < peer else (peer, sensor))
         if record is not None:
@@ -223,7 +250,8 @@ def trust_report(state: NetworkKeyState, coef: TrustCoefficients) -> dict:
     ``json.dumps(doc, indent=2) + "\n"``.
     """
     t = state.topology
-    matrix = trust_matrix(t, coef, state.kill)
+    killed = state.kill.killed
+    matrix = trust_matrix(t, coef, killed)
     return {
         "sensors": list(t.sensors),
         "coefficients": {
@@ -232,13 +260,13 @@ def trust_report(state: NetworkKeyState, coef: TrustCoefficients) -> dict:
             "c": coef.c,
             "provenance": coef.provenance,
         },
-        "killed": sorted(state.kill.killed),
+        "killed": sorted(killed),
         "matrix": {
             "order": matrix.order,
             "values": matrix.values.tolist(),
         },
         "rankings": {
-            i: [[j, value] for j, value in rank_peers(t, coef, state.kill, i)]
+            i: [[j, value] for j, value in rank_peers(t, coef, killed, i)]
             for i in t.sensors
         },
         "records": [_record_to_dict(r) for r in state.records_sorted()],
@@ -335,7 +363,7 @@ class StateFormatError(ValueError):
 
 
 def _kill_from_doc(events: list, t: Topology) -> KillSwitchState:
-    """The kill switch replayed from its event list.  Every sensor named must
+    """The kill log read from its event list.  Every sensor named must
     be one of ``t``'s and every event field is type checked."""
     if not isinstance(events, list):
         raise StateFormatError("state file kill events must be a list")
@@ -351,7 +379,7 @@ def _kill_from_doc(events: list, t: Topology) -> KillSwitchState:
         elif not isinstance(note, str):
             problem = "'note' must be a string"
         else:
-            (kill.kill if action == "set" else kill.clear)(sensor, note, timestamp)
+            (kill.kill if action == "set" else kill.clear)(sensor, timestamp, note)
             continue
         raise StateFormatError(f"state file kill event {index}: {problem}")
     return kill

@@ -86,18 +86,45 @@ class _ComplementSet(Set):
         return frozenset(it)
 
 
+def _frozen_wireless_sets(sets) -> dict[SensorId, frozenset[SensorId]]:
+    """``sets`` with each peer collection made a frozenset.  An owner or a
+    peer that is not a non-empty string raises :class:`TopologyFormatError`."""
+    frozen = {}
+    for s, peers in sets.items():
+        if not isinstance(s, str) or not s:
+            raise TopologyFormatError(f"wireless set owner must be a non-empty string, got {s!r}")
+        frozen[s] = _checked_peers(s, peers)
+    return frozen
+
+
+def _checked_peers(s: SensorId, peers) -> frozenset[SensorId]:
+    """``peers`` as a frozenset.  A peer that is not a non-empty string,
+    hashable or not, raises :class:`TopologyFormatError` naming the first
+    such peer in the given order."""
+    if not isinstance(peers, (set, frozenset)):
+        peers = list(peers)
+    if set(map(type, peers)) - {str} or "" in peers:
+        for p in peers:
+            if not isinstance(p, str) or not p:
+                raise TopologyFormatError(
+                    f"wireless peer of {s!r} must be a non-empty string, got {p!r}"
+                )
+    return frozenset(peers)
+
+
 @dataclass(frozen=True)
 class Topology:
     """Sensors plus wired KLJN links and (optional) explicit wireless sets.
 
-    Construction refuses, with :class:`TopologyFormatError`, a sensor id
-    that is not a non-empty string or repeats one, and an edge that is not
-    a pair of two distinct sensors of the topology.  ``kljn_edges`` holds
-    canonical sorted pairs, so link symmetry cannot be violated by
-    construction.  ``wireless_sets`` is ``None`` until sets are given
-    explicitly or derived with :func:`derive_wireless_sets`; accessors fall
-    back to the complement rule when it is ``None``.  :func:`validate`
-    checks explicit sets.
+    Construction refuses, with :class:`TopologyFormatError`, a wireless-set
+    owner or peer that is not a non-empty string, a sensor id that is not a
+    non-empty string or repeats one, and an edge that is not a pair of two
+    distinct sensors of the topology.  ``kljn_edges`` holds canonical sorted
+    pairs, so link symmetry cannot be violated by construction.
+    ``wireless_sets`` is ``None`` until sets are given explicitly or derived
+    with :func:`derive_wireless_sets`; accessors fall back to the complement
+    rule when it is ``None``.  :func:`validate` checks explicit sets against
+    the sensors and the wired links.
 
     Construction indexes the edges once: a per-sensor list of wired peers
     and the sensor set.  Lookups read the index instead of rescanning
@@ -113,6 +140,9 @@ class Topology:
     _kljn_sets: _PeerSets = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # before the sensors: fixes which message a multi-fault document gets
+        if self.wireless_sets is not None:
+            object.__setattr__(self, "wireless_sets", _frozen_wireless_sets(self.wireless_sets))
         object.__setattr__(self, "sensors", tuple(self.sensors))
         seen: set[SensorId] = set()
         for s in self.sensors:
@@ -136,12 +166,6 @@ class Topology:
             "kljn_edges",
             frozenset((a, b) if a < b else (b, a) for a, b in edges),
         )
-        if self.wireless_sets is not None:
-            object.__setattr__(
-                self,
-                "wireless_sets",
-                {s: frozenset(peers) for s, peers in self.wireless_sets.items()},
-            )
         index: dict[SensorId, list[SensorId]] = defaultdict(list)
         for a, b in self.kljn_edges:
             index[a].append(b)
@@ -213,10 +237,10 @@ def topology_from_doc(doc) -> Topology:
 
     The document is an object ``{"sensors": [...], "kljn_edges": [[a,b],...],
     "wireless_sets": {id: [...]}}`` with ``wireless_sets`` optional.  This
-    checks the document's shape; :class:`Topology` refuses duplicate ids
-    and edges that are not pairs of distinct sensors, and set-level
-    inconsistencies such as a KLJN/wireless overlap are left for
-    :func:`validate` to report.
+    checks the document's shape; :class:`Topology` refuses ids that are not
+    non-empty strings, duplicate ids and edges that are not pairs of
+    distinct sensors, and set-level inconsistencies such as a KLJN/wireless
+    overlap are left for :func:`validate` to report.
     """
     if not isinstance(doc, dict):
         raise TopologyFormatError("topology document must be a JSON object")
@@ -231,21 +255,13 @@ def topology_from_doc(doc) -> Topology:
     if not isinstance(edges, list):
         raise TopologyFormatError("'kljn_edges' must be a list of [id, id] pairs")
 
-    wireless = None
+    wireless = doc.get("wireless_sets")
     if "wireless_sets" in doc:
-        raw_wireless = doc["wireless_sets"]
-        if not isinstance(raw_wireless, dict):
+        if not isinstance(wireless, dict):
             raise TopologyFormatError("'wireless_sets' must be an object mapping id -> [id...]")
-        wireless = {}
-        for s, peers in raw_wireless.items():
+        for s, peers in wireless.items():
             if not isinstance(peers, list):
                 raise TopologyFormatError(f"wireless set of {s!r} must be a list")
-            for p in peers:
-                if not isinstance(p, str) or not p:
-                    raise TopologyFormatError(
-                        f"wireless peer of {s!r} must be a non-empty string, got {p!r}"
-                    )
-            wireless[s] = frozenset(peers)
 
     return Topology(sensors, edges, wireless)
 

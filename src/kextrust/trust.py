@@ -23,6 +23,7 @@ independent numerical oracle.
 from __future__ import annotations
 
 import math
+from collections.abc import Set
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +32,6 @@ from .topology import SensorId, Topology, UnknownSensorError
 
 __all__ = [
     "TrustCoefficients",
-    "KillSwitchState",
-    "KillEvent",
     "TrustCounts",
     "TrustMatrix",
     "coefficients_closed_form",
@@ -141,42 +140,6 @@ class TrustCounts:
     z: int
 
 
-@dataclass
-class KillEvent:
-    timestamp: int
-    sensor: SensorId
-    action: str  # "set" (gamma -> 0) or "clear" (gamma -> 1)
-    note: str = ""
-
-
-@dataclass
-class KillSwitchState:
-    """Operator-controlled per-sensor binary flags with an event history.
-
-    A sensor in ``killed`` has gamma = 0 and every trust evaluation of it
-    yields zero.  Events are logged with logical timestamps; callers with
-    their own clock may pass timestamps explicitly.
-    """
-
-    killed: set[SensorId] = field(default_factory=set)
-    event_log: list[KillEvent] = field(default_factory=list)
-
-    def gamma(self, j: SensorId) -> int:
-        return 0 if j in self.killed else 1
-
-    def kill(self, sensor: SensorId, note: str = "", timestamp: int | None = None) -> None:
-        if timestamp is None:
-            timestamp = len(self.event_log)
-        self.killed.add(sensor)
-        self.event_log.append(KillEvent(timestamp, sensor, "set", note))
-
-    def clear(self, sensor: SensorId, note: str = "", timestamp: int | None = None) -> None:
-        if timestamp is None:
-            timestamp = len(self.event_log)
-        self.killed.discard(sensor)
-        self.event_log.append(KillEvent(timestamp, sensor, "clear", note))
-
-
 def counts(t: Topology, i: SensorId, j: SensorId) -> TrustCounts:
     """Count mutual wired peers, j's other wired peers, and j's wireless-only peers.
 
@@ -198,21 +161,22 @@ def counts(t: Topology, i: SensorId, j: SensorId) -> TrustCounts:
 def trust(
     t: Topology,
     coef: TrustCoefficients,
-    ks: KillSwitchState | None,
+    killed: Set[SensorId],
     i: SensorId,
     j: SensorId,
 ) -> float:
     """Key-exchange trust of sensor i in sensor j.
 
-    Zero if j is killed; one if j is a wired-KLJN peer of i; otherwise the
-    sum of the three finite geometric series over the counts of
-    :func:`counts`.  The sum is capped at 1.0: mathematically it stays
-    strictly below 1, but float saturation of the partial sums can land
-    exactly on 1 (or an ulp above) once every count exceeds ~40.
+    Zero if j is in ``killed``, the set of killed sensors; one if j is a
+    wired-KLJN peer of i; otherwise the sum of the three finite geometric
+    series over the counts of :func:`counts`.  The sum is capped at 1.0:
+    mathematically it stays strictly below 1, but float saturation of the
+    partial sums can land exactly on 1 (or an ulp above) once every count
+    exceeds ~40.
     """
     if i == j:
         raise ValueError("self-trust is a matrix diagonal convention; trust() needs i != j")
-    if ks is not None and ks.gamma(j) == 0:
+    if j in killed:
         # still surface unknown-sensor errors for killed ids
         t.kljn_set(j)
         t.kljn_set(i)
@@ -230,21 +194,14 @@ def trust(
 
 @dataclass
 class TrustMatrix:
-    """All-pairs trust values with the counts and coefficients that produced them.
+    """All-pairs trust values, rows and columns in ``order``.
 
     ``values[i][j]`` follows :func:`trust` off the diagonal; the diagonal is
-    the sensor's own kill flag (all ones in a healthy network).  Counts are
-    kept for audit as dense ``int32`` arrays: no count exceeds n, the number
-    of sensors, and :func:`trust_matrix` needs n < 2**24 anyway for its
-    float32 product to be exact.
+    1.0 for a live sensor and 0.0 for a killed one.
     """
 
     order: list[SensorId]
     values: np.ndarray
-    k_counts: np.ndarray
-    w_counts: np.ndarray
-    z_counts: np.ndarray
-    coefficients: TrustCoefficients
     _positions: dict[SensorId, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -259,27 +216,19 @@ class TrustMatrix:
     def value(self, i: SensorId, j: SensorId) -> float:
         return float(self.values[self.index(i), self.index(j)])
 
-    def counts_for(self, i: SensorId, j: SensorId) -> TrustCounts:
-        a, b = self.index(i), self.index(j)
-        if a == b:
-            raise ValueError("counts are defined for off-diagonal pairs only")
-        return TrustCounts(
-            k=int(self.k_counts[a, b]),
-            w=int(self.w_counts[a, b]),
-            z=int(self.z_counts[a, b]),
-        )
 
-
-def _partial_sum_table(r: float, n_max: int) -> np.ndarray:
-    # Reuses the scalar function (not vectorized power, which may round
-    # differently) so matrix cells are bit-identical to trust() calls.
-    return np.array([geometric_partial_sum(r, n) for n in range(n_max + 1)])
+def _partial_sums(r: float, counts: np.ndarray) -> np.ndarray:
+    """``geometric_partial_sum(r, k)`` for each count k of ``counts``, looked
+    up in a table of the scalar function (not vectorized power, which may
+    round differently), so matrix cells are bit-identical to trust() calls."""
+    table = np.array([geometric_partial_sum(r, k) for k in range(int(counts.max(initial=0)) + 1)])
+    return table[counts]
 
 
 def trust_matrix(
     t: Topology,
     coef: TrustCoefficients,
-    ks: KillSwitchState | None = None,
+    killed: Set[SensorId] = frozenset(),
 ) -> TrustMatrix:
     """Evaluate trust for every ordered pair of sensors.
 
@@ -287,10 +236,11 @@ def trust_matrix(
     lookup tables; the result is identical, float for float, to calling
     :func:`trust` per cell, but scales to thousands of sensors.  ``order``
     is the topology's sensor order; the counts are exact for n < 2**24.
-    Under the complement rule (``wireless_sets is None``) Z needs no
-    membership scan: ``|W_j| = n - 1 - deg_j`` and i is in ``W_j`` unless i
-    is wired to j, so ``Z[i, j] = (n - 1 - deg_j) - (1 - adj[i, j])`` off
-    the diagonal.
+    Each count array is dropped once its partial sums are added in, so
+    only ``values`` outlives the call.  Under the complement rule
+    (``wireless_sets is None``) Z needs no membership scan:
+    ``|W_j| = n - 1 - deg_j`` and i is in ``W_j`` unless i is wired to j, so
+    ``Z[i, j] = (n - 1 - deg_j) - (1 - adj[i, j])`` off the diagonal.
     """
     order = list(t.sensors)
     n = len(order)
@@ -310,6 +260,14 @@ def trust_matrix(
     del adj
     degree = wired.sum(axis=1, dtype=np.int32)
     w_mat = degree[None, :] - k_mat
+    np.fill_diagonal(k_mat, 0)
+    np.fill_diagonal(w_mat, 0)
+
+    # summed a, then b, then c: the float order of trust()
+    values = _partial_sums(coef.a, k_mat)
+    del k_mat
+    values += _partial_sums(coef.b, w_mat)
+    del w_mat
 
     if t.wireless_sets is None:
         # the complement-rule closed form of the docstring
@@ -328,32 +286,26 @@ def trust_matrix(
             cols += [j_pos] * len(members)
         z_mat = np.tile(z_base, (n, 1))
         z_mat[rows, cols] -= 1
-
-    np.fill_diagonal(k_mat, 0)
-    np.fill_diagonal(w_mat, 0)
     np.fill_diagonal(z_mat, 0)
+    values += _partial_sums(coef.c, z_mat)
+    del z_mat
 
-    sum_a = _partial_sum_table(coef.a, int(k_mat.max(initial=0)))
-    sum_b = _partial_sum_table(coef.b, int(w_mat.max(initial=0)))
-    sum_c = _partial_sum_table(coef.c, int(z_mat.max(initial=0)))
-
-    values = sum_a[k_mat] + sum_b[w_mat] + sum_c[z_mat]
     np.minimum(values, 1.0, out=values)
     values[wired] = 1.0
     np.fill_diagonal(values, 1.0)
 
-    if ks is not None and ks.killed:
-        gamma = np.array([float(ks.gamma(s)) for s in order])
-        values *= gamma[None, :]
-        np.fill_diagonal(values, gamma)
+    if killed:
+        live = np.array([s not in killed for s in order], dtype=np.float64)
+        values *= live[None, :]
+        np.fill_diagonal(values, live)
 
-    return TrustMatrix(order, values, k_mat, w_mat, z_mat, coef)
+    return TrustMatrix(order, values)
 
 
 def rank_peers(
     t: Topology,
     coef: TrustCoefficients,
-    ks: KillSwitchState | None,
+    killed: Set[SensorId],
     i: SensorId,
 ) -> list[tuple[SensorId, float]]:
     """Peers of ``i`` ordered by descending trust, ties broken by sensor id.
@@ -362,7 +314,7 @@ def rank_peers(
     K = W = Z = 39 on, a non-wired peer's sum saturates to exactly 1.0 and
     would otherwise interleave with the wired peers by id.
     """
-    live_wired = {j for j in t.kljn_set(i) if ks is None or ks.gamma(j)}
-    scored = [(j, trust(t, coef, ks, i, j)) for j in t.sensors if j != i]
+    live_wired = t.kljn_set(i) - killed
+    scored = [(j, trust(t, coef, killed, i, j)) for j in t.sensors if j != i]
     scored.sort(key=lambda pair: (-pair[1], pair[0] not in live_wired, pair[0]))
     return scored

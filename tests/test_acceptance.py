@@ -29,9 +29,9 @@ from kextrust.orchestrator import (
 )
 from kextrust.topology import Topology, derive_wireless_sets, validate
 from kextrust.trust import (
-    KillSwitchState,
     coefficients_closed_form,
     coefficients_fixed_point,
+    counts,
     geometric_partial_sum,
     trust,
     trust_matrix,
@@ -196,7 +196,7 @@ def _monotone_synthetic_checks(failures):
         ),
     }
     for coordinate, t in explicit_wireless.items():
-        if not trust(t, COEF, None, "i", "j") > trust(t, COEF, None, "i", "k"):
+        if not trust(t, COEF, frozenset(), "i", "j") > trust(t, COEF, frozenset(), "i", "k"):
             failures.append(f"constructed {coordinate}-coordinate pair not strictly ordered")
 
 
@@ -227,33 +227,30 @@ def test_criterion_4_property_suite_on_random_topologies():
         if not validate(t).ok:
             failures.append(f"topology {topo_index} failed validation")
             break
-        ks = KillSwitchState()
-        for s in t.sensors:
-            if rng.random() < 0.15:
-                ks.kill(s)
-        matrix = trust_matrix(t, COEF, ks)
+        killed = {s for s in t.sensors if rng.random() < 0.15}
+        matrix = trust_matrix(t, COEF, killed)
         values = matrix.values
         if values.min() < 0.0 or values.max() > 1.0:
             failures.append(f"topology {topo_index}: values outside [0, 1]")
             break
         for pos, s in enumerate(t.sensors):
-            if s in ks.killed and values[:, pos].any():
+            if s in killed and values[:, pos].any():
                 failures.append(f"topology {topo_index}: killed column {s} not zero")
                 break
         for a_id, b_id in t.kljn_edges:
-            if ks.gamma(b_id) and matrix.value(a_id, b_id) != 1.0:
+            if b_id not in killed and matrix.value(a_id, b_id) != 1.0:
                 failures.append(f"topology {topo_index}: wired pair {(a_id, b_id)} not 1")
                 break
-            if ks.gamma(a_id) and matrix.value(b_id, a_id) != 1.0:
+            if a_id not in killed and matrix.value(b_id, a_id) != 1.0:
                 failures.append(f"topology {topo_index}: wired pair {(b_id, a_id)} not 1")
                 break
         # closed form against the term-by-term oracle on sampled cells
         sensors = list(t.sensors)
         for _ in range(5):
             i, j = (sensors[int(v)] for v in rng.integers(0, n, size=2))
-            if i == j or j in t.kljn_set(i) or not ks.gamma(j):
+            if i == j or j in t.kljn_set(i) or j in killed:
                 continue
-            cell = matrix.counts_for(i, j)
+            cell = counts(t, i, j)
             naive = (
                 geometric_sum_naive(COEF.a, cell.k)
                 + geometric_sum_naive(COEF.b, cell.w)
@@ -389,6 +386,6 @@ def test_criterion_8_thousand_sensor_scale():
         a, b = (int(v) for v in rng.integers(0, n, size=2))
         if a == b:
             continue
-        if matrix.values[a, b] != trust(t, COEF, None, sensors[a], sensors[b]):
+        if matrix.values[a, b] != trust(t, COEF, frozenset(), sensors[a], sensors[b]):
             failures.append(f"cell ({a}, {b}) differs from scalar evaluation")
     _report(8, "1000-sensor all-pairs matrix under 10 s", failures, elapsed)

@@ -7,7 +7,7 @@ from kextrust import orchestrator
 from kextrust.cli import main, matrix_to_json
 from kextrust.orchestrator import load_state
 from kextrust.topology import bundled_topology_path
-from kextrust.trust import KillSwitchState, coefficients_closed_form, trust_matrix
+from kextrust.trust import coefficients_closed_form, trust_matrix
 from reference_data import EXPECTED_TRUST, SENSORS, expected_tolerance
 
 
@@ -141,6 +141,13 @@ class TestValidate:
             ({"sensors": ["A"], "wireless_sets": {"A": "B"}}, "wireless set of 'A' must be a list"),
             ({"sensors": ["A"], "wireless_sets": {"A": [1]}},
              "wireless peer of 'A' must be a non-empty string, got 1"),
+            ({"sensors": ["A"], "wireless_sets": {"A": [["B"]]}},
+             "wireless peer of 'A' must be a non-empty string, got ['B']"),
+            ({"sensors": ["A"], "wireless_sets": {"": []}},
+             "wireless set owner must be a non-empty string, got ''"),
+            # the wireless sets are checked before the sensors
+            ({"sensors": ["A", "A"], "wireless_sets": {"A": [""]}},
+             "wireless peer of 'A' must be a non-empty string, got ''"),
         ],
     )
     def test_refused_document_message(self, capsys, tmp_path, doc, message):
@@ -248,10 +255,7 @@ class TestTrustCommands:
         flags = ["--kill", ",".join(kill)] if kill else []
         code, out, _ = run_cli(capsys, "trust-matrix", fig2_file, "--format", "json", *flags)
         assert code == 0
-        ks = KillSwitchState()
-        for sensor in kill:
-            ks.kill(sensor)
-        matrix = trust_matrix(fig2, coefficients_closed_form(), ks)
+        matrix = trust_matrix(fig2, coefficients_closed_form(), set(kill))
         doc = {"order": matrix.order, "values": matrix.values.tolist()}
         assert out == json.dumps(doc, indent=2) + "\n"
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from kextrust import kljn
 from kextrust.kljn import (
     BudgetExhaustedError,
     CurrentInjectionAttacker,
@@ -305,6 +306,24 @@ class TestKeyExchange:
         result = run_key_exchange(KljnSessionConfig(seed=7), 8, attacker=attacker)
         assert result.attack_detected
         assert result.periods_used == 1
+
+    def test_untampered_periods_skip_the_word_comparison(self, monkeypatch):
+        # an untampered period publishes one trace for both parties, which
+        # cannot mismatch itself: comparing it would only cost time
+        clean = run_key_exchange(KljnSessionConfig(seed=7), 32)
+        compare = kljn._words_mismatch
+
+        def compare_distinct(a, b):
+            if a is b:
+                raise AssertionError("an untampered trace was compared with itself")
+            return compare(a, b)
+
+        monkeypatch.setattr(kljn, "_words_mismatch", compare_distinct)
+        assert run_key_exchange(KljnSessionConfig(seed=7), 32) == clean
+        attacker = WireSubstitutionAttacker(start_period=10, seed=4)
+        attacked = run_key_exchange(KljnSessionConfig(seed=5), 64, attacker=attacker)
+        assert attacked.attack_detected
+        assert attacked.periods_used == 11
 
     def test_key_hex_packing(self):
         result = KeyExchangeResult("0111001010110100", 30, 10, 0, False, {})

@@ -8,6 +8,7 @@ from kextrust.orchestrator import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_REVOKED,
+    KillSwitchState,
     apply_kill_event,
     establish_network_keys,
     load_state,
@@ -91,6 +92,27 @@ class TestEstablish:
         t = Topology(("A", "B", "C"), frozenset({("A", "B")}))
         with pytest.raises(ValueError, match="master seed must be an int"):
             establish_network_keys(t, CFG, master_seed=master_seed)
+
+
+class TestKillSwitchState:
+    def test_killed_replays_the_log(self):
+        ks = KillSwitchState()
+        assert ks.killed == frozenset()
+        ks.kill("A", 1, note="tamper alert")
+        ks.kill("B", 2)
+        ks.kill("A", 3)
+        assert ks.killed == {"A", "B"}
+        ks.clear("A", 4, note="false alarm")
+        assert ks.killed == {"B"}
+        assert [e.action for e in ks.event_log] == ["set", "set", "set", "clear"]
+        assert [e.timestamp for e in ks.event_log] == [1, 2, 3, 4]
+        assert ks.event_log[0].note == "tamper alert"
+
+    def test_killed_follows_an_edited_log(self):
+        ks = KillSwitchState()
+        ks.kill("A", 1)
+        ks.event_log.pop()
+        assert ks.killed == frozenset()
 
 
 class TestKillEvents:

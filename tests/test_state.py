@@ -22,13 +22,13 @@ from kextrust.kljn import (
 )
 from kextrust.orchestrator import (
     KeyRecord,
+    KillEvent,
     apply_kill_event,
     establish_network_keys,
     state_from_json,
     state_to_json,
 )
 from kextrust.topology import Topology
-from kextrust.trust import KillSwitchState
 from reference_data import random_topology, with_explicit_wireless_sets
 
 CFG = KljnSessionConfig()
@@ -48,10 +48,26 @@ def _oracle_fingerprint(material):
 
 
 @dataclass
+class EagerKillLog:
+    """The kill log with its killed set stored next to it, updated per event."""
+
+    killed: set = field(default_factory=set)
+    event_log: list = field(default_factory=list)
+
+    def kill(self, sensor, timestamp, note=""):
+        self.killed.add(sensor)
+        self.event_log.append(KillEvent(timestamp, sensor, "set", note))
+
+    def clear(self, sensor, timestamp, note=""):
+        self.killed.discard(sensor)
+        self.event_log.append(KillEvent(timestamp, sensor, "clear", note))
+
+
+@dataclass
 class EagerState:
     topology: Topology
     records: dict
-    kill: KillSwitchState = field(default_factory=KillSwitchState)
+    kill: EagerKillLog = field(default_factory=EagerKillLog)
     clock: int = 0
 
 

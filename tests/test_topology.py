@@ -140,6 +140,22 @@ def test_construction_refuses_what_the_model_excludes(sensors, edge, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        ({"A": [1, "B"], "B": []}, "wireless peer of 'A' must be a non-empty string, got 1"),
+        ({"A": ["B", ""], "B": []}, "wireless peer of 'A' must be a non-empty string, got ''"),
+        ({"A": ["B"], 1: ["A"]}, "wireless set owner must be a non-empty string, got 1"),
+        ({"A": ["B"], "": ["A"]}, "wireless set owner must be a non-empty string, got ''"),
+    ],
+)
+def test_construction_refuses_wireless_ids_that_are_not_strings(sets, message):
+    # validate would sort such a set and raise a bare TypeError
+    with pytest.raises(TopologyFormatError) as excinfo:
+        Topology(("A", "B"), (), sets)
+    assert str(excinfo.value) == message
+
+
 def test_edges_may_be_any_iterable_of_pairs():
     edges = (pair for pair in [("B", "A"), ("A", "B"), ["C", "B"]])
     t = Topology(["A", "B", "C"], edges)

@@ -1,12 +1,12 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kextrust.topology import Topology, UnknownSensorError, derive_wireless_sets
 from kextrust.trust import (
-    KillSwitchState,
     coefficients_closed_form,
     coefficients_fixed_point,
     counts,
@@ -117,39 +117,36 @@ class TestCounts:
 
 class TestTrustFunction:
     def test_wireless_peer_with_shared_wired_neighbour(self, fig2):
-        assert trust(fig2, COEF, None, "A", "C") == pytest.approx(0.555, abs=1e-3)
+        assert trust(fig2, COEF, frozenset(), "A", "C") == pytest.approx(0.555, abs=1e-3)
 
     def test_wired_peer_is_fully_trusted(self, fig2):
-        assert trust(fig2, COEF, None, "A", "B") == 1.0
+        assert trust(fig2, COEF, frozenset(), "A", "B") == 1.0
 
     def test_killed_peer_is_zero(self, fig2):
-        ks = KillSwitchState()
-        ks.kill("C", note="compromised")
-        assert trust(fig2, COEF, ks, "A", "C") == 0.0
+        assert trust(fig2, COEF, {"C"}, "A", "C") == 0.0
+        assert trust(fig2, COEF, {"C"}, "A", "B") == 1.0
 
     def test_asymmetry(self, fig2):
-        g_bc = trust(fig2, COEF, None, "B", "C")
-        g_cb = trust(fig2, COEF, None, "C", "B")
+        g_bc = trust(fig2, COEF, frozenset(), "B", "C")
+        g_cb = trust(fig2, COEF, frozenset(), "C", "B")
         assert g_bc == pytest.approx(0.346, abs=1e-3)
         assert g_cb == pytest.approx(0.376, abs=1e-3)
         assert g_bc != g_cb
 
     def test_incomplete_transitivity(self, fig2):
-        assert trust(fig2, COEF, None, "A", "D") == 1.0
-        assert trust(fig2, COEF, None, "D", "C") == 1.0
-        assert trust(fig2, COEF, None, "A", "C") < 1.0
+        assert trust(fig2, COEF, frozenset(), "A", "D") == 1.0
+        assert trust(fig2, COEF, frozenset(), "D", "C") == 1.0
+        assert trust(fig2, COEF, frozenset(), "A", "C") < 1.0
 
     def test_self_pair_rejected(self, fig2):
         with pytest.raises(ValueError):
-            trust(fig2, COEF, None, "A", "A")
+            trust(fig2, COEF, frozenset(), "A", "A")
 
     def test_unknown_sensor_rejected(self, fig2):
         with pytest.raises(UnknownSensorError):
-            trust(fig2, COEF, None, "A", "Q")
-        ks = KillSwitchState()
-        ks.kill("Q")
+            trust(fig2, COEF, frozenset(), "A", "Q")
         with pytest.raises(UnknownSensorError):
-            trust(fig2, COEF, ks, "A", "Q")
+            trust(fig2, COEF, {"Q"}, "A", "Q")
 
 
 class TestTrustMatrix:
@@ -168,10 +165,8 @@ class TestTrustMatrix:
         assert np.all(matrix.values == 1.0)
 
     def test_kill_zeroes_exactly_one_column(self, fig2):
-        ks = KillSwitchState()
-        ks.kill("H")
         baseline = trust_matrix(fig2, COEF)
-        killed = trust_matrix(fig2, COEF, ks)
+        killed = trust_matrix(fig2, COEF, {"H"})
         h = SENSORS.index("H")
         assert np.all(killed.values[:, h] == 0.0)
         mask = np.ones(len(SENSORS), dtype=bool)
@@ -184,56 +179,57 @@ class TestTrustMatrix:
         rng = np.random.default_rng(5)
         for _ in range(20):
             bare = random_topology(rng, int(rng.integers(2, 25)))
-            ks = KillSwitchState()
-            for s in bare.sensors:
-                if rng.random() < 0.2:
-                    ks.kill(s)
+            killed = {s for s in bare.sensors if rng.random() < 0.2}
             for t in (bare, derive_wireless_sets(bare)):
-                matrix = trust_matrix(t, COEF, ks)
+                matrix = trust_matrix(t, COEF, killed)
                 assert matrix.order == list(t.sensors)
                 for a, i in enumerate(matrix.order):
                     for b, j in enumerate(matrix.order):
                         if i == j:
-                            assert matrix.values[a, b] == ks.gamma(i)
+                            assert matrix.values[a, b] == (i not in killed)
                         else:
-                            assert matrix.values[a, b] == trust(t, COEF, ks, i, j)
-                            assert matrix.counts_for(i, j) == counts(t, i, j)
+                            assert matrix.values[a, b] == trust(t, COEF, killed, i, j)
 
-    @pytest.mark.parametrize("explicit", [False, True])
-    def test_counts_are_int32(self, explicit):
-        # under the complement rule (closed-form Z) and with explicit sets
+    def test_explicit_sets_match_scalar(self):
+        # explicit sets that differ from the complement rule take the
+        # membership-scan Z branch
         rng = np.random.default_rng(13)
-        t = random_topology(rng, 30, edge_prob=0.2)
-        if explicit:
-            t = with_explicit_wireless_sets(t, rng, 0.5)
-        assert (t.wireless_sets is not None) == explicit
-        matrix = trust_matrix(t, COEF)
-        for array in (matrix.k_counts, matrix.w_counts, matrix.z_counts):
-            assert array.dtype == np.int32
-        for i in t.sensors:
-            for j in t.sensors:
-                if i != j:
-                    c = matrix.counts_for(i, j)
-                    assert {type(c.k), type(c.w), type(c.z)} == {int}
-                    assert c == counts(t, i, j)
+        t = with_explicit_wireless_sets(random_topology(rng, 30, edge_prob=0.2), rng, 0.5)
+        assert any(t.wireless_set(s) != t.sensor_set - t.kljn_set(s) - {s} for s in t.sensors)
+        for killed in (frozenset(), frozenset(t.sensors[::5])):
+            matrix = trust_matrix(t, COEF, killed)
+            for a, i in enumerate(matrix.order):
+                for b, j in enumerate(matrix.order):
+                    if i != j:
+                        assert matrix.values[a, b] == trust(t, COEF, killed, i, j), (i, j)
 
-    def test_counts_recorded_for_audit(self, fig2):
-        matrix = trust_matrix(fig2, COEF)
-        c = matrix.counts_for("A", "C")
-        assert (c.k, c.w, c.z) == (1, 0, 7)
-        with pytest.raises(ValueError):
-            matrix.counts_for("A", "A")
+    def test_retains_only_the_values(self):
+        # n = 1000 under the complement rule with 3n wired links: every count
+        # array is dropped once looked up, so the result holds just the values
+        rng = np.random.default_rng(43)
+        n = 1000
+        sensors = tuple(f"s{k:04d}" for k in range(n))
+        picks = rng.integers(0, n, size=(3 * n, 2))
+        t = Topology(sensors, frozenset((sensors[a], sensors[b]) for a, b in picks if a != b))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            matrix = trust_matrix(t, COEF)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= matrix.values.nbytes + 2**20, f"{retained / 2**20:.1f} MB retained"
 
     def test_value_accessor(self, fig2):
         matrix = trust_matrix(fig2, COEF)
-        assert matrix.value("A", "C") == trust(fig2, COEF, None, "A", "C")
+        assert matrix.value("A", "C") == trust(fig2, COEF, frozenset(), "A", "C")
         with pytest.raises(UnknownSensorError):
             matrix.value("A", "Q")
 
 
 class TestRankPeers:
     def test_example_network_ranking(self, fig2):
-        ranking = rank_peers(fig2, COEF, None, "A")
+        ranking = rank_peers(fig2, COEF, frozenset(), "A")
         assert ranking[0] == ("B", 1.0)
         assert ranking[1] == ("D", 1.0)
         tail = ranking[-3:]
@@ -242,30 +238,27 @@ class TestRankPeers:
             assert value == pytest.approx(0.173, abs=1e-3)
 
     def test_wireless_only_evaluator_prefers_better_connected(self, fig2):
-        ranking = dict(rank_peers(fig2, COEF, None, "H"))
+        ranking = dict(rank_peers(fig2, COEF, frozenset(), "H"))
         assert ranking["D"] == pytest.approx(0.381, abs=1e-3)
         assert ranking["C"] == pytest.approx(0.346, abs=1e-3)
         assert ranking["D"] > ranking["C"]
 
     def test_single_sensor_gives_empty_ranking(self):
         t = Topology(("A",), frozenset())
-        assert rank_peers(t, COEF, None, "A") == []
+        assert rank_peers(t, COEF, frozenset(), "A") == []
 
     def test_unknown_sensor(self, fig2):
         with pytest.raises(UnknownSensorError):
-            rank_peers(fig2, COEF, None, "Q")
+            rank_peers(fig2, COEF, frozenset(), "Q")
 
     def test_values_equal_matrix_rows(self):
         # with and without kills, and under both Z branches
         rng = np.random.default_rng(17)
         for _ in range(12):
             bare = random_topology(rng, int(rng.integers(2, 30)))
-            ks = KillSwitchState()
-            for s in bare.sensors:
-                if rng.random() < 0.2:
-                    ks.kill(s)
+            killed = {s for s in bare.sensors if rng.random() < 0.2}
             for t in (bare, derive_wireless_sets(bare)):
-                for kill in (None, ks):
+                for kill in (frozenset(), killed):
                     matrix = trust_matrix(t, COEF, kill)
                     for i in t.sensor_set:
                         row = matrix.values[matrix.index(i)]
@@ -281,11 +274,8 @@ class TestRankPeers:
         for _ in range(12):
             t = random_topology(rng, int(rng.integers(2, 25)))
             derived = derive_wireless_sets(t)
-            ks = KillSwitchState()
-            for s in t.sensor_set:
-                if rng.random() < 0.2:
-                    ks.kill(s)
-            for kill in (None, ks):
+            killed = {s for s in t.sensor_set if rng.random() < 0.2}
+            for kill in (frozenset(), killed):
                 for i in t.sensor_set:
                     assert rank_peers(t, COEF, kill, i) == rank_peers(derived, COEF, kill, i)
                     for j in t.sensor_set - {i}:
@@ -302,7 +292,7 @@ class TestRankPeers:
         t = Topology(sensors, frozenset((sensors[a], sensors[b]) for a, b in picks if a != b))
         i = sensors[int(rng.integers(0, n))]
         start = time.perf_counter()
-        ranking = rank_peers(t, COEF, None, i)
+        ranking = rank_peers(t, COEF, frozenset(), i)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"rank at n = {n} took {elapsed:.2f} s"
         assert sorted(j for j, _ in ranking) == sorted(set(sensors) - {i})
@@ -330,15 +320,12 @@ class TestRankPeers:
         t = Topology(("i", "a", *mutual, *others, *isolated), frozenset(edges))
         c = counts(t, "i", "a")
         assert (c.k, c.w, c.z) == (40, 40, 40)
-        assert trust(t, COEF, None, "i", "a") == 1.0
+        assert trust(t, COEF, frozenset(), "i", "a") == 1.0
         assert trust_matrix(t, COEF).value("i", "a") == 1.0
-        ranking = rank_peers(t, COEF, None, "i")
+        ranking = rank_peers(t, COEF, frozenset(), "i")
         assert ranking[:41] == [(m, 1.0) for m in mutual] + [("a", 1.0)]
         # killed peers, wired or not, stay in id order at 0.0
-        ks = KillSwitchState()
-        for s in ("m00", "a", "w05"):
-            ks.kill(s)
-        ranking = rank_peers(t, COEF, ks, "i")
+        ranking = rank_peers(t, COEF, {"m00", "a", "w05"}, "i")
         assert [s for s, v in ranking if v == 0.0] == ["a", "m00", "w05"]
         assert ranking[:39] == [(m, 1.0) for m in mutual[1:]]
 
@@ -357,7 +344,7 @@ class TestMonotonicity:
                 "y": frozenset({"i", "j", "x"}),
             },
         )
-        assert trust(t, COEF, None, "i", "j") > trust(t, COEF, None, "i", "k")
+        assert trust(t, COEF, frozenset(), "i", "j") > trust(t, COEF, frozenset(), "i", "k")
 
     def test_more_wired_peers_increase_trust(self):
         t = Topology(
@@ -371,7 +358,7 @@ class TestMonotonicity:
                 "y": frozenset({"i", "x"}),
             },
         )
-        assert trust(t, COEF, None, "i", "j") > trust(t, COEF, None, "i", "k")
+        assert trust(t, COEF, frozenset(), "i", "j") > trust(t, COEF, frozenset(), "i", "k")
 
     def test_mutual_wired_peers_outrank_plain_wired_peers(self):
         # same degree, but j shares its wired peer with the evaluator
@@ -386,7 +373,7 @@ class TestMonotonicity:
                 "y": frozenset({"i", "x"}),
             },
         )
-        assert trust(t, COEF, None, "i", "j") > trust(t, COEF, None, "i", "k")
+        assert trust(t, COEF, frozenset(), "i", "j") > trust(t, COEF, frozenset(), "i", "k")
 
     def test_formula_level_monotonicity(self):
         def g(k, w, z):
@@ -422,20 +409,3 @@ class TestTierCeilings:
             + geometric_partial_sum(COEF.c, 10**6)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
-
-
-class TestKillSwitchState:
-    def test_gamma_and_log(self):
-        ks = KillSwitchState()
-        assert ks.gamma("A") == 1
-        ks.kill("A", note="tamper alert")
-        assert ks.gamma("A") == 0
-        ks.clear("A", note="false alarm")
-        assert ks.gamma("A") == 1
-        assert [e.action for e in ks.event_log] == ["set", "clear"]
-        assert ks.event_log[0].note == "tamper alert"
-
-    def test_explicit_timestamps(self):
-        ks = KillSwitchState()
-        ks.kill("A", timestamp=99)
-        assert ks.event_log[0].timestamp == 99
