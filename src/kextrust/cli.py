@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _json_str
@@ -32,7 +33,6 @@ from .orchestrator import (
     establish_network_keys,
     json_block,
     load_state,
-    records_to_json,
     state_to_json,
     trust_report,
     write_files,
@@ -84,26 +84,40 @@ def _load_checked_state(path: str) -> NetworkKeyState:
     return state
 
 
+# one --kill field: an id in double quotes, unquoted text up to a comma, or
+# (the last group) a quote that is not closed right before a comma or the end
+_KILL_FIELD = re.compile(r'\s*"((?:[^"]|"")*)"\s*(?:,|\Z)|(?!\s*")([^,]*)(?:,|\Z)|(.+)', re.S)
+
+
 def _killed(kill_list: str | None, t: Topology) -> frozenset[SensorId]:
-    """The sensors named by ``--kill``, comma-separated with blanks skipped;
-    the first name, in the order given, that is not a sensor is an error."""
-    names = [s for s in map(str.strip, (kill_list or "").split(",")) if s]
-    unknown = next((s for s in names if not t.has_sensor(s)), None)
+    """The sensors named by ``--kill``, in comma-separated fields.
+
+    A field in double quotes is one id taken verbatim, with ``""`` for
+    ``"``, as :func:`_csv_field` writes ids; any other field is stripped.
+    Empty ids are skipped.  The first other id, in the order given, that is
+    not a sensor is an error, and so is a malformed quoted field.
+    """
+    names = []
+    for quoted, plain, malformed in _KILL_FIELD.findall(kill_list or ""):
+        if malformed:
+            raise DomainError(f"--kill has a malformed quoted id: {malformed!r}")
+        names.append(quoted.replace('""', '"') or plain.strip())
+    unknown = next((s for s in names if s and not t.has_sensor(s)), None)
     if unknown is not None:
         raise DomainError(f"--kill names unknown sensor {unknown!r}")
-    return frozenset(names)
+    return frozenset(filter(None, names))
 
 
-def _emit(text: str, out: str | None, *files: tuple[str, str]) -> None:
-    """Write ``text`` to the file ``out``, or to stdout if ``out`` is not
-    given, and each further ``(path, text)`` to its file.
+def _emit(chunks, out: str | None, *files) -> None:
+    """Write the text ``chunks`` (strings) to the file ``out``, or to stdout
+    if ``out`` is not given, and each further ``(path, chunks)`` to its file.
 
     Every file goes through :func:`~kextrust.orchestrator.write_files` before
     stdout sees anything, so a failed write leaves no output behind.
     """
-    write_files([(out, text), *files] if out else files)
+    write_files([(out, chunks), *files] if out else files)
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 _BLOCK_ROWS = 64  # rows labelled per pass; bounds the temporaries to ~64 * n cells
@@ -177,53 +191,76 @@ def matrix_to_csv(order, values, full_precision: bool = False) -> str:
     return "".join(lines)
 
 
-def _float_rows_json(values, pad: str, labeller: _CellLabeller) -> str:
-    """The trust matrix ``values`` as a JSON list of float lists at indent ``pad``."""
+def _json_chunks(items, pad: str, brackets: str = "[]"):
+    """``json_block(items, pad, brackets)`` as text chunks, one per entry."""
+    first = True
+    for item in items:
+        yield f"{brackets[0] if first else ','}\n{pad}  {item}"
+        first = False
+    yield brackets if first else f"\n{pad}{brackets[1]}"
+
+
+def _matrix_chunks(order, values, pad: str, labeller: _CellLabeller):
+    """``{"order": order, "values": values}`` for a float matrix ``values``,
+    laid out as by ``json.dumps(indent=2)`` at indent ``pad``, a row a chunk."""
     inner = pad + "  "
-    return json_block((json_block(row, inner) for row in labeller.rows(values)), pad)
+    yield f'{{\n{inner}"order": {json_block(map(_json_str, order), inner)},\n{inner}"values": '
+    yield from _json_chunks((json_block(row, inner + "  ") for row in labeller.rows(values)), inner)
+    yield f"\n{pad}}}"
 
 
 def matrix_to_json(order, values) -> str:
     """``json.dumps({"order": order, "values": values}, indent=2) + "\n"``
     for a float matrix ``values``."""
-    order_json = json_block(map(_json_str, order), "  ")
-    values_json = _float_rows_json(values, "  ", _CellLabeller())
-    return f'{{\n  "order": {order_json},\n  "values": {values_json}\n}}\n'
+    return "".join(_matrix_chunks(order, values, "", _CellLabeller())) + "\n"
 
 
-def report_to_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2) + "\n"``, byte for byte, for a
-    :func:`~kextrust.orchestrator.trust_report` document.
+def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
+    """The ``report`` document of ``state`` as JSON text chunks; joined, they
+    are ``json.dumps(doc, indent=2) + "\n"`` for the document with the keys
+    ``sensors``, ``coefficients`` (``a``, ``b``, ``c``, ``provenance``),
+    ``killed`` (sorted), ``matrix`` (``order``, ``values``), ``rankings``
+    (each sensor's ``[peer, value]`` list), ``records`` (``pair``,
+    ``channel``, ``key_id``, ``established_at``, ``status``, in
+    ``state.records_sorted()`` order) and ``kill_log`` (``timestamp``,
+    ``sensor``, ``action``, ``note``).
 
-    The head (``sensors``, ``coefficients``, ``killed``) and the
-    ``kill_log`` go through ``json.dumps``.  The matrix, the rankings and
-    the records are written from templates: the floats of the matrix and of
-    the rankings share one :class:`_CellLabeller`, records use the state
-    file's record template, and strings go through
-    ``encode_basestring_ascii``, the escaping ``json.dumps`` applies.
+    ``matrix`` and ``rankings`` are those :func:`trust_report` returns.  The
+    matrix rows, the rankings and the records are yielded one at a time;
+    all floats are labelled by one :class:`_CellLabeller`.
     """
     labeller = _CellLabeller()
-    head = json.dumps({key: doc[key] for key in ("sensors", "coefficients", "killed")}, indent=2)
-    tail = json.dumps({"kill_log": doc["kill_log"]}, indent=2)
-    order_json = json_block(map(_json_str, doc["matrix"]["order"]), "    ")
-    values_json = _float_rows_json(doc["matrix"]["values"], "    ", labeller)
-    rankings = ",\n".join(
-        f"    {_json_str(sensor)}: "
-        + json_block(
+    coefficients = (f'"{name}": {json.dumps(getattr(coef, name))}'
+                    for name in ("a", "b", "c", "provenance"))
+    yield (f'{{\n  "sensors": {json_block(map(_json_str, state.topology.sensors), "  ")},\n'
+           f'  "coefficients": {json_block(coefficients, "  ", "{}")},\n'
+           f'  "killed": {json_block(map(_json_str, sorted(state.kill.killed)), "  ")},\n'
+           '  "matrix": ')
+    yield from _matrix_chunks(matrix.order, matrix.values, "  ", labeller)
+    yield ',\n  "rankings": '
+    yield from _json_chunks((
+        f"{_json_str(sensor)}: " + json_block(
             (f"[\n        {_json_str(peer)},\n        {label}\n      ]"
              for (peer, _), label in zip(ranking, labeller.labels([v for _, v in ranking]))),
-            "    ",
-        )
-        for sensor, ranking in doc["rankings"].items()
-    )
-    rankings = f"{{\n{rankings}\n  }}" if rankings else "{}"
-    records = records_to_json(map(dict.values, doc["records"]))
-    # head without its closing "\n}", tail without its opening "{\n"
-    return (
-        f'{head[:-2]},\n  "matrix": {{\n    "order": {order_json},\n'
-        f'    "values": {values_json}\n  }},\n  "rankings": {rankings},\n'
-        f'  "records": {records},\n{tail[2:]}\n'
-    )
+            "    ")
+        for sensor, ranking in rankings.items()
+    ), "  ", "{}")
+    yield ',\n  "records": '
+    yield from _json_chunks((
+        f'{{\n      "pair": [\n        {_json_str(r.pair[0])},\n        {_json_str(r.pair[1])}\n'
+        f'      ],\n      "channel": {_json_str(r.channel)},\n'
+        f'      "key_id": {_json_str(r.key_id)},\n'
+        f'      "established_at": {r.established_at},\n'
+        f'      "status": {_json_str(r.status)}\n    }}'
+        for r in state.records_sorted()
+    ), "  ")
+    yield ',\n  "kill_log": '
+    yield from _json_chunks((
+        f'{{\n      "timestamp": {e.timestamp},\n      "sensor": {_json_str(e.sensor)},\n'
+        f'      "action": {_json_str(e.action)},\n      "note": {_json_str(e.note)}\n    }}'
+        for e in state.kill.event_log
+    ), "  ")
+    yield "\n}\n"
 
 
 def _cmd_validate(args) -> int:
@@ -250,9 +287,9 @@ def _cmd_trust_matrix(args) -> int:
     t = _load_checked_topology(args.topology)
     matrix = trust_matrix(t, coefficients_closed_form(), _killed(args.kill, t))
     if args.format == "json":
-        _emit(matrix_to_json(matrix.order, matrix.values), args.out)
+        _emit((matrix_to_json(matrix.order, matrix.values),), args.out)
     else:
-        _emit(matrix_to_csv(matrix.order, matrix.values, args.full_precision), args.out)
+        _emit((matrix_to_csv(matrix.order, matrix.values, args.full_precision),), args.out)
     return 0
 
 
@@ -260,7 +297,7 @@ def _cmd_rank(args) -> int:
     t = _load_checked_topology(args.topology)
     ranking = rank_peers(t, coefficients_closed_form(), _killed(args.kill, t), args.evaluator)
     lines = [f"{_csv_field(sensor)},{value:.3f}" for sensor, value in ranking]
-    _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
+    _emit(("\n".join(lines) + ("\n" if lines else ""),), args.out)
     return 0
 
 
@@ -286,7 +323,7 @@ def _cmd_coefficients(args) -> int:
             print(f"error: fixed-point solution deviates beyond {args.check}", file=sys.stderr)
             return 1
     if args.format == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit((json.dumps(doc, indent=2) + "\n",), args.out)
     else:
         lines = [f"a = {closed.a!r}", f"b = {closed.b!r}", f"c = {closed.c!r}"]
         for name, residual in doc["residuals"].items():
@@ -294,7 +331,7 @@ def _cmd_coefficients(args) -> int:
         if args.check is not None:
             for name, dev in doc["deviations"].items():
                 lines.append(f"fixed_point_deviation_{name} = {dev:.3e}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(("\n".join(lines) + "\n",), args.out)
     return 0
 
 
@@ -345,7 +382,7 @@ def _cmd_simulate_kljn(args) -> int:
     }
     if args.emit_key:
         doc["key_hex"] = result.key_hex
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit((json.dumps(doc, indent=2) + "\n",), args.out)
     return 1 if (exhausted or result.attack_detected) else 0
 
 
@@ -353,7 +390,7 @@ def _cmd_establish(args) -> int:
     t = _load_checked_topology(args.topology)
     cfg = KljnSessionConfig(seed=args.seed)
     state = establish_network_keys(t, cfg, master_seed=args.seed, target_bits=args.bits)
-    _emit(state_to_json(state), args.out)
+    _emit((state_to_json(state),), args.out)
     failed = sum(1 for r in state.stored.values() if r.status == STATUS_FAILED)
     if failed:
         print(f"warning: {failed} record(s) failed", file=sys.stderr)
@@ -363,19 +400,18 @@ def _cmd_establish(args) -> int:
 def _cmd_kill(args) -> int:
     state = _load_checked_state(args.state)
     apply_kill_event(state, args.sensor, note=args.note)
-    _emit(state_to_json(state), args.out or args.state)
+    _emit((state_to_json(state),), args.out or args.state)
     return 0
 
 
 def _cmd_report(args) -> int:
     state = _load_checked_state(args.state)
-    doc = trust_report(state, coefficients_closed_form())
+    coef = coefficients_closed_form()
+    matrix, rankings = trust_report(state, coef)
     files = []
     if args.csv:
-        matrix = doc["matrix"]
-        files.append((args.csv, matrix_to_csv(matrix["order"], matrix["values"],
-                                              args.full_precision)))
-    _emit(report_to_json(doc), args.out, *files)
+        files.append((args.csv, (matrix_to_csv(matrix.order, matrix.values, args.full_precision),)))
+    _emit(report_json_chunks(state, coef, matrix, rankings), args.out, *files)
     return 0
 
 

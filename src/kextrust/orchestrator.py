@@ -19,7 +19,7 @@ import errno
 import hashlib
 import json
 import os
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
@@ -32,7 +32,7 @@ from .topology import (
     topology_from_doc,
     topology_to_doc,
 )
-from .trust import TrustCoefficients, rank_peers, trust_matrix
+from .trust import TrustCoefficients, TrustMatrix, rank_peers, trust_matrix
 
 CHANNEL_KLJN = "kljn"
 CHANNEL_WIRELESS = "wireless"
@@ -126,10 +126,11 @@ class NetworkKeyState:
         key = (a, b) if a < b else (b, a)
         return self.records[key]
 
-    def records_sorted(self) -> list[KeyRecord]:
-        """``list(self.records.values())`` without a position lookup per pair."""
+    def records_sorted(self) -> Iterator[KeyRecord]:
+        """``iter(self.records.values())`` without a position lookup per pair:
+        one record at a time, in canonical order."""
         records = self.records
-        return [records._record(pair, index) for index, pair in enumerate(self.pairs(), 1)]
+        return (records._record(pair, index) for index, pair in enumerate(self.pairs(), 1))
 
 
 class KeyRecords(Mapping):
@@ -238,40 +239,14 @@ def apply_kill_event(state: NetworkKeyState, sensor: SensorId, note: str = "") -
     return state
 
 
-def trust_report(state: NetworkKeyState, coef: TrustCoefficients) -> dict:
-    """Bundle the trust matrix, rankings, record statuses, and kill log.
-
-    Returns a JSON-ready document with the keys ``sensors``,
-    ``coefficients``, ``killed``, ``matrix`` (``order`` and ``values``, one
-    list of floats per evaluator), ``rankings`` (each sensor's
-    :func:`rank_peers` as ``[peer, value]`` pairs), ``records`` (one object
-    per sensor pair) and ``kill_log``, in that order.  ``kextrust.cli``
-    writes it with ``report_to_json``, byte-identical to
-    ``json.dumps(doc, indent=2) + "\n"``.
+def trust_report(state: NetworkKeyState, coef: TrustCoefficients) -> tuple[TrustMatrix, dict]:
+    """``(matrix, rankings)`` of the state's network with its killed sensors:
+    the :func:`trust_matrix`, and each sensor's :func:`rank_peers` keyed by
+    sensor in topology order.  ``kextrust.cli.report_json_chunks`` writes
+    them, with the state's records and kill log, as the ``report`` document.
     """
-    t = state.topology
-    killed = state.kill.killed
-    matrix = trust_matrix(t, coef, killed)
-    return {
-        "sensors": list(t.sensors),
-        "coefficients": {
-            "a": coef.a,
-            "b": coef.b,
-            "c": coef.c,
-            "provenance": coef.provenance,
-        },
-        "killed": sorted(killed),
-        "matrix": {
-            "order": matrix.order,
-            "values": matrix.values.tolist(),
-        },
-        "rankings": {
-            i: [[j, value] for j, value in rank_peers(t, coef, killed, i)]
-            for i in t.sensors
-        },
-        "records": [_record_to_dict(r) for r in state.records_sorted()],
-        "kill_log": [_event_to_dict(e) for e in state.kill.event_log],
-    }
+    t, killed = state.topology, state.kill.killed
+    return trust_matrix(t, coef, killed), {i: rank_peers(t, coef, killed, i) for i in t.sensors}
 
 
 def _record_to_dict(r: KeyRecord) -> dict:
@@ -300,25 +275,6 @@ def json_block(items, pad: str, brackets: str = "[]") -> str:
     may itself span lines.  Empty gives ``[]`` or ``{}``."""
     body = f",\n{pad}  ".join(items)
     return f"{brackets[0]}\n{pad}  {body}\n{pad}{brackets[1]}" if body else brackets
-
-
-def records_to_json(records) -> str:
-    """The trust report's top-level ``"records"`` list as ``json.dumps(doc,
-    indent=2)`` writes it.
-
-    ``records`` yields ``(pair, channel, key_id, established_at, status)``
-    per record, in the key order of the report's record objects; ``pair``
-    holds two strings, ``established_at`` is an int and the rest are
-    strings.
-    """
-    return json_block([  # a list joins faster than a generator
-        f'{{\n      "pair": [\n        {_json_str(a)},\n        {_json_str(b)}\n'
-        f'      ],\n      "channel": {_json_str(channel)},\n'
-        f'      "key_id": {_json_str(key_id)},\n'
-        f'      "established_at": {established_at},\n'
-        f'      "status": {_json_str(status)}\n    }}'
-        for (a, b), channel, key_id, established_at, status in records
-    ], "  ")
 
 
 def _json_ids(ids) -> str:
@@ -469,14 +425,16 @@ def state_from_json(text: str) -> NetworkKeyState:
 
 
 def write_files(files) -> None:
-    """Write each ``(path, text)`` of ``files`` through a temporary file next
-    to its path, and move the files into place only once every one is written.
+    """Write each ``(path, chunks)`` of ``files``, ``chunks`` an iterable of
+    strings written in turn, through a temporary file next to its path, and
+    move the files into place only once every one is written.
 
     A directory among the paths, or two paths naming the same file, is
-    refused before anything is written, and a failed or interrupted write
-    leaves every earlier file at the paths whole.  Only a rename that fails
-    after an earlier one succeeded (the filesystem changing during the call)
-    would leave some paths replaced.
+    refused before anything is written.  A failed or interrupted write, or
+    an exception raised by a ``chunks`` iterable, removes the temporary
+    files and leaves every earlier file at the paths whole.  Only a rename
+    that fails after an earlier one succeeded (the filesystem changing
+    during the call) would leave some paths replaced.
     """
     files = list(files)
     named: dict[str, object] = {}
@@ -490,12 +448,13 @@ def write_files(files) -> None:
         named[real] = path
     partials: dict[Path, Path] = {}
     try:
-        for path, text in files:
+        for path, chunks in files:
             path = Path(path)
             partial = path.with_name(f".{path.name}.partial")
             partials[partial] = path
             try:
-                partial.write_text(text, encoding="utf-8")
+                with partial.open("w", encoding="utf-8") as f:
+                    f.writelines(chunks)
             except OSError as exc:  # name the path asked for, not the temporary file
                 raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         for partial, path in partials.items():
@@ -508,7 +467,7 @@ def write_files(files) -> None:
 def save_state(state: NetworkKeyState, path) -> None:
     """Write the state file with :func:`write_files`, so an interrupted
     write leaves any earlier file at ``path`` whole."""
-    write_files([(path, state_to_json(state))])
+    write_files([(path, (state_to_json(state),))])
 
 
 def load_state(path) -> NetworkKeyState:

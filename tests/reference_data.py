@@ -7,6 +7,7 @@ import io
 import numpy as np
 
 from kextrust.topology import Topology
+from kextrust.trust import rank_peers, trust_matrix
 
 # Exchange sets of the example network (sensors A..J, six wired links).
 EXCHANGE_SETS = {
@@ -104,3 +105,33 @@ def matrix_to_csv_reference(order, values, full_precision: bool = False) -> str:
         cells = row.tolist() if isinstance(row, np.ndarray) else map(float, row)
         lines.append(line([row_id, *map(label, cells)]))
     return "".join(lines)
+
+
+def report_doc(state, coef) -> dict:
+    """The trust report of the key state ``state`` as a JSON-ready document,
+    built from the public API only: :func:`kextrust.cli.report_json_chunks`
+    must write ``json.dumps(report_doc(state, coef), indent=2) + "\\n"``."""
+    t, killed = state.topology, state.kill.killed
+    matrix = trust_matrix(t, coef, killed)
+    return {
+        "sensors": list(t.sensors),
+        "coefficients": {"a": coef.a, "b": coef.b, "c": coef.c, "provenance": coef.provenance},
+        "killed": sorted(killed),
+        "matrix": {"order": matrix.order, "values": matrix.values.tolist()},
+        "rankings": {i: [[j, value] for j, value in rank_peers(t, coef, killed, i)]
+                     for i in t.sensors},
+        "records": [
+            {
+                "pair": list(r.pair),
+                "channel": r.channel,
+                "key_id": r.key_id,
+                "established_at": r.established_at,
+                "status": r.status,
+            }
+            for r in state.records_sorted()
+        ],
+        "kill_log": [
+            {"timestamp": e.timestamp, "sensor": e.sensor, "action": e.action, "note": e.note}
+            for e in state.kill.event_log
+        ],
+    }

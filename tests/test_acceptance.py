@@ -347,12 +347,12 @@ def test_criterion_7_orchestrated_establishment(fig2):
     if state_to_json(again) != state_to_json(state):
         failures.append("same master seed did not produce byte-identical state")
 
-    before = np.array(trust_report(state, COEF)["matrix"]["values"])
+    before = trust_report(state, COEF)[0].values
     apply_kill_event(state, "H", note="criterion 7")
     revoked = [r for r in state.records.values() if r.status == STATUS_REVOKED]
     if len(revoked) != 9:
         failures.append(f"{len(revoked)} records revoked by killing H, expected 9")
-    after = np.array(trust_report(state, COEF)["matrix"]["values"])
+    after = trust_report(state, COEF)[0].values
     h = SENSORS.index("H")
     if after[:, h].any():
         failures.append("column H not zeroed after kill")

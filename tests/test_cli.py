@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -243,6 +245,35 @@ class TestTrustCommands:
         assert code == 1
         assert "unknown sensor" in err
 
+    def test_kill_quoted_ids(self, capsys, tmp_path):
+        odd = tmp_path / "odd.json"
+        odd.write_text(json.dumps({"sensors": ["a,b", "c\rd", "e"]}))
+        code, out, err = run_cli(capsys, "trust-matrix", str(odd), "--kill", '"a,b"')
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert rows[0] == ["sensor", "a,b", "c\rd", "e"]
+        assert [row[1] for row in rows[1:]] == ["0.000"] * 3
+        assert [row[3] for row in rows[1:]] == ["0.147", "0.147", "1.000"]
+        spaced = tmp_path / "spaced.json"
+        spaced.write_text(json.dumps({"sensors": [" A", "B"]}))
+        assert run_cli(capsys, "rank", str(spaced), "B", "--kill", '" A"') == (
+            0, " A,0.000\n", "")
+
+    @pytest.mark.parametrize("kill,peer,result", [
+        ('"q""t"', 'q"t', (0, "0.000\n", "")),
+        ('f,  " x " ,', " x ", (0, "0.000\n", "")),
+        ('f, " x "', "f", (0, "0.000\n", "")),
+        (" x ", " x ", (1, "", "error: --kill names unknown sensor 'x'\n")),
+        ('f,"x",Q', "f", (1, "", "error: --kill names unknown sensor 'x'\n")),
+        ('f,"q', "f", (1, "", "error: --kill has a malformed quoted id: '\"q'\n")),
+        ('"q""t"t', "f", (1, "", "error: --kill has a malformed quoted id: '\"q\"\"t\"t'\n")),
+    ])
+    def test_kill_list_fields(self, capsys, tmp_path, kill, peer, result):
+        # quoted fields are ids taken verbatim; unquoted ones are stripped
+        topology = tmp_path / "t.json"
+        topology.write_text(json.dumps({"sensors": ['q"t', " x ", "e", "f"]}))
+        assert run_cli(capsys, "trust", str(topology), "e", peer, "--kill", kill) == result
+
     def test_matrix_json_format(self, capsys, fig2_file):
         code, out, _ = run_cli(capsys, "trust-matrix", fig2_file, "--format", "json")
         assert code == 0
@@ -391,6 +422,16 @@ class TestStateWorkflow:
         assert all(row[h] == 0.0 for row in report["matrix"]["values"])
         _, rows = parse_csv_matrix(csv_path.read_text())
         assert all(rows[i][h] == 0.0 for i in SENSORS)
+
+    def test_report_stdout_equals_out_file(self, capsys, fig2_file, tmp_path):
+        state = str(tmp_path / "state.json")
+        assert main(["establish", fig2_file, "--bits", "8", "--out", state]) == 0
+        assert main(["kill", state, "H", "--note", "alarm"]) == 0
+        report = tmp_path / "report.json"
+        assert run_cli(capsys, "report", state, "--out", str(report)) == (0, "", "")
+        code, out, err = run_cli(capsys, "report", state)
+        assert (code, err) == (0, "")
+        assert out.encode() == report.read_bytes()
 
     def test_establish_stdout_and_kill_out_flag(self, capsys, fig2_file, tmp_path):
         code, out, _ = run_cli(capsys, "establish", fig2_file, "--seed", "1", "--bits", "16")

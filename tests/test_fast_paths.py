@@ -12,12 +12,13 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kextrust.cli import main, matrix_to_csv, matrix_to_json, report_to_json
+from kextrust.cli import main, matrix_to_csv, matrix_to_json, report_json_chunks
 from kextrust.kljn import (
     CurrentInjectionAttacker,
     KeyExchangeResult,
@@ -40,13 +41,19 @@ from kextrust.orchestrator import (
     CHANNEL_WIRELESS,
     apply_kill_event,
     establish_network_keys,
+    save_state,
     state_from_json,
     state_to_json,
     trust_report,
 )
 from kextrust.topology import Topology, serialize_topology
 from kextrust.trust import coefficients_closed_form, coefficients_fixed_point
-from reference_data import matrix_to_csv_reference, random_topology, with_explicit_wireless_sets
+from reference_data import (
+    matrix_to_csv_reference,
+    random_topology,
+    report_doc,
+    with_explicit_wireless_sets,
+)
 
 CFG = KljnSessionConfig()
 COEF = coefficients_closed_form()
@@ -350,15 +357,15 @@ class TestStateWriter:
 
 
 def _assert_report_equals_json_dumps(state, coef=COEF):
-    doc = trust_report(state, coef)
-    assert report_to_json(doc) == json.dumps(doc, indent=2) + "\n"
+    text = "".join(report_json_chunks(state, coef, *trust_report(state, coef)))
+    assert text == json.dumps(report_doc(state, coef), indent=2) + "\n"
 
 
-def _explicit_sets_topology(seed, n):
+def _explicit_sets_topology(seed, n, edge_prob=0.04):
     """A random network whose wireless sets are given explicitly and cover
     about a third of the non-wired pairs."""
     rng = np.random.default_rng(seed)
-    return with_explicit_wireless_sets(random_topology(rng, n, edge_prob=0.04), rng, 0.3)
+    return with_explicit_wireless_sets(random_topology(rng, n, edge_prob), rng, 0.3)
 
 
 class TestReportWriter:
@@ -393,6 +400,23 @@ class TestReportWriter:
         for sensor in (t.sensors[7], t.sensors[42]):
             apply_kill_event(state, sensor, note=f"alarm {sensor}")
             _assert_report_equals_json_dumps(state)
+
+
+    def test_report_is_streamed(self, tmp_path):
+        # the report of 200 sensors is 7 MB; written whole it peaked near 30 MB
+        t = _explicit_sets_topology(200, 200, edge_prob=0.002)
+        state = establish_network_keys(t, CFG, master_seed=201, target_bits=8)
+        for sensor in (t.sensors[7], t.sensors[42]):
+            apply_kill_event(state, sensor)
+        save_state(state, tmp_path / "state.json")
+        tracemalloc.start()
+        try:
+            assert main(["report", str(tmp_path / "state.json"),
+                         "--out", str(tmp_path / "report.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 # --- table-driven matrix writers against csv.writer and json.dumps

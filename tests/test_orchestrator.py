@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from kextrust.cli import report_json_chunks
 from kextrust.kljn import KljnSessionConfig, WireSubstitutionAttacker
 from kextrust.orchestrator import (
     CHANNEL_KLJN,
@@ -16,6 +19,7 @@ from kextrust.orchestrator import (
     state_from_json,
     state_to_json,
     trust_report,
+    write_files,
 )
 from kextrust.topology import Topology, UnknownSensorError
 from kextrust.trust import coefficients_closed_form
@@ -83,9 +87,10 @@ class TestEstablish:
     def test_single_sensor_network(self):
         state = establish_network_keys(Topology(("A",), frozenset()), CFG, master_seed=1)
         assert state.records == {}
-        report = trust_report(state, COEF)
-        assert report["records"] == []
-        assert report["matrix"]["values"] == [[1.0]]
+        matrix, rankings = trust_report(state, COEF)
+        assert list(state.records_sorted()) == []
+        assert matrix.values.tolist() == [[1.0]]
+        assert rankings == {"A": []}
 
     @pytest.mark.parametrize("master_seed", [None, True, 4.0, "4", np.int64(4)])
     def test_master_seed_must_be_an_int(self, master_seed):
@@ -140,19 +145,19 @@ class TestKillEvents:
 
     def test_kill_never_increases_trust(self, fig2):
         state = establish_network_keys(fig2, CFG, master_seed=42, target_bits=KEY_BITS)
-        before = np.array(trust_report(state, COEF)["matrix"]["values"])
+        before, _ = trust_report(state, COEF)
         apply_kill_event(state, "D")
-        after = np.array(trust_report(state, COEF)["matrix"]["values"])
-        assert np.all(after <= before)
+        after, _ = trust_report(state, COEF)
+        assert np.all(after.values <= before.values)
 
 
 class TestReport:
     def test_fresh_report_matches_published_matrix(self, fig2_state):
-        report = trust_report(fig2_state, COEF)
-        assert report["matrix"]["order"] == SENSORS
+        matrix, _ = trust_report(fig2_state, COEF)
+        assert matrix.order == SENSORS
         for i_pos, i in enumerate(SENSORS):
             for j_pos, j in enumerate(SENSORS):
-                value = report["matrix"]["values"][i_pos][j_pos]
+                value = matrix.values[i_pos, j_pos]
                 assert value == pytest.approx(
                     EXPECTED_TRUST[i][j_pos], abs=expected_tolerance(i, j)
                 )
@@ -160,18 +165,18 @@ class TestReport:
     def test_report_after_kill_zeroes_column(self, fig2):
         state = establish_network_keys(fig2, CFG, master_seed=42, target_bits=KEY_BITS)
         apply_kill_event(state, "H")
-        report = trust_report(state, COEF)
-        values = np.array(report["matrix"]["values"])
+        matrix, rankings = trust_report(state, COEF)
         h = SENSORS.index("H")
-        assert np.all(values[:, h] == 0.0)
+        assert np.all(matrix.values[:, h] == 0.0)
+        report = json.loads("".join(report_json_chunks(state, COEF, matrix, rankings)))
         assert report["killed"] == ["H"]
         assert report["kill_log"][0]["sensor"] == "H"
         for i in SENSORS:
-            assert all(j != "H" or v == 0.0 for j, v in report["rankings"][i])
+            assert all(j != "H" or v == 0.0 for j, v in rankings[i])
 
     def test_rankings_sorted_descending(self, fig2_state):
-        report = trust_report(fig2_state, COEF)
-        for ranking in report["rankings"].values():
+        _, rankings = trust_report(fig2_state, COEF)
+        for ranking in rankings.values():
             values = [v for _, v in ranking]
             assert values == sorted(values, reverse=True)
 
@@ -189,6 +194,19 @@ class TestPersistence:
         assert loaded.kill.killed == {"B"}
         assert [e.action for e in loaded.kill.event_log] == ["set", "set", "clear"]
         assert loaded.clock == state.clock
+
+    def test_failing_chunks_leave_every_file_whole(self, tmp_path):
+        earlier = tmp_path / "earlier.json"
+        earlier.write_text("earlier\n")
+
+        def chunks():
+            yield "partly written"
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError, match="writer failed"):
+            write_files([(tmp_path / "first.txt", ("whole\n",)), (earlier, chunks())])
+        assert earlier.read_bytes() == b"earlier\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["earlier.json"]  # no .partial
 
     def test_key_material_not_persisted(self, fig2_state):
         text = state_to_json(fig2_state)
