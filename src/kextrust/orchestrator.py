@@ -198,11 +198,14 @@ def establish_network_keys(
     :class:`KeyRecords`).  ``attackers`` maps canonical edges to attacker
     models, for exercising fault isolation.  The clock counts one tick per
     pair, as if every pair were established in canonical order.  A
-    ``master_seed`` that is not an ``int`` (a ``bool`` included) raises
-    ``ValueError``.
+    ``master_seed`` that is not an ``int``, or a ``target_bits`` that is
+    not an ``int`` of at least 1 (a ``bool`` is neither), raises
+    ``ValueError`` before any session runs, whatever the topology.
     """
     if type(master_seed) is not int:
         raise ValueError(f"master seed must be an int, not {master_seed!r}")
+    if type(target_bits) is not int or target_bits < 1:
+        raise ValueError(f"target_bits must be an int of at least 1, not {target_bits!r}")
     attackers = attackers or {}
     n = len(t.sensor_set)
     state = NetworkKeyState(t, {}, KillSwitchState(), n * (n - 1) // 2, master_seed)

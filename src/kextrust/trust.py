@@ -196,8 +196,10 @@ def trust(
 class TrustMatrix:
     """All-pairs trust values, rows and columns in ``order``.
 
-    ``values[i][j]`` follows :func:`trust` off the diagonal; the diagonal is
-    1.0 for a live sensor and 0.0 for a killed one.
+    ``values[i][j]`` follows :func:`trust` off the diagonal, bit for bit;
+    the diagonal is 1.0 for a live sensor and 0.0 for a killed one.
+    :func:`trust_matrix` fills it from one base value per column and a
+    list of exception cells.
     """
 
     order: list[SensorId]
@@ -217,12 +219,28 @@ class TrustMatrix:
         return float(self.values[self.index(i), self.index(j)])
 
 
-def _partial_sums(r: float, counts: np.ndarray) -> np.ndarray:
-    """``geometric_partial_sum(r, k)`` for each count k of ``counts``, looked
-    up in a table of the scalar function (not vectorized power, which may
-    round differently), so matrix cells are bit-identical to trust() calls."""
-    table = np.array([geometric_partial_sum(r, k) for k in range(int(counts.max(initial=0)) + 1)])
-    return table[counts]
+def _sum_table(r: float, top: int) -> np.ndarray:
+    """``geometric_partial_sum(r, k)`` for k = 0..top, from the scalar
+    function (not vectorized power, which may round differently), so that
+    matrix cells are bit-identical to trust() calls."""
+    return np.array([geometric_partial_sum(r, k) for k in range(top + 1)])
+
+
+def _add_two_hop_counts(flat: np.ndarray, n: int, tails: np.ndarray, heads: np.ndarray,
+                        degree: np.ndarray) -> None:
+    """Add 2 to ``flat[i * n + j]`` for every two-hop path i - m - j over the
+    directed wired links ``tails -> heads`` (i == j included), so cell (i, j)
+    gains 2K.  The middle sensors of one degree d are taken together, at most
+    n^2 paths (8n^2 bytes of keys) at a time, each sensor's paths the outer
+    sum of its d wired peers with themselves."""
+    peers = heads[np.argsort(tails, kind="stable")]  # m's peers start at first[m]
+    first = np.cumsum(degree) - degree
+    for d in np.flatnonzero(np.bincount(degree)[1:]) + 1:
+        rows = peers[first[degree == d][:, None] + np.arange(d)]
+        step = max(n * n // (d * d), 1)
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            np.add.at(flat, (block[:, :, None] * n + block[:, None, :]).ravel(), 2.0)
 
 
 def trust_matrix(
@@ -232,66 +250,60 @@ def trust_matrix(
 ) -> TrustMatrix:
     """Evaluate trust for every ordered pair of sensors.
 
-    Cells are computed from adjacency-matrix products and partial-sum
-    lookup tables; the result is identical, float for float, to calling
-    :func:`trust` per cell, but scales to thousands of sensors.  ``order``
-    is the topology's sensor order; the counts are exact for n < 2**24.
-    Each count array is dropped once its partial sums are added in, so
-    only ``values`` outlives the call.  Under the complement rule
-    (``wireless_sets is None``) Z needs no membership scan:
-    ``|W_j| = n - 1 - deg_j`` and i is in ``W_j`` unless i is wired to j, so
-    ``Z[i, j] = (n - 1 - deg_j) - (1 - adj[i, j])`` off the diagonal.
+    A non-wired pair (i, j) with no mutual wired peer (K = 0) has
+    W = deg_j and Z = |W_j| - [i in W_j].  Its value is the base of column
+    j, ``min(pb[deg_j] + pc[Z0_j], 1.0)``, with Z0_j = |W_j| for explicit
+    wireless sets and Z0_j = n - 2 - deg_j under the complement rule, where
+    every non-wired i is in W_j.  The exception cells are the two-hop pairs
+    (K > 0) and, with explicit sets, the membership cells; each is
+    ``min(pa[K] + pb[deg_j - K] + pc[Z0_j - member], 1.0)``.  pa, pb and pc
+    are :func:`geometric_partial_sum` tables summed in the float order of
+    :func:`trust` (pa[0] is 0.0), so every cell equals the :func:`trust`
+    call bit for bit.  Wired cells and the diagonal are then 1.0, and a
+    killed sensor's column, diagonal included, is 0.0.
+
+    ``values`` is the only n x n array.  It first holds 2K + member per
+    cell (exact in float64); the exception cells are then read from it and
+    the cells rewritten an eighth of the rows at a time.  However densely
+    the network is wired, the working set beyond ``values`` is about its
+    size again plus O(links), and time grows with n^2 + sum of deg^2.
+    ``order`` is the topology's sensor order.
     """
     order = list(t.sensors)
     n = len(order)
     idx = {s: p for p, s in enumerate(order)}
 
-    ends = np.array([(idx[a], idx[b]) for a, b in t.kljn_edges], dtype=np.intp).reshape(-1, 2)
-    # float32 is exact here: the product sums at most n ones, and float32
-    # represents every integer below 2**24.
-    adj = np.zeros((n, n), dtype=np.float32)
-    adj[ends[:, 0], ends[:, 1]] = 1.0
-    adj[ends[:, 1], ends[:, 0]] = 1.0
-    wired = adj.astype(bool)
-
-    # K[i, j] = |i_kljn & j_kljn| as an exact small-integer matmul; every
-    # count is below n < 2**24, so the count arrays are int32
-    k_mat = (adj @ adj).astype(np.int32)
-    del adj
-    degree = wired.sum(axis=1, dtype=np.int32)
-    w_mat = degree[None, :] - k_mat
-    np.fill_diagonal(k_mat, 0)
-    np.fill_diagonal(w_mat, 0)
-
-    # summed a, then b, then c: the float order of trust()
-    values = _partial_sums(coef.a, k_mat)
-    del k_mat
-    values += _partial_sums(coef.b, w_mat)
-    del w_mat
+    # each wired link a - b both ways: tails a, b, ... and heads b, a, ...
+    tails = np.fromiter((idx[s] for link in t.kljn_edges for s in link), dtype=np.intp,
+                        count=2 * len(t.kljn_edges))
+    heads = tails.reshape(-1, 2)[:, ::-1].ravel()
+    degree = np.bincount(tails, minlength=n)
+    values = np.zeros((n, n))
+    _add_two_hop_counts(values.reshape(-1), n, tails, heads, degree)
 
     if t.wireless_sets is None:
-        # the complement-rule closed form of the docstring
-        z_mat = (n - 2 - degree)[None, :] + wired
+        # clipped: a column wired to every other sensor has no base cell
+        z0 = np.maximum(n - 2 - degree, 0)
     else:
-        # Z[i, j] = |W_j| - [i in W_j]: collect the memberships, then one
-        # fancy-index update (each (i, j) occurs once, W_j being a set).
-        z_base = np.zeros(n, dtype=np.int32)
-        rows: list[int] = []
-        cols: list[int] = []
-        for j_pos, j_id in enumerate(order):
-            peers = t.wireless_set(j_id)
-            z_base[j_pos] = len(peers)
-            members = [idx[p] for p in peers if p in idx]
-            rows += members
-            cols += [j_pos] * len(members)
-        z_mat = np.tile(z_base, (n, 1))
-        z_mat[rows, cols] -= 1
-    np.fill_diagonal(z_mat, 0)
-    values += _partial_sums(coef.c, z_mat)
-    del z_mat
+        z0 = np.array([len(t.wireless_set(j)) for j in order], dtype=np.intp)
+        members = np.fromiter((idx[p] * n + j_pos for j_pos, j in enumerate(order)
+                               for p in t.wireless_set(j) if p in idx), dtype=np.intp)
+        values.reshape(-1)[members] += 1.0  # distinct cells, so += adds once each
 
-    np.minimum(values, 1.0, out=values)
-    values[wired] = 1.0
+    pa = _sum_table(coef.a, degree.max(initial=0))  # K <= deg_j
+    pb = _sum_table(coef.b, degree.max(initial=0))
+    pc = _sum_table(coef.c, z0.max(initial=0))
+    base = np.minimum(pb[degree] + pc[z0], 1.0)
+    step = max(n // 8, 1)
+    for lo in range(0, n, step):
+        block = values[lo:lo + step]
+        cells = np.flatnonzero(block != 0)
+        code = block.reshape(-1)[cells].astype(np.intp)
+        block[...] = base
+        k, col = code >> 1, cells % n
+        cell = pa[k] + pb[degree[col] - k] + pc[z0[col] - (code & 1)]
+        block.reshape(-1)[cells] = np.minimum(cell, 1.0)
+    values[tails, heads] = 1.0
     np.fill_diagonal(values, 1.0)
 
     if killed:

@@ -1,5 +1,6 @@
 """Shared fixtures data: the ten-sensor example network and its published
-values, random topology generators and plain reference writers."""
+values, random topology generators, the dense trust-matrix kernel and plain
+reference writers."""
 
 import csv
 import io
@@ -7,7 +8,7 @@ import io
 import numpy as np
 
 from kextrust.topology import Topology
-from kextrust.trust import rank_peers, trust_matrix
+from kextrust.trust import TrustMatrix, geometric_partial_sum, rank_peers, trust_matrix
 
 # Exchange sets of the example network (sensors A..J, six wired links).
 EXCHANGE_SETS = {
@@ -70,6 +71,14 @@ def random_topology(rng, n_sensors: int, edge_prob: float | None = None) -> Topo
     return Topology(sensors, frozenset(edges))
 
 
+def sparse_topology(rng, n_sensors: int, links: int) -> Topology:
+    """``links`` random draws of a wired link among ``n_sensors`` sensors,
+    self-loops and repeats dropped, like the benchmark's generated networks."""
+    sensors = tuple(f"s{k:04d}" for k in range(n_sensors))
+    picks = rng.integers(0, n_sensors, size=(links, 2))
+    return Topology(sensors, frozenset((sensors[a], sensors[b]) for a, b in picks if a != b))
+
+
 def with_explicit_wireless_sets(t: Topology, rng, reach: float) -> Topology:
     """``t`` with explicit, symmetric wireless sets that cover about ``reach``
     of its non-wired pairs."""
@@ -80,6 +89,65 @@ def with_explicit_wireless_sets(t: Topology, rng, reach: float) -> Topology:
                 sets[a].add(b)
                 sets[b].add(a)
     return Topology(t.sensors, t.kljn_edges, sets)
+
+
+def _partial_sums(r: float, counts: np.ndarray) -> np.ndarray:
+    table = np.array([geometric_partial_sum(r, k) for k in range(int(counts.max(initial=0)) + 1)])
+    return table[counts]
+
+
+def trust_matrix_dense_reference(t: Topology, coef, killed=frozenset()) -> TrustMatrix:
+    """All-pairs trust from dense n x n count arrays: K as the adjacency
+    product ``adj @ adj`` (float32, exact for n < 2**24), W and Z as full
+    arrays, each looked up in a partial-sum table and summed a, b, c.  The
+    oracle for the base-plus-exceptions build of
+    :func:`kextrust.trust.trust_matrix`, which must equal it bit for bit."""
+    order = list(t.sensors)
+    n = len(order)
+    idx = {s: p for p, s in enumerate(order)}
+
+    ends = np.array([(idx[a], idx[b]) for a, b in t.kljn_edges], dtype=np.intp).reshape(-1, 2)
+    adj = np.zeros((n, n), dtype=np.float32)
+    adj[ends[:, 0], ends[:, 1]] = 1.0
+    adj[ends[:, 1], ends[:, 0]] = 1.0
+    wired = adj.astype(bool)
+
+    k_mat = (adj @ adj).astype(np.int32)
+    degree = wired.sum(axis=1, dtype=np.int32)
+    w_mat = degree[None, :] - k_mat
+    np.fill_diagonal(k_mat, 0)
+    np.fill_diagonal(w_mat, 0)
+
+    if t.wireless_sets is None:
+        # |W_j| = n - 1 - deg_j, and i is in W_j unless i is wired to j
+        z_mat = (n - 2 - degree)[None, :] + wired
+    else:
+        # Z[i, j] = |W_j| - [i in W_j]
+        z_base = np.zeros(n, dtype=np.int32)
+        rows: list[int] = []
+        cols: list[int] = []
+        for j_pos, j_id in enumerate(order):
+            peers = t.wireless_set(j_id)
+            z_base[j_pos] = len(peers)
+            members = [idx[p] for p in peers if p in idx]
+            rows += members
+            cols += [j_pos] * len(members)
+        z_mat = np.tile(z_base, (n, 1))
+        z_mat[rows, cols] -= 1
+    np.fill_diagonal(z_mat, 0)
+
+    # summed a, then b, then c: the float order of trust()
+    values = _partial_sums(coef.a, k_mat)
+    values += _partial_sums(coef.b, w_mat)
+    values += _partial_sums(coef.c, z_mat)
+    np.minimum(values, 1.0, out=values)
+    values[wired] = 1.0
+    np.fill_diagonal(values, 1.0)
+    if killed:
+        live = np.array([s not in killed for s in order], dtype=np.float64)
+        values *= live[None, :]
+        np.fill_diagonal(values, live)
+    return TrustMatrix(order, values)
 
 
 def matrix_to_csv_reference(order, values, full_precision: bool = False) -> str:

@@ -603,6 +603,18 @@ class TestOutputPaths:
         self._assert_error(capsys, "establish", "fig2", "--bits", "8", "--out", str(tmp_path))
         assert list(tmp_path.iterdir()) == []  # no temporary file left behind
 
+    @pytest.mark.parametrize("bits", ["0", "-3"])
+    def test_establish_bits_below_one(self, capsys, tmp_path, bits):
+        lone = tmp_path / "lone.json"
+        lone.write_text('{"sensors": ["A"]}')
+        state = tmp_path / "state.json"
+        for topology in (str(lone), "fig2"):
+            code, out, err = run_cli(capsys, "establish", topology, "--bits", bits,
+                                     "--out", str(state))
+            assert (code, out) == (1, "")
+            assert err == f"error: target_bits must be an int of at least 1, not {bits}\n"
+        assert not state.exists()
+
     def test_state_is_a_directory(self, capsys, tmp_path):
         self._assert_error(capsys, "kill", str(tmp_path), "H")
         self._assert_error(capsys, "report", str(tmp_path))

@@ -1,10 +1,12 @@
-"""Exactness of the fast wired-exchange path and the templated writers.
+"""Exactness of the fast wired-exchange path, the trust-matrix kernel and
+the templated writers.
 
 Each fast path is checked against a straightforward reference: a copy of
 the plain waveform bit period (both ends quantized and compared, numpy
-temporaries everywhere), the state file layout spelled as a rule over
-``json.dumps``, ``json.dumps`` of the whole report document, and SHA-256
-digests of CLI output recorded before the fast paths existed.
+temporaries everywhere), the dense adjacency-product trust matrix (bit for
+bit), the state file layout spelled as a rule over ``json.dumps``,
+``json.dumps`` of the whole report document, and SHA-256 digests of CLI
+output recorded before the fast paths existed.
 """
 
 import csv
@@ -46,12 +48,14 @@ from kextrust.orchestrator import (
     state_to_json,
     trust_report,
 )
-from kextrust.topology import Topology, serialize_topology
-from kextrust.trust import coefficients_closed_form, coefficients_fixed_point
+from kextrust.topology import Topology, derive_wireless_sets, serialize_topology
+from kextrust.trust import coefficients_closed_form, coefficients_fixed_point, trust_matrix
 from reference_data import (
     matrix_to_csv_reference,
     random_topology,
     report_doc,
+    sparse_topology,
+    trust_matrix_dense_reference,
     with_explicit_wireless_sets,
 )
 
@@ -417,6 +421,94 @@ class TestReportWriter:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+
+# --- the base-plus-exceptions trust matrix against the dense kernel
+
+
+def _untidy_wireless_sets(t, rng):
+    """``t`` with explicit sets that ``validate`` would flag: ids of no
+    sensor (as peers and as an owner), owners listing themselves, wired
+    peers listed as wireless, and sensors with no set at all."""
+    sets = {"ghost": {"phantom", *t.sensors[:2]}}
+    for k, s in enumerate(t.sensors):
+        if k % 5 == 4:
+            continue
+        peers = {p for p in t.sensors if rng.random() < 0.4} | {f"phantom{k % 3}"}
+        if k % 3 == 0:
+            peers.add(s)
+        elif k % 3 == 1:
+            peers |= t.kljn_set(s)
+        sets[s] = peers
+    return Topology(t.sensors, t.kljn_edges, sets)
+
+
+def _assert_matrix_equals_dense(t, coef=COEF, kills=None):
+    if kills is None:
+        kills = (frozenset(), frozenset(t.sensors[::3]), frozenset(t.sensors))
+    for killed in kills:
+        got = trust_matrix(t, coef, killed)
+        want = trust_matrix_dense_reference(t, coef, killed)
+        assert got.order == want.order
+        assert got.values.shape == want.values.shape
+        assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64)), killed
+
+
+class TestTrustMatrixKernel:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_topologies(self, seed):
+        # complement rule, derived sets, tidy explicit sets and untidy ones
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            bare = random_topology(rng, int(rng.integers(3, 30)))
+            for t in (bare, derive_wireless_sets(bare),
+                      with_explicit_wireless_sets(bare, rng, float(rng.random())),
+                      _untidy_wireless_sets(bare, rng)):
+                _assert_matrix_equals_dense(t)
+
+    @pytest.mark.parametrize("sensors, edges", [
+        ((), ()), (("A",), ()), (("A", "B"), ()), (("A", "B"), (("A", "B"),))])
+    def test_tiny_networks(self, sensors, edges):
+        t = Topology(sensors, frozenset(edges))
+        for u in (t, derive_wireless_sets(t), _untidy_wireless_sets(t, np.random.default_rng(3))):
+            _assert_matrix_equals_dense(u)
+
+    @pytest.mark.parametrize("complete", [False, True])
+    def test_edgeless_and_complete(self, complete):
+        sensors = tuple(f"s{k:02d}" for k in range(12))
+        edges = frozenset((a, b) for a in sensors for b in sensors if a < b) if complete else frozenset()
+        t = Topology(sensors, edges)
+        for u in (t, derive_wireless_sets(t), _untidy_wireless_sets(t, np.random.default_rng(7))):
+            _assert_matrix_equals_dense(u)
+
+    @pytest.mark.parametrize("edge_prob", [0.5, 1.0])
+    def test_densely_wired_networks(self, edge_prob):
+        # each degree's middle sensors are paired a few at a time, or one
+        # at a time when every pair is wired
+        t = random_topology(np.random.default_rng(31), 80, edge_prob=edge_prob)
+        _assert_matrix_equals_dense(t)
+        _assert_matrix_equals_dense(_untidy_wireless_sets(t, np.random.default_rng(32)))
+
+    def test_saturation_network(self):
+        # (i, a) has K = W = Z = 40; under the fixed-point coefficients of
+        # tol 1e-4 its sum is above 1.0, so the cap must hold
+        mutual = [f"m{k:02d}" for k in range(40)]
+        others = [f"w{k:02d}" for k in range(40)]
+        isolated = [f"z{k:02d}" for k in range(40)]
+        edges = {("a", m) for m in mutual} | {("i", m) for m in mutual}
+        edges |= {("a", w) for w in others}
+        t = Topology(("i", "a", *mutual, *others, *isolated), frozenset(edges))
+        loose = coefficients_fixed_point(1e-4)
+        for coef in (COEF, loose):
+            _assert_matrix_equals_dense(t, coef)
+        assert trust_matrix(t, loose).value("i", "a") == 1.0
+
+    def test_benchmark_sized_networks(self):
+        rng = np.random.default_rng(23)
+        complement = sparse_topology(rng, 1000, 3000)
+        _assert_matrix_equals_dense(complement, kills=(frozenset(), frozenset(complement.sensors[::7])))
+        explicit = with_explicit_wireless_sets(sparse_topology(rng, 200, 40), rng, 0.3)
+        _assert_matrix_equals_dense(explicit)
 
 
 # --- table-driven matrix writers against csv.writer and json.dumps

@@ -98,6 +98,14 @@ class TestEstablish:
         with pytest.raises(ValueError, match="master seed must be an int"):
             establish_network_keys(t, CFG, master_seed=master_seed)
 
+    @pytest.mark.parametrize("target_bits", [0, -3, True, False, 8.0, "8", None, np.int64(8)])
+    @pytest.mark.parametrize("wired", [False, True])
+    def test_target_bits_must_be_a_positive_int(self, fig2, target_bits, wired):
+        # refused whether or not the network has a wired link to run a session on
+        t = fig2 if wired else Topology(("A",), frozenset())
+        with pytest.raises(ValueError, match="target_bits must be an int of at least 1"):
+            establish_network_keys(t, CFG, master_seed=1, target_bits=target_bits)
+
 
 class TestKillSwitchState:
     def test_killed_replays_the_log(self):

@@ -21,6 +21,7 @@ from reference_data import (
     expected_tolerance,
     geometric_sum_naive,
     random_topology,
+    sparse_topology,
     with_explicit_wireless_sets,
 )
 
@@ -204,13 +205,9 @@ class TestTrustMatrix:
                         assert matrix.values[a, b] == trust(t, COEF, killed, i, j), (i, j)
 
     def test_retains_only_the_values(self):
-        # n = 1000 under the complement rule with 3n wired links: every count
-        # array is dropped once looked up, so the result holds just the values
-        rng = np.random.default_rng(43)
-        n = 1000
-        sensors = tuple(f"s{k:04d}" for k in range(n))
-        picks = rng.integers(0, n, size=(3 * n, 2))
-        t = Topology(sensors, frozenset((sensors[a], sensors[b]) for a, b in picks if a != b))
+        # n = 1000 under the complement rule with 3n wired links: every
+        # working array is dropped, so the result holds just the values
+        t = sparse_topology(np.random.default_rng(43), 1000, 3000)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -219,6 +216,35 @@ class TestTrustMatrix:
         finally:
             tracemalloc.stop()
         assert retained <= matrix.values.nbytes + 2**20, f"{retained / 2**20:.1f} MB retained"
+
+    def test_peak_stays_near_the_values(self):
+        # the values are the only n x n array built; the rest of the
+        # working set is well under a MB at this size
+        t = sparse_topology(np.random.default_rng(43), 1000, 3000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            matrix = trust_matrix(t, COEF)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix.values.nbytes + 6 * 2**20, f"{peak / 2**20:.1f} MB peak"
+
+    @pytest.mark.parametrize("edge_prob", [0.5, 1.0])
+    def test_peak_is_bounded_on_dense_wiring(self, edge_prob):
+        # n = 200 with half or all pairs wired: the sum of deg^2, one entry
+        # per two-hop path, reaches n^3.  The paths are counted a bounded
+        # chunk at a time, so the peak is the values, the links both ways in
+        # two orders, and one chunk of keys: a fixed multiple of the values
+        t = random_topology(np.random.default_rng(44), 200, edge_prob=edge_prob)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            matrix = trust_matrix(t, COEF)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * matrix.values.nbytes, f"{peak / matrix.values.nbytes:.1f} x the values"
 
     def test_value_accessor(self, fig2):
         matrix = trust_matrix(fig2, COEF)
