@@ -8,6 +8,7 @@ including its public-comparison defense against active attacks.
 """
 
 from .kljn import (
+    LEVELS,
     AttackVerdict,
     BudgetExhaustedError,
     ChannelLevels,
@@ -23,7 +24,6 @@ from .kljn import (
     detect_active_attack,
     run_key_exchange,
     simulate_bit_period,
-    theoretical_levels,
 )
 from .orchestrator import (
     KillSwitchState,

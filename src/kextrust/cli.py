@@ -12,13 +12,18 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 import numpy as np
 
 from .kljn import (
+    BANDWIDTH,
+    DATA_WORD_BITS,
+    R_HIGH,
+    R_LOW,
+    SAMPLES_PER_PERIOD,
+    T_EFF,
     BudgetExhaustedError,
     CurrentInjectionAttacker,
     KljnSessionConfig,
@@ -32,6 +37,7 @@ from .orchestrator import (
     apply_kill_event,
     establish_network_keys,
     json_block,
+    json_chunks,
     load_state,
     state_to_json,
     trust_report,
@@ -191,21 +197,13 @@ def matrix_to_csv(order, values, full_precision: bool = False) -> str:
     return "".join(lines)
 
 
-def _json_chunks(items, pad: str, brackets: str = "[]"):
-    """``json_block(items, pad, brackets)`` as text chunks, one per entry."""
-    first = True
-    for item in items:
-        yield f"{brackets[0] if first else ','}\n{pad}  {item}"
-        first = False
-    yield brackets if first else f"\n{pad}{brackets[1]}"
-
-
 def _matrix_chunks(order, values, pad: str, labeller: _CellLabeller):
     """``{"order": order, "values": values}`` for a float matrix ``values``,
-    laid out as by ``json.dumps(indent=2)`` at indent ``pad``, a row a chunk."""
+    laid out as by ``json.dumps(indent=2)`` at indent ``pad``, in chunks of
+    up to 64 rows."""
     inner = pad + "  "
     yield f'{{\n{inner}"order": {json_block(map(_json_str, order), inner)},\n{inner}"values": '
-    yield from _json_chunks((json_block(row, inner + "  ") for row in labeller.rows(values)), inner)
+    yield from json_chunks((json_block(row, inner + "  ") for row in labeller.rows(values)), inner)
     yield f"\n{pad}}}"
 
 
@@ -226,8 +224,8 @@ def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
     ``sensor``, ``action``, ``note``).
 
     ``matrix`` and ``rankings`` are those :func:`trust_report` returns.  The
-    matrix rows, the rankings and the records are yielded one at a time;
-    all floats are labelled by one :class:`_CellLabeller`.
+    matrix rows, the rankings and the records are yielded up to 64 at a
+    time; all floats are labelled by one :class:`_CellLabeller`.
     """
     labeller = _CellLabeller()
     coefficients = (f'"{name}": {json.dumps(getattr(coef, name))}'
@@ -238,7 +236,7 @@ def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
            '  "matrix": ')
     yield from _matrix_chunks(matrix.order, matrix.values, "  ", labeller)
     yield ',\n  "rankings": '
-    yield from _json_chunks((
+    yield from json_chunks((
         f"{_json_str(sensor)}: " + json_block(
             (f"[\n        {_json_str(peer)},\n        {label}\n      ]"
              for (peer, _), label in zip(ranking, labeller.labels([v for _, v in ranking]))),
@@ -246,7 +244,7 @@ def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
         for sensor, ranking in rankings.items()
     ), "  ", "{}")
     yield ',\n  "records": '
-    yield from _json_chunks((
+    yield from json_chunks((
         f'{{\n      "pair": [\n        {_json_str(r.pair[0])},\n        {_json_str(r.pair[1])}\n'
         f'      ],\n      "channel": {_json_str(r.channel)},\n'
         f'      "key_id": {_json_str(r.key_id)},\n'
@@ -255,7 +253,7 @@ def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
         for r in state.records_sorted()
     ), "  ")
     yield ',\n  "kill_log": '
-    yield from _json_chunks((
+    yield from json_chunks((
         f'{{\n      "timestamp": {e.timestamp},\n      "sensor": {_json_str(e.sensor)},\n'
         f'      "action": {_json_str(e.action)},\n      "note": {_json_str(e.note)}\n    }}'
         for e in state.kill.event_log
@@ -318,10 +316,6 @@ def _cmd_coefficients(args) -> int:
         }
         doc["fixed_point"] = {"a": numeric.a, "b": numeric.b, "c": numeric.c}
         doc["deviations"] = deviations
-        if max(deviations.values()) >= args.check:
-            print(json.dumps(doc, indent=2))
-            print(f"error: fixed-point solution deviates beyond {args.check}", file=sys.stderr)
-            return 1
     if args.format == "json":
         _emit((json.dumps(doc, indent=2) + "\n",), args.out)
     else:
@@ -332,6 +326,9 @@ def _cmd_coefficients(args) -> int:
             for name, dev in doc["deviations"].items():
                 lines.append(f"fixed_point_deviation_{name} = {dev:.3e}")
         _emit(("\n".join(lines) + "\n",), args.out)
+    if args.check is not None and max(doc["deviations"].values()) >= args.check:
+        print(f"error: fixed-point solution deviates beyond {args.check}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -346,9 +343,7 @@ def _build_attacker(name: str, start: int, seed: int):
 
 
 def _cmd_simulate_kljn(args) -> int:
-    cfg = KljnSessionConfig(seed=args.seed)
-    if args.tol is not None:
-        cfg = replace(cfg, level_tolerance=args.tol)
+    cfg = KljnSessionConfig(level_tolerance=args.tol, seed=args.seed)
     attacker = _build_attacker(args.attacker, args.attack_start, args.seed)
 
     exhausted = False
@@ -360,13 +355,13 @@ def _cmd_simulate_kljn(args) -> int:
 
     doc = {
         "config": {
-            "r_low": cfg.r_low,
-            "r_high": cfg.r_high,
-            "t_eff": cfg.t_eff,
-            "bandwidth": cfg.bandwidth,
-            "samples_per_period": cfg.samples_per_period,
+            "r_low": R_LOW,
+            "r_high": R_HIGH,
+            "t_eff": T_EFF,
+            "bandwidth": BANDWIDTH,
+            "samples_per_period": SAMPLES_PER_PERIOD,
             "level_tolerance": cfg.level_tolerance,
-            "data_word_bits": cfg.data_word_bits,
+            "data_word_bits": DATA_WORD_BITS,
             "seed": cfg.seed,
         },
         "target_bits": args.bits,
@@ -378,7 +373,7 @@ def _cmd_simulate_kljn(args) -> int:
         "attack_detected": result.attack_detected,
         "budget_exhausted": exhausted,
         "level_statistics": result.level_statistics,
-        "auth_bits_per_word": auth_bit_cost(cfg.data_word_bits),
+        "auth_bits_per_word": auth_bit_cost(DATA_WORD_BITS),
     }
     if args.emit_key:
         doc["key_hex"] = result.key_hex
@@ -388,8 +383,7 @@ def _cmd_simulate_kljn(args) -> int:
 
 def _cmd_establish(args) -> int:
     t = _load_checked_topology(args.topology)
-    cfg = KljnSessionConfig(seed=args.seed)
-    state = establish_network_keys(t, cfg, master_seed=args.seed, target_bits=args.bits)
+    state = establish_network_keys(t, master_seed=args.seed, target_bits=args.bits)
     _emit((state_to_json(state),), args.out)
     failed = sum(1 for r in state.stored.values() if r.status == STATUS_FAILED)
     if failed:
@@ -459,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("simulate-kljn", help="run one wired key-exchange session")
     p.add_argument("--bits", type=int, default=128, help="target key length")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None, help="level classification tolerance")
+    p.add_argument("--tol", type=float, default=KljnSessionConfig.level_tolerance,
+                   help="level classification tolerance")
     p.add_argument("--attacker", choices=["none", "wire-substitution", "current-injection"],
                    default="none")
     p.add_argument("--attack-start", type=int, default=0, metavar="PERIOD")

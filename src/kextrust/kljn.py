@@ -33,15 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 BOLTZMANN = 1.380649e-23  # J/K
-
-# Quantizer full-scale, in units of the largest theoretical RMS amplitude.
-# Clipping beyond 6 sigma affects ~2e-9 of samples and both ends clip alike.
-_CLIP_SIGMA = 6.0
 
 
 class ResistorChoice(str, Enum):
@@ -56,46 +51,36 @@ class LevelClass(str, Enum):
     UNDECIDED = "Undecided"
 
 
+# The emulated circuit.  Only level *ratios* matter for classification, so
+# the effective temperature is an arbitrarily large emulation value.
+R_LOW = 1_000.0  # ohm
+R_HIGH = 10_000.0  # ohm
+T_EFF = 1e9  # K
+BANDWIDTH = 1_000.0  # Hz
+SAMPLES_PER_PERIOD = 2_000
+DATA_WORD_BITS = 16  # bits of each published sample word
+NOISE_POWER_UNIT = 4.0 * BOLTZMANN * T_EFF * BANDWIDTH  # 4*k*T_eff*B, per ohm
+
+
+def resistance(choice: ResistorChoice) -> float:
+    return R_LOW if choice is ResistorChoice.LOW else R_HIGH
+
+
 @dataclass(frozen=True)
 class KljnSessionConfig:
-    """Electrical and estimation parameters for one key-exchange session.
+    """Estimation parameters for one key-exchange session.
 
-    Only level *ratios* matter for classification, so the default effective
-    temperature is an arbitrarily large emulation value.  The tolerance and
-    window defaults separate the three levels by far more than the
-    estimator spread, keeping undecided periods below 1%.
+    The default tolerance separates the three levels by far more than the
+    estimator spread over ``SAMPLES_PER_PERIOD`` samples, keeping undecided
+    periods below 1%.
     """
 
-    r_low: float = 1_000.0
-    r_high: float = 10_000.0
-    t_eff: float = 1e9
-    bandwidth: float = 1_000.0
-    samples_per_period: int = 2_000
     level_tolerance: float = 0.2
-    data_word_bits: int = 16
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.r_low < self.r_high):
-            raise ValueError(f"need 0 < r_low < r_high, got {self.r_low}, {self.r_high}")
-        if self.t_eff <= 0 or self.bandwidth <= 0:
-            raise ValueError("t_eff and bandwidth must be positive")
-        if self.samples_per_period <= 0:
-            raise ValueError("samples_per_period must be positive")
         if not (0.0 < self.level_tolerance < 0.5):
             raise ValueError(f"level_tolerance must be in (0, 0.5), got {self.level_tolerance}")
-        if not (2 <= self.data_word_bits <= 48):
-            # words are kept as 64-bit integers; beyond float64's mantissa a
-            # finer grid would quantize rounding noise anyway
-            raise ValueError("data_word_bits must be in [2, 48]")
-
-    def resistance(self, choice: ResistorChoice) -> float:
-        return self.r_low if choice is ResistorChoice.LOW else self.r_high
-
-    @property
-    def noise_power_unit(self) -> float:
-        """4*k*T_eff*B, the per-ohm noise power density of this session."""
-        return 4.0 * BOLTZMANN * self.t_eff * self.bandwidth
 
 
 @dataclass(frozen=True)
@@ -106,19 +91,20 @@ class ChannelLevels:
     current: tuple[float, float, float]
 
 
-def theoretical_levels(cfg: KljnSessionConfig) -> ChannelLevels:
-    """Mean-square channel levels for the three selection classes.
-
-    Voltage follows the parallel resistance (R_L/2 < R_L*R_H/(R_L+R_H) <
-    R_H/2), current the loop resistance (2R_L < R_L+R_H < 2R_H), so the
-    voltage triple is strictly increasing and the current triple strictly
-    decreasing.
-    """
-    unit = cfg.noise_power_unit
-    rl, rh = cfg.r_low, cfg.r_high
-    v = (unit * rl / 2.0, unit * rl * rh / (rl + rh), unit * rh / 2.0)
-    i = (unit / (2.0 * rl), unit / (rl + rh), unit / (2.0 * rh))
-    return ChannelLevels(voltage=v, current=i)
+# Mean-square channel levels for the three selection classes.  Voltage
+# follows the parallel resistance (R_L/2 < R_L*R_H/(R_L+R_H) < R_H/2),
+# current the loop resistance (2R_L < R_L+R_H < 2R_H), so the voltage
+# triple is strictly increasing and the current triple strictly decreasing.
+LEVELS = ChannelLevels(
+    voltage=(NOISE_POWER_UNIT * R_LOW / 2.0, NOISE_POWER_UNIT * R_LOW * R_HIGH / (R_LOW + R_HIGH),
+             NOISE_POWER_UNIT * R_HIGH / 2.0),
+    current=(NOISE_POWER_UNIT / (2.0 * R_LOW), NOISE_POWER_UNIT / (R_LOW + R_HIGH),
+             NOISE_POWER_UNIT / (2.0 * R_HIGH)),
+)
+# Quantizer full scales: 6 times the largest theoretical RMS amplitude.
+# Clipping beyond 6 sigma affects ~2e-9 of samples and both ends clip alike.
+VOLTAGE_FULL_SCALE = 6.0 * math.sqrt(LEVELS.voltage[2])
+CURRENT_FULL_SCALE = 6.0 * math.sqrt(LEVELS.current[0])
 
 
 def classify_level(measured: float, levels: tuple[float, float, float], tol: float) -> LevelClass:
@@ -143,9 +129,9 @@ def classify_level(measured: float, levels: tuple[float, float, float], tol: flo
     return LevelClass.UNDECIDED
 
 
-def resistor_noise(cfg: KljnSessionConfig, resistance: float, n: int, rng) -> np.ndarray:
+def resistor_noise(resistance: float, n: int, rng) -> np.ndarray:
     """One window of emulated thermal noise for a connected resistor."""
-    return rng.normal(0.0, math.sqrt(cfg.noise_power_unit * resistance), n)
+    return rng.normal(0.0, math.sqrt(NOISE_POWER_UNIT * resistance), n)
 
 
 def channel_waveforms(r_a, r_b, u_a, u_b):
@@ -168,7 +154,7 @@ def channel_waveforms(r_a, r_b, u_a, u_b):
 def quantize_words(samples: np.ndarray, full_scale: float, word_bits: int) -> np.ndarray:
     """Map samples in [-full_scale, full_scale] onto unsigned words.
 
-    Both parties quantize onto the identical config-derived grid, so equal
+    Both parties quantize onto the one fixed grid, so equal
     observations produce equal words.
     """
     top = (1 << word_bits) - 1
@@ -177,15 +163,6 @@ def quantize_words(samples: np.ndarray, full_scale: float, word_bits: int) -> np
     np.rint(scaled, out=scaled)
     np.clip(scaled, 0, top, out=scaled)
     return scaled.astype(np.int64)
-
-
-@lru_cache(maxsize=64)
-def _period_grid(cfg: KljnSessionConfig) -> tuple[ChannelLevels, float, float]:
-    """Theoretical levels and the voltage/current quantizer full scales."""
-    levels = theoretical_levels(cfg)
-    v_scale = _CLIP_SIGMA * math.sqrt(levels.voltage[2])
-    i_scale = _CLIP_SIGMA * math.sqrt(levels.current[0])
-    return levels, v_scale, i_scale
 
 
 def _mean_square(x: np.ndarray) -> float:
@@ -234,12 +211,12 @@ class WireSubstitutionAttacker:
     def active(self, period_index: int) -> bool:
         return period_index >= self.start_period
 
-    def tamper(self, cfg, r_a, r_b, u_a, u_b):
+    def tamper(self, r_a, r_b, u_a, u_b):
         n = len(u_a)
-        r_e1 = cfg.r_high if self._rng.integers(0, 2) else cfg.r_low
-        r_e2 = cfg.r_high if self._rng.integers(0, 2) else cfg.r_low
-        u_e1 = resistor_noise(cfg, r_e1, n, self._rng)
-        u_e2 = resistor_noise(cfg, r_e2, n, self._rng)
+        r_e1 = R_HIGH if self._rng.integers(0, 2) else R_LOW
+        r_e2 = R_HIGH if self._rng.integers(0, 2) else R_LOW
+        u_e1 = resistor_noise(r_e1, n, self._rng)
+        u_e2 = resistor_noise(r_e2, n, self._rng)
         alice_u, alice_i = channel_waveforms(r_a, r_e1, u_a, u_e1)
         bob_u, bob_i = channel_waveforms(r_e2, r_b, u_e2, u_b)
         return alice_u, alice_i, bob_u, bob_i
@@ -260,10 +237,9 @@ class CurrentInjectionAttacker:
     def active(self, period_index: int) -> bool:
         return period_index >= self.start_period
 
-    def tamper(self, cfg, r_a, r_b, u_a, u_b):
+    def tamper(self, r_a, r_b, u_a, u_b):
         u_ch, i_ch = channel_waveforms(r_a, r_b, u_a, u_b)
-        levels = _period_grid(cfg)[0]
-        injected = self._rng.normal(0.0, self.scale * math.sqrt(levels.current[1]), len(u_a))
+        injected = self._rng.normal(0.0, self.scale * math.sqrt(LEVELS.current[1]), len(u_a))
         return u_ch, i_ch + injected / 2.0, u_ch, i_ch - injected / 2.0
 
 
@@ -308,35 +284,33 @@ def simulate_bit_period(
     """
     alice_choice = ResistorChoice.HIGH if alice_rng.integers(0, 2) else ResistorChoice.LOW
     bob_choice = ResistorChoice.HIGH if bob_rng.integers(0, 2) else ResistorChoice.LOW
-    r_a, r_b = cfg.resistance(alice_choice), cfg.resistance(bob_choice)
+    r_a, r_b = resistance(alice_choice), resistance(bob_choice)
 
-    n = cfg.samples_per_period
-    u_a = resistor_noise(cfg, r_a, n, alice_rng)
-    u_b = resistor_noise(cfg, r_b, n, bob_rng)
+    u_a = resistor_noise(r_a, SAMPLES_PER_PERIOD, alice_rng)
+    u_b = resistor_noise(r_b, SAMPLES_PER_PERIOD, bob_rng)
 
     tampered = attacker is not None and attacker.active(period_index)
     if tampered:
-        alice_u, alice_i, bob_u, bob_i = attacker.tamper(cfg, r_a, r_b, u_a, u_b)
+        alice_u, alice_i, bob_u, bob_i = attacker.tamper(r_a, r_b, u_a, u_b)
     else:
         alice_u, alice_i = channel_waveforms(r_a, r_b, u_a, u_b)
 
     ms_voltage = _mean_square(alice_u)
     ms_current = _mean_square(alice_i)
 
-    levels, v_scale, i_scale = _period_grid(cfg)
     level_class = _combine_classes(
-        classify_level(ms_voltage, levels.voltage, cfg.level_tolerance),
-        classify_level(ms_current, levels.current, cfg.level_tolerance),
+        classify_level(ms_voltage, LEVELS.voltage, cfg.level_tolerance),
+        classify_level(ms_current, LEVELS.current, cfg.level_tolerance),
     )
 
     alice_trace = PeriodTrace(
-        quantize_words(alice_u, v_scale, cfg.data_word_bits),
-        quantize_words(alice_i, i_scale, cfg.data_word_bits),
+        quantize_words(alice_u, VOLTAGE_FULL_SCALE, DATA_WORD_BITS),
+        quantize_words(alice_i, CURRENT_FULL_SCALE, DATA_WORD_BITS),
     )
     if tampered:
         bob_trace = PeriodTrace(
-            quantize_words(bob_u, v_scale, cfg.data_word_bits),
-            quantize_words(bob_i, i_scale, cfg.data_word_bits),
+            quantize_words(bob_u, VOLTAGE_FULL_SCALE, DATA_WORD_BITS),
+            quantize_words(bob_i, CURRENT_FULL_SCALE, DATA_WORD_BITS),
         )
     else:
         bob_trace = alice_trace  # one shared waveform, one shared trace

@@ -20,7 +20,8 @@ import hashlib
 import json
 import os
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
@@ -184,7 +185,6 @@ def _fingerprint(material: str) -> str:
 
 def establish_network_keys(
     t: Topology,
-    cfg: KljnSessionConfig,
     master_seed: int,
     target_bits: int = 128,
     attackers: dict[Pair, object] | None = None,
@@ -211,9 +211,9 @@ def establish_network_keys(
     state = NetworkKeyState(t, {}, KillSwitchState(), n * (n - 1) // 2, master_seed)
     for a, b in sorted(t.kljn_edges):
         index = state.pair_index(a, b)
-        session_cfg = replace(cfg, seed=_derive_seed(master_seed, a, b))
+        cfg = KljnSessionConfig(seed=_derive_seed(master_seed, a, b))
         try:
-            result = run_key_exchange(session_cfg, target_bits, attacker=attackers.get((a, b)))
+            result = run_key_exchange(cfg, target_bits, attacker=attackers.get((a, b)))
         except BudgetExhaustedError:
             result = None
         if result is None or result.attack_detected:
@@ -262,22 +262,28 @@ def _record_to_dict(r: KeyRecord) -> dict:
     }
 
 
-def _event_to_dict(event: KillEvent) -> dict:
-    return {
-        "timestamp": event.timestamp,
-        "sensor": event.sensor,
-        "action": event.action,
-        "note": event.note,
-    }
-
-
-def json_block(items, pad: str, brackets: str = "[]") -> str:
+def json_chunks(items, pad: str, brackets: str = "[]"):
     """A list (an object with ``brackets="{}"``) laid out as ``json.dumps(...,
     indent=2)`` lays it out where its opening line is indented by ``pad``:
     one entry per line.  ``items`` are the entries as JSON text, so an entry
-    may itself span lines.  Empty gives ``[]`` or ``{}``."""
-    body = f",\n{pad}  ".join(items)
-    return f"{brackets[0]}\n{pad}  {body}\n{pad}{brackets[1]}" if body else brackets
+    may itself span lines; none may be empty.  Empty gives ``[]`` or ``{}``.
+
+    The text comes in chunks of up to 64 entries each, joined by
+    ``str.join``: a chunk per entry made a matrix row of 1000 cells take
+    ten times as long.
+    """
+    sep, items = f",\n{pad}  ", iter(items)
+    head = f"{brackets[0]}\n{pad}  "
+    while body := sep.join(islice(items, 64)):
+        yield head
+        yield body
+        head = sep
+    yield f"\n{pad}{brackets[1]}" if head is sep else brackets
+
+
+def json_block(items, pad: str, brackets: str = "[]") -> str:
+    """The chunks of :func:`json_chunks` joined into one string."""
+    return "".join(json_chunks(items, pad, brackets))
 
 
 def _json_ids(ids) -> str:
@@ -304,7 +310,7 @@ def state_to_json(state: NetworkKeyState) -> str:
         sets = (f"{_json_str(s)}: {_json_ids(peers)}" for s, peers in t["wireless_sets"].items())
         topology.append(f'"wireless_sets": {json_block(sets, "    ", "{}")}')
     records = (json.dumps(_record_to_dict(state.stored[p])) for p in sorted(state.stored))
-    events = (json.dumps(_event_to_dict(e)) for e in state.kill.event_log)
+    events = (json.dumps(asdict(e)) for e in state.kill.event_log)
     return (
         f'{{\n  "version": 2,\n  "topology": {json_block(topology, "  ", "{}")},\n'
         f'  "clock": {state.clock},\n  "master_seed": {state.master_seed},\n'

@@ -335,7 +335,7 @@ def test_criterion_6_active_attack_detection():
 
 def test_criterion_7_orchestrated_establishment(fig2):
     failures = []
-    state = establish_network_keys(fig2, KljnSessionConfig(), master_seed=42, target_bits=32)
+    state = establish_network_keys(fig2, master_seed=42, target_bits=32)
     channels = [r.channel for r in state.records.values()]
     if channels.count(CHANNEL_KLJN) != 6 or channels.count(CHANNEL_WIRELESS) != 39:
         failures.append(
@@ -343,7 +343,7 @@ def test_criterion_7_orchestrated_establishment(fig2):
             f"{channels.count(CHANNEL_WIRELESS)} wireless, expected 6 / 39"
         )
 
-    again = establish_network_keys(fig2, KljnSessionConfig(), master_seed=42, target_bits=32)
+    again = establish_network_keys(fig2, master_seed=42, target_bits=32)
     if state_to_json(again) != state_to_json(state):
         failures.append("same master seed did not produce byte-identical state")
 

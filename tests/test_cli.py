@@ -337,6 +337,22 @@ class TestCoefficients:
         else:
             assert (code, err) == (1, f"error: fixed-point solution deviates beyond {tol}\n")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_failing_check_writes_the_document_where_asked(self, capsys, tmp_path, fmt):
+        # a failing check writes the document as a passing one does, then exits 1
+        argv = ("coefficients", "--check", "1e-20", "--format", fmt)
+        code, want, err = run_cli(capsys, *argv)
+        assert (code, err) == (1, "error: fixed-point solution deviates beyond 1e-20\n")
+        if fmt == "json":
+            assert max(json.loads(want)["deviations"].values()) >= 1e-20
+        else:
+            assert want.startswith("a = 0.3819660112501051\n")
+            assert "fixed_point_deviation_a = " in want
+        out = tmp_path / "c.txt"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout, err) == (1, "", "error: fixed-point solution deviates beyond 1e-20\n")
+        assert out.read_text(encoding="utf-8") == want
+
 
 class TestSimulate:
     def test_deterministic_report(self, capsys):
@@ -375,6 +391,26 @@ class TestSimulate:
         assert doc["key_length"] == 0
         assert doc["key_hex"] == ""
         assert doc["periods_used"] == 3
+
+    def test_config_block_holds_the_circuit_constants(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate-kljn", "--bits", "8", "--seed", "3")
+        assert code == 0
+        assert json.loads(out)["config"] == {
+            "r_low": 1000.0, "r_high": 10000.0, "t_eff": 1e9, "bandwidth": 1000.0,
+            "samples_per_period": 2000, "level_tolerance": 0.2, "data_word_bits": 16, "seed": 3,
+        }
+        code, out, _ = run_cli(capsys, "simulate-kljn", "--bits", "8", "--tol", "0.3")
+        assert json.loads(out)["config"]["level_tolerance"] == 0.3
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--tol", "0"), "level_tolerance must be in (0, 0.5), got 0.0"),
+        (("--tol", "0.5"), "level_tolerance must be in (0, 0.5), got 0.5"),
+        (("--tol", "nan"), "level_tolerance must be in (0, 0.5), got nan"),
+        (("--bits", "0"), "target_bits must be at least 1"),
+    ])
+    def test_refused_settings(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "simulate-kljn", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_budget_exhaustion_exit_code(self, capsys):
         code, out, _ = run_cli(

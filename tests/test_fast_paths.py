@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kextrust import kljn
 from kextrust.cli import main, matrix_to_csv, matrix_to_json, report_json_chunks
 from kextrust.kljn import (
     CurrentInjectionAttacker,
@@ -34,15 +35,15 @@ from kextrust.kljn import (
     channel_waveforms,
     classify_level,
     quantize_words,
-    resistor_noise,
     run_key_exchange,
     simulate_bit_period,
-    theoretical_levels,
 )
 from kextrust.orchestrator import (
     CHANNEL_WIRELESS,
     apply_kill_event,
     establish_network_keys,
+    json_block,
+    json_chunks,
     save_state,
     state_from_json,
     state_to_json,
@@ -64,7 +65,22 @@ COEF = coefficients_closed_form()
 KINDS = ("none", "wire-substitution", "current-injection")
 
 
-# --- reference bit period: every step spelled out, nothing shared or reused
+# --- reference bit period: every step spelled out from the circuit constants,
+# nothing shared or reused
+
+_REF_UNIT = 4.0 * 1.380649e-23 * kljn.T_EFF * kljn.BANDWIDTH  # 4*k*T_eff*B, per ohm
+
+
+def _ref_levels():
+    """(voltage, current) mean-square levels, index order (LL, mixed, HH)."""
+    rl, rh = kljn.R_LOW, kljn.R_HIGH
+    voltage = (_REF_UNIT * rl / 2.0, _REF_UNIT * rl * rh / (rl + rh), _REF_UNIT * rh / 2.0)
+    current = (_REF_UNIT / (2.0 * rl), _REF_UNIT / (rl + rh), _REF_UNIT / (2.0 * rh))
+    return voltage, current
+
+
+def _ref_noise(resistance, n, rng):
+    return rng.normal(0.0, math.sqrt(_REF_UNIT * resistance), n)
 
 
 def _ref_channel(r_a, r_b, u_a, u_b):
@@ -86,55 +102,51 @@ def _ref_mismatch(a, b):
 
 
 class _RefWireSubstitution(WireSubstitutionAttacker):
-    def tamper(self, cfg, r_a, r_b, u_a, u_b):
+    def tamper(self, r_a, r_b, u_a, u_b):
         n = len(u_a)
-        r_e1 = cfg.r_high if self._rng.integers(0, 2) else cfg.r_low
-        r_e2 = cfg.r_high if self._rng.integers(0, 2) else cfg.r_low
-        u_e1 = resistor_noise(cfg, r_e1, n, self._rng)
-        u_e2 = resistor_noise(cfg, r_e2, n, self._rng)
+        r_e1 = kljn.R_HIGH if self._rng.integers(0, 2) else kljn.R_LOW
+        r_e2 = kljn.R_HIGH if self._rng.integers(0, 2) else kljn.R_LOW
+        u_e1 = _ref_noise(r_e1, n, self._rng)
+        u_e2 = _ref_noise(r_e2, n, self._rng)
         alice_u, alice_i = _ref_channel(r_a, r_e1, u_a, u_e1)
         bob_u, bob_i = _ref_channel(r_e2, r_b, u_e2, u_b)
         return alice_u, alice_i, bob_u, bob_i
 
 
 class _RefCurrentInjection(CurrentInjectionAttacker):
-    def tamper(self, cfg, r_a, r_b, u_a, u_b):
+    def tamper(self, r_a, r_b, u_a, u_b):
         u_ch, i_ch = _ref_channel(r_a, r_b, u_a, u_b)
-        levels = theoretical_levels(cfg)
-        injected = self._rng.normal(0.0, self.scale * math.sqrt(levels.current[1]), len(u_a))
+        injected = self._rng.normal(0.0, self.scale * math.sqrt(_ref_levels()[1][1]), len(u_a))
         return u_ch, i_ch + injected / 2.0, u_ch, i_ch - injected / 2.0
 
 
 def _ref_period(cfg, alice_rng, bob_rng, attacker=None, period_index=0):
     alice_choice = ResistorChoice.HIGH if alice_rng.integers(0, 2) else ResistorChoice.LOW
     bob_choice = ResistorChoice.HIGH if bob_rng.integers(0, 2) else ResistorChoice.LOW
-    r_a, r_b = cfg.resistance(alice_choice), cfg.resistance(bob_choice)
-    n = cfg.samples_per_period
-    u_a = resistor_noise(cfg, r_a, n, alice_rng)
-    u_b = resistor_noise(cfg, r_b, n, bob_rng)
+    r_a = kljn.R_HIGH if alice_choice is ResistorChoice.HIGH else kljn.R_LOW
+    r_b = kljn.R_HIGH if bob_choice is ResistorChoice.HIGH else kljn.R_LOW
+    u_a = _ref_noise(r_a, kljn.SAMPLES_PER_PERIOD, alice_rng)
+    u_b = _ref_noise(r_b, kljn.SAMPLES_PER_PERIOD, bob_rng)
     if attacker is not None and attacker.active(period_index):
-        alice_u, alice_i, bob_u, bob_i = attacker.tamper(cfg, r_a, r_b, u_a, u_b)
+        alice_u, alice_i, bob_u, bob_i = attacker.tamper(r_a, r_b, u_a, u_b)
     else:
         u_ch, i_ch = _ref_channel(r_a, r_b, u_a, u_b)
         alice_u = bob_u = u_ch
         alice_i = bob_i = i_ch
     ms_voltage = float(np.mean(alice_u * alice_u))
     ms_current = float(np.mean(alice_i * alice_i))
-    levels = theoretical_levels(cfg)
+    voltage_levels, current_levels = _ref_levels()
     level_class = _combine_classes(
-        classify_level(ms_voltage, levels.voltage, cfg.level_tolerance),
-        classify_level(ms_current, levels.current, cfg.level_tolerance),
+        classify_level(ms_voltage, voltage_levels, cfg.level_tolerance),
+        classify_level(ms_current, current_levels, cfg.level_tolerance),
     )
-    v_scale = 6.0 * math.sqrt(levels.voltage[2])
-    i_scale = 6.0 * math.sqrt(levels.current[0])
+    v_scale = 6.0 * math.sqrt(voltage_levels[2])
+    i_scale = 6.0 * math.sqrt(current_levels[0])
+    word_bits = kljn.DATA_WORD_BITS
     alice_trace = PeriodTrace(
-        _ref_quantize(alice_u, v_scale, cfg.data_word_bits),
-        _ref_quantize(alice_i, i_scale, cfg.data_word_bits),
-    )
+        _ref_quantize(alice_u, v_scale, word_bits), _ref_quantize(alice_i, i_scale, word_bits))
     bob_trace = PeriodTrace(
-        _ref_quantize(bob_u, v_scale, cfg.data_word_bits),
-        _ref_quantize(bob_i, i_scale, cfg.data_word_bits),
-    )
+        _ref_quantize(bob_u, v_scale, word_bits), _ref_quantize(bob_i, i_scale, word_bits))
     attack_flag = _ref_mismatch(alice_trace, bob_trace)
     bit = None
     if level_class is LevelClass.INTERMEDIATE and not attack_flag:
@@ -211,7 +223,7 @@ class TestBitPeriodExactness:
 
     def test_channel_waveforms_equal_reference(self):
         rng = np.random.default_rng(11)
-        for r_a, r_b in ((CFG.r_low, CFG.r_high), (CFG.r_high, CFG.r_high), (3.5, 7.25)):
+        for r_a, r_b in ((kljn.R_LOW, kljn.R_HIGH), (kljn.R_HIGH, kljn.R_HIGH), (3.5, 7.25)):
             u_a, u_b = rng.normal(0.0, 1e3, 2000), rng.normal(0.0, 2e3, 2000)
             want_u, want_i = _ref_channel(r_a, r_b, u_a, u_b)
             got_u, got_i = channel_waveforms(r_a, r_b, u_a.copy(), u_b.copy())
@@ -327,9 +339,27 @@ def _ref_state_json(state):
 ODD_IDS = ('q"1', "back\\slash", "é", "\u2603snow", "tab\there", "plain")
 
 
+class TestListWriter:
+    @pytest.mark.parametrize("size", [0, 1, 2, 63, 64, 65, 128, 129, 1000])
+    @pytest.mark.parametrize("pad", ["", "    "])
+    def test_lists_and_objects_equal_json_dumps(self, size, pad):
+        # a block opened at indent pad is json.dumps(indent=2) of the value
+        # with pad after every line break
+        values = [i if i % 2 else f"s{i}" for i in range(size)]
+        want = json.dumps(values, indent=2).replace("\n", "\n" + pad)
+        items = [json.dumps(v) for v in values]
+        assert json_block(items, pad) == want
+        assert json_block(iter(items), pad) == want
+        assert "".join(json_chunks(items, pad)) == want
+        obj = {f"k{i}": v for i, v in enumerate(values)}
+        want = json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+        assert json_block((f"{json.dumps(k)}: {json.dumps(v)}" for k, v in obj.items()),
+                          pad, "{}") == want
+
+
 class TestStateWriter:
     def test_fig2_before_and_after_kill(self, fig2):
-        state = establish_network_keys(fig2, CFG, master_seed=42, target_bits=16)
+        state = establish_network_keys(fig2, master_seed=42, target_bits=16)
         assert state_to_json(state) == _ref_state_json(state)
         apply_kill_event(state, "H", note='field "alert" \\ \u00e9\u2603')
         apply_kill_event(state, "A")
@@ -337,7 +367,7 @@ class TestStateWriter:
 
     def test_escaped_ids_and_notes(self):
         t = Topology(ODD_IDS, frozenset({(ODD_IDS[0], ODD_IDS[2]), (ODD_IDS[1], ODD_IDS[3])}))
-        state = establish_network_keys(t, CFG, master_seed=9, target_bits=8)
+        state = establish_network_keys(t, master_seed=9, target_bits=8)
         apply_kill_event(state, ODD_IDS[3], note='say "\u00e9" \\n\n\u2603')
         text = state_to_json(state)
         assert text == _ref_state_json(state)
@@ -345,14 +375,14 @@ class TestStateWriter:
 
     def test_wireless_tokens_match_json_material(self):
         t = Topology(ODD_IDS, frozenset())
-        state = establish_network_keys(t, CFG, master_seed=123, target_bits=8)
+        state = establish_network_keys(t, master_seed=123, target_bits=8)
         for (a, b), record in state.records.items():
             material = json.dumps([123, a, b, CHANNEL_WIRELESS]).encode()
             assert record.key_id == hashlib.sha256(material).hexdigest()[:16]
 
     @pytest.mark.parametrize("sensors", [("A",), ()])
     def test_empty_records(self, sensors):
-        state = establish_network_keys(Topology(sensors, frozenset()), CFG, master_seed=1)
+        state = establish_network_keys(Topology(sensors, frozenset()), master_seed=1)
         assert state.records == {}
         assert state_to_json(state) == _ref_state_json(state)
         if sensors:
@@ -378,15 +408,15 @@ class TestReportWriter:
         [((), ()), (("A",), ()), (("A", "B"), ()), (("A", "B\u00e9"), (("A", "B\u00e9"),))],
     )
     def test_small_topologies(self, sensors, edges):
-        state = establish_network_keys(Topology(sensors, frozenset(edges)), CFG,
-                                       master_seed=5, target_bits=8)
+        state = establish_network_keys(Topology(sensors, frozenset(edges)), master_seed=5,
+                                       target_bits=8)
         _assert_report_equals_json_dumps(state)
         if sensors:
             apply_kill_event(state, sensors[-1], note="last")
             _assert_report_equals_json_dumps(state)
 
     def test_fig2_before_and_after_kill(self, fig2):
-        state = establish_network_keys(fig2, CFG, master_seed=42, target_bits=16)
+        state = establish_network_keys(fig2, master_seed=42, target_bits=16)
         _assert_report_equals_json_dumps(state)
         apply_kill_event(state, "H", note='q"uote \\ back\ttab \u00e9\u2603')
         _assert_report_equals_json_dumps(state)
@@ -394,13 +424,13 @@ class TestReportWriter:
 
     def test_escaped_ids(self):
         t = Topology(ODD_IDS, frozenset({(ODD_IDS[0], ODD_IDS[2]), (ODD_IDS[1], ODD_IDS[3])}))
-        state = establish_network_keys(t, CFG, master_seed=9, target_bits=8)
+        state = establish_network_keys(t, master_seed=9, target_bits=8)
         apply_kill_event(state, ODD_IDS[3], note='say "\u00e9" \\n\n\u2603')
         _assert_report_equals_json_dumps(state)
 
     def test_generated_explicit_sets_two_kills(self):
         t = _explicit_sets_topology(60, 60)
-        state = establish_network_keys(t, CFG, master_seed=61, target_bits=8)
+        state = establish_network_keys(t, master_seed=61, target_bits=8)
         for sensor in (t.sensors[7], t.sensors[42]):
             apply_kill_event(state, sensor, note=f"alarm {sensor}")
             _assert_report_equals_json_dumps(state)
@@ -409,7 +439,7 @@ class TestReportWriter:
     def test_report_is_streamed(self, tmp_path):
         # the report of 200 sensors is 7 MB; written whole it peaked near 30 MB
         t = _explicit_sets_topology(200, 200, edge_prob=0.002)
-        state = establish_network_keys(t, CFG, master_seed=201, target_bits=8)
+        state = establish_network_keys(t, master_seed=201, target_bits=8)
         for sensor in (t.sensors[7], t.sensors[42]):
             apply_kill_event(state, sensor)
         save_state(state, tmp_path / "state.json")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -20,7 +22,6 @@ from kextrust.kljn import (
     resistor_noise,
     run_key_exchange,
     simulate_bit_period,
-    theoretical_levels,
 )
 
 CFG = KljnSessionConfig()
@@ -39,46 +40,44 @@ def _choice_map(alice, bob):
     return LevelClass.INTERMEDIATE
 
 
-class TestConfigAndLevels:
-    def test_default_config_is_valid(self):
-        assert CFG.r_low < CFG.r_high
-        assert CFG.resistance(ResistorChoice.LOW) == CFG.r_low
-        assert CFG.resistance(ResistorChoice.HIGH) == CFG.r_high
+# 4*k*T_eff*B of the emulated circuit, spelled out from its constants
+UNIT = 4.0 * 1.380649e-23 * kljn.T_EFF * kljn.BANDWIDTH
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"r_low": 10_000.0, "r_high": 1_000.0},
-            {"r_low": 1_000.0, "r_high": 1_000.0},
-            {"r_low": -1.0},
-            {"t_eff": 0.0},
-            {"bandwidth": -5.0},
-            {"samples_per_period": 0},
-            {"level_tolerance": 0.0},
-            {"level_tolerance": 0.5},
-            {"data_word_bits": 1},
-            {"data_word_bits": 64},
-        ],
-    )
-    def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            KljnSessionConfig(**kwargs)
+
+class TestConfigAndLevels:
+    def test_circuit_constants(self):
+        assert kljn.R_LOW < kljn.R_HIGH
+        assert kljn.resistance(ResistorChoice.LOW) == kljn.R_LOW
+        assert kljn.resistance(ResistorChoice.HIGH) == kljn.R_HIGH
+        assert kljn.NOISE_POWER_UNIT == pytest.approx(UNIT)
+
+    def test_config_holds_only_tolerance_and_seed(self):
+        assert [f.name for f in dataclasses.fields(KljnSessionConfig)] == [
+            "level_tolerance", "seed"]
+        assert (CFG.level_tolerance, CFG.seed) == (0.2, 0)
+
+    @pytest.mark.parametrize("tol", [0.0, 0.5, -0.1, float("nan")])
+    def test_invalid_configs_rejected(self, tol):
+        with pytest.raises(ValueError, match="level_tolerance"):
+            KljnSessionConfig(level_tolerance=tol)
 
     def test_voltage_levels_follow_parallel_resistance(self):
-        levels = theoretical_levels(CFG)
-        unit = CFG.noise_power_unit
-        assert levels.voltage == pytest.approx(
-            (unit * 500.0, unit * 10_000_000.0 / 11_000.0, unit * 5_000.0)
+        r_low, r_high = kljn.R_LOW, kljn.R_HIGH
+        assert kljn.LEVELS.voltage == pytest.approx(
+            (UNIT * r_low / 2, UNIT / (1 / r_low + 1 / r_high), UNIT * r_high / 2)
         )
-        assert levels.voltage[0] < levels.voltage[1] < levels.voltage[2]
+        assert kljn.LEVELS.voltage[0] < kljn.LEVELS.voltage[1] < kljn.LEVELS.voltage[2]
 
     def test_current_levels_follow_loop_resistance(self):
-        levels = theoretical_levels(CFG)
-        unit = CFG.noise_power_unit
-        assert levels.current == pytest.approx(
-            (unit / 2_000.0, unit / 11_000.0, unit / 20_000.0)
+        r_low, r_high = kljn.R_LOW, kljn.R_HIGH
+        assert kljn.LEVELS.current == pytest.approx(
+            (UNIT / (2 * r_low), UNIT / (r_low + r_high), UNIT / (2 * r_high))
         )
-        assert levels.current[0] > levels.current[1] > levels.current[2]
+        assert kljn.LEVELS.current[0] > kljn.LEVELS.current[1] > kljn.LEVELS.current[2]
+
+    def test_quantizer_full_scales_are_six_rms_amplitudes(self):
+        assert kljn.VOLTAGE_FULL_SCALE == pytest.approx(6 * (UNIT * kljn.R_HIGH / 2) ** 0.5)
+        assert kljn.CURRENT_FULL_SCALE == pytest.approx(6 * (UNIT / (2 * kljn.R_LOW)) ** 0.5)
 
 
 class TestClassifyLevel:
@@ -128,7 +127,6 @@ class TestBitPeriod:
 
     def test_both_low_measures_lowest_level_and_no_bit(self):
         alice_rng, bob_rng = _party_rngs(103)
-        levels = theoretical_levels(CFG)
         seen = False
         for _ in range(50):
             outcome = simulate_bit_period(CFG, alice_rng, bob_rng)
@@ -139,7 +137,7 @@ class TestBitPeriod:
                 seen = True
                 assert outcome.level_class is LevelClass.LL
                 assert outcome.bit is None
-                assert outcome.ms_voltage == pytest.approx(levels.voltage[0], rel=0.2)
+                assert outcome.ms_voltage == pytest.approx(UNIT * kljn.R_LOW / 2, rel=0.2)
         assert seen
 
     def test_parties_publish_identical_words_without_attacker(self):
@@ -176,15 +174,15 @@ class TestBitPeriod:
 class TestEstimator:
     def test_error_shrinks_with_window(self):
         rng = np.random.default_rng(107)
-        level = theoretical_levels(CFG).voltage[0]
+        r_low = kljn.R_LOW
+        level = UNIT * r_low / 2
         mean_errors = []
         for window in (100, 1_000, 10_000):
-            cfg = KljnSessionConfig(samples_per_period=window)
             errors = []
             for _ in range(30):
-                u_a = resistor_noise(cfg, cfg.r_low, window, rng)
-                u_b = resistor_noise(cfg, cfg.r_low, window, rng)
-                u_ch, _ = channel_waveforms(cfg.r_low, cfg.r_low, u_a, u_b)
+                u_a = resistor_noise(r_low, window, rng)
+                u_b = resistor_noise(r_low, window, rng)
+                u_ch, _ = channel_waveforms(r_low, r_low, u_a, u_b)
                 errors.append(abs(float(np.mean(u_ch**2)) - level) / level)
             mean_errors.append(float(np.mean(errors)))
         assert mean_errors[0] > mean_errors[1] > mean_errors[2]
@@ -195,16 +193,16 @@ class TestEstimator:
         # two mixed configurations
         rng_lh = np.random.default_rng(108)
         rng_hl = np.random.default_rng(108)
-        n = CFG.samples_per_period
+        n, r_low, r_high = kljn.SAMPLES_PER_PERIOD, kljn.R_LOW, kljn.R_HIGH
         ms_lh, ms_hl = [], []
         for _ in range(400):
-            u_a = resistor_noise(CFG, CFG.r_low, n, rng_lh)
-            u_b = resistor_noise(CFG, CFG.r_high, n, rng_lh)
-            u_ch, _ = channel_waveforms(CFG.r_low, CFG.r_high, u_a, u_b)
+            u_a = resistor_noise(r_low, n, rng_lh)
+            u_b = resistor_noise(r_high, n, rng_lh)
+            u_ch, _ = channel_waveforms(r_low, r_high, u_a, u_b)
             ms_lh.append(float(np.mean(u_ch**2)))
-            u_a = resistor_noise(CFG, CFG.r_high, n, rng_hl)
-            u_b = resistor_noise(CFG, CFG.r_low, n, rng_hl)
-            u_ch, _ = channel_waveforms(CFG.r_high, CFG.r_low, u_a, u_b)
+            u_a = resistor_noise(r_high, n, rng_hl)
+            u_b = resistor_noise(r_low, n, rng_hl)
+            u_ch, _ = channel_waveforms(r_high, r_low, u_a, u_b)
             ms_hl.append(float(np.mean(u_ch**2)))
         result = stats.ks_2samp(ms_lh, ms_hl)
         assert result.pvalue > 0.01

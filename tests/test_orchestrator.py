@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kextrust.cli import report_json_chunks
-from kextrust.kljn import KljnSessionConfig, WireSubstitutionAttacker
+from kextrust.kljn import WireSubstitutionAttacker
 from kextrust.orchestrator import (
     CHANNEL_KLJN,
     CHANNEL_WIRELESS,
@@ -25,14 +25,13 @@ from kextrust.topology import Topology, UnknownSensorError
 from kextrust.trust import coefficients_closed_form
 from reference_data import EXPECTED_TRUST, SENSORS, expected_tolerance
 
-CFG = KljnSessionConfig()
 COEF = coefficients_closed_form()
 KEY_BITS = 32  # short sessions keep the wired exchanges quick
 
 
 @pytest.fixture(scope="module")
 def fig2_state(fig2):
-    return establish_network_keys(fig2, CFG, master_seed=42, target_bits=KEY_BITS)
+    return establish_network_keys(fig2, master_seed=42, target_bits=KEY_BITS)
 
 
 class TestEstablish:
@@ -63,9 +62,9 @@ class TestEstablish:
         assert fig2_state.clock == 45
 
     def test_deterministic_state_bytes(self, fig2, fig2_state):
-        again = establish_network_keys(fig2, CFG, master_seed=42, target_bits=KEY_BITS)
+        again = establish_network_keys(fig2, master_seed=42, target_bits=KEY_BITS)
         assert state_to_json(again) == state_to_json(fig2_state)
-        other = establish_network_keys(fig2, CFG, master_seed=43, target_bits=KEY_BITS)
+        other = establish_network_keys(fig2, master_seed=43, target_bits=KEY_BITS)
         assert state_to_json(other) != state_to_json(fig2_state)
 
     def test_distinct_edges_get_distinct_keys(self, fig2_state):
@@ -77,7 +76,7 @@ class TestEstablish:
     def test_attacked_edge_fails_in_isolation(self, fig2):
         attackers = {("F", "G"): WireSubstitutionAttacker(seed=9)}
         state = establish_network_keys(
-            fig2, CFG, master_seed=42, target_bits=KEY_BITS, attackers=attackers
+            fig2, master_seed=42, target_bits=KEY_BITS, attackers=attackers
         )
         assert state.record_for("F", "G").status == STATUS_FAILED
         assert state.record_for("F", "G").key_id == ""
@@ -85,7 +84,7 @@ class TestEstablish:
         assert all(r.status == STATUS_OK for r in others)
 
     def test_single_sensor_network(self):
-        state = establish_network_keys(Topology(("A",), frozenset()), CFG, master_seed=1)
+        state = establish_network_keys(Topology(("A",), frozenset()), master_seed=1)
         assert state.records == {}
         matrix, rankings = trust_report(state, COEF)
         assert list(state.records_sorted()) == []
@@ -96,7 +95,7 @@ class TestEstablish:
     def test_master_seed_must_be_an_int(self, master_seed):
         t = Topology(("A", "B", "C"), frozenset({("A", "B")}))
         with pytest.raises(ValueError, match="master seed must be an int"):
-            establish_network_keys(t, CFG, master_seed=master_seed)
+            establish_network_keys(t, master_seed=master_seed)
 
     @pytest.mark.parametrize("target_bits", [0, -3, True, False, 8.0, "8", None, np.int64(8)])
     @pytest.mark.parametrize("wired", [False, True])
@@ -104,7 +103,7 @@ class TestEstablish:
         # refused whether or not the network has a wired link to run a session on
         t = fig2 if wired else Topology(("A",), frozenset())
         with pytest.raises(ValueError, match="target_bits must be an int of at least 1"):
-            establish_network_keys(t, CFG, master_seed=1, target_bits=target_bits)
+            establish_network_keys(t, master_seed=1, target_bits=target_bits)
 
 
 class TestKillSwitchState:
@@ -130,7 +129,7 @@ class TestKillSwitchState:
 
 class TestKillEvents:
     def test_kill_revokes_incident_records(self, fig2):
-        state = establish_network_keys(fig2, CFG, master_seed=42, target_bits=KEY_BITS)
+        state = establish_network_keys(fig2, master_seed=42, target_bits=KEY_BITS)
         apply_kill_event(state, "H", note="tamper alarm")
         revoked = [r for r in state.records.values() if r.status == STATUS_REVOKED]
         assert len(revoked) == 9
@@ -140,7 +139,7 @@ class TestKillEvents:
         assert state.kill.event_log[-1].timestamp == 46
 
     def test_kill_is_idempotent_but_logged(self, fig2):
-        state = establish_network_keys(fig2, CFG, master_seed=42, target_bits=KEY_BITS)
+        state = establish_network_keys(fig2, master_seed=42, target_bits=KEY_BITS)
         apply_kill_event(state, "H")
         snapshot = [(r.pair, r.status) for r in state.records_sorted()]
         apply_kill_event(state, "H")
@@ -152,7 +151,7 @@ class TestKillEvents:
             apply_kill_event(fig2_state, "Q")
 
     def test_kill_never_increases_trust(self, fig2):
-        state = establish_network_keys(fig2, CFG, master_seed=42, target_bits=KEY_BITS)
+        state = establish_network_keys(fig2, master_seed=42, target_bits=KEY_BITS)
         before, _ = trust_report(state, COEF)
         apply_kill_event(state, "D")
         after, _ = trust_report(state, COEF)
@@ -171,7 +170,7 @@ class TestReport:
                 )
 
     def test_report_after_kill_zeroes_column(self, fig2):
-        state = establish_network_keys(fig2, CFG, master_seed=42, target_bits=KEY_BITS)
+        state = establish_network_keys(fig2, master_seed=42, target_bits=KEY_BITS)
         apply_kill_event(state, "H")
         matrix, rankings = trust_report(state, COEF)
         h = SENSORS.index("H")
@@ -191,7 +190,7 @@ class TestReport:
 
 class TestPersistence:
     def test_round_trip_preserves_bytes(self, fig2, tmp_path):
-        state = establish_network_keys(fig2, CFG, master_seed=42, target_bits=KEY_BITS)
+        state = establish_network_keys(fig2, master_seed=42, target_bits=KEY_BITS)
         apply_kill_event(state, "B", note="drill")
         apply_kill_event(state, "C")
         state.kill.clear("C", note="false alarm", timestamp=state.clock)

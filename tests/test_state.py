@@ -9,7 +9,7 @@ to, must equal the oracle's records.
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -31,7 +31,6 @@ from kextrust.orchestrator import (
 from kextrust.topology import Topology
 from reference_data import random_topology, with_explicit_wireless_sets
 
-CFG = KljnSessionConfig()
 KEY_BITS = 8
 
 
@@ -71,16 +70,16 @@ class EagerState:
     clock: int = 0
 
 
-def eager_establish(t, cfg, master_seed, target_bits, attackers):
+def eager_establish(t, master_seed, target_bits, attackers):
     state = EagerState(t, {})
     ordered = sorted(t.sensors)
     pairs = [(a, b) for idx, a in enumerate(ordered) for b in ordered[idx + 1:]]
     for a, b in pairs:
         state.clock += 1
         if (a, b) in t.kljn_edges:
-            session_cfg = replace(cfg, seed=_oracle_derive_seed(master_seed, a, b))
+            cfg = KljnSessionConfig(seed=_oracle_derive_seed(master_seed, a, b))
             try:
-                result = run_key_exchange(session_cfg, target_bits, attacker=attackers.get((a, b)))
+                result = run_key_exchange(cfg, target_bits, attacker=attackers.get((a, b)))
             except BudgetExhaustedError:
                 result = None
             if result is None or result.attack_detected:
@@ -154,10 +153,10 @@ def test_derived_state_equals_eager_oracle(seed, wireless):
         t = with_explicit_wireless_sets(t, rng, 0.5)
     master_seed = int(rng.integers(0, 2**31))
     attack_rng = np.random.default_rng(seed + 1000)
-    state = establish_network_keys(t, CFG, master_seed, KEY_BITS,
+    state = establish_network_keys(t, master_seed, KEY_BITS,
                                    attackers=_attackers(t, attack_rng))
     attack_rng = np.random.default_rng(seed + 1000)
-    oracle = eager_establish(t, CFG, master_seed, KEY_BITS, _attackers(t, attack_rng))
+    oracle = eager_establish(t, master_seed, KEY_BITS, _attackers(t, attack_rng))
     assert any(r.status == "failed" for r in oracle.records.values())
     assert_same_records(state, oracle)
     assert_same_key_bits(state, oracle)
@@ -179,7 +178,7 @@ def test_derived_state_equals_eager_oracle(seed, wireless):
 
 def test_cleared_sensor_keeps_revoked_records():
     t = Topology(("A", "B", "C"), frozenset({("A", "B")}))
-    state = establish_network_keys(t, CFG, master_seed=5, target_bits=KEY_BITS)
+    state = establish_network_keys(t, master_seed=5, target_bits=KEY_BITS)
     apply_kill_event(state, "B")
     state.kill.clear("B", timestamp=state.clock)
     assert state.kill.killed == set()
@@ -190,7 +189,7 @@ def test_cleared_sensor_keeps_revoked_records():
 
 def test_records_view_is_read_only_and_keyed_by_canonical_pairs():
     t = Topology(("A", "B", "C"), frozenset({("A", "B")}))
-    state = establish_network_keys(t, CFG, master_seed=5, target_bits=KEY_BITS)
+    state = establish_network_keys(t, master_seed=5, target_bits=KEY_BITS)
     assert ("B", "A") not in state.records and ("A", "A") not in state.records
     assert ("A", "Z") not in state.records
     assert ("A", "C") in state.records
