@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
@@ -114,13 +115,19 @@ def _killed(kill_list: str | None, t: Topology) -> frozenset[SensorId]:
     return frozenset(filter(None, names))
 
 
-def _emit(chunks, out: str | None, *files) -> None:
+def _emit(chunks, out: str | None, *files, source: str | None = None) -> None:
     """Write the text ``chunks`` (strings) to the file ``out``, or to stdout
     if ``out`` is not given, and each further ``(path, chunks)`` to its file.
 
-    Every file goes through :func:`~kextrust.orchestrator.write_files` before
-    stdout sees anything, so a failed write leaves no output behind.
+    An output path that names the existing file ``source``, the command's
+    input, is refused before anything is written.  Every file goes through
+    :func:`~kextrust.orchestrator.write_files` before stdout sees anything,
+    so a failed write leaves no output behind.
     """
+    if source is not None and os.path.exists(source):
+        for path in (out, *(path for path, _ in files)):
+            if path and os.path.realpath(path) == os.path.realpath(source):
+                raise DomainError(f"output path {path!r} names the input file {source!r}")
     write_files([(out, chunks), *files] if out else files)
     if not out:
         sys.stdout.writelines(chunks)
@@ -137,29 +144,66 @@ class _CellLabeller:
     ``np.searchsorted`` in a sorted table of the patterns seen so far; a
     pattern is formatted by ``fmt`` once, when it is first seen.  The
     default ``fmt`` is the JSON text of a float: ``repr`` when finite.
-    (``np.unique`` would import ``numpy.ma``, about 1 MB, on first use.)
+    Every ``fmt`` gives ASCII text.  (``np.unique`` would import
+    ``numpy.ma``, about 1 MB, on first use.)
     """
 
     def __init__(self, fmt=json.dumps):
         self._fmt = fmt
         self._keys = np.empty(0, dtype=np.uint64)  # sorted, distinct
         self._table = np.empty(0, dtype=object)  # label of each key
-
-    def rows(self, values):
-        """Each row of the matrix ``values`` (a 2-D array or a list of float
-        lists) as a list of cell labels."""
-        for start in range(0, len(values), _BLOCK_ROWS):
-            yield from self.labels(values[start:start + _BLOCK_ROWS])
+        # the (sep + label).encode() of each key as a fixed-width array, the
+        # width of each, and the sep they were built for (None after learning)
+        self._entries = self._widths = self._sep = None
 
     def labels(self, values) -> list:
         """The labels of the floats ``values`` (an array or nested lists),
         as nested lists of the same shape."""
-        bits = np.asarray(values, dtype=np.float64).view(np.uint64)
+        pos = self._positions(np.asarray(values, dtype=np.float64).view(np.uint64))
+        return self._table[pos].tolist()  # the table as it is after learning
+
+    def joined_rows(self, values, sep: str):
+        """Each row of the matrix ``values`` (a 2-D array or a list of float
+        lists) as its cell labels joined by ``sep``.
+
+        Rows are labelled 64 at a time.  In a block, only the first row and
+        the cells whose bit pattern differs from the first row's cell in
+        their column are searched in the table; the others take that cell's
+        position.  The text of a block is gathered at once from a table of
+        ``sep + label`` entries of fixed width, padded with NULs.
+        """
+        for start in range(0, len(values), _BLOCK_ROWS):
+            bits = np.asarray(values[start:start + _BLOCK_ROWS], dtype=np.float64).view(np.uint64)
+            first = bits[0]
+            differs = bits != first
+            # one search for both parts, so that a pattern learnt for the
+            # differing cells cannot leave the first row's positions stale
+            pos_first, pos_differing = np.split(
+                self._positions(np.concatenate((first, bits[differs]))), [len(first)])
+            pos = np.repeat(pos_first[np.newaxis], len(bits), axis=0)
+            pos[differs] = pos_differing
+            if sep != self._sep:  # a pattern was learnt, or another separator
+                entries = [(sep + label).encode() for label in self._table.tolist()]
+                self._entries = np.array(entries, dtype=bytes)
+                self._widths = np.array([len(e) for e in entries], dtype=np.intp)
+                self._sep = sep
+            entries, widths = self._entries, self._widths
+            text = np.take(entries, pos).tobytes()
+            if (widths < entries.itemsize).any():
+                text = text.replace(b"\0", b"")
+            text = text.decode("ascii")
+            ends = np.cumsum(np.take(widths, pos).sum(axis=1)).tolist()
+            for begin, end in zip([0, *ends], ends):
+                yield text[begin + len(sep):end]
+
+    def _positions(self, bits: np.ndarray) -> np.ndarray:
+        """The table positions of the bit patterns ``bits``, after learning
+        the ones the table lacks."""
         pos = np.searchsorted(self._keys, bits)
         if bits.size and (pos.max() == len(self._keys) or (self._keys[pos] != bits).any()):
             self._learn(bits)
             pos = np.searchsorted(self._keys, bits)
-        return self._table[pos].tolist()
+        return pos
 
     def _learn(self, bits: np.ndarray) -> None:
         """Add the patterns of the non-empty ``bits`` to the table."""
@@ -172,6 +216,7 @@ class _CellLabeller:
             dtype=object,
         )
         self._keys = keys
+        self._sep = None
 
 
 def _csv_field(text: str) -> str:
@@ -192,18 +237,19 @@ def matrix_to_csv(order, values, full_precision: bool = False) -> str:
     """
     labeller = _CellLabeller(repr if full_precision else "{:.3f}".format)
     lines = [",".join(["sensor", *map(_csv_field, order)]) + "\n"]
-    lines.extend(f"{_csv_field(row_id)},{','.join(cells)}\n"
-                 for row_id, cells in zip(order, labeller.rows(values)))
+    lines.extend(f"{_csv_field(row_id)},{cells}\n"
+                 for row_id, cells in zip(order, labeller.joined_rows(values, ",")))
     return "".join(lines)
 
 
 def _matrix_chunks(order, values, pad: str, labeller: _CellLabeller):
-    """``{"order": order, "values": values}`` for a float matrix ``values``,
+    """``{"order": order, "values": values}`` for a square float matrix ``values``,
     laid out as by ``json.dumps(indent=2)`` at indent ``pad``, in chunks of
     up to 64 rows."""
-    inner = pad + "  "
+    inner, cell_pad = pad + "  ", pad + "      "
     yield f'{{\n{inner}"order": {json_block(map(_json_str, order), inner)},\n{inner}"values": '
-    yield from json_chunks((json_block(row, inner + "  ") for row in labeller.rows(values)), inner)
+    rows = labeller.joined_rows(values, ",\n" + cell_pad)
+    yield from json_chunks((f"[\n{cell_pad}{row}\n{inner}  ]" for row in rows), inner)
     yield f"\n{pad}}}"
 
 
@@ -285,9 +331,10 @@ def _cmd_trust_matrix(args) -> int:
     t = _load_checked_topology(args.topology)
     matrix = trust_matrix(t, coefficients_closed_form(), _killed(args.kill, t))
     if args.format == "json":
-        _emit((matrix_to_json(matrix.order, matrix.values),), args.out)
+        text = matrix_to_json(matrix.order, matrix.values)
     else:
-        _emit((matrix_to_csv(matrix.order, matrix.values, args.full_precision),), args.out)
+        text = matrix_to_csv(matrix.order, matrix.values, args.full_precision)
+    _emit((text,), args.out, source=args.topology)
     return 0
 
 
@@ -295,7 +342,7 @@ def _cmd_rank(args) -> int:
     t = _load_checked_topology(args.topology)
     ranking = rank_peers(t, coefficients_closed_form(), _killed(args.kill, t), args.evaluator)
     lines = [f"{_csv_field(sensor)},{value:.3f}" for sensor, value in ranking]
-    _emit(("\n".join(lines) + ("\n" if lines else ""),), args.out)
+    _emit(("\n".join(lines) + ("\n" if lines else ""),), args.out, source=args.topology)
     return 0
 
 
@@ -384,7 +431,7 @@ def _cmd_simulate_kljn(args) -> int:
 def _cmd_establish(args) -> int:
     t = _load_checked_topology(args.topology)
     state = establish_network_keys(t, master_seed=args.seed, target_bits=args.bits)
-    _emit((state_to_json(state),), args.out)
+    _emit((state_to_json(state),), args.out, source=args.topology)
     failed = sum(1 for r in state.stored.values() if r.status == STATUS_FAILED)
     if failed:
         print(f"warning: {failed} record(s) failed", file=sys.stderr)
@@ -405,8 +452,20 @@ def _cmd_report(args) -> int:
     files = []
     if args.csv:
         files.append((args.csv, (matrix_to_csv(matrix.order, matrix.values, args.full_precision),)))
-    _emit(report_json_chunks(state, coef, matrix, rankings), args.out, *files)
+    _emit(report_json_chunks(state, coef, matrix, rankings), args.out, *files,
+          source=args.state)
     return 0
+
+
+def _period(text: str) -> int:
+    """A period index for argparse: an integer, 0 or more."""
+    try:
+        period = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if period < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {period}")
+    return period
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="level classification tolerance")
     p.add_argument("--attacker", choices=["none", "wire-substitution", "current-injection"],
                    default="none")
-    p.add_argument("--attack-start", type=int, default=0, metavar="PERIOD")
+    p.add_argument("--attack-start", type=_period, default=0, metavar="PERIOD")
     p.add_argument("--emit-key", action="store_true",
                    help="include the key as hex in the report")
     p.add_argument("--out", default=None)

@@ -196,6 +196,18 @@ class TestUsage:
             main(["simulate-kljn", "--bits", "many"])
         assert exc_info.value.code == 2
 
+    @pytest.mark.parametrize("start,message", [
+        ("-1", "must be 0 or more, got -1"), ("-3", "must be 0 or more, got -3"),
+        ("2.5", "not an integer: '2.5'"),
+    ])
+    def test_refused_attack_start(self, capsys, start, message):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate-kljn", "--bits", "8", "--attack-start", start])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --attack-start: {message}\n")
+
     @pytest.mark.parametrize("flag", [("--coefficients", "fixed-point"), ("--tol", "1e-10")])
     @pytest.mark.parametrize("command", [("trust", "fig2", "A", "C"), ("trust-matrix", "fig2"),
                                          ("rank", "fig2", "A"), ("report", "state.json")])
@@ -704,6 +716,46 @@ class TestOutputPaths:
         self._assert_error(capsys, "report", "state.json", "--out", out, "--csv", "x.json")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "sub"]
         assert list((tmp_path / "sub").iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    @pytest.mark.parametrize("spelling", ["state.json", "./state.json", "sub/../state.json",
+                                          "link.json"])
+    def test_report_output_naming_the_state(self, capsys, tmp_path, monkeypatch, flag, spelling):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.json").symlink_to("state.json")
+        assert main(["establish", "fig2", "--bits", "8", "--out", "state.json"]) == 0
+        assert main(["kill", "state.json", "H"]) == 0
+        before = (tmp_path / "state.json").read_bytes()
+        code, out, err = run_cli(capsys, "report", "state.json", flag, spelling)
+        assert (code, out) == (1, "")
+        assert err == (f"error: output path {spelling!r} names the input file "
+                       "'state.json'\n")
+        assert (tmp_path / "state.json").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "state.json", "sub"]
+        assert main(["kill", "state.json", "A"]) == 0  # still a state file
+
+    @pytest.mark.parametrize("command", [
+        ("trust-matrix",), ("trust-matrix", "--format", "json"), ("rank", "A"),
+        ("establish", "--bits", "8"),
+    ])
+    def test_out_naming_the_topology(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        topology = tmp_path / "net.json"
+        topology.write_text(bundled_topology_path("fig2").read_text(encoding="utf-8"))
+        before = topology.read_bytes()
+        argv = (command[0], "net.json", *command[1:])
+        self._assert_error(capsys, *argv, "--out", str(topology))
+        self._assert_error(capsys, *argv, "--out", "./net.json")
+        assert topology.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [topology]
+
+    def test_out_named_like_the_bundled_alias(self, capsys, tmp_path, monkeypatch):
+        # with no file "fig2" here, the topology comes from the package and
+        # the output path names no input
+        monkeypatch.chdir(tmp_path)
+        assert main(["trust-matrix", "fig2", "--out", "fig2"]) == 0
+        assert (tmp_path / "fig2").read_text().startswith("sensor,")
 
     @pytest.mark.parametrize("argv", [
         ("trust-matrix", "fig2"), ("trust-matrix", "fig2", "--format", "json"),

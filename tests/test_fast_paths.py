@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from kextrust import kljn
-from kextrust.cli import main, matrix_to_csv, matrix_to_json, report_json_chunks
+from kextrust.cli import _CellLabeller, main, matrix_to_csv, matrix_to_json, report_json_chunks
 from kextrust.kljn import (
     CurrentInjectionAttacker,
     KeyExchangeResult,
@@ -569,19 +569,93 @@ def _lines(text):
     return text.splitlines(keepends=True)
 
 
+def _assert_writers_equal_oracles(order, values):
+    """Both CSV formats against csv.writer, and the JSON against json.dumps;
+    compared as lists of lines: a failing diff of the whole texts is slow."""
+    for full_precision in (False, True):
+        assert _lines(matrix_to_csv(order, values, full_precision)) == _lines(
+            matrix_to_csv_reference(order, values, full_precision))
+    doc = {"order": list(order), "values": np.asarray(values, dtype=np.float64).tolist()}
+    assert _lines(matrix_to_json(order, values)) == _lines(json.dumps(doc, indent=2) + "\n")
+
+
+# NaNs with and without the sign bit and a payload, the infinities, the
+# smallest and a larger subnormal of each sign, the signed zeros
+EDGE_CELLS = (np.nan, -np.nan, np.array(0x7FF8000000000001, np.uint64).view(np.float64),
+              np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310, 0.0, -0.0, 0.5)
+
+
+@pytest.fixture(scope="module")
+def complement_1000():
+    """The trust matrix of an n = 1000 complement-rule network, every
+    seventh sensor killed."""
+    t = sparse_topology(np.random.default_rng(23), 1000, 3000)
+    return trust_matrix(t, COEF, frozenset(t.sensors[::7]))
+
+
 class TestMatrixWriters:
     @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 129])
     @pytest.mark.parametrize("zeros", [False, True])
     @pytest.mark.parametrize("as_lists", [False, True])
     def test_equal_csv_writer_and_json_dumps(self, n, zeros, as_lists):
-        # compared as lists of lines: a failing diff of the whole texts is slow
         order, array = _writer_inputs(n, seed=n, zeros=zeros)
-        values = array.tolist() if as_lists else array
-        for full_precision in (False, True):
-            assert _lines(matrix_to_csv(order, values, full_precision)) == _lines(
-                matrix_to_csv_reference(order, values, full_precision))
-        doc = {"order": order, "values": array.tolist()}
-        assert _lines(matrix_to_json(order, values)) == _lines(json.dumps(doc, indent=2) + "\n")
+        _assert_writers_equal_oracles(order, array.tolist() if as_lists else array)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_rows_against_their_block_first_row(self, shared):
+        # each block's first row from one half of the pool and its other
+        # rows from the other half, so no cell is shared; or every row the same
+        rng = np.random.default_rng(5)
+        order, _ = _writer_inputs(150, seed=5)
+        if shared:
+            values = np.tile(rng.choice(CELL_POOL, size=150), (150, 1))
+        else:
+            values = rng.choice(CELL_POOL[5:], size=(150, 150))
+            values[::64] = rng.choice(CELL_POOL[:5], size=(3, 150))
+        _assert_writers_equal_oracles(order, values)
+
+    def test_later_blocks_bring_new_patterns(self):
+        # the first block holds three values; the second block's first row
+        # repeats them and its other rows bring values that sort before
+        # them, so every position of the first row moves; the third block's
+        # first row brings values of its own
+        rng = np.random.default_rng(11)
+        order, _ = _writer_inputs(192, seed=11)
+        values = rng.choice((1.0, 0.3819660112501051, 0.17290283575201), size=(192, 192))
+        values[65:128] = np.where(rng.random((63, 192)) < 0.5,
+                                  rng.choice((0.0, 1e-05, 5e-324), size=(63, 192)), values[65:128])
+        values[128] = rng.random(192)
+        _assert_writers_equal_oracles(order, values)
+
+    def test_one_labeller_across_separators_and_new_patterns(self):
+        labeller = _CellLabeller(repr)
+        first, second = np.array([[0.5, 0.25]]), np.array([[0.125, 0.5], [0.5, 0.5]])
+        assert list(labeller.joined_rows(first, ",")) == ["0.5,0.25"]
+        assert list(labeller.joined_rows(second, ",")) == ["0.125,0.5", "0.5,0.5"]
+        assert list(labeller.joined_rows(second, "; ")) == ["0.125; 0.5", "0.5; 0.5"]
+        assert labeller.labels([0.25, 2.0]) == ["0.25", "2.0"]
+        assert list(labeller.joined_rows(np.array([[2.0, 0.25]]), "; ")) == ["2.0; 0.25"]
+        assert list(labeller.joined_rows(np.empty((2, 0)), ",")) == ["", ""]
+
+    def test_float_edge_cells(self):
+        rng = np.random.default_rng(17)
+        order, _ = _writer_inputs(70, seed=17)
+        _assert_writers_equal_oracles(order, rng.choice(EDGE_CELLS, size=(70, 70)))
+
+    def test_complement_matrix_at_n_1000(self, complement_1000):
+        _assert_writers_equal_oracles(complement_1000.order, complement_1000.values)
+
+    @pytest.mark.parametrize("full_precision", [False, True])
+    def test_csv_temporaries_stay_per_block(self, complement_1000, full_precision):
+        # the rows and their join hold the text twice; a block of 64 rows
+        # needs well under 2 MB on top, the whole matrix at once over 20 MB
+        tracemalloc.start()
+        try:
+            text = matrix_to_csv(complement_1000.order, complement_1000.values, full_precision)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(text) + 2e6
 
     def test_signed_zeros_keep_their_labels(self):
         values = np.array([[-0.0, 0.0], [0.0, -0.0]])
