@@ -315,7 +315,7 @@ def _cmd_validate(args) -> int:
     for issue in report.warnings:
         print(f"warning [{issue.code}]: {issue.message}")
     if report.ok:
-        print(f"ok: {len(t.sensors)} sensors, {len(t.kljn_edges)} KLJN edges")
+        print(f"ok: {len(t.sensors)} sensors, {len(t.index.links)} KLJN edges")
         return 0
     return 1
 
@@ -457,15 +457,15 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _period(text: str) -> int:
-    """A period index for argparse: an integer, 0 or more."""
+def _non_negative(text: str) -> int:
+    """An integer for argparse, 0 or more: a period index or a seed."""
     try:
-        period = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if period < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, got {period}")
-    return period
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,12 +511,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate-kljn", help="run one wired key-exchange session")
     p.add_argument("--bits", type=int, default=128, help="target key length")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--tol", type=float, default=KljnSessionConfig.level_tolerance,
                    help="level classification tolerance")
     p.add_argument("--attacker", choices=["none", "wire-substitution", "current-injection"],
                    default="none")
-    p.add_argument("--attack-start", type=_period, default=0, metavar="PERIOD")
+    p.add_argument("--attack-start", type=_non_negative, default=0, metavar="PERIOD")
     p.add_argument("--emit-key", action="store_true",
                    help="include the key as hex in the report")
     p.add_argument("--out", default=None)

@@ -14,10 +14,13 @@ new objects or plain data.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from collections.abc import Set
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import partial
 from importlib import resources
+from itertools import chain
+
+import numpy as np
 
 SensorId = str
 
@@ -34,22 +37,25 @@ class UnknownSensorError(ValueError):
 
 
 class _PeerSets(dict):
-    """Memo of sensor -> frozenset of its wired peers, built from the
-    per-sensor peer lists on first lookup.
+    """Memo of sensor -> frozenset of its wired peers, built from its slice
+    of the index's peer lists on first lookup.
 
     Only known sensors are stored; any other id raises
     :class:`UnknownSensorError` on every lookup.
     """
 
-    def __init__(self, sensors: frozenset[SensorId], index: dict[SensorId, list[SensorId]]):
+    def __init__(self, sensors: tuple[SensorId, ...], index: TopologyIndex):
         super().__init__()
-        self._sensors = sensors
-        self._index = index
+        self._position = index.positions.get
+        self._start = index.peer_start
+        self._peers = index.peer_positions
+        self._id = sensors.__getitem__
 
     def __missing__(self, i: SensorId) -> frozenset[SensorId]:
-        if i not in self._sensors:
+        p = self._position(i)
+        if p is None:
             raise UnknownSensorError(f"unknown sensor {i!r}")
-        peers = self[i] = frozenset(self._index.get(i, ()))
+        peers = self[i] = frozenset(map(self._id, self._peers[self._start[p]:self._start[p + 1]]))
         return peers
 
 
@@ -88,11 +94,17 @@ class _ComplementSet(Set):
 
 def _frozen_wireless_sets(sets) -> dict[SensorId, frozenset[SensorId]]:
     """``sets`` with each peer collection made a frozenset.  An owner or a
-    peer that is not a non-empty string raises :class:`TopologyFormatError`."""
+    peer that is not a non-empty string, or a peer collection that is a
+    string (which would read as one peer per character), raises
+    :class:`TopologyFormatError`."""
     frozen = {}
     for s, peers in sets.items():
         if not isinstance(s, str) or not s:
             raise TopologyFormatError(f"wireless set owner must be a non-empty string, got {s!r}")
+        if isinstance(peers, (str, bytes)):
+            raise TopologyFormatError(
+                f"wireless set of {s!r} must be a collection of sensor ids, got {peers!r}"
+            )
         frozen[s] = _checked_peers(s, peers)
     return frozen
 
@@ -112,76 +124,166 @@ def _checked_peers(s: SensorId, peers) -> frozenset[SensorId]:
     return frozenset(peers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class TopologyIndex:
+    """The integer index of a topology, built once at construction.
+
+    ``positions`` maps each sensor to its position in ``Topology.sensors``.
+    ``links`` is a read-only (E, 2) ``intp`` array holding each wired link
+    once as (lower position, higher position), sorted.  ``peer_start`` and
+    ``peer_positions`` list the wired peers of each sensor by position
+    (CSR): those of the sensor at position p are
+    ``peer_positions[peer_start[p]:peer_start[p + 1]]``.  They are Python
+    lists, since a lookup slices one sensor's peers.
+    """
+
+    positions: dict[SensorId, int]
+    links: np.ndarray
+    peer_start: list[int]
+    peer_positions: list[int]
+
+    @classmethod
+    def build(cls, positions: dict[SensorId, int], ends: np.ndarray) -> TopologyIndex:
+        """The index of the (E, 2) endpoint positions ``ends`` of the edges as
+        given, reversed and repeated edges included."""
+        n = len(positions)
+        a, b = ends[:, 0], ends[:, 1]
+        keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        links = np.stack(np.divmod(keys, n), axis=1)
+        links.flags.writeable = False
+        # each link both ways, sorted by tail
+        tails, peers = np.divmod(np.sort(np.concatenate((keys, links[:, 1] * n + links[:, 0]))), n)
+        start = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(tails, minlength=n), out=start[1:])
+        return cls(positions, links, start.tolist(), peers.tolist())
+
+
+def _sensor_positions(sensors: tuple) -> dict[SensorId, int]:
+    """Each sensor's position.  An id that is not a non-empty string, or that
+    repeats one, raises :class:`TopologyFormatError` naming the first such
+    id; the ordered scan runs only when the checks in bulk fail."""
+    if set(map(type, sensors)) <= {str}:
+        positions = dict(zip(sensors, range(len(sensors))))
+        if len(positions) == len(sensors) and "" not in positions:
+            return positions
+    seen: set[SensorId] = set()
+    for s in sensors:
+        if not isinstance(s, str) or not s:
+            raise TopologyFormatError(f"sensor id must be a non-empty string, got {s!r}")
+        if s in seen:
+            raise TopologyFormatError(f"duplicate sensor id {s!r}")
+        seen.add(s)
+    return dict(zip(sensors, range(len(sensors))))  # str subclasses pass the scan
+
+
+def _edge_ends(edges: list, positions: dict[SensorId, int]) -> np.ndarray:
+    """The (E, 2) positions of the endpoints of ``edges``, as given.  An edge
+    that is not a pair of two distinct sensors raises
+    :class:`TopologyFormatError` naming the first such edge and its first
+    fault; the ordered scan runs only when the checks in bulk fail."""
+    if set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}:
+        try:
+            ends = np.fromiter(map(positions.__getitem__, chain.from_iterable(edges)),
+                               dtype=np.intp, count=2 * len(edges)).reshape(-1, 2)
+        except (KeyError, TypeError):  # an unknown or unhashable endpoint
+            pass
+        else:
+            if not (ends[:, 0] == ends[:, 1]).any():
+                return ends
+    for e in edges:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise TopologyFormatError(f"KLJN edge must be a pair, got {e!r}")
+        a, b = e
+        for end in (a, b):
+            if not isinstance(end, str) or end not in positions:
+                raise TopologyFormatError(f"KLJN edge {e!r} references unknown sensor {end!r}")
+        if a == b:
+            raise TopologyFormatError(f"KLJN edge {e!r} is a self-loop")
+    # tuple subclasses and str subclasses pass the scan
+    return np.array([[positions[a], positions[b]] for a, b in edges], dtype=np.intp)
+
+
 class Topology:
     """Sensors plus wired KLJN links and (optional) explicit wireless sets.
 
     Construction refuses, with :class:`TopologyFormatError`, a wireless-set
-    owner or peer that is not a non-empty string, a sensor id that is not a
-    non-empty string or repeats one, and an edge that is not a pair of two
-    distinct sensors of the topology.  ``kljn_edges`` holds canonical sorted
-    pairs, so link symmetry cannot be violated by construction.
-    ``wireless_sets`` is ``None`` until sets are given explicitly or derived
-    with :func:`derive_wireless_sets`; accessors fall back to the complement
-    rule when it is ``None``.  :func:`validate` checks explicit sets against
-    the sensors and the wired links.
+    owner or peer that is not a non-empty string or a peer collection that
+    is a string, a sensor id that is not a non-empty string or repeats one,
+    and an edge that is not a pair of two distinct sensors of the topology.
+    ``kljn_edges`` holds canonical sorted pairs, so link symmetry cannot be
+    violated by construction.  ``wireless_sets`` is ``None`` until sets are
+    given explicitly or derived with :func:`derive_wireless_sets`; accessors
+    fall back to the complement rule when it is ``None``.  :func:`validate`
+    checks explicit sets against the sensors and the wired links.
 
-    Construction indexes the edges once: a per-sensor list of wired peers
-    and the sensor set.  Lookups read the index instead of rescanning
-    ``kljn_edges``; each sensor's wired-peer frozenset is built on its first
-    lookup and reused after that.  Under the complement rule
-    :meth:`wireless_set` returns an O(1) view over that index.
+    Construction checks the sensors and edges in bulk and builds
+    :class:`TopologyIndex` once.  ``kljn_edges`` is built from the index on
+    its first read; each sensor's wired-peer frozenset is built on its first
+    lookup.  Under the complement rule :meth:`wireless_set` returns an O(1)
+    view over the index.  Topologies compare, hash and print by
+    ``(sensors, kljn_edges, wireless_sets)`` and cannot be changed.
     """
 
-    sensors: tuple[SensorId, ...]
-    kljn_edges: frozenset[tuple[SensorId, SensorId]]
-    wireless_sets: dict[SensorId, frozenset[SensorId]] | None = None
-    _sensor_set: frozenset[SensorId] = field(init=False, repr=False, compare=False)
-    _kljn_sets: _PeerSets = field(init=False, repr=False, compare=False)
+    __slots__ = ("sensors", "wireless_sets", "index", "sensor_set", "_kljn_sets", "_kljn_edges")
 
-    def __post_init__(self):
+    sensors: tuple[SensorId, ...]
+    wireless_sets: dict[SensorId, frozenset[SensorId]] | None
+    index: TopologyIndex
+    sensor_set: frozenset[SensorId]
+
+    def __init__(self, sensors, kljn_edges, wireless_sets=None):
+        set_ = partial(object.__setattr__, self)
         # before the sensors: fixes which message a multi-fault document gets
-        if self.wireless_sets is not None:
-            object.__setattr__(self, "wireless_sets", _frozen_wireless_sets(self.wireless_sets))
-        object.__setattr__(self, "sensors", tuple(self.sensors))
-        seen: set[SensorId] = set()
-        for s in self.sensors:
-            if not isinstance(s, str) or not s:
-                raise TopologyFormatError(f"sensor id must be a non-empty string, got {s!r}")
-            if s in seen:
-                raise TopologyFormatError(f"duplicate sensor id {s!r}")
-            seen.add(s)
-        edges = list(self.kljn_edges)
-        for e in edges:
-            if not isinstance(e, (list, tuple)) or len(e) != 2:
-                raise TopologyFormatError(f"KLJN edge must be a pair, got {e!r}")
-            a, b = e
-            for end in (a, b):
-                if not isinstance(end, str) or end not in seen:
-                    raise TopologyFormatError(f"KLJN edge {e!r} references unknown sensor {end!r}")
-            if a == b:
-                raise TopologyFormatError(f"KLJN edge {e!r} is a self-loop")
-        object.__setattr__(
-            self,
-            "kljn_edges",
-            frozenset((a, b) if a < b else (b, a) for a, b in edges),
-        )
-        index: dict[SensorId, list[SensorId]] = defaultdict(list)
-        for a, b in self.kljn_edges:
-            index[a].append(b)
-            index[b].append(a)
-        object.__setattr__(self, "_sensor_set", frozenset(self.sensors))
-        object.__setattr__(self, "_kljn_sets", _PeerSets(self._sensor_set, index))
+        if wireless_sets is not None:
+            wireless_sets = _frozen_wireless_sets(wireless_sets)
+        set_("wireless_sets", wireless_sets)
+        set_("sensors", tuple(sensors))
+        positions = _sensor_positions(self.sensors)
+        set_("index", TopologyIndex.build(positions, _edge_ends(list(kljn_edges), positions)))
+        set_("sensor_set", frozenset(positions))
+        set_("_kljn_sets", _PeerSets(self.sensors, self.index))
+        set_("_kljn_edges", None)
 
     @property
-    def sensor_set(self) -> frozenset[SensorId]:
-        return self._sensor_set
+    def kljn_edges(self) -> frozenset[tuple[SensorId, SensorId]]:
+        """Each wired link once, as a sorted pair of ids."""
+        if self._kljn_edges is None:
+            ids = self.sensors
+            pairs = ((ids[a], ids[b]) for a, b in self.index.links.tolist())
+            object.__setattr__(self, "_kljn_edges",
+                               frozenset((a, b) if a < b else (b, a) for a, b in pairs))
+        return self._kljn_edges
+
+    def _key(self) -> tuple:
+        return (self.sensors, self.kljn_edges, self.wireless_sets)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(sensors={self.sensors!r}, "
+                f"kljn_edges={self.kljn_edges!r}, wireless_sets={self.wireless_sets!r})")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), self._key())
 
     def has_sensor(self, i: SensorId) -> bool:
-        return i in self._sensor_set
+        return i in self.sensor_set
 
     def kljn_set(self, i: SensorId) -> frozenset[SensorId]:
-        """Wired-KLJN peers of ``i``, read off the per-sensor edge index."""
+        """Wired-KLJN peers of ``i``, read off the index."""
         return self._kljn_sets[i]
 
     def wireless_set(self, i: SensorId) -> Set[SensorId]:
@@ -299,17 +401,34 @@ def derive_wireless_sets(t: Topology) -> Topology:
     return Topology(t.sensors, t.kljn_edges, derived)
 
 
+def _sets_are_clean(t: Topology) -> bool:
+    """Whether the explicit wireless sets hold no error :func:`validate`
+    reports: every owner and peer is a sensor, no sensor is in its own set
+    and no wired peer is in a set."""
+    sets, known, ids = t.wireless_sets, t.sensor_set, t.sensors
+    empty = frozenset()
+    return (
+        known.issuperset(sets)
+        and known.issuperset(chain.from_iterable(sets.values()))
+        and not any(s in peers for s, peers in sets.items())
+        and not any(ids[b] in sets.get(ids[a], empty) or ids[a] in sets.get(ids[b], empty)
+                    for a, b in t.index.links.tolist())
+    )
+
+
 def validate(t: Topology) -> ValidationReport:
     """Check explicit wireless sets, the part of the model that
     :class:`Topology` does not enforce: a set of or naming an unknown sensor
     (``unknown-sensor``), a sensor in its own set (``self-in-wireless``), a
     wired peer in a set (``kljn-wireless-overlap``) and, as a warning, a
-    sensor without a set.  Violations are data, not exceptions."""
+    sensor without a set.  Violations are data, not exceptions.  The sets
+    are checked in bulk first, and scanned in sorted order for the report
+    only when that check fails."""
     report = ValidationReport()
     known = t.sensor_set
 
     if t.wireless_sets is not None:
-        for s in sorted(t.wireless_sets):
+        for s in [] if _sets_are_clean(t) else sorted(t.wireless_sets):
             peers = t.wireless_sets[s]
             if s not in known:
                 report.errors.append(

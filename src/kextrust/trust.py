@@ -271,12 +271,10 @@ def trust_matrix(
     """
     order = list(t.sensors)
     n = len(order)
-    idx = {s: p for p, s in enumerate(order)}
+    idx, links = t.index.positions, t.index.links
 
     # each wired link a - b both ways: tails a, b, ... and heads b, a, ...
-    tails = np.fromiter((idx[s] for link in t.kljn_edges for s in link), dtype=np.intp,
-                        count=2 * len(t.kljn_edges))
-    heads = tails.reshape(-1, 2)[:, ::-1].ravel()
+    tails, heads = links.ravel(), links[:, ::-1].ravel()
     degree = np.bincount(tails, minlength=n)
     values = np.zeros((n, n))
     _add_two_hop_counts(values.reshape(-1), n, tails, heads, degree)

@@ -1,13 +1,20 @@
 """Shared fixtures data: the ten-sensor example network and its published
-values, random topology generators, the dense trust-matrix kernel and plain
-reference writers."""
+values, random topology generators, the dense trust-matrix kernel, the
+per-item topology checks and plain reference writers."""
 
 import csv
 import io
+from collections import defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 
-from kextrust.topology import Topology
+from kextrust.topology import (
+    Topology,
+    TopologyFormatError,
+    ValidationIssue,
+    ValidationReport,
+)
 from kextrust.trust import TrustMatrix, geometric_partial_sum, rank_peers, trust_matrix
 
 # Exchange sets of the example network (sensors A..J, six wired links).
@@ -89,6 +96,89 @@ def with_explicit_wireless_sets(t: Topology, rng, reach: float) -> Topology:
                 sets[a].add(b)
                 sets[b].add(a)
     return Topology(t.sensors, t.kljn_edges, sets)
+
+
+def topology_reference(sensors, kljn_edges, wireless_sets=None) -> SimpleNamespace:
+    """What :class:`Topology` builds from its arguments, checked one item at
+    a time in the given order: the oracle for its checks in bulk and its
+    index.  Returns ``sensors``, ``sensor_set``, ``kljn_edges``,
+    ``kljn_sets`` (sensor -> frozenset of wired peers) and
+    ``wireless_sets``, or raises :class:`TopologyFormatError` with the
+    message the topology must give."""
+    if wireless_sets is not None:
+        frozen = {}
+        for s, peers in wireless_sets.items():
+            if not isinstance(s, str) or not s:
+                raise TopologyFormatError(
+                    f"wireless set owner must be a non-empty string, got {s!r}")
+            for p in peers:
+                if not isinstance(p, str) or not p:
+                    raise TopologyFormatError(
+                        f"wireless peer of {s!r} must be a non-empty string, got {p!r}")
+            frozen[s] = frozenset(peers)
+        wireless_sets = frozen
+    sensors = tuple(sensors)
+    seen = set()
+    for s in sensors:
+        if not isinstance(s, str) or not s:
+            raise TopologyFormatError(f"sensor id must be a non-empty string, got {s!r}")
+        if s in seen:
+            raise TopologyFormatError(f"duplicate sensor id {s!r}")
+        seen.add(s)
+    edges = list(kljn_edges)
+    for e in edges:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise TopologyFormatError(f"KLJN edge must be a pair, got {e!r}")
+        a, b = e
+        for end in (a, b):
+            if not isinstance(end, str) or end not in seen:
+                raise TopologyFormatError(f"KLJN edge {e!r} references unknown sensor {end!r}")
+        if a == b:
+            raise TopologyFormatError(f"KLJN edge {e!r} is a self-loop")
+    canonical = frozenset((a, b) if a < b else (b, a) for a, b in edges)
+    peers = defaultdict(set)
+    for a, b in canonical:
+        peers[a].add(b)
+        peers[b].add(a)
+    return SimpleNamespace(
+        sensors=sensors,
+        sensor_set=frozenset(sensors),
+        kljn_edges=canonical,
+        kljn_sets={s: frozenset(peers[s]) for s in sensors},
+        wireless_sets=wireless_sets,
+    )
+
+
+def validate_reference(t: Topology) -> ValidationReport:
+    """The report of :func:`kextrust.topology.validate`, from a scan of every
+    explicit set in sorted order: the oracle for its check in bulk."""
+    report = ValidationReport()
+    known = t.sensor_set
+    if t.wireless_sets is not None:
+        for s in sorted(t.wireless_sets):
+            peers = t.wireless_sets[s]
+            if s not in known:
+                report.errors.append(ValidationIssue(
+                    "unknown-sensor", f"wireless set given for unknown sensor {s!r}", (s,)))
+                continue
+            for p in sorted(peers):
+                if p not in known:
+                    report.errors.append(ValidationIssue(
+                        "unknown-sensor", f"wireless set of {s!r} contains unknown sensor {p!r}",
+                        (s, p)))
+            if s in peers:
+                report.errors.append(ValidationIssue(
+                    "self-in-wireless", f"sensor {s!r} lists itself as a wireless peer", (s,)))
+            for p in sorted(peers & t.kljn_set(s)):
+                report.errors.append(ValidationIssue(
+                    "kljn-wireless-overlap", f"{p!r} is both a KLJN and a wireless peer of {s!r}",
+                    (s, p)))
+        missing = sorted(known - set(t.wireless_sets))
+        if missing:
+            report.warnings.append(ValidationIssue(
+                "missing-wireless-entry",
+                f"no explicit wireless set for {missing} (treated as empty)", tuple(missing)))
+    return report
 
 
 def _partial_sums(r: float, counts: np.ndarray) -> np.ndarray:

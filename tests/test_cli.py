@@ -8,7 +8,7 @@ import pytest
 from kextrust import orchestrator
 from kextrust.cli import main, matrix_to_json
 from kextrust.orchestrator import load_state
-from kextrust.topology import bundled_topology_path
+from kextrust.topology import Topology, bundled_topology_path
 from kextrust.trust import coefficients_closed_form, trust_matrix
 from reference_data import EXPECTED_TRUST, SENSORS, expected_tolerance
 
@@ -85,6 +85,14 @@ class TestValidate:
     def test_bundled_alias(self, capsys):
         code, _, _ = run_cli(capsys, "validate", "fig2")
         assert code == 0
+
+    def test_edge_count_is_deduplicated(self, capsys, tmp_path):
+        doc = tmp_path / "dup.json"
+        doc.write_text('{"sensors": ["A", "B", "C"],'
+                       ' "kljn_edges": [["A", "B"], ["B", "A"], ["A", "B"], ["C", "B"]]}')
+        code, out, _ = run_cli(capsys, "validate", str(doc))
+        assert code == 0
+        assert out == "ok: 3 sensors, 2 KLJN edges\n"
 
     def test_invalid_topology(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -208,6 +216,23 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err.endswith(f"error: argument --attack-start: {message}\n")
 
+    @pytest.mark.parametrize("seed,message", [
+        ("-5", "must be 0 or more, got -5"), ("1.5", "not an integer: '1.5'"),
+    ])
+    def test_refused_simulate_seed(self, capsys, seed, message):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate-kljn", "--bits", "8", "--seed", seed])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --seed: {message}\n")
+
+    def test_establish_takes_any_integer_seed(self, capsys, fig2_file, tmp_path):
+        # the master seed is hashed, so a negative one is a seed like any other
+        code, _, err = run_cli(capsys, "establish", fig2_file, "--seed", "-5", "--bits", "8",
+                               "--out", str(tmp_path / "state.json"))
+        assert code == 0 and err == ""
+
     @pytest.mark.parametrize("flag", [("--coefficients", "fixed-point"), ("--tol", "1e-10")])
     @pytest.mark.parametrize("command", [("trust", "fig2", "A", "C"), ("trust-matrix", "fig2"),
                                          ("rank", "fig2", "A"), ("report", "state.json")])
@@ -251,6 +276,23 @@ class TestTrustCommands:
         _, rows = parse_csv_matrix(out)
         h = SENSORS.index("H")
         assert all(rows[i][h] == 0.0 for i in SENSORS)
+
+    def test_complement_rule_queries_never_build_kljn_edges(self, capsys, tmp_path,
+                                                           monkeypatch):
+        rng = np.random.default_rng(5)
+        sensors = [f"s{k:02d}" for k in range(40)]
+        edges = [[sensors[a], sensors[b]] for a, b in rng.integers(0, 40, (120, 2)) if a != b]
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"sensors": sensors, "kljn_edges": edges}))
+
+        def refuse(t):
+            raise AssertionError("kljn_edges was built")
+
+        monkeypatch.setattr(Topology, "kljn_edges", property(refuse))
+        for argv in (("validate",), ("trust", "s00", "s01"), ("rank", "s03"),
+                     ("trust-matrix",), ("trust-matrix", "--format", "json")):
+            code, out, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
+            assert code == 0 and out
 
     def test_matrix_kill_unknown(self, capsys, fig2_file):
         code, _, err = run_cli(capsys, "trust-matrix", fig2_file, "--kill", "Q")

@@ -1,4 +1,7 @@
+import copy
 import json
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -13,7 +16,13 @@ from kextrust.topology import (
     serialize_topology,
     validate,
 )
-from reference_data import EXCHANGE_SETS, SENSORS, random_topology
+from reference_data import (
+    EXCHANGE_SETS,
+    SENSORS,
+    random_topology,
+    topology_reference,
+    validate_reference,
+)
 
 
 def test_parse_bundled_network_matches_reference_sets(fig2):
@@ -156,6 +165,15 @@ def test_construction_refuses_wireless_ids_that_are_not_strings(sets, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("peers", ["BC", b"BC"])
+def test_construction_refuses_a_string_as_a_peer_collection(peers):
+    # a string would read as one peer per character
+    with pytest.raises(TopologyFormatError) as excinfo:
+        Topology(["A", "B", "C"], [], {"A": peers})
+    message = f"wireless set of 'A' must be a collection of sensor ids, got {peers!r}"
+    assert str(excinfo.value) == message
+
+
 def test_edges_may_be_any_iterable_of_pairs():
     edges = (pair for pair in [("B", "A"), ("A", "B"), ["C", "B"]])
     t = Topology(["A", "B", "C"], edges)
@@ -279,3 +297,225 @@ class TestComplementView:
                 t.wireless_set("ghost")
             with pytest.raises(UnknownSensorError):
                 t.kljn_set("ghost")
+
+
+class TestValueSemantics:
+    """A topology compares, hashes, prints and refuses changes by
+    ``(sensors, kljn_edges, wireless_sets)``."""
+
+    def test_equality_and_hash(self):
+        t = Topology(("A", "B", "C"), [("B", "A"), ["A", "B"]])
+        same = Topology(["A", "B", "C"], {("A", "B")})
+        assert t == same and hash(t) == hash(same)
+        assert t != Topology(("A", "B", "C"), [("A", "C")])
+        assert t != Topology(("B", "A", "C"), [("A", "B")])  # sensor order counts
+        assert t != Topology(("A", "B", "C"), [("A", "B")], {})
+        assert t.__eq__(("A", "B", "C")) is NotImplemented
+        with pytest.raises(TypeError):  # explicit sets are a dict
+            hash(Topology(("A", "B"), [], {"A": ["B"]}))
+
+    def test_repr(self):
+        t = Topology(("A", "B", "C"), [("B", "A")])
+        assert repr(t) == ("Topology(sensors=('A', 'B', 'C'), kljn_edges=frozenset({('A', 'B')}),"
+                           " wireless_sets=None)")
+        assert repr(Topology(("A",), [], {"A": []})) == (
+            "Topology(sensors=('A',), kljn_edges=frozenset(), wireless_sets={'A': frozenset()})")
+
+    def test_immutable(self, fig2):
+        for name in ("sensors", "kljn_edges", "wireless_sets", "index", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(fig2, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(fig2, name)
+        assert not fig2.index.links.flags.writeable
+
+    def test_copy_and_pickle(self, fig2):
+        for t in (fig2, Topology(fig2.sensors, fig2.kljn_edges)):
+            for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+                assert other == t and other.kljn_set("D") == t.kljn_set("D")
+
+
+class _Pair(tuple):
+    """A tuple-subclass edge: it passes the per-item checks, not the bulk ones."""
+
+
+class _Id(str):
+    """A str-subclass id: it passes the per-item checks, not the bulk ones."""
+
+
+_ALPHABET = list("abcXYZ019,_\u00e9")
+_SIZES = (0, 1, 2, 3, 5, 8, 13, 40, 100, 300)
+
+
+def _random_ids(rng, n: int) -> list[str]:
+    ids: set[str] = set()
+    while len(ids) < n:
+        ids.add("".join(_ALPHABET[k] for k in rng.integers(0, len(_ALPHABET), rng.integers(1, 5))))
+    return [str(s) for s in rng.permutation(sorted(ids))]
+
+
+def _random_document(rng, n: int, odd: bool):
+    """Sensors, edges and (or ``None``) explicit sets of a random valid
+    document.  Edges repeat and reverse, and come as lists, tuples and, if
+    ``odd``, tuple subclasses with str-subclass ends; an ``odd`` document
+    also has a str-subclass sensor id."""
+    sensors = _random_ids(rng, n)
+    if odd and n:
+        k = int(rng.integers(0, n))
+        sensors[k] = _Id(sensors[k])
+    edges = []
+    if n >= 2:
+        for a, b in rng.integers(0, n, (int(rng.integers(0, 3 * n + 1)), 2)):
+            if a != b:
+                edges.append((sensors[a], sensors[b]))
+        for k in rng.integers(0, len(edges), len(edges) // 3) if edges else ():
+            a, b = edges[k]
+            edges.append((b, a) if rng.random() < 0.5 else (a, b))
+    kinds = (list, tuple, _Pair) if odd else (list, tuple)
+    rendered = []
+    for a, b in edges:
+        if odd and rng.random() < 0.2:
+            a = _Id(a)
+        rendered.append(kinds[rng.integers(0, len(kinds))]((a, b)))
+    sets = None
+    if rng.random() < 0.5:
+        sets = {s: [sensors[k] for k in rng.integers(0, n, rng.integers(0, 4))]
+                for s in sensors if rng.random() < 0.9}
+    return sensors, rendered, sets
+
+
+def _edge_feeds(edges):
+    """The same edges as a list, a generator and a frozenset."""
+    yield list(edges)
+    yield (e for e in edges)
+    yield frozenset(e for e in edges if isinstance(e, tuple))
+
+
+def _outcome(build, *args):
+    try:
+        built = build(*args)
+    except TopologyFormatError as exc:
+        return str(exc)
+    return built
+
+
+class TestConstructionOracle:
+    """Construction checks in bulk and indexes once; the per-item checks of
+    :func:`reference_data.topology_reference` are the oracle for both."""
+
+    def test_valid_documents_give_the_reference_sets(self):
+        rng = np.random.default_rng(2024)
+        for n in _SIZES:
+            for trial in range(6 if n < 100 else 2):
+                sensors, edges, sets = _random_document(rng, n, odd=trial % 2 == 1)
+                for feed in _edge_feeds(edges):
+                    feed = list(feed)
+                    t = Topology(sensors, iter(feed), sets)
+                    ref = topology_reference(sensors, feed, sets)
+                    assert t.sensors == ref.sensors and t.sensor_set == ref.sensor_set
+                    assert t.kljn_edges == ref.kljn_edges
+                    assert t.wireless_sets == ref.wireless_sets
+                    assert len(t.index.links) == len(ref.kljn_edges)
+                    assert t.index.positions == {s: p for p, s in enumerate(sensors)}
+                    for s in sensors:
+                        assert t.kljn_set(s) == ref.kljn_sets[s], s
+                        if sets is not None:
+                            assert t.wireless_set(s) == ref.wireless_sets.get(s, frozenset())
+
+    @staticmethod
+    def _inject(rng, sensors, edges, sets):
+        """One fault of a random kind at a random position."""
+        n = len(sensors)
+        some = sensors[rng.integers(0, n)] if n else "X"
+        kind = int(rng.integers(0, 8))
+        if kind == 0:  # sensor id that is not a non-empty string
+            bad = [7, None, ["x"], b"s", ""][rng.integers(0, 5)]
+            sensors.insert(int(rng.integers(0, n + 1)), bad)
+        elif kind == 1 and n:  # duplicate id
+            sensors.insert(int(rng.integers(0, n + 1)), some)
+        elif kind == 2:  # edge that is not a pair
+            bad = ["ab", (some,), [some, some, some], 5, {some: 1}][rng.integers(0, 5)]
+            edges.insert(int(rng.integers(0, len(edges) + 1)), bad)
+        elif kind == 3:  # unknown endpoint
+            bad = ["ghost", 5, ["x"], None][rng.integers(0, 4)]
+            edge = [some, bad] if rng.random() < 0.5 else (bad, some)
+            edges.insert(int(rng.integers(0, len(edges) + 1)), edge)
+        elif kind == 4 and n:  # self-loop
+            edges.insert(int(rng.integers(0, len(edges) + 1)), [some, some])
+        elif kind == 5 and sets is not None:  # wireless owner that is not a non-empty string
+            items = list(sets.items())
+            items.insert(int(rng.integers(0, len(items) + 1)), ([3, ""][rng.integers(0, 2)], []))
+            sets.clear()
+            sets.update(items)
+        elif kind == 6 and sets:  # wireless peer that is not a non-empty string
+            owner = list(sets)[rng.integers(0, len(sets))]
+            sets[owner].insert(int(rng.integers(0, len(sets[owner]) + 1)),
+                               [1, "", None][rng.integers(0, 3)])
+        else:  # an unknown endpoint at the end
+            edges.append((some, "ghost"))
+
+    def test_faulty_documents_give_the_reference_message(self):
+        rng = np.random.default_rng(7)
+        for n in _SIZES:
+            for trial in range(40 if n < 100 else 10):
+                sensors, edges, sets = _random_document(rng, n, odd=trial % 3 == 2)
+                for _ in range(int(rng.integers(1, 3))):
+                    self._inject(rng, sensors, edges, sets)
+                got = _outcome(Topology, sensors, iter(edges), sets)
+                want = _outcome(topology_reference, sensors, iter(edges), sets)
+                assert isinstance(want, str) and got == want
+
+
+class TestValidateOracle:
+    """:func:`validate` checks the explicit sets in bulk; the sorted scan of
+    :func:`reference_data.validate_reference` is the oracle for its report."""
+
+    KINDS = ("unknown-owner", "unknown-peer", "self", "wired-peer", "missing")
+
+    @staticmethod
+    def _clean(rng, n: int):
+        sensors = [f"s{k:02d}" for k in rng.permutation(n)]
+        edges = {tuple(sorted((sensors[a], sensors[b])))
+                 for a, b in rng.integers(0, n, (n, 2)) if a != b}
+        sets = {s: set() for s in sensors}
+        for x, a in enumerate(sensors):
+            for b in sensors[x + 1:]:
+                if tuple(sorted((a, b))) not in edges and rng.random() < 0.3:
+                    sets[a].add(b)
+                    sets[b].add(a)
+        return sensors, sorted(edges), sets
+
+    @staticmethod
+    def _inject(rng, kind, sensors, edges, sets):
+        some = sensors[rng.integers(0, len(sensors))]
+        if kind == "unknown-owner":
+            sets[f"ghost{rng.integers(0, 3)}"] = {some}
+        elif kind == "unknown-peer" and some in sets:
+            sets[some].add(f"ghost{rng.integers(0, 3)}")
+        elif kind == "self" and some in sets:
+            sets[some].add(some)
+        elif kind == "wired-peer" and edges:
+            a, b = edges[rng.integers(0, len(edges))]
+            if rng.random() < 0.5:
+                a, b = b, a
+            if a in sets:
+                sets[a].add(b)
+        elif kind == "missing":
+            sets.pop(some, None)
+
+    def test_reports_equal_the_reference(self):
+        rng = np.random.default_rng(31)
+        faulty = 0
+        for trial in range(300):
+            sensors, edges, sets = self._clean(rng, int(rng.integers(1, 40)))
+            picks = [] if trial % 6 == 0 else list(rng.choice(
+                self.KINDS, size=int(rng.integers(1, 4)), replace=trial % 2 == 0))
+            for kind in picks:
+                self._inject(rng, str(kind), sensors, edges, sets)
+            t = Topology(sensors, edges, sets)
+            report = validate(t)
+            assert report == validate_reference(t)
+            faulty += not report.ok
+            if not picks:
+                assert report.ok and not report.warnings
+        assert faulty > 100
