@@ -14,11 +14,12 @@ new objects or plain data.
 from __future__ import annotations
 
 import json
-from collections.abc import Set
+from collections.abc import Mapping, Set
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import partial
 from importlib import resources
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,7 +39,9 @@ class UnknownSensorError(ValueError):
 
 class _PeerSets(dict):
     """Memo of sensor -> frozenset of its wired peers, built from its slice
-    of the index's peer lists on first lookup.
+    of the index's peer positions on first lookup.  The CSR arrays are
+    copied to Python lists once, since slicing a list per lookup is cheaper
+    than slicing an array.
 
     Only known sensors are stored; any other id raises
     :class:`UnknownSensorError` on every lookup.
@@ -47,8 +50,8 @@ class _PeerSets(dict):
     def __init__(self, sensors: tuple[SensorId, ...], index: TopologyIndex):
         super().__init__()
         self._position = index.positions.get
-        self._start = index.peer_start
-        self._peers = index.peer_positions
+        self._start = index.peer_start.tolist()
+        self._peers = index.peer_positions.tolist()
         self._id = sensors.__getitem__
 
     def __missing__(self, i: SensorId) -> frozenset[SensorId]:
@@ -128,19 +131,19 @@ def _checked_peers(s: SensorId, peers) -> frozenset[SensorId]:
 class TopologyIndex:
     """The integer index of a topology, built once at construction.
 
-    ``positions`` maps each sensor to its position in ``Topology.sensors``.
-    ``links`` is a read-only (E, 2) ``intp`` array holding each wired link
-    once as (lower position, higher position), sorted.  ``peer_start`` and
-    ``peer_positions`` list the wired peers of each sensor by position
-    (CSR): those of the sensor at position p are
-    ``peer_positions[peer_start[p]:peer_start[p + 1]]``.  They are Python
-    lists, since a lookup slices one sensor's peers.
+    ``positions`` is a read-only mapping of each sensor to its position in
+    ``Topology.sensors``.  ``links`` is an (E, 2) ``intp`` array holding each
+    wired link once as (lower position, higher position), sorted.
+    ``peer_start`` and ``peer_positions`` list the wired peers of each
+    sensor by position (CSR): those of the sensor at position p are
+    ``peer_positions[peer_start[p]:peer_start[p + 1]]``.  All three arrays
+    are read-only.
     """
 
-    positions: dict[SensorId, int]
+    positions: Mapping[SensorId, int]
     links: np.ndarray
-    peer_start: list[int]
-    peer_positions: list[int]
+    peer_start: np.ndarray
+    peer_positions: np.ndarray
 
     @classmethod
     def build(cls, positions: dict[SensorId, int], ends: np.ndarray) -> TopologyIndex:
@@ -151,57 +154,61 @@ class TopologyIndex:
         keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
         keys = keys[np.diff(keys, prepend=-1) != 0]
         links = np.stack(np.divmod(keys, n), axis=1)
-        links.flags.writeable = False
         # each link both ways, sorted by tail
         tails, peers = np.divmod(np.sort(np.concatenate((keys, links[:, 1] * n + links[:, 0]))), n)
         start = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(tails, minlength=n), out=start[1:])
-        return cls(positions, links, start.tolist(), peers.tolist())
+        for array in (links, start, peers):
+            array.flags.writeable = False
+        return cls(MappingProxyType(positions), links, start, peers)
 
 
 def _sensor_positions(sensors: tuple) -> dict[SensorId, int]:
     """Each sensor's position.  An id that is not a non-empty string, or that
     repeats one, raises :class:`TopologyFormatError` naming the first such
-    id; the ordered scan runs only when the checks in bulk fail."""
-    if set(map(type, sensors)) <= {str}:
-        positions = dict(zip(sensors, range(len(sensors))))
-        if len(positions) == len(sensors) and "" not in positions:
-            return positions
-    seen: set[SensorId] = set()
-    for s in sensors:
+    id."""
+    positions: dict[SensorId, int] = {}
+    for p, s in enumerate(sensors):
         if not isinstance(s, str) or not s:
             raise TopologyFormatError(f"sensor id must be a non-empty string, got {s!r}")
-        if s in seen:
+        if positions.setdefault(s, p) != p:
             raise TopologyFormatError(f"duplicate sensor id {s!r}")
-        seen.add(s)
-    return dict(zip(sensors, range(len(sensors))))  # str subclasses pass the scan
+    return positions
 
 
 def _edge_ends(edges: list, positions: dict[SensorId, int]) -> np.ndarray:
     """The (E, 2) positions of the endpoints of ``edges``, as given.  An edge
     that is not a pair of two distinct sensors raises
     :class:`TopologyFormatError` naming the first such edge and its first
-    fault; the ordered scan runs only when the checks in bulk fail."""
-    if set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}:
+    fault.  Lists and tuples of two ``str`` ids are checked and gathered in
+    bulk; other input (such as tuple subclasses), and any fault, goes to the
+    ordered scan."""
+    if (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}
+            and set(map(type, chain.from_iterable(edges))) <= {str}):
         try:
             ends = np.fromiter(map(positions.__getitem__, chain.from_iterable(edges)),
                                dtype=np.intp, count=2 * len(edges)).reshape(-1, 2)
-        except (KeyError, TypeError):  # an unknown or unhashable endpoint
+        except KeyError:  # an unknown endpoint
             pass
         else:
             if not (ends[:, 0] == ends[:, 1]).any():
                 return ends
+    scanned: list[int] = []
+    get = positions.get
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise TopologyFormatError(f"KLJN edge must be a pair, got {e!r}")
         a, b = e
-        for end in (a, b):
-            if not isinstance(end, str) or end not in positions:
-                raise TopologyFormatError(f"KLJN edge {e!r} references unknown sensor {end!r}")
+        pa = get(a) if isinstance(a, str) else None
+        if pa is None:
+            raise TopologyFormatError(f"KLJN edge {e!r} references unknown sensor {a!r}")
+        pb = get(b) if isinstance(b, str) else None
+        if pb is None:
+            raise TopologyFormatError(f"KLJN edge {e!r} references unknown sensor {b!r}")
         if a == b:
             raise TopologyFormatError(f"KLJN edge {e!r} is a self-loop")
-    # tuple subclasses and str subclasses pass the scan
-    return np.array([[positions[a], positions[b]] for a, b in edges], dtype=np.intp)
+        scanned += pa, pb
+    return np.array(scanned, dtype=np.intp).reshape(-1, 2)
 
 
 class Topology:
@@ -217,15 +224,14 @@ class Topology:
     fall back to the complement rule when it is ``None``.  :func:`validate`
     checks explicit sets against the sensors and the wired links.
 
-    Construction checks the sensors and edges in bulk and builds
-    :class:`TopologyIndex` once.  ``kljn_edges`` is built from the index on
-    its first read; each sensor's wired-peer frozenset is built on its first
-    lookup.  Under the complement rule :meth:`wireless_set` returns an O(1)
-    view over the index.  Topologies compare, hash and print by
-    ``(sensors, kljn_edges, wireless_sets)`` and cannot be changed.
+    Construction checks the sensors one by one and the edges in bulk, and
+    builds :class:`TopologyIndex` once from their positions.  ``kljn_edges``
+    is built from the index on its first read; each sensor's wired-peer
+    frozenset is built on its first lookup.  Under the complement rule
+    :meth:`wireless_set` returns an O(1) view over the index.  Topologies
+    compare, hash and print by ``(sensors, kljn_edges, wireless_sets)`` and
+    cannot be changed.
     """
-
-    __slots__ = ("sensors", "wireless_sets", "index", "sensor_set", "_kljn_sets", "_kljn_edges")
 
     sensors: tuple[SensorId, ...]
     wireless_sets: dict[SensorId, frozenset[SensorId]] | None

@@ -226,15 +226,15 @@ def _sum_table(r: float, top: int) -> np.ndarray:
     return np.array([geometric_partial_sum(r, k) for k in range(top + 1)])
 
 
-def _add_two_hop_counts(flat: np.ndarray, n: int, tails: np.ndarray, heads: np.ndarray,
+def _add_two_hop_counts(flat: np.ndarray, n: int, start: np.ndarray, peers: np.ndarray,
                         degree: np.ndarray) -> None:
     """Add 2 to ``flat[i * n + j]`` for every two-hop path i - m - j over the
-    directed wired links ``tails -> heads`` (i == j included), so cell (i, j)
-    gains 2K.  The middle sensors of one degree d are taken together, at most
-    n^2 paths (8n^2 bytes of keys) at a time, each sensor's paths the outer
-    sum of its d wired peers with themselves."""
-    peers = heads[np.argsort(tails, kind="stable")]  # m's peers start at first[m]
-    first = np.cumsum(degree) - degree
+    wired peers in CSR form (m's peers are ``peers[start[m]:start[m + 1]]``,
+    ``degree`` of them), i == j included, so cell (i, j) gains 2K.  The
+    middle sensors of one degree d are taken together, at most n^2 paths
+    (8n^2 bytes of keys) at a time, each sensor's paths the outer sum of its
+    d wired peers with themselves."""
+    first = start[:-1]
     for d in np.flatnonzero(np.bincount(degree)[1:]) + 1:
         rows = peers[first[degree == d][:, None] + np.arange(d)]
         step = max(n * n // (d * d), 1)
@@ -271,13 +271,11 @@ def trust_matrix(
     """
     order = list(t.sensors)
     n = len(order)
-    idx, links = t.index.positions, t.index.links
-
-    # each wired link a - b both ways: tails a, b, ... and heads b, a, ...
-    tails, heads = links.ravel(), links[:, ::-1].ravel()
-    degree = np.bincount(tails, minlength=n)
+    index = t.index
+    idx, start = index.positions, index.peer_start
+    degree = np.diff(start)
     values = np.zeros((n, n))
-    _add_two_hop_counts(values.reshape(-1), n, tails, heads, degree)
+    _add_two_hop_counts(values.reshape(-1), n, start, index.peer_positions, degree)
 
     if t.wireless_sets is None:
         # clipped: a column wired to every other sensor has no base cell
@@ -301,7 +299,8 @@ def trust_matrix(
         k, col = code >> 1, cells % n
         cell = pa[k] + pb[degree[col] - k] + pc[z0[col] - (code & 1)]
         block.reshape(-1)[cells] = np.minimum(cell, 1.0)
-    values[tails, heads] = 1.0
+    a, b = index.links.T
+    values[a, b] = values[b, a] = 1.0
     np.fill_diagonal(values, 1.0)
 
     if killed:

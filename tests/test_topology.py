@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import weakref
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -327,7 +328,12 @@ class TestValueSemantics:
                 setattr(fig2, name, None)
             with pytest.raises(FrozenInstanceError):
                 delattr(fig2, name)
-        assert not fig2.index.links.flags.writeable
+        index = fig2.index
+        for array in (index.links, index.peer_start, index.peer_positions):
+            assert not array.flags.writeable
+        with pytest.raises(TypeError):
+            index.positions["A"] = 5
+        assert weakref.ref(fig2)() is fig2
 
     def test_copy_and_pickle(self, fig2):
         for t in (fig2, Topology(fig2.sensors, fig2.kljn_edges)):
@@ -339,8 +345,25 @@ class _Pair(tuple):
     """A tuple-subclass edge: it passes the per-item checks, not the bulk ones."""
 
 
+class _Lookalike:
+    """Not a str, but hashes and compares equal to the id it wraps."""
+
+    def __init__(self, s: str):
+        self.s = s
+
+    def __hash__(self):
+        return hash(self.s)
+
+    def __eq__(self, other):
+        return other == self.s
+
+    def __repr__(self):
+        return f"_Lookalike({self.s!r})"
+
+
 class _Id(str):
-    """A str-subclass id: it passes the per-item checks, not the bulk ones."""
+    """A str-subclass id: as an endpoint it passes the per-edge checks, not
+    the bulk ones."""
 
 
 _ALPHABET = list("abcXYZ019,_\u00e9")
@@ -400,8 +423,9 @@ def _outcome(build, *args):
 
 
 class TestConstructionOracle:
-    """Construction checks in bulk and indexes once; the per-item checks of
-    :func:`reference_data.topology_reference` are the oracle for both."""
+    """Construction checks the edges in bulk and indexes once; the per-item
+    checks of :func:`reference_data.topology_reference`, which builds no
+    index, are the oracle for both."""
 
     def test_valid_documents_give_the_reference_sets(self):
         rng = np.random.default_rng(2024)
@@ -464,6 +488,16 @@ class TestConstructionOracle:
                 got = _outcome(Topology, sensors, iter(edges), sets)
                 want = _outcome(topology_reference, sensors, iter(edges), sets)
                 assert isinstance(want, str) and got == want
+
+    def test_endpoint_that_only_equals_a_sensor_id_is_unknown(self):
+        """An endpoint that is not a str but hashes and compares equal to a
+        sensor id fails the bulk check, and the scan refuses it as the
+        reference does."""
+        a, b = _Lookalike("A"), _Lookalike("B")
+        for edge, end in [(("A", b), b), ((a, "B"), a), (_Pair(("A", b)), b)]:
+            got = _outcome(Topology, ["A", "B"], [edge])
+            assert got == _outcome(topology_reference, ["A", "B"], [edge])
+            assert got == f"KLJN edge {edge!r} references unknown sensor {end!r}"
 
 
 class TestValidateOracle:
