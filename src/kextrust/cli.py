@@ -9,6 +9,7 @@ byte-identical output for identical inputs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -166,21 +167,24 @@ class _CellLabeller:
         """Each row of the matrix ``values`` (a 2-D array or a list of float
         lists) as its cell labels joined by ``sep``.
 
-        Rows are labelled 64 at a time.  In a block, only the first row and
-        the cells whose bit pattern differs from the first row's cell in
-        their column are searched in the table; the others take that cell's
-        position.  The text of a block is gathered at once from a table of
-        ``sep + label`` entries of fixed width, padded with NULs.
+        Rows are labelled 64 at a time.  A block's reference row is, per
+        column, the majority of its first three rows' bit patterns (row 2's
+        where all three differ; the first row in a block of fewer than three
+        rows).  Only the reference row and the cells whose bit pattern
+        differs from it in their column are searched in the table; the
+        others take the reference cell's position.  The text of a block is
+        gathered at once from a table of ``sep + label`` entries of fixed
+        width, padded with NULs.
         """
         for start in range(0, len(values), _BLOCK_ROWS):
             bits = np.asarray(values[start:start + _BLOCK_ROWS], dtype=np.float64).view(np.uint64)
-            first = bits[0]
-            differs = bits != first
+            ref = bits[0] if len(bits) < 3 else np.where(bits[0] == bits[1], bits[0], bits[2])
+            differs = bits != ref
             # one search for both parts, so that a pattern learnt for the
-            # differing cells cannot leave the first row's positions stale
-            pos_first, pos_differing = np.split(
-                self._positions(np.concatenate((first, bits[differs]))), [len(first)])
-            pos = np.repeat(pos_first[np.newaxis], len(bits), axis=0)
+            # differing cells cannot leave the reference positions stale
+            pos_ref, pos_differing = np.split(
+                self._positions(np.concatenate((ref, bits[differs]))), [len(ref)])
+            pos = np.repeat(pos_ref[np.newaxis], len(bits), axis=0)
             pos[differs] = pos_differing
             if sep != self._sep:  # a pattern was learnt, or another separator
                 entries = [(sep + label).encode() for label in self._table.tolist()]
@@ -468,7 +472,13 @@ def _non_negative(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``kextrust`` argument parser, built on the first call.
+
+    The parser is shared by every later call in the process, so callers
+    must not change it; a handler patched after the first call is not seen.
+    """
     parser = argparse.ArgumentParser(
         prog="kextrust",
         description="Key-exchange trust evaluation and wired exchange simulation",

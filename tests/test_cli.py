@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kextrust
 from kextrust import orchestrator
-from kextrust.cli import main, matrix_to_json
+from kextrust.cli import build_parser, main, matrix_to_json
 from kextrust.orchestrator import load_state
 from kextrust.topology import Topology, bundled_topology_path
 from kextrust.trust import coefficients_closed_form, trust_matrix
@@ -828,3 +833,70 @@ class TestOutputPaths:
         self._assert_error(capsys, "kill", str(state_path), "H")
         assert state_path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [state_path]
+
+
+class TestInProcessReuse:
+    """``main`` called repeatedly in one process builds its parser once, and
+    no option given in one call leaks into a later one."""
+
+    @staticmethod
+    def _answer(capsys, argv, out):
+        """Exit code, stdout, stderr and the text written to ``out`` (which
+        is removed) of one ``main(argv)`` call; a ``SystemExit`` counts as
+        its code."""
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, captured.out, captured.err, written
+
+    def test_each_call_answers_as_on_a_fresh_parser(self, capsys, fig2_file, tmp_path):
+        out = tmp_path / "rank.csv"
+        calls = [
+            ("trust", fig2_file, "A"),  # the peer is missing: a usage error
+            ("trust", fig2_file, "A", "C"),
+            ("trust-matrix", fig2_file, "--format", "json", "--kill", "H"),
+            ("trust-matrix", fig2_file),
+            ("trust", fig2_file, "A", "C", "--full-precision"),
+            ("trust", fig2_file, "A", "C"),
+            ("rank", fig2_file, "A", "--out", str(out)),
+            ("rank", fig2_file, "A"),
+            ("simulate-kljn", "--bits", "8", "--attacker", "wire-substitution"),
+            ("simulate-kljn", "--bits", "8"),
+            ("--help",),
+        ]
+        build_parser.cache_clear()
+        reused = [self._answer(capsys, argv, out) for argv in calls]
+        assert build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(self._answer(capsys, argv, out))
+        assert reused == fresh
+        codes = [code for code, *_ in reused]
+        assert codes == [2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
+        # --full-precision, --kill, --format and --out hold for their own call only
+        assert reused[1][1] == reused[5][1] == f"{float(reused[4][1]):.3f}\n" != reused[4][1]
+        assert reused[2][1].startswith("{") and reused[3][1].startswith("sensor,")
+        assert reused[6][1] == "" and reused[6][3] == reused[7][1] and reused[7][3] is None
+        assert json.loads(reused[9][1])["attacker"] == "none"
+        assert reused[10][1].startswith("usage: kextrust")
+
+    def test_calls_share_one_parser(self, capsys):
+        build_parser.cache_clear()
+        parser = build_parser()
+        assert main(["coefficients"]) == 0
+        assert main(["coefficients", "--format", "json"]) == 0
+        assert build_parser() is parser
+        assert build_parser.cache_info().misses == 1
+
+    def test_import_builds_no_parser(self):
+        src = Path(kextrust.__file__).resolve().parents[1]
+        probe = "import kextrust.cli as c; print(c.build_parser.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "0\n"

@@ -644,6 +644,11 @@ class TestMatrixWriters:
 
     def test_complement_matrix_at_n_1000(self, complement_1000):
         _assert_writers_equal_oracles(complement_1000.order, complement_1000.values)
+        # the oracles' input, the dense reference matrix, is the written one
+        t = sparse_topology(np.random.default_rng(23), 1000, 3000)
+        dense = trust_matrix_dense_reference(t, COEF, frozenset(t.sensors[::7]))
+        assert dense.order == complement_1000.order
+        assert np.array_equal(dense.values.view(np.uint64), complement_1000.values.view(np.uint64))
 
     @pytest.mark.parametrize("full_precision", [False, True])
     def test_csv_temporaries_stay_per_block(self, complement_1000, full_precision):
@@ -738,3 +743,47 @@ class TestPinnedOutput:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in PINNED_REPORT_FIG2_KILL_H}
         assert digests == PINNED_REPORT_FIG2_KILL_H
+
+
+# --- the labeller's reference row: each block's cells are searched against
+# the per-column majority of its first three rows
+
+# the signed zeros, an infinity, a NaN with a payload and some trust values
+REFERENCE_POOL = (0.0, -0.0, np.inf, np.array(0x7FF8000000000001, np.uint64).view(np.float64),
+                  1.0, 0.5, 0.1474, 1e-05)
+
+
+def _reference_row_blocks():
+    rng = np.random.default_rng(31)
+    blocks = {f"{k} rows": rng.choice(REFERENCE_POOL, size=(k, 9)) for k in (1, 2, 3, 64, 65)}
+    # the first row holds values no other row holds, in every column
+    first_apart = rng.choice(REFERENCE_POOL[4:], size=(64, 9))
+    first_apart[0] = rng.choice(REFERENCE_POOL[:4], size=9)
+    blocks["first row apart"] = first_apart
+    # rows 0 and 1 disagree in every column and row 2 matches neither
+    three_apart = rng.choice(REFERENCE_POOL, size=(64, 9))
+    three_apart[:3] = np.array([[-0.0], [np.inf], [0.5]])
+    blocks["first three rows apart"] = three_apart
+    # the majority row is not row 0: rows 1 and 2 agree, row 0 is an exception
+    row_0_apart = np.tile(rng.choice(REFERENCE_POOL[4:], size=9), (64, 1))
+    row_0_apart[0] = -0.0
+    blocks["row 0 against rows 1 and 2"] = row_0_apart
+    return blocks
+
+
+REFERENCE_ROW_BLOCKS = _reference_row_blocks()
+
+
+class TestLabellerReferenceRow:
+    @pytest.mark.parametrize("name", list(REFERENCE_ROW_BLOCKS))
+    @pytest.mark.parametrize("fmt", [json.dumps, repr, "{:.3f}".format])
+    @pytest.mark.parametrize("sep", [",", ",\n      "])
+    def test_joined_rows_equal_per_cell_labels(self, name, fmt, sep):
+        values = REFERENCE_ROW_BLOCKS[name]
+        want = [sep.join(fmt(v) for v in row) for row in values.tolist()]
+        assert list(_CellLabeller(fmt).joined_rows(values, sep)) == want
+        # a labeller that already knows some of the patterns, with the block as lists
+        labeller = _CellLabeller(fmt)
+        labeller.labels(values[-1])
+        assert list(labeller.joined_rows(values.tolist(), sep)) == want
+
