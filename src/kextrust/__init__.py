@@ -9,7 +9,6 @@ including its public-comparison defense against active attacks.
 
 from .kljn import (
     LEVELS,
-    AttackVerdict,
     BudgetExhaustedError,
     ChannelLevels,
     CurrentInjectionAttacker,
@@ -21,7 +20,6 @@ from .kljn import (
     WireSubstitutionAttacker,
     auth_bit_cost,
     classify_level,
-    detect_active_attack,
     run_key_exchange,
     simulate_bit_period,
 )
@@ -31,7 +29,6 @@ from .orchestrator import (
     apply_kill_event,
     establish_network_keys,
     load_state,
-    save_state,
     trust_report,
 )
 from .topology import (
@@ -42,14 +39,11 @@ from .topology import (
     bundled_topology,
     bundled_topology_path,
     derive_wireless_sets,
-    load_topology,
     parse_topology,
-    serialize_topology,
     validate,
 )
 from .trust import (
     TrustCoefficients,
-    TrustCounts,
     TrustMatrix,
     coefficients_closed_form,
     coefficients_fixed_point,

@@ -191,12 +191,6 @@ class PeriodOutcome:
     bob_trace: PeriodTrace
 
 
-@dataclass(frozen=True)
-class AttackVerdict:
-    clean: bool
-    mismatch_periods: tuple[int, ...] = ()
-
-
 class WireSubstitutionAttacker:
     """Severs the wire and impersonates a key-exchange partner toward each end.
 
@@ -254,8 +248,6 @@ def _combine_classes(by_voltage: LevelClass, by_current: LevelClass) -> LevelCla
 
 
 def _words_mismatch(a: PeriodTrace, b: PeriodTrace) -> bool:
-    if a.voltage_words.shape != b.voltage_words.shape:
-        raise ValueError("trace length mismatch")
     return not (
         np.array_equal(a.voltage_words, b.voltage_words)
         and np.array_equal(a.current_words, b.current_words)
@@ -331,24 +323,6 @@ def simulate_bit_period(
         alice_trace=alice_trace,
         bob_trace=bob_trace,
     )
-
-
-def detect_active_attack(alice_trace, bob_trace) -> AttackVerdict:
-    """Compare the two parties' published word sequences period by period.
-
-    Both ends of an untampered wire observe the same waveform and quantize
-    on the same grid, so any differing word convicts an active intervention.
-    """
-    if len(alice_trace) != len(bob_trace):
-        raise ValueError(
-            f"trace length mismatch: {len(alice_trace)} vs {len(bob_trace)} periods"
-        )
-    mismatches = tuple(
-        period
-        for period, (a, b) in enumerate(zip(alice_trace, bob_trace))
-        if _words_mismatch(a, b)
-    )
-    return AttackVerdict(clean=not mismatches, mismatch_periods=mismatches)
 
 
 def auth_bit_cost(data_word_bits: int) -> float:

@@ -85,7 +85,6 @@ class KeyRecord:
     key_id: str
     established_at: int  # the pair's 1-based position in canonical order
     status: str
-    key_bits: str | None = None  # in-memory only, never serialized
 
 
 @dataclass
@@ -123,10 +122,6 @@ class NetworkKeyState:
         ordered = list(self._positions)
         return ((a, b) for x, a in enumerate(ordered) for b in ordered[x + 1 :])
 
-    def record_for(self, a: SensorId, b: SensorId) -> KeyRecord:
-        key = (a, b) if a < b else (b, a)
-        return self.records[key]
-
     def records_sorted(self) -> Iterator[KeyRecord]:
         """``iter(self.records.values())`` without a position lookup per pair:
         one record at a time, in canonical order."""
@@ -139,7 +134,7 @@ class KeyRecords(Mapping):
 
     Stored records are returned as they are; wireless records are derived
     from the master seed on each lookup.  A record one of whose sensors
-    has a ``set`` kill event comes back as a revoked copy without key bits.
+    has a ``set`` kill event comes back as a revoked copy.
     """
 
     def __init__(self, state: NetworkKeyState):
@@ -162,7 +157,7 @@ class KeyRecords(Mapping):
             token = _fingerprint(f'[{self._seed}, {_json_str(a)}, {_json_str(b)}, "wireless"]')
             record = KeyRecord(pair, CHANNEL_WIRELESS, token, index, STATUS_OK)
         if not self._revoked.isdisjoint(pair):
-            record = replace(record, status=STATUS_REVOKED, key_bits=None)
+            record = replace(record, status=STATUS_REVOKED)
         return record
 
     def __iter__(self):
@@ -220,25 +215,22 @@ def establish_network_keys(
             record = KeyRecord((a, b), CHANNEL_KLJN, "", index, STATUS_FAILED)
         else:
             token = _fingerprint(f"kljn|{result.key_bits}")
-            record = KeyRecord((a, b), CHANNEL_KLJN, token, index, STATUS_OK, result.key_bits)
+            record = KeyRecord((a, b), CHANNEL_KLJN, token, index, STATUS_OK)
         state.stored[(a, b)] = record
     return state
 
 
 def apply_kill_event(state: NetworkKeyState, sensor: SensorId, note: str = "") -> NetworkKeyState:
-    """Mark a sensor compromised: log a ``set`` kill event, which revokes its
-    records, and drop the key bits of its wired sessions.
+    """Mark a sensor compromised: tick the clock and log a ``set`` kill
+    event, which revokes its records.
 
     Idempotent on the records and the killed set; every call appends one
-    log entry.  Mutates and returns ``state`` (single-writer contract).
+    log entry.  An unknown sensor raises ``UnknownSensorError`` before the
+    state changes.  Mutates and returns ``state`` (single-writer contract).
     """
-    peers = state.topology.kljn_set(sensor)  # an unknown id raises UnknownSensorError
+    state.topology.kljn_set(sensor)  # an unknown id raises UnknownSensorError
     state.clock += 1
     state.kill.kill(sensor, state.clock, note)
-    for peer in peers:
-        record = state.stored.get((sensor, peer) if sensor < peer else (peer, sensor))
-        if record is not None:
-            record.key_bits = None
     return state
 
 
@@ -471,12 +463,6 @@ def write_files(files) -> None:
     finally:
         for partial in partials:
             partial.unlink(missing_ok=True)
-
-
-def save_state(state: NetworkKeyState, path) -> None:
-    """Write the state file with :func:`write_files`, so an interrupted
-    write leaves any earlier file at ``path`` whole."""
-    write_files([(path, (state_to_json(state),))])
 
 
 def load_state(path) -> NetworkKeyState:

@@ -319,9 +319,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.errors
 
-    def error_codes(self) -> set[str]:
-        return {issue.code for issue in self.errors}
-
 
 def decode_json(text: str, what: str, error: type[ValueError]):
     """``json.loads(text)``; text that is not JSON, or that nests too deeply
@@ -385,16 +382,6 @@ def topology_to_doc(t: Topology) -> dict:
             s: sorted(peers) for s, peers in sorted(t.wireless_sets.items())
         }
     return doc
-
-
-def serialize_topology(t: Topology) -> str:
-    """Serialize to the canonical document form (round-trips with parse)."""
-    return json.dumps(topology_to_doc(t), indent=2) + "\n"
-
-
-def load_topology(path) -> Topology:
-    with open(path, encoding="utf-8") as f:
-        return parse_topology(f.read())
 
 
 def derive_wireless_sets(t: Topology) -> Topology:

@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import SensorId, Topology, UnknownSensorError
+from .topology import SensorId, Topology
 
 __all__ = [
     "TrustCoefficients",
-    "TrustCounts",
     "TrustMatrix",
     "coefficients_closed_form",
     "coefficients_fixed_point",
@@ -52,7 +51,6 @@ class TrustCoefficients:
     b: float
     c: float
     provenance: str = "closed_form"
-    tolerance: float | None = None
 
     def residuals(self) -> tuple[float, float, float]:
         """Absolute residuals of the three defining fixed-point equations."""
@@ -113,7 +111,7 @@ def coefficients_fixed_point(tol: float) -> TrustCoefficients:
     a = _bisect(lambda x: x / (1.0 - x) + x - 1.0, eps, 1.0 - eps, inner)
     b = _bisect(lambda x: x / (1.0 - x) - (a - x), eps, 1.0 - eps, inner)
     c = _bisect(lambda x: x / (1.0 - x) - b, eps, 1.0 - eps, inner)
-    return TrustCoefficients(a, b, c, provenance="fixed_point", tolerance=tol)
+    return TrustCoefficients(a, b, c, provenance="fixed_point")
 
 
 def geometric_partial_sum(r: float, n: int) -> float:
@@ -131,17 +129,9 @@ def geometric_partial_sum(r: float, n: int) -> float:
     return r * (1.0 - r**n) / (1.0 - r)
 
 
-@dataclass(frozen=True)
-class TrustCounts:
-    """The per-pair counts feeding the three series (meaningless for wired pairs)."""
-
-    k: int
-    w: int
-    z: int
-
-
-def counts(t: Topology, i: SensorId, j: SensorId) -> TrustCounts:
-    """Count mutual wired peers, j's other wired peers, and j's wireless-only peers.
+def counts(t: Topology, i: SensorId, j: SensorId) -> tuple[int, int, int]:
+    """Count mutual wired peers, j's other wired peers, and j's wireless-only
+    peers, as ``(k, w, z)`` (meaningless for wired pairs).
 
     K = |i_kljn & j_kljn|; W = |j_kljn| - K; Z = |j_wireless - {i}|.
     Under the complement rule ``wireless_set(j)`` is an O(1) view, so Z is
@@ -155,7 +145,7 @@ def counts(t: Topology, i: SensorId, j: SensorId) -> TrustCounts:
     j_k = t.kljn_set(j)
     j_w = t.wireless_set(j)
     k = len(i_k & j_k)
-    return TrustCounts(k=k, w=len(j_k) - k, z=len(j_w) - (i in j_w))
+    return k, len(j_k) - k, len(j_w) - (i in j_w)
 
 
 def trust(
@@ -183,11 +173,11 @@ def trust(
         return 0.0
     if j in t.kljn_set(i):
         return 1.0
-    c = counts(t, i, j)
+    k, w, z = counts(t, i, j)
     total = (
-        geometric_partial_sum(coef.a, c.k)
-        + geometric_partial_sum(coef.b, c.w)
-        + geometric_partial_sum(coef.c, c.z)
+        geometric_partial_sum(coef.a, k)
+        + geometric_partial_sum(coef.b, w)
+        + geometric_partial_sum(coef.c, z)
     )
     return min(total, 1.0)
 
@@ -204,19 +194,6 @@ class TrustMatrix:
 
     order: list[SensorId]
     values: np.ndarray
-    _positions: dict[SensorId, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._positions = {s: p for p, s in enumerate(self.order)}
-
-    def index(self, sensor: SensorId) -> int:
-        try:
-            return self._positions[sensor]
-        except KeyError:
-            raise UnknownSensorError(f"unknown sensor {sensor!r}") from None
-
-    def value(self, i: SensorId, j: SensorId) -> float:
-        return float(self.values[self.index(i), self.index(j)])
 
 
 def _sum_table(r: float, top: int) -> np.ndarray:

@@ -44,12 +44,12 @@ from kextrust.orchestrator import (
     establish_network_keys,
     json_block,
     json_chunks,
-    save_state,
     state_from_json,
     state_to_json,
     trust_report,
+    write_files,
 )
-from kextrust.topology import Topology, derive_wireless_sets, serialize_topology
+from kextrust.topology import Topology, derive_wireless_sets, topology_to_doc
 from kextrust.trust import coefficients_closed_form, coefficients_fixed_point, trust_matrix
 from reference_data import (
     matrix_to_csv_reference,
@@ -275,11 +275,6 @@ class TestWordsMismatch:
         assert any(_ref_mismatch(a, b) for a, b in cases)
         assert not all(_ref_mismatch(a, b) for a, b in cases)
 
-    def test_shape_mismatch_rejected(self):
-        words = np.zeros(10, dtype=np.int64)
-        with pytest.raises(ValueError):
-            _words_mismatch(PeriodTrace(words, words), PeriodTrace(words[:9], words))
-
 
 # --- state writer
 
@@ -317,7 +312,7 @@ def _ref_state_json(state):
 
     doc = {
         "version": 2,
-        "topology": json.loads(serialize_topology(state.topology)),
+        "topology": topology_to_doc(state.topology),
         "clock": state.clock,
         "master_seed": state.master_seed,
         "records": [
@@ -442,7 +437,7 @@ class TestReportWriter:
         state = establish_network_keys(t, master_seed=201, target_bits=8)
         for sensor in (t.sensors[7], t.sensors[42]):
             apply_kill_event(state, sensor)
-        save_state(state, tmp_path / "state.json")
+        write_files([(tmp_path / "state.json", (state_to_json(state),))])
         tracemalloc.start()
         try:
             assert main(["report", str(tmp_path / "state.json"),
@@ -531,7 +526,8 @@ class TestTrustMatrixKernel:
         loose = coefficients_fixed_point(1e-4)
         for coef in (COEF, loose):
             _assert_matrix_equals_dense(t, coef)
-        assert trust_matrix(t, loose).value("i", "a") == 1.0
+        matrix = trust_matrix(t, loose)
+        assert matrix.values[matrix.order.index("i"), matrix.order.index("a")] == 1.0
 
     def test_benchmark_sized_networks(self):
         rng = np.random.default_rng(23)

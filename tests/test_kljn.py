@@ -17,7 +17,6 @@ from kextrust.kljn import (
     auth_bit_cost,
     channel_waveforms,
     classify_level,
-    detect_active_attack,
     quantize_words,
     resistor_noise,
     run_key_exchange,
@@ -223,44 +222,35 @@ class TestQuantization:
 
 
 class TestDetection:
-    def _trace_pairs(self, attacker, periods, seed=109):
-        alice_rng, bob_rng = _party_rngs(seed)
-        alice, bob = [], []
-        for period in range(periods):
-            outcome = simulate_bit_period(CFG, alice_rng, bob_rng, attacker, period_index=period)
-            alice.append(outcome.alice_trace)
-            bob.append(outcome.bob_trace)
-        return alice, bob
+    """Each period's public word comparison flags exactly the attacked periods."""
 
-    def test_clean_traces_verdict(self):
-        alice, bob = self._trace_pairs(None, 20)
-        verdict = detect_active_attack(alice, bob)
-        assert verdict.clean
-        assert verdict.mismatch_periods == ()
+    def _flagged_periods(self, attacker, periods, seed=109):
+        alice_rng, bob_rng = _party_rngs(seed)
+        return [
+            period
+            for period in range(periods)
+            if simulate_bit_period(CFG, alice_rng, bob_rng, attacker, period_index=period).attack_flag
+        ]
+
+    def test_clean_periods_not_flagged(self):
+        assert self._flagged_periods(None, 20) == []
 
     def test_wire_substitution_flags_every_attacked_period(self):
-        alice, bob = self._trace_pairs(WireSubstitutionAttacker(start_period=3, seed=1), 10)
-        verdict = detect_active_attack(alice, bob)
-        assert not verdict.clean
-        assert verdict.mismatch_periods == tuple(range(3, 10))
+        attacker = WireSubstitutionAttacker(start_period=3, seed=1)
+        assert self._flagged_periods(attacker, 10) == list(range(3, 10))
 
     def test_current_injection_flags_attacked_periods(self):
-        alice, bob = self._trace_pairs(CurrentInjectionAttacker(start_period=5, seed=2), 8)
-        verdict = detect_active_attack(alice, bob)
-        assert verdict.mismatch_periods == tuple(range(5, 8))
+        attacker = CurrentInjectionAttacker(start_period=5, seed=2)
+        assert self._flagged_periods(attacker, 8) == list(range(5, 8))
 
-    def test_single_flipped_word_is_localized(self):
-        alice, bob = self._trace_pairs(None, 6)
-        tampered = bob[4].current_words.copy()
+    def test_single_flipped_word_is_a_mismatch(self):
+        alice_rng, bob_rng = _party_rngs(109)
+        trace = simulate_bit_period(CFG, alice_rng, bob_rng).alice_trace
+        tampered = trace.current_words.copy()
         tampered[17] += 1
-        bob[4] = PeriodTrace(bob[4].voltage_words, tampered)
-        verdict = detect_active_attack(alice, bob)
-        assert verdict.mismatch_periods == (4,)
-
-    def test_length_mismatch_rejected(self):
-        alice, bob = self._trace_pairs(None, 4)
-        with pytest.raises(ValueError, match="length"):
-            detect_active_attack(alice, bob[:3])
+        assert not kljn._words_mismatch(trace, PeriodTrace(trace.voltage_words.copy(),
+                                                           trace.current_words.copy()))
+        assert kljn._words_mismatch(trace, PeriodTrace(trace.voltage_words, tampered))
 
 
 class TestKeyExchange:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kextrust.cli import report_json_chunks
-from kextrust.kljn import WireSubstitutionAttacker
+from kextrust.kljn import KljnSessionConfig, WireSubstitutionAttacker, run_key_exchange
 from kextrust.orchestrator import (
     CHANNEL_KLJN,
     CHANNEL_WIRELESS,
@@ -12,11 +12,11 @@ from kextrust.orchestrator import (
     STATUS_OK,
     STATUS_REVOKED,
     KillSwitchState,
+    _derive_seed,
+    _fingerprint,
     apply_kill_event,
     establish_network_keys,
     load_state,
-    save_state,
-    state_from_json,
     state_to_json,
     trust_report,
     write_files,
@@ -34,6 +34,12 @@ def fig2_state(fig2):
     return establish_network_keys(fig2, master_seed=42, target_bits=KEY_BITS)
 
 
+def _wired_key_bits(state, a, b):
+    """The key bits of wired pair (a, b), from a re-run of its session."""
+    cfg = KljnSessionConfig(seed=_derive_seed(state.master_seed, a, b))
+    return run_key_exchange(cfg, KEY_BITS).key_bits
+
+
 class TestEstablish:
     def test_record_partition(self, fig2_state):
         records = list(fig2_state.records.values())
@@ -49,12 +55,9 @@ class TestEstablish:
     def test_all_records_ok_with_key_material(self, fig2_state):
         for record in fig2_state.records.values():
             assert record.status == STATUS_OK
-            assert record.key_id
+            assert len(record.key_id) == 16
             if record.channel == CHANNEL_KLJN:
-                assert record.key_bits is not None
-                assert len(record.key_bits) == KEY_BITS
-            else:
-                assert record.key_bits is None
+                assert len(_wired_key_bits(fig2_state, *record.pair)) == KEY_BITS
 
     def test_logical_timestamps_are_dense(self, fig2_state):
         stamps = sorted(r.established_at for r in fig2_state.records.values())
@@ -69,8 +72,9 @@ class TestEstablish:
 
     def test_distinct_edges_get_distinct_keys(self, fig2_state):
         kljn_keys = [
-            r.key_bits for r in fig2_state.records.values() if r.channel == CHANNEL_KLJN
+            r.key_id for r in fig2_state.records.values() if r.channel == CHANNEL_KLJN
         ]
+        assert len(kljn_keys) == 6
         assert len(set(kljn_keys)) == len(kljn_keys)
 
     def test_attacked_edge_fails_in_isolation(self, fig2):
@@ -78,8 +82,10 @@ class TestEstablish:
         state = establish_network_keys(
             fig2, master_seed=42, target_bits=KEY_BITS, attackers=attackers
         )
-        assert state.record_for("F", "G").status == STATUS_FAILED
-        assert state.record_for("F", "G").key_id == ""
+        assert state.records[("F", "G")].status == STATUS_FAILED
+        assert state.records[("F", "G")].key_id == ""
+        with pytest.raises(KeyError):
+            state.records[("G", "F")]  # only the canonical pair is a key
         others = [r for r in state.records.values() if r.pair != ("F", "G")]
         assert all(r.status == STATUS_OK for r in others)
 
@@ -146,9 +152,16 @@ class TestKillEvents:
         assert [(r.pair, r.status) for r in state.records_sorted()] == snapshot
         assert len(state.kill.event_log) == 2
 
-    def test_kill_unknown_sensor(self, fig2_state):
+    def test_kill_unknown_sensor(self, fig2):
+        # refused before anything changes: no clock tick, no log entry
+        state = establish_network_keys(fig2, master_seed=42, target_bits=KEY_BITS)
+        apply_kill_event(state, "H")
+        clock, events, text = state.clock, list(state.kill.event_log), state_to_json(state)
         with pytest.raises(UnknownSensorError):
-            apply_kill_event(fig2_state, "Q")
+            apply_kill_event(state, "Q")
+        assert state.clock == clock
+        assert state.kill.event_log == events
+        assert state_to_json(state) == text
 
     def test_kill_never_increases_trust(self, fig2):
         state = establish_network_keys(fig2, master_seed=42, target_bits=KEY_BITS)
@@ -195,7 +208,7 @@ class TestPersistence:
         apply_kill_event(state, "C")
         state.kill.clear("C", note="false alarm", timestamp=state.clock)
         path = tmp_path / "state.json"
-        save_state(state, path)
+        write_files([(path, (state_to_json(state),))])
         loaded = load_state(path)
         assert state_to_json(loaded) == state_to_json(state)
         assert loaded.kill.killed == {"B"}
@@ -217,8 +230,10 @@ class TestPersistence:
 
     def test_key_material_not_persisted(self, fig2_state):
         text = state_to_json(fig2_state)
-        for record in fig2_state.records.values():
-            if record.key_bits:
-                assert record.key_bits not in text
-        loaded = state_from_json(text)
-        assert all(r.key_bits is None for r in loaded.records.values())
+        matrix, rankings = trust_report(fig2_state, COEF)
+        report = "".join(report_json_chunks(fig2_state, COEF, matrix, rankings))
+        for a, b in sorted(fig2_state.topology.kljn_edges):
+            key_bits = _wired_key_bits(fig2_state, a, b)
+            assert key_bits not in text
+            assert key_bits not in report
+            assert fig2_state.records[(a, b)].key_id == _fingerprint("kljn|" + key_bits)

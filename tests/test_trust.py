@@ -47,7 +47,6 @@ class TestCoefficients:
         assert abs(numeric.b - COEF.b) < 1e-10
         assert abs(numeric.c - COEF.c) < 1e-10
         assert numeric.provenance == "fixed_point"
-        assert numeric.tolerance == 1e-10
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, 1e-3, 1.0])
     def test_fixed_point_rejects_bad_tolerance(self, tol):
@@ -104,8 +103,7 @@ class TestCounts:
         ],
     )
     def test_reference_pairs(self, fig2, i, j, expected):
-        c = counts(fig2, i, j)
-        assert (c.k, c.w, c.z) == expected
+        assert counts(fig2, i, j) == expected
 
     def test_same_sensor_rejected(self, fig2):
         with pytest.raises(ValueError):
@@ -248,9 +246,9 @@ class TestTrustMatrix:
 
     def test_value_accessor(self, fig2):
         matrix = trust_matrix(fig2, COEF)
-        assert matrix.value("A", "C") == trust(fig2, COEF, frozenset(), "A", "C")
-        with pytest.raises(UnknownSensorError):
-            matrix.value("A", "Q")
+        assert matrix.order == list(fig2.sensors)
+        cell = matrix.values[matrix.order.index("A"), matrix.order.index("C")]
+        assert cell == trust(fig2, COEF, frozenset(), "A", "C")
 
 
 class TestRankPeers:
@@ -287,11 +285,11 @@ class TestRankPeers:
                 for kill in (frozenset(), killed):
                     matrix = trust_matrix(t, COEF, kill)
                     for i in t.sensor_set:
-                        row = matrix.values[matrix.index(i)]
+                        row = matrix.values[matrix.order.index(i)]
                         ranked = rank_peers(t, COEF, kill, i)
                         assert sorted(j for j, _ in ranked) == sorted(t.sensor_set - {i})
                         for j, value in ranked:
-                            assert value == row[matrix.index(j)]
+                            assert value == row[matrix.order.index(j)]
 
     def test_complement_rule_equals_derived_sets(self):
         # The complement-rule view and the same sets made explicit give the
@@ -344,10 +342,9 @@ class TestRankPeers:
         edges = {("a", m) for m in mutual} | {("i", m) for m in mutual}
         edges |= {("a", w) for w in others}
         t = Topology(("i", "a", *mutual, *others, *isolated), frozenset(edges))
-        c = counts(t, "i", "a")
-        assert (c.k, c.w, c.z) == (40, 40, 40)
+        assert counts(t, "i", "a") == (40, 40, 40)
         assert trust(t, COEF, frozenset(), "i", "a") == 1.0
-        assert trust_matrix(t, COEF).value("i", "a") == 1.0
+        assert trust_matrix(t, COEF).values[0, 1] == 1.0  # ("i", "a")
         ranking = rank_peers(t, COEF, frozenset(), "i")
         assert ranking[:41] == [(m, 1.0) for m in mutual] + [("a", 1.0)]
         # killed peers, wired or not, stay in id order at 0.0
