@@ -275,6 +275,17 @@ class TestWordsMismatch:
         assert any(_ref_mismatch(a, b) for a, b in cases)
         assert not all(_ref_mismatch(a, b) for a, b in cases)
 
+    def test_period_traces_share_shape(self):
+        # both parties publish one word per sample, tampered or not, so the
+        # comparison never meets traces of different lengths
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(2)]
+        pairs = list(self._tampered_traces())
+        pairs += [(o.alice_trace, o.bob_trace)
+                  for o in (simulate_bit_period(CFG, *rngs) for _ in range(5))]
+        for a, b in pairs:
+            assert a.voltage_words.shape == b.voltage_words.shape == b.current_words.shape
+            assert a.current_words.shape == a.voltage_words.shape
+
 
 # --- state writer
 

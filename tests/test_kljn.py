@@ -243,6 +243,18 @@ class TestDetection:
         attacker = CurrentInjectionAttacker(start_period=5, seed=2)
         assert self._flagged_periods(attacker, 8) == list(range(5, 8))
 
+    @pytest.mark.parametrize("attacker_type", [WireSubstitutionAttacker, CurrentInjectionAttacker])
+    def test_flagged_periods_yield_no_bit(self, attacker_type):
+        alice_rng, bob_rng = _party_rngs(110)
+        attacker = attacker_type(start_period=0, seed=3)
+        flagged = 0
+        for period in range(20):
+            outcome = simulate_bit_period(CFG, alice_rng, bob_rng, attacker, period_index=period)
+            if outcome.attack_flag:
+                flagged += 1
+                assert outcome.bit is None
+        assert flagged > 0
+
     def test_single_flipped_word_is_a_mismatch(self):
         alice_rng, bob_rng = _party_rngs(109)
         trace = simulate_bit_period(CFG, alice_rng, bob_rng).alice_trace
