@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -117,21 +119,46 @@ def _killed(kill_list: str | None, t: Topology) -> frozenset[SensorId]:
 
 
 def _emit(chunks, out: str | None, *files, source: str | None = None) -> None:
-    """Write the text ``chunks`` (strings) to the file ``out``, or to stdout
-    if ``out`` is not given, and each further ``(path, chunks)`` to its file.
+    """Write the ``chunks`` (``str``, written as UTF-8, or ``bytes``) to the
+    file ``out``, or to stdout if ``out`` is not given, and each further
+    ``(path, chunks)`` to its file.
 
     An output path that names the existing file ``source``, the command's
     input, is refused before anything is written.  Every file goes through
     :func:`~kextrust.orchestrator.write_files` before stdout sees anything,
-    so a failed write leaves no output behind.
+    so a failed write leaves no output behind.  On stdout the chunks go to
+    its binary buffer, after a flush of its text layer, so that stdout gets
+    the bytes a file would; a stdout without a buffer (``io.StringIO``) gets
+    the ``bytes`` chunks decoded.
     """
     if source is not None and os.path.exists(source):
         for path in (out, *(path for path, _ in files)):
             if path and os.path.realpath(path) == os.path.realpath(source):
                 raise DomainError(f"output path {path!r} names the input file {source!r}")
     write_files([(out, chunks), *files] if out else files)
-    if not out:
-        sys.stdout.writelines(chunks)
+    if out:
+        return
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.writelines(c.decode() if isinstance(c, bytes) else c for c in chunks)
+    else:
+        sys.stdout.flush()
+        buffer.writelines(c.encode() if isinstance(c, str) else c for c in chunks)
+
+
+# the most cells of a dense trust matrix (8 bytes each) that trust-matrix and
+# report build: 2 GiB of values, n = 16384 sensors
+MATRIX_CELL_BUDGET = 1 << 28
+
+
+def _check_matrix_size(t: Topology) -> Topology:
+    """``t``, if its dense trust matrix fits ``MATRIX_CELL_BUDGET``."""
+    n = len(t.sensors)
+    if n * n > MATRIX_CELL_BUDGET:
+        raise DomainError(
+            f"{n} sensors need a {n} x {n} trust matrix, over the budget of "
+            f"{MATRIX_CELL_BUDGET} cells (at most {math.isqrt(MATRIX_CELL_BUDGET)} sensors)")
+    return t
 
 
 _BLOCK_ROWS = 64  # rows labelled per pass; bounds the temporaries to ~64 * n cells
@@ -163,42 +190,60 @@ class _CellLabeller:
         pos = self._positions(np.asarray(values, dtype=np.float64).view(np.uint64))
         return self._table[pos].tolist()  # the table as it is after learning
 
-    def joined_rows(self, values, sep: str):
-        """Each row of the matrix ``values`` (a 2-D array or a list of float
-        lists) as its cell labels joined by ``sep``.
+    def row_blocks(self, values, sep: str, heads, tail: bytes):
+        """Each block of up to 64 rows of the matrix ``values`` (a 2-D array
+        or a list of float lists) as one ``bytes``: per row, the next of the
+        ``bytes`` ``heads``, the row's cell labels joined by ``sep``, then
+        ``tail``.
 
-        Rows are labelled 64 at a time.  A block's reference row is, per
-        column, the majority of its first three rows' bit patterns (row 2's
-        where all three differ; the first row in a block of fewer than three
-        rows).  Only the reference row and the cells whose bit pattern
-        differs from it in their column are searched in the table; the
-        others take the reference cell's position.  The text of a block is
-        gathered at once from a table of ``sep + label`` entries of fixed
-        width, padded with NULs.
+        A block's reference row is, per column, the majority of its first
+        three rows' bit patterns (row 2's where all three differ; the first
+        row in a block of fewer than three rows).  Only the reference row
+        and the cells whose bit pattern differs from it in their column are
+        searched in the table.  The reference row's ``sep + label`` entries,
+        of fixed width padded with NULs, are copied into every row of a
+        buffer, and the differing cells are overwritten; the NULs are
+        stripped once per block.  Each row is cut from the block's bytes by
+        a ``memoryview`` slice, so the block's one join is its only copy of
+        the text.  Later blocks of the same shape reuse the buffer: fresh
+        memory for each block cost more in page faults than the copies.
         """
+        heads, buffer, cells = iter(heads), None, None
         for start in range(0, len(values), _BLOCK_ROWS):
             bits = np.asarray(values[start:start + _BLOCK_ROWS], dtype=np.float64).view(np.uint64)
             ref = bits[0] if len(bits) < 3 else np.where(bits[0] == bits[1], bits[0], bits[2])
-            differs = bits != ref
+            differs = np.flatnonzero(bits != ref)  # flat cell indices
             # one search for both parts, so that a pattern learnt for the
             # differing cells cannot leave the reference positions stale
             pos_ref, pos_differing = np.split(
-                self._positions(np.concatenate((ref, bits[differs]))), [len(ref)])
-            pos = np.repeat(pos_ref[np.newaxis], len(bits), axis=0)
-            pos[differs] = pos_differing
+                self._positions(np.concatenate((ref, bits.ravel()[differs]))), [len(ref)])
             if sep != self._sep:  # a pattern was learnt, or another separator
                 entries = [(sep + label).encode() for label in self._table.tolist()]
                 self._entries = np.array(entries, dtype=bytes)
                 self._widths = np.array([len(e) for e in entries], dtype=np.intp)
                 self._sep = sep
             entries, widths = self._entries, self._widths
-            text = np.take(entries, pos).tobytes()
+            if cells is None or cells.shape != bits.shape or cells.dtype != entries.dtype:
+                buffer = bytearray(bits.size * entries.itemsize)
+                cells = np.frombuffer(buffer, dtype=entries.dtype).reshape(bits.shape)
+            cells[:] = entries[pos_ref]
+            cells.ravel()[differs] = entries[pos_differing]
             if (widths < entries.itemsize).any():
-                text = text.replace(b"\0", b"")
-            text = text.decode("ascii")
-            ends = np.cumsum(np.take(widths, pos).sum(axis=1)).tolist()
-            for begin, end in zip([0, *ends], ends):
-                yield text[begin + len(sep):end]
+                text = buffer.translate(None, b"\0")
+                # each row's length: the reference row's, corrected by its differing cells
+                rows, columns = np.divmod(differs, len(ref))
+                ref_widths = widths[pos_ref]
+                lengths = np.bincount(rows, widths[pos_differing] - ref_widths[columns],
+                                      len(bits)).astype(np.intp) + ref_widths.sum()
+                ends = np.cumsum(lengths)
+            else:
+                text = buffer
+                ends = np.arange(1, len(bits) + 1) * (len(ref) * entries.itemsize)
+            text, parts, begin = memoryview(text), [], len(sep)
+            for end in ends.tolist():
+                parts += (next(heads), text[begin:end], tail)
+                begin = end + len(sep)
+            yield b"".join(parts)
 
     def _positions(self, bits: np.ndarray) -> np.ndarray:
         """The table positions of the bit patterns ``bits``, after learning
@@ -232,50 +277,59 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def matrix_to_csv(order, values, full_precision: bool = False) -> str:
-    """Trust matrix as CSV, rows = evaluator, columns = evaluated peer.
+def matrix_to_csv(order, values, full_precision: bool = False) -> bytes:
+    """Trust matrix as CSV text in UTF-8, rows = evaluator, columns =
+    evaluated peer.
 
     Sensor ids are written with :func:`_csv_field`, and every cell as
     ``repr(value)`` (``full_precision``) or ``f"{value:.3f}"``; lines end
     in ``"\\n"``.
     """
     labeller = _CellLabeller(repr if full_precision else "{:.3f}".format)
-    lines = [",".join(["sensor", *map(_csv_field, order)]) + "\n"]
-    lines.extend(f"{_csv_field(row_id)},{cells}\n"
-                 for row_id, cells in zip(order, labeller.joined_rows(values, ",")))
-    return "".join(lines)
+    fields = list(map(_csv_field, order))
+    header = ",".join(["sensor", *fields]) + "\n"
+    heads = (f"{field},".encode() for field in fields)
+    return b"".join([header.encode(), *labeller.row_blocks(values, ",", heads, b"\n")])
 
 
 def _matrix_chunks(order, values, pad: str, labeller: _CellLabeller):
     """``{"order": order, "values": values}`` for a square float matrix ``values``,
-    laid out as by ``json.dumps(indent=2)`` at indent ``pad``, in chunks of
-    up to 64 rows."""
+    laid out as by ``json.dumps(indent=2)`` at indent ``pad``, as ``bytes``
+    chunks of up to 64 rows."""
     inner, cell_pad = pad + "  ", pad + "      "
-    yield f'{{\n{inner}"order": {json_block(map(_json_str, order), inner)},\n{inner}"values": '
-    rows = labeller.joined_rows(values, ",\n" + cell_pad)
-    yield from json_chunks((f"[\n{cell_pad}{row}\n{inner}  ]" for row in rows), inner)
-    yield f"\n{pad}}}"
+    head = f'{{\n{inner}"order": {json_block(map(_json_str, order), inner)},\n{inner}"values": '
+    if not len(values):
+        yield f"{head}[]\n{pad}}}".encode()
+        return
+    yield head.encode()
+    # each row opens the list or follows a comma, as json_chunks lays out entries
+    row_head = f"\n{inner}  [\n{cell_pad}".encode()
+    heads = itertools.chain([b"[" + row_head], itertools.repeat(b"," + row_head))
+    yield from labeller.row_blocks(values, ",\n" + cell_pad, heads, f"\n{inner}  ]".encode())
+    yield f"\n{inner}]\n{pad}}}".encode()
 
 
-def matrix_to_json(order, values) -> str:
-    """``json.dumps({"order": order, "values": values}, indent=2) + "\n"``
-    for a float matrix ``values``."""
-    return "".join(_matrix_chunks(order, values, "", _CellLabeller())) + "\n"
+def matrix_to_json(order, values) -> bytes:
+    """``json.dumps({"order": order, "values": values}, indent=2) + "\\n"``
+    for a float matrix ``values``, encoded (the text is ASCII)."""
+    return b"".join(itertools.chain(_matrix_chunks(order, values, "", _CellLabeller()), [b"\n"]))
 
 
 def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
-    """The ``report`` document of ``state`` as JSON text chunks; joined, they
-    are ``json.dumps(doc, indent=2) + "\n"`` for the document with the keys
-    ``sensors``, ``coefficients`` (``a``, ``b``, ``c``, ``provenance``),
-    ``killed`` (sorted), ``matrix`` (``order``, ``values``), ``rankings``
-    (each sensor's ``[peer, value]`` list), ``records`` (``pair``,
-    ``channel``, ``key_id``, ``established_at``, ``status``, in
-    ``state.records_sorted()`` order) and ``kill_log`` (``timestamp``,
-    ``sensor``, ``action``, ``note``).
+    """The ``report`` document of ``state`` as chunks of JSON text; encoded
+    and joined, they are ``json.dumps(doc, indent=2) + "\n"`` for the
+    document with the keys ``sensors``, ``coefficients`` (``a``, ``b``,
+    ``c``, ``provenance``), ``killed`` (sorted), ``matrix`` (``order``,
+    ``values``), ``rankings`` (each sensor's ``[peer, value]`` list),
+    ``records`` (``pair``, ``channel``, ``key_id``, ``established_at``,
+    ``status``, in ``state.records_sorted()`` order) and ``kill_log``
+    (``timestamp``, ``sensor``, ``action``, ``note``).
 
     ``matrix`` and ``rankings`` are those :func:`trust_report` returns.  The
     matrix rows, the rankings and the records are yielded up to 64 at a
-    time; all floats are labelled by one :class:`_CellLabeller`.
+    time; all floats are labelled by one :class:`_CellLabeller`.  The matrix
+    comes as ``bytes`` chunks and every other chunk as ``str``; the text is
+    ASCII.
     """
     labeller = _CellLabeller()
     coefficients = (f'"{name}": {json.dumps(getattr(coef, name))}'
@@ -332,7 +386,7 @@ def _cmd_trust(args) -> int:
 
 
 def _cmd_trust_matrix(args) -> int:
-    t = _load_checked_topology(args.topology)
+    t = _check_matrix_size(_load_checked_topology(args.topology))
     matrix = trust_matrix(t, coefficients_closed_form(), _killed(args.kill, t))
     if args.format == "json":
         text = matrix_to_json(matrix.order, matrix.values)
@@ -451,6 +505,7 @@ def _cmd_kill(args) -> int:
 
 def _cmd_report(args) -> int:
     state = _load_checked_state(args.state)
+    _check_matrix_size(state.topology)
     coef = coefficients_closed_form()
     matrix, rankings = trust_report(state, coef)
     files = []

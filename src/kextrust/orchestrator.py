@@ -427,8 +427,9 @@ def state_from_json(text: str) -> NetworkKeyState:
 
 def write_files(files) -> None:
     """Write each ``(path, chunks)`` of ``files``, ``chunks`` an iterable of
-    strings written in turn, through a temporary file next to its path, and
-    move the files into place only once every one is written.
+    ``bytes`` and of ``str`` (written as UTF-8) written in turn, through a
+    temporary file next to its path, and move the files into place only
+    once every one is written.
 
     A directory among the paths, or two paths naming the same file, is
     refused before anything is written.  A failed or interrupted write, or
@@ -454,8 +455,8 @@ def write_files(files) -> None:
             partial = path.with_name(f".{path.name}.partial")
             partials[partial] = path
             try:
-                with partial.open("w", encoding="utf-8") as f:
-                    f.writelines(chunks)
+                with partial.open("wb") as f:
+                    f.writelines(c.encode() if isinstance(c, str) else c for c in chunks)
             except OSError as exc:  # name the path asked for, not the temporary file
                 raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         for partial, path in partials.items():

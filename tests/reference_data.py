@@ -265,6 +265,12 @@ def matrix_to_csv_reference(order, values, full_precision: bool = False) -> str:
     return "".join(lines)
 
 
+def joined_chunks(chunks) -> bytes:
+    """The ``str`` and ``bytes`` ``chunks`` of a writer joined as one file
+    holds them: each ``str`` encoded as UTF-8."""
+    return b"".join(c.encode() if isinstance(c, str) else c for c in chunks)
+
+
 def report_doc(state, coef) -> dict:
     """The trust report of the key state ``state`` as a JSON-ready document,
     built from the public API only: :func:`kextrust.cli.report_json_chunks`

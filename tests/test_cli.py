@@ -1,9 +1,12 @@
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,14 @@ import pytest
 
 import kextrust
 from kextrust import orchestrator
-from kextrust.cli import build_parser, main, matrix_to_json
+from kextrust.cli import (
+    MATRIX_CELL_BUDGET,
+    _check_matrix_size,
+    _emit,
+    build_parser,
+    main,
+    matrix_to_json,
+)
 from kextrust.orchestrator import load_state
 from kextrust.topology import Topology, bundled_topology_path
 from kextrust.trust import coefficients_closed_form, trust_matrix
@@ -353,7 +363,7 @@ class TestTrustCommands:
     def test_matrix_to_json_small_shapes(self, order):
         values = np.linspace(0.0, 1.0, len(order) ** 2).reshape(len(order), len(order))
         doc = {"order": order, "values": values.tolist()}
-        assert matrix_to_json(order, values) == json.dumps(doc, indent=2) + "\n"
+        assert matrix_to_json(order, values) == (json.dumps(doc, indent=2) + "\n").encode()
 
     def test_matrix_byte_identical_runs(self, capsys, fig2_file, tmp_path):
         first = tmp_path / "a.csv"
@@ -833,6 +843,112 @@ class TestOutputPaths:
         self._assert_error(capsys, "kill", str(state_path), "H")
         assert state_path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [state_path]
+
+
+def _cli_process(*argv, code="import sys; from kextrust.cli import main; sys.exit(main())"):
+    """A child interpreter running ``code`` (by default the command line with
+    ``argv``) with this checkout's ``kextrust``; its stdout is a pipe,
+    block-buffered as by default (``PYTHONUNBUFFERED`` is dropped)."""
+    src = Path(kextrust.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          timeout=120)
+
+
+@pytest.fixture(scope="module")
+def three_block_inputs(tmp_path_factory):
+    """A topology of 150 sensors (three row blocks), some ids quoted in CSV
+    or not ASCII, and its key state with one sensor killed."""
+    base = tmp_path_factory.mktemp("streams")
+    rng = np.random.default_rng(151)
+    ids = ["a,b", "é", *(f"s{k:03d}" for k in range(148))]
+    edges = {tuple(sorted((ids[a], ids[b]))) for a, b in rng.integers(0, 150, (120, 2)) if a != b}
+    topology = base / "t150.json"
+    topology.write_text(json.dumps({"sensors": ids, "kljn_edges": sorted(edges)}),
+                        encoding="utf-8")
+    state = base / "state.json"
+    assert main(["establish", str(topology), "--bits", "8", "--out", str(state)]) == 0
+    assert main(["kill", str(state), "é"]) == 0
+    return str(topology), str(state)
+
+
+STREAM_COMMANDS = {
+    "csv": ("trust-matrix", "{topology}", "--kill", "s007"),
+    "full": ("trust-matrix", "{topology}", "--full-precision"),
+    "json": ("trust-matrix", "{topology}", "--format", "json", "--kill", '"a,b"'),
+    "report": ("report", "{state}"),
+}
+
+
+class TestOutputStreams:
+    """Writers yield ``str`` and ``bytes`` chunks; stdout gets the bytes a
+    file gets, whether it is a real stream, a capture or an ``io.StringIO``."""
+
+    @pytest.mark.parametrize("name", sorted(STREAM_COMMANDS))
+    def test_stdout_equals_out_file(self, capsys, tmp_path, three_block_inputs, name):
+        topology, state = three_block_inputs
+        argv = [a.format(topology=topology, state=state) for a in STREAM_COMMANDS[name]]
+        out = tmp_path / "out"
+        assert run_cli(capsys, *argv, "--out", str(out)) == (0, "", "")
+        want = out.read_bytes()
+        assert want.count(b"\n") > 150  # more than one row block
+        code, captured, err = run_cli(capsys, *argv)
+        assert (code, err, captured.encode()) == (0, "", want)
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            assert main(argv) == 0
+        assert text.getvalue().encode() == want
+        done = _cli_process(*argv)
+        assert (done.returncode, done.stderr, done.stdout) == (0, b"", want)
+
+    def test_stdout_keeps_the_order_of_text_and_bytes(self):
+        code = ("import sys; from kextrust.cli import _emit; sys.stdout.write('a'); "
+                "_emit(['b', b'c', 'd\\u00e9', b'e'], None); sys.stdout.write('f')")
+        done = _cli_process(code=code)
+        assert (done.returncode, done.stdout) == (0, "abcdéef".encode())
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            _emit(["b", b"c", "dé", b"e"], None)
+        assert text.getvalue() == "bcdée"
+
+
+class TestMatrixBudget:
+    """``trust-matrix`` and ``report`` refuse a network whose dense matrix
+    would exceed ``MATRIX_CELL_BUDGET`` cells, before building it."""
+
+    OVER = math.isqrt(MATRIX_CELL_BUDGET) + 1  # 16385 sensors
+    MESSAGE = (f"error: {OVER} sensors need a {OVER} x {OVER} trust matrix, over the budget "
+               "of 268435456 cells (at most 16384 sensors)\n")
+
+    def _assert_refused(self, capsys, tmp_path, *argv):
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            result = run_cli(capsys, *argv, "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (1, "", self.MESSAGE)
+        assert not out.exists()
+        assert peak < 64e6  # the matrix alone would take 2 GB
+
+    def test_trust_matrix_over_budget(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"sensors": [f"s{k}" for k in range(self.OVER)],
+                                    "kljn_edges": []}))
+        self._assert_refused(capsys, tmp_path, "trust-matrix", str(path))
+
+    def test_report_over_budget(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        sensors = [f"s{k}" for k in range(self.OVER)]
+        path.write_text(_v2_state(records=[], topology={"sensors": sensors, "kljn_edges": []}))
+        self._assert_refused(capsys, tmp_path, "report", str(path))
+
+    def test_budget_edge(self):
+        t = Topology(tuple(f"s{k}" for k in range(self.OVER - 1)), frozenset())
+        assert _check_matrix_size(t) is t
+        assert (self.OVER - 1) ** 2 == MATRIX_CELL_BUDGET
 
 
 class TestInProcessReuse:

@@ -12,8 +12,10 @@ output recorded before the fast paths existed.
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -52,6 +54,7 @@ from kextrust.orchestrator import (
 from kextrust.topology import Topology, derive_wireless_sets, topology_to_doc
 from kextrust.trust import coefficients_closed_form, coefficients_fixed_point, trust_matrix
 from reference_data import (
+    joined_chunks,
     matrix_to_csv_reference,
     random_topology,
     report_doc,
@@ -397,8 +400,8 @@ class TestStateWriter:
 
 
 def _assert_report_equals_json_dumps(state, coef=COEF):
-    text = "".join(report_json_chunks(state, coef, *trust_report(state, coef)))
-    assert text == json.dumps(report_doc(state, coef), indent=2) + "\n"
+    data = joined_chunks(report_json_chunks(state, coef, *trust_report(state, coef)))
+    assert data == (json.dumps(report_doc(state, coef), indent=2) + "\n").encode()
 
 
 def _explicit_sets_topology(seed, n, edge_prob=0.04):
@@ -572,6 +575,11 @@ def _writer_inputs(n, seed, zeros=False):
     return order, values
 
 
+def _heads():
+    """Row heads ``<0>``, ``<1>``, ... for :meth:`_CellLabeller.row_blocks`."""
+    return (f"<{k}>".encode() for k in itertools.count())
+
+
 def _lines(text):
     return text.splitlines(keepends=True)
 
@@ -581,9 +589,10 @@ def _assert_writers_equal_oracles(order, values):
     compared as lists of lines: a failing diff of the whole texts is slow."""
     for full_precision in (False, True):
         assert _lines(matrix_to_csv(order, values, full_precision)) == _lines(
-            matrix_to_csv_reference(order, values, full_precision))
+            matrix_to_csv_reference(order, values, full_precision).encode())
     doc = {"order": list(order), "values": np.asarray(values, dtype=np.float64).tolist()}
-    assert _lines(matrix_to_json(order, values)) == _lines(json.dumps(doc, indent=2) + "\n")
+    assert _lines(matrix_to_json(order, values)) == _lines(
+        (json.dumps(doc, indent=2) + "\n").encode())
 
 
 # NaNs with and without the sign bit and a payload, the infinities, the
@@ -637,12 +646,16 @@ class TestMatrixWriters:
     def test_one_labeller_across_separators_and_new_patterns(self):
         labeller = _CellLabeller(repr)
         first, second = np.array([[0.5, 0.25]]), np.array([[0.125, 0.5], [0.5, 0.5]])
-        assert list(labeller.joined_rows(first, ",")) == ["0.5,0.25"]
-        assert list(labeller.joined_rows(second, ",")) == ["0.125,0.5", "0.5,0.5"]
-        assert list(labeller.joined_rows(second, "; ")) == ["0.125; 0.5", "0.5; 0.5"]
+        assert list(labeller.row_blocks(first, ",", _heads(), b"\n")) == [b"<0>0.5,0.25\n"]
+        assert list(labeller.row_blocks(second, ",", _heads(), b"\n")) == [
+            b"<0>0.125,0.5\n<1>0.5,0.5\n"]
+        assert list(labeller.row_blocks(second, "; ", _heads(), b"|")) == [
+            b"<0>0.125; 0.5|<1>0.5; 0.5|"]
         assert labeller.labels([0.25, 2.0]) == ["0.25", "2.0"]
-        assert list(labeller.joined_rows(np.array([[2.0, 0.25]]), "; ")) == ["2.0; 0.25"]
-        assert list(labeller.joined_rows(np.empty((2, 0)), ",")) == ["", ""]
+        assert list(labeller.row_blocks(np.array([[2.0, 0.25]]), "; ", _heads(), b"")) == [
+            b"<0>2.0; 0.25"]
+        assert list(labeller.row_blocks(np.empty((2, 0)), ",", _heads(), b"\n")) == [
+            b"<0>\n<1>\n"]
 
     def test_float_edge_cells(self):
         rng = np.random.default_rng(17)
@@ -672,13 +685,14 @@ class TestMatrixWriters:
     def test_signed_zeros_keep_their_labels(self):
         values = np.array([[-0.0, 0.0], [0.0, -0.0]])
         assert matrix_to_csv(["A", "B"], values) == (
-            "sensor,A,B\nA,-0.000,0.000\nB,0.000,-0.000\n")
+            b"sensor,A,B\nA,-0.000,0.000\nB,0.000,-0.000\n")
         assert matrix_to_csv(["A", "B"], values, full_precision=True) == (
-            "sensor,A,B\nA,-0.0,0.0\nB,0.0,-0.0\n")
+            b"sensor,A,B\nA,-0.0,0.0\nB,0.0,-0.0\n")
 
     def test_quoted_ids_round_trip(self):
         order, values = _writer_inputs(len(CSV_IDS), seed=3)
-        rows = list(csv.reader(io.StringIO(matrix_to_csv(order, values, True), newline="")))
+        text = matrix_to_csv(order, values, True).decode()
+        rows = list(csv.reader(io.StringIO(text, newline="")))
         assert rows[0] == ["sensor", *order]
         assert [row[0] for row in rows[1:]] == order
         assert [[float(cell) for cell in row[1:]] for row in rows[1:]] == values.tolist()
@@ -752,6 +766,105 @@ class TestPinnedOutput:
         assert digests == PINNED_REPORT_FIG2_KILL_H
 
 
+# --- matrix, rank and report files pinned to digests recorded with the
+# str writers (one str per row, files written in text mode)
+
+# the first ids need quoting in CSV or are not ASCII
+DIGEST_IDS = ("a,b", 'q"t', "été")
+
+
+def _digest_doc(n, links, seed, reach=None):
+    """A topology document of ``n`` sensors and ``links`` drawn wired links
+    (self-loops dropped, repeats kept), with explicit wireless sets covering
+    about ``reach`` of the other pairs if ``reach`` is given.  Only
+    ``random.Random.random`` draws, whose stream Python keeps across versions."""
+    r = random.Random(seed)
+    ids = [*DIGEST_IDS, *(f"s{k:04d}" for k in range(n - len(DIGEST_IDS)))]
+    picks = ((int(r.random() * n), int(r.random() * n)) for _ in range(links))
+    edges = [[ids[a], ids[b]] for a, b in picks if a != b]
+    doc = {"sensors": ids, "kljn_edges": edges}
+    if reach is not None:
+        wired = {frozenset(e) for e in edges}
+        sets = {s: [] for s in ids}
+        for x, a in enumerate(ids):
+            for b in ids[x + 1:]:
+                if frozenset((a, b)) not in wired and r.random() < reach:
+                    sets[a].append(b)
+                    sets[b].append(a)
+        doc["wireless_sets"] = sets
+    return doc
+
+
+DIGEST_KILL = ",".join(['"a,b"', *(f"s{k:04d}" for k in range(0, 997, 7))])
+# output file -> the command writing it; "{c1000}", "{fig2}" and "{s300}"
+# name the n = 1000 complement topology, the fig2 state and the n = 300 state
+DIGEST_COMMANDS = {
+    "m.csv": ("trust-matrix", "{c1000}"),
+    "m_kill.csv": ("trust-matrix", "{c1000}", "--kill", DIGEST_KILL),
+    "m_full.csv": ("trust-matrix", "{c1000}", "--full-precision"),
+    "m_full_kill.csv": ("trust-matrix", "{c1000}", "--full-precision", "--kill", DIGEST_KILL),
+    "m.json": ("trust-matrix", "{c1000}", "--format", "json"),
+    "m_kill.json": ("trust-matrix", "{c1000}", "--format", "json", "--kill", DIGEST_KILL),
+    "rank.csv": ("rank", "{c1000}", "s0000"),
+    "rank_kill.csv": ("rank", "{c1000}", "s0000", "--kill", DIGEST_KILL),
+    "fig2.json": ("report", "{fig2}", "--csv", "{dir}/fig2.csv"),
+    "s300.json": ("report", "{s300}", "--csv", "{dir}/s300.csv"),
+    "s300_full.json": ("report", "{s300}", "--full-precision", "--csv", "{dir}/s300_full.csv"),
+}
+PINNED_DIGESTS = {
+    "fig2.csv": "6c11010e854b8e38aa778eabab1770e80070bc7d97dc3652025dc57a08c40cd2",
+    "fig2.json": "5a5f78c881170c30e18163593f0c7ce0cab82888d75a31394b2911acefa8eb29",
+    "m.csv": "82480876439a642b42c556b7936bdd2decbf9a4e030d5b48c8d494ca310c92fb",
+    "m.json": "a323778b0f79006d8d959618ae480b3ea647056b5401fcd1c6578c5c102ef256",
+    "m_full.csv": "202131c670b7dd8bc2d61725e70de089af27214a444ce8f17c18211df047769e",
+    "m_full_kill.csv": "fa6b08c2b6c7e16c84e8e597a91b1537808fbacff38c2cd1b247e2f1181b77b8",
+    "m_kill.csv": "dc2652132ffa5181537118a6c911210e576b6ea74b2e13e89fe36193704ba62b",
+    "m_kill.json": "be0460568297588141abf749a988ff9b6d8101df5a14b273188e2fcaeb88ddba",
+    "rank.csv": "1f74764b2a7faa55bfe6a693175fbf3744bf652af42a3dc5b45abcaa51a23f84",
+    "rank_kill.csv": "fd8cce810d0a938db5d62af8f579453de21b5b49aaebd6fad3e3b49f99e6ad63",
+    "s300.csv": "ebd242af22f2f6bc2e33d79ab8320270e776f1a8401e08ada5ed9fe87b3a6ac1",
+    "s300.json": "dc43cc43af70a4d223334db19a96f4209439744d73ea2a8612d1b0bfc192d4bf",
+    "s300_full.csv": "125ac46dbe1ffd50bf40c6256dc32b4348d956de0b90b6f16f3355f97d94093d",
+    "s300_full.json": "dc43cc43af70a4d223334db19a96f4209439744d73ea2a8612d1b0bfc192d4bf",
+}
+
+
+def write_digest_inputs(base: Path) -> dict:
+    """The inputs of ``DIGEST_COMMANDS``, written into ``base``: an n = 1000
+    complement-rule topology with 3000 drawn links; fig2 established with
+    seed 42; an n = 300 topology with 60 drawn links and explicit wireless
+    sets covering 30% of the other pairs, established with 16-bit keys and
+    one sensor killed."""
+    (base / "c1000.json").write_text(json.dumps(_digest_doc(1000, 3000, seed=41)),
+                                     encoding="utf-8")
+    (base / "t300.json").write_text(json.dumps(_digest_doc(300, 60, seed=43, reach=0.3)),
+                                    encoding="utf-8")
+    steps = (("establish", "fig2", "--seed", "42", "--out", f"{base}/fig2_state.json"),
+             ("establish", f"{base}/t300.json", "--seed", "5", "--bits", "16",
+              "--out", f"{base}/s300_state.json"),
+             ("kill", f"{base}/s300_state.json", "s0100"))
+    for argv in steps:
+        assert main(list(argv)) == 0
+    return {"c1000": base / "c1000.json", "fig2": base / "fig2_state.json",
+            "s300": base / "s300_state.json"}
+
+
+@pytest.fixture(scope="module")
+def digest_inputs(tmp_path_factory):
+    return write_digest_inputs(tmp_path_factory.mktemp("digests"))
+
+
+class TestPinnedMatrixOutput:
+    @pytest.mark.parametrize("name", sorted(DIGEST_COMMANDS))
+    def test_out_file_bytes(self, capsys, tmp_path, digest_inputs, name):
+        argv = [a.format(dir=tmp_path, **digest_inputs) for a in DIGEST_COMMANDS[name]]
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        written = sorted(p.name for p in tmp_path.iterdir())
+        digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in written}
+        assert digests == {f: PINNED_DIGESTS[f] for f in written}
+        assert capsys.readouterr().out == ""
+
+
 # --- the labeller's reference row: each block's cells are searched against
 # the per-column majority of its first three rows
 
@@ -785,12 +898,14 @@ class TestLabellerReferenceRow:
     @pytest.mark.parametrize("name", list(REFERENCE_ROW_BLOCKS))
     @pytest.mark.parametrize("fmt", [json.dumps, repr, "{:.3f}".format])
     @pytest.mark.parametrize("sep", [",", ",\n      "])
-    def test_joined_rows_equal_per_cell_labels(self, name, fmt, sep):
+    def test_row_blocks_equal_per_cell_labels(self, name, fmt, sep):
         values = REFERENCE_ROW_BLOCKS[name]
-        want = [sep.join(fmt(v) for v in row) for row in values.tolist()]
-        assert list(_CellLabeller(fmt).joined_rows(values, sep)) == want
+        rows = [f"<{k}>{sep.join(fmt(v) for v in row)};\n".encode()
+                for k, row in enumerate(values.tolist())]
+        want = [b"".join(rows[start:start + 64]) for start in range(0, len(rows), 64)]
+        assert list(_CellLabeller(fmt).row_blocks(values, sep, _heads(), b";\n")) == want
         # a labeller that already knows some of the patterns, with the block as lists
         labeller = _CellLabeller(fmt)
         labeller.labels(values[-1])
-        assert list(labeller.joined_rows(values.tolist(), sep)) == want
+        assert list(labeller.row_blocks(values.tolist(), sep, _heads(), b";\n")) == want
 

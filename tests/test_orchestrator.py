@@ -23,7 +23,7 @@ from kextrust.orchestrator import (
 )
 from kextrust.topology import Topology, UnknownSensorError
 from kextrust.trust import coefficients_closed_form
-from reference_data import EXPECTED_TRUST, SENSORS, expected_tolerance
+from reference_data import EXPECTED_TRUST, SENSORS, expected_tolerance, joined_chunks
 
 COEF = coefficients_closed_form()
 KEY_BITS = 32  # short sessions keep the wired exchanges quick
@@ -188,7 +188,7 @@ class TestReport:
         matrix, rankings = trust_report(state, COEF)
         h = SENSORS.index("H")
         assert np.all(matrix.values[:, h] == 0.0)
-        report = json.loads("".join(report_json_chunks(state, COEF, matrix, rankings)))
+        report = json.loads(joined_chunks(report_json_chunks(state, COEF, matrix, rankings)))
         assert report["killed"] == ["H"]
         assert report["kill_log"][0]["sensor"] == "H"
         for i in SENSORS:
@@ -215,23 +215,25 @@ class TestPersistence:
         assert [e.action for e in loaded.kill.event_log] == ["set", "set", "clear"]
         assert loaded.clock == state.clock
 
-    def test_failing_chunks_leave_every_file_whole(self, tmp_path):
+    @pytest.mark.parametrize("written", [("partly written",), (b"partly", " written"),
+                                         ("partly", b" written")])
+    def test_failing_chunks_leave_every_file_whole(self, tmp_path, written):
         earlier = tmp_path / "earlier.json"
         earlier.write_text("earlier\n")
 
         def chunks():
-            yield "partly written"
+            yield from written
             raise RuntimeError("writer failed")
 
         with pytest.raises(RuntimeError, match="writer failed"):
-            write_files([(tmp_path / "first.txt", ("whole\n",)), (earlier, chunks())])
+            write_files([(tmp_path / "first.txt", (b"whole", "\n")), (earlier, chunks())])
         assert earlier.read_bytes() == b"earlier\n"
         assert [p.name for p in tmp_path.iterdir()] == ["earlier.json"]  # no .partial
 
     def test_key_material_not_persisted(self, fig2_state):
         text = state_to_json(fig2_state)
         matrix, rankings = trust_report(fig2_state, COEF)
-        report = "".join(report_json_chunks(fig2_state, COEF, matrix, rankings))
+        report = joined_chunks(report_json_chunks(fig2_state, COEF, matrix, rankings)).decode()
         for a, b in sorted(fig2_state.topology.kljn_edges):
             key_bits = _wired_key_bits(fig2_state, a, b)
             assert key_bits not in text
