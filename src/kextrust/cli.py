@@ -146,8 +146,10 @@ def _emit(chunks, out: str | None, *files, source: str | None = None) -> None:
         buffer.writelines(c.encode() if isinstance(c, str) else c for c in chunks)
 
 
-# the most cells of a dense trust matrix (8 bytes each) that trust-matrix and
-# report build: 2 GiB of values, n = 16384 sensors
+# the most cells of a trust matrix that trust-matrix and report build, n =
+# 16384 sensors.  It bounds the code matrix (2 bytes a cell: 512 MiB) and the
+# text of trust-matrix and report --csv, built whole before it is written
+# (about 6 bytes a cell in CSV: 1.5 GiB; up to 30 in JSON or --full-precision)
 MATRIX_CELL_BUDGET = 1 << 28
 
 
@@ -159,9 +161,6 @@ def _check_matrix_size(t: Topology) -> Topology:
             f"{n} sensors need a {n} x {n} trust matrix, over the budget of "
             f"{MATRIX_CELL_BUDGET} cells (at most {math.isqrt(MATRIX_CELL_BUDGET)} sensors)")
     return t
-
-
-_BLOCK_ROWS = 64  # rows labelled per pass; bounds the temporaries to ~64 * n cells
 
 
 class _CellLabeller:
@@ -190,10 +189,10 @@ class _CellLabeller:
         pos = self._positions(np.asarray(values, dtype=np.float64).view(np.uint64))
         return self._table[pos].tolist()  # the table as it is after learning
 
-    def row_blocks(self, values, sep: str, heads, tail: bytes):
-        """Each block of up to 64 rows of the matrix ``values`` (a 2-D array
-        or a list of float lists) as one ``bytes``: per row, the next of the
-        ``bytes`` ``heads``, the row's cell labels joined by ``sep``, then
+    def row_blocks(self, blocks, sep: str, heads, tail: bytes):
+        """Each of the float ``blocks`` (2-D arrays or lists of float lists,
+        the rows of a matrix in order) as one ``bytes``: per row, the next of
+        the ``bytes`` ``heads``, the row's cell labels joined by ``sep``, then
         ``tail``.
 
         A block's reference row is, per column, the majority of its first
@@ -209,8 +208,8 @@ class _CellLabeller:
         memory for each block cost more in page faults than the copies.
         """
         heads, buffer, cells = iter(heads), None, None
-        for start in range(0, len(values), _BLOCK_ROWS):
-            bits = np.asarray(values[start:start + _BLOCK_ROWS], dtype=np.float64).view(np.uint64)
+        for block in blocks:
+            bits = np.asarray(block, dtype=np.float64).view(np.uint64)
             ref = bits[0] if len(bits) < 3 else np.where(bits[0] == bits[1], bits[0], bits[2])
             differs = np.flatnonzero(bits != ref)  # flat cell indices
             # one search for both parts, so that a pattern learnt for the
@@ -277,9 +276,12 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def matrix_to_csv(order, values, full_precision: bool = False) -> bytes:
+def matrix_to_csv(order, blocks, full_precision: bool = False) -> list[bytes]:
     """Trust matrix as CSV text in UTF-8, rows = evaluator, columns =
-    evaluated peer.
+    evaluated peer, from the float row ``blocks`` of the matrix (as
+    :meth:`~kextrust.trust.TrustMatrix.blocks` yields them): a list of
+    ``bytes`` chunks, the header and then one per block, all built by the
+    time it returns.
 
     Sensor ids are written with :func:`_csv_field`, and every cell as
     ``repr(value)`` (``full_precision``) or ``f"{value:.3f}"``; lines end
@@ -289,30 +291,31 @@ def matrix_to_csv(order, values, full_precision: bool = False) -> bytes:
     fields = list(map(_csv_field, order))
     header = ",".join(["sensor", *fields]) + "\n"
     heads = (f"{field},".encode() for field in fields)
-    return b"".join([header.encode(), *labeller.row_blocks(values, ",", heads, b"\n")])
+    return [header.encode(), *labeller.row_blocks(blocks, ",", heads, b"\n")]
 
 
-def _matrix_chunks(order, values, pad: str, labeller: _CellLabeller):
-    """``{"order": order, "values": values}`` for a square float matrix ``values``,
-    laid out as by ``json.dumps(indent=2)`` at indent ``pad``, as ``bytes``
-    chunks of up to 64 rows."""
+def _matrix_chunks(order, blocks, pad: str, labeller: _CellLabeller):
+    """``{"order": order, "values": values}`` for the square float matrix
+    whose rows are the ``blocks``, laid out as by ``json.dumps(indent=2)``
+    at indent ``pad``, as ``bytes`` chunks, one per block."""
     inner, cell_pad = pad + "  ", pad + "      "
     head = f'{{\n{inner}"order": {json_block(map(_json_str, order), inner)},\n{inner}"values": '
-    if not len(values):
+    if not order:
         yield f"{head}[]\n{pad}}}".encode()
         return
     yield head.encode()
     # each row opens the list or follows a comma, as json_chunks lays out entries
     row_head = f"\n{inner}  [\n{cell_pad}".encode()
     heads = itertools.chain([b"[" + row_head], itertools.repeat(b"," + row_head))
-    yield from labeller.row_blocks(values, ",\n" + cell_pad, heads, f"\n{inner}  ]".encode())
+    yield from labeller.row_blocks(blocks, ",\n" + cell_pad, heads, f"\n{inner}  ]".encode())
     yield f"\n{inner}]\n{pad}}}".encode()
 
 
-def matrix_to_json(order, values) -> bytes:
+def matrix_to_json(order, blocks) -> list[bytes]:
     """``json.dumps({"order": order, "values": values}, indent=2) + "\\n"``
-    for a float matrix ``values``, encoded (the text is ASCII)."""
-    return b"".join(itertools.chain(_matrix_chunks(order, values, "", _CellLabeller()), [b"\n"]))
+    for the float matrix whose rows are the ``blocks``, encoded (the text is
+    ASCII), as a list of ``bytes`` chunks, one per block and the framing."""
+    return [*_matrix_chunks(order, blocks, "", _CellLabeller()), b"\n"]
 
 
 def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
@@ -338,7 +341,7 @@ def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
            f'  "coefficients": {json_block(coefficients, "  ", "{}")},\n'
            f'  "killed": {json_block(map(_json_str, sorted(state.kill.killed)), "  ")},\n'
            '  "matrix": ')
-    yield from _matrix_chunks(matrix.order, matrix.values, "  ", labeller)
+    yield from _matrix_chunks(matrix.order, matrix.blocks(), "  ", labeller)
     yield ',\n  "rankings": '
     yield from json_chunks((
         f"{_json_str(sensor)}: " + json_block(
@@ -389,10 +392,10 @@ def _cmd_trust_matrix(args) -> int:
     t = _check_matrix_size(_load_checked_topology(args.topology))
     matrix = trust_matrix(t, coefficients_closed_form(), _killed(args.kill, t))
     if args.format == "json":
-        text = matrix_to_json(matrix.order, matrix.values)
+        chunks = matrix_to_json(matrix.order, matrix.blocks())
     else:
-        text = matrix_to_csv(matrix.order, matrix.values, args.full_precision)
-    _emit((text,), args.out, source=args.topology)
+        chunks = matrix_to_csv(matrix.order, matrix.blocks(), args.full_precision)
+    _emit(chunks, args.out, source=args.topology)
     return 0
 
 
@@ -510,7 +513,7 @@ def _cmd_report(args) -> int:
     matrix, rankings = trust_report(state, coef)
     files = []
     if args.csv:
-        files.append((args.csv, (matrix_to_csv(matrix.order, matrix.values, args.full_precision),)))
+        files.append((args.csv, matrix_to_csv(matrix.order, matrix.blocks(), args.full_precision)))
     _emit(report_json_chunks(state, coef, matrix, rankings), args.out, *files,
           source=args.state)
     return 0

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import SensorId, Topology
+from .topology import SensorId, Topology, TopologyIndex
 
 __all__ = [
     "TrustCoefficients",
@@ -182,18 +182,67 @@ def trust(
     return min(total, 1.0)
 
 
+_BLOCK_ROWS = 64  # rows per dense block of a TrustMatrix
+
+
+def _code_dtype(n: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every 2K + member code of an
+    n-sensor matrix.  The largest is 2n - 1, on the diagonal: 2 deg_i, plus
+    one when an explicit set lists its own owner (off the diagonal it is
+    2(n - 2) + 1)."""
+    return np.min_scalar_type(max(2 * n - 1, 0))
+
+
 @dataclass
 class TrustMatrix:
-    """All-pairs trust values, rows and columns in ``order``.
-
-    ``values[i][j]`` follows :func:`trust` off the diagonal, bit for bit;
+    """All-pairs trust, rows and columns in ``order``, as the integer
+    ``codes`` and the per-column arrays of :func:`trust_matrix`, the
+    ``killed`` column positions, and the topology's ``index``, whose CSR
+    lists the wired cells.  :meth:`blocks` builds the float rows from them:
+    ``values[i][j]`` follows :func:`trust` off the diagonal, bit for bit, and
     the diagonal is 1.0 for a live sensor and 0.0 for a killed one.
-    :func:`trust_matrix` fills it from one base value per column and a
-    list of exception cells.
     """
 
     order: list[SensorId]
-    values: np.ndarray
+    codes: np.ndarray
+    degree: np.ndarray
+    z0: np.ndarray
+    base: np.ndarray
+    pa: np.ndarray
+    pb: np.ndarray
+    pc: np.ndarray
+    killed: np.ndarray
+    index: TopologyIndex
+
+    def blocks(self):
+        """The rows of ``values`` as float64 arrays of up to 64 rows, in order,
+        each built when it is asked for."""
+        n = len(self.order)
+        start, peers = self.index.peer_start, self.index.peer_positions
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n)
+            block = np.empty((hi - lo, n))
+            block[...] = self.base
+            codes = self.codes[lo:hi].reshape(-1)
+            cells = np.flatnonzero(codes != 0)  # a bool mask: nonzero is ~8x faster on it
+            code = codes[cells].astype(np.intp)
+            k, col = code >> 1, cells % n
+            cell = self.pa[k] + self.pb[self.degree[col] - k] + self.pc[self.z0[col] - (code & 1)]
+            block.reshape(-1)[cells] = np.minimum(cell, 1.0)
+            rows = np.arange(hi - lo)
+            block[np.repeat(rows, self.degree[lo:hi]), peers[start[lo]:start[hi]]] = 1.0
+            block[rows, rows + lo] = 1.0
+            block[:, self.killed] = 0.0
+            yield block
+
+    @property
+    def values(self) -> np.ndarray:
+        """The n x n float64 values, assembled from :meth:`blocks` on each access."""
+        n = len(self.order)
+        values = np.empty((n, n))
+        for lo, block in zip(range(0, n, _BLOCK_ROWS), self.blocks()):
+            values[lo:lo + len(block)] = block
+        return values
 
 
 def _sum_table(r: float, top: int) -> np.ndarray:
@@ -211,13 +260,13 @@ def _add_two_hop_counts(flat: np.ndarray, n: int, start: np.ndarray, peers: np.n
     middle sensors of one degree d are taken together, at most n^2 paths
     (8n^2 bytes of keys) at a time, each sensor's paths the outer sum of its
     d wired peers with themselves."""
-    first = start[:-1]
+    first, two = start[:-1], flat.dtype.type(2)
     for d in np.flatnonzero(np.bincount(degree)[1:]) + 1:
         rows = peers[first[degree == d][:, None] + np.arange(d)]
         step = max(n * n // (d * d), 1)
         for lo in range(0, len(rows), step):
             block = rows[lo:lo + step]
-            np.add.at(flat, (block[:, :, None] * n + block[:, None, :]).ravel(), 2.0)
+            np.add.at(flat, (block[:, :, None] * n + block[:, None, :]).ravel(), two)
 
 
 def trust_matrix(
@@ -239,20 +288,20 @@ def trust_matrix(
     call bit for bit.  Wired cells and the diagonal are then 1.0, and a
     killed sensor's column, diagonal included, is 0.0.
 
-    ``values`` is the only n x n array.  It first holds 2K + member per
-    cell (exact in float64); the exception cells are then read from it and
-    the cells rewritten an eighth of the rows at a time.  However densely
-    the network is wired, the working set beyond ``values`` is about its
-    size again plus O(links), and time grows with n^2 + sum of deg^2.
-    ``order`` is the topology's sensor order.
+    The only n x n array is ``codes``, 2K + member per cell in the unsigned
+    dtype of :func:`_code_dtype` (at most 2 bytes a cell up to n = 32768); float
+    rows exist only in the 64-row blocks of :meth:`TrustMatrix.blocks`.
+    However densely the network is wired, the working set beyond ``codes``
+    is one n^2 chunk of two-hop keys plus O(links), and time grows with
+    n^2 + sum of deg^2.  ``order`` is the topology's sensor order.
     """
     order = list(t.sensors)
     n = len(order)
     index = t.index
     idx, start = index.positions, index.peer_start
     degree = np.diff(start)
-    values = np.zeros((n, n))
-    _add_two_hop_counts(values.reshape(-1), n, start, index.peer_positions, degree)
+    codes = np.zeros((n, n), dtype=_code_dtype(n))
+    _add_two_hop_counts(codes.reshape(-1), n, start, index.peer_positions, degree)
 
     if t.wireless_sets is None:
         # clipped: a column wired to every other sensor has no base cell
@@ -261,31 +310,14 @@ def trust_matrix(
         z0 = np.array([len(t.wireless_set(j)) for j in order], dtype=np.intp)
         members = np.fromiter((idx[p] * n + j_pos for j_pos, j in enumerate(order)
                                for p in t.wireless_set(j) if p in idx), dtype=np.intp)
-        values.reshape(-1)[members] += 1.0  # distinct cells, so += adds once each
+        codes.reshape(-1)[members] += 1  # distinct cells, so += adds once each
 
     pa = _sum_table(coef.a, degree.max(initial=0))  # K <= deg_j
     pb = _sum_table(coef.b, degree.max(initial=0))
     pc = _sum_table(coef.c, z0.max(initial=0))
     base = np.minimum(pb[degree] + pc[z0], 1.0)
-    step = max(n // 8, 1)
-    for lo in range(0, n, step):
-        block = values[lo:lo + step]
-        cells = np.flatnonzero(block != 0)
-        code = block.reshape(-1)[cells].astype(np.intp)
-        block[...] = base
-        k, col = code >> 1, cells % n
-        cell = pa[k] + pb[degree[col] - k] + pc[z0[col] - (code & 1)]
-        block.reshape(-1)[cells] = np.minimum(cell, 1.0)
-    a, b = index.links.T
-    values[a, b] = values[b, a] = 1.0
-    np.fill_diagonal(values, 1.0)
-
-    if killed:
-        live = np.array([s not in killed for s in order], dtype=np.float64)
-        values *= live[None, :]
-        np.fill_diagonal(values, live)
-
-    return TrustMatrix(order, values)
+    dead = np.fromiter((idx[s] for s in killed if s in idx), dtype=np.intp)
+    return TrustMatrix(order, codes, degree, z0, base, pa, pb, pc, dead, index)
 
 
 def rank_peers(

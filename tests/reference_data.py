@@ -15,7 +15,7 @@ from kextrust.topology import (
     ValidationIssue,
     ValidationReport,
 )
-from kextrust.trust import TrustMatrix, geometric_partial_sum, rank_peers, trust_matrix
+from kextrust.trust import geometric_partial_sum, rank_peers, trust_matrix
 
 # Exchange sets of the example network (sensors A..J, six wired links).
 EXCHANGE_SETS = {
@@ -186,12 +186,13 @@ def _partial_sums(r: float, counts: np.ndarray) -> np.ndarray:
     return table[counts]
 
 
-def trust_matrix_dense_reference(t: Topology, coef, killed=frozenset()) -> TrustMatrix:
+def trust_matrix_dense_reference(t: Topology, coef, killed=frozenset()) -> SimpleNamespace:
     """All-pairs trust from dense n x n count arrays: K as the adjacency
     product ``adj @ adj`` (float32, exact for n < 2**24), W and Z as full
-    arrays, each looked up in a partial-sum table and summed a, b, c.  The
-    oracle for the base-plus-exceptions build of
-    :func:`kextrust.trust.trust_matrix`, which must equal it bit for bit."""
+    arrays, each looked up in a partial-sum table and summed a, b, c, as
+    ``order`` and the dense float64 ``values``.  The oracle for the
+    code-matrix build of :func:`kextrust.trust.trust_matrix`, whose blocks
+    must equal it bit for bit."""
     order = list(t.sensors)
     n = len(order)
     idx = {s: p for p, s in enumerate(order)}
@@ -237,7 +238,7 @@ def trust_matrix_dense_reference(t: Topology, coef, killed=frozenset()) -> Trust
         live = np.array([s not in killed for s in order], dtype=np.float64)
         values *= live[None, :]
         np.fill_diagonal(values, live)
-    return TrustMatrix(order, values)
+    return SimpleNamespace(order=order, values=values)
 
 
 def matrix_to_csv_reference(order, values, full_precision: bool = False) -> str:
@@ -263,6 +264,12 @@ def matrix_to_csv_reference(order, values, full_precision: bool = False) -> str:
         cells = row.tolist() if isinstance(row, np.ndarray) else map(float, row)
         lines.append(line([row_id, *map(label, cells)]))
     return "".join(lines)
+
+
+def dense_blocks(values) -> list:
+    """The rows of the float matrix ``values`` (an array or a list of float
+    lists) in slices of 64, as the matrix writers take them."""
+    return [values[lo:lo + 64] for lo in range(0, len(values), 64)]
 
 
 def joined_chunks(chunks) -> bytes:

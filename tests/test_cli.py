@@ -25,7 +25,7 @@ from kextrust.cli import (
 from kextrust.orchestrator import load_state
 from kextrust.topology import Topology, bundled_topology_path
 from kextrust.trust import coefficients_closed_form, trust_matrix
-from reference_data import EXPECTED_TRUST, SENSORS, expected_tolerance
+from reference_data import EXPECTED_TRUST, SENSORS, dense_blocks, expected_tolerance
 
 
 @pytest.fixture()
@@ -363,7 +363,8 @@ class TestTrustCommands:
     def test_matrix_to_json_small_shapes(self, order):
         values = np.linspace(0.0, 1.0, len(order) ** 2).reshape(len(order), len(order))
         doc = {"order": order, "values": values.tolist()}
-        assert matrix_to_json(order, values) == (json.dumps(doc, indent=2) + "\n").encode()
+        assert b"".join(matrix_to_json(order, dense_blocks(values))) == (
+            json.dumps(doc, indent=2) + "\n").encode()
 
     def test_matrix_byte_identical_runs(self, capsys, fig2_file, tmp_path):
         first = tmp_path / "a.csv"

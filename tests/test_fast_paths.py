@@ -23,7 +23,14 @@ import numpy as np
 import pytest
 
 from kextrust import kljn
-from kextrust.cli import _CellLabeller, main, matrix_to_csv, matrix_to_json, report_json_chunks
+from kextrust.cli import (
+    MATRIX_CELL_BUDGET,
+    _CellLabeller,
+    main,
+    matrix_to_csv,
+    matrix_to_json,
+    report_json_chunks,
+)
 from kextrust.kljn import (
     CurrentInjectionAttacker,
     KeyExchangeResult,
@@ -52,8 +59,15 @@ from kextrust.orchestrator import (
     write_files,
 )
 from kextrust.topology import Topology, derive_wireless_sets, topology_to_doc
-from kextrust.trust import coefficients_closed_form, coefficients_fixed_point, trust_matrix
+from kextrust.trust import (
+    TrustMatrix,
+    _code_dtype,
+    coefficients_closed_form,
+    coefficients_fixed_point,
+    trust_matrix,
+)
 from reference_data import (
+    dense_blocks,
     joined_chunks,
     matrix_to_csv_reference,
     random_topology,
@@ -483,14 +497,21 @@ def _untidy_wireless_sets(t, rng):
 
 
 def _assert_matrix_equals_dense(t, coef=COEF, kills=None):
+    """The row blocks of ``trust_matrix`` are the dense reference's rows, 64
+    at a time and bit for bit, and ``values`` is the blocks put together."""
     if kills is None:
         kills = (frozenset(), frozenset(t.sensors[::3]), frozenset(t.sensors))
     for killed in kills:
         got = trust_matrix(t, coef, killed)
         want = trust_matrix_dense_reference(t, coef, killed)
+        n = len(want.order)
         assert got.order == want.order
-        assert got.values.shape == want.values.shape
-        assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64)), killed
+        blocks = list(got.blocks())
+        assert [b.shape for b in blocks] == [(min(64, n - lo), n) for lo in range(0, n, 64)]
+        rows = np.concatenate([np.empty((0, n)), *blocks])
+        assert np.array_equal(rows.view(np.uint64), want.values.view(np.uint64)), killed
+        assert got.values.shape == (n, n)
+        assert np.array_equal(got.values.view(np.uint64), rows.view(np.uint64))
 
 
 class TestTrustMatrixKernel:
@@ -527,6 +548,36 @@ class TestTrustMatrixKernel:
         t = random_topology(np.random.default_rng(31), 80, edge_prob=edge_prob)
         _assert_matrix_equals_dense(t)
         _assert_matrix_equals_dense(_untidy_wireless_sets(t, np.random.default_rng(32)))
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("edge_prob", [0.1, 0.5, 1.0])
+    def test_row_block_boundaries(self, n, edge_prob):
+        # no block, one short block, one full block, a full block and a row,
+        # two full blocks and a row; under the complement rule, with tidy
+        # explicit sets and with untidy ones
+        rng = np.random.default_rng(n)
+        t = random_topology(rng, n, edge_prob=edge_prob)
+        for u in (t, with_explicit_wireless_sets(t, rng, 0.4), _untidy_wireless_sets(t, rng)):
+            _assert_matrix_equals_dense(u)
+
+    def test_largest_code_is_on_the_diagonal(self):
+        # every pair wired and an owner in its own set: 2 deg_i + 1 = 2n - 1
+        sensors = ("a", "b", "c", "d", "e")
+        edges = frozenset((x, y) for x in sensors for y in sensors if x < y)
+        matrix = trust_matrix(Topology(sensors, edges, {"a": {"a"}}), COEF)
+        assert matrix.codes.max() == matrix.codes[0, 0] == 2 * len(sensors) - 1
+        assert matrix.codes.dtype == _code_dtype(len(sensors))
+
+    @pytest.mark.parametrize("n", [0, 1, 128, 129, math.isqrt(MATRIX_CELL_BUDGET), 32768, 32769,
+                                   32770])
+    def test_code_dtype_holds_every_count(self, n):
+        # the smallest unsigned dtype holding 2n - 1, 2 bytes up to the size
+        # guard and beyond; off the diagonal the largest count, 2(n - 2) + 1,
+        # crosses 2^16 one sensor later
+        dtype, top = _code_dtype(n), max(2 * n - 1, 0)
+        assert dtype.kind == "u" and np.iinfo(dtype).max >= top
+        assert dtype.itemsize == 1 or np.iinfo(f"u{dtype.itemsize // 2}").max < top
+        assert (dtype == np.uint16) == (128 < n <= 32768)
 
     def test_saturation_network(self):
         # (i, a) has K = W = Z = 40; under the fixed-point coefficients of
@@ -585,13 +636,15 @@ def _lines(text):
 
 
 def _assert_writers_equal_oracles(order, values):
-    """Both CSV formats against csv.writer, and the JSON against json.dumps;
-    compared as lists of lines: a failing diff of the whole texts is slow."""
+    """Both CSV formats against csv.writer, and the JSON against json.dumps,
+    written from 64-row blocks of ``values``; compared as lists of lines: a
+    failing diff of the whole texts is slow."""
     for full_precision in (False, True):
-        assert _lines(matrix_to_csv(order, values, full_precision)) == _lines(
+        text = b"".join(matrix_to_csv(order, dense_blocks(values), full_precision))
+        assert _lines(text) == _lines(
             matrix_to_csv_reference(order, values, full_precision).encode())
     doc = {"order": list(order), "values": np.asarray(values, dtype=np.float64).tolist()}
-    assert _lines(matrix_to_json(order, values)) == _lines(
+    assert _lines(b"".join(matrix_to_json(order, dense_blocks(values)))) == _lines(
         (json.dumps(doc, indent=2) + "\n").encode())
 
 
@@ -646,15 +699,15 @@ class TestMatrixWriters:
     def test_one_labeller_across_separators_and_new_patterns(self):
         labeller = _CellLabeller(repr)
         first, second = np.array([[0.5, 0.25]]), np.array([[0.125, 0.5], [0.5, 0.5]])
-        assert list(labeller.row_blocks(first, ",", _heads(), b"\n")) == [b"<0>0.5,0.25\n"]
-        assert list(labeller.row_blocks(second, ",", _heads(), b"\n")) == [
+        assert list(labeller.row_blocks([first], ",", _heads(), b"\n")) == [b"<0>0.5,0.25\n"]
+        assert list(labeller.row_blocks([second], ",", _heads(), b"\n")) == [
             b"<0>0.125,0.5\n<1>0.5,0.5\n"]
-        assert list(labeller.row_blocks(second, "; ", _heads(), b"|")) == [
+        assert list(labeller.row_blocks([second], "; ", _heads(), b"|")) == [
             b"<0>0.125; 0.5|<1>0.5; 0.5|"]
         assert labeller.labels([0.25, 2.0]) == ["0.25", "2.0"]
-        assert list(labeller.row_blocks(np.array([[2.0, 0.25]]), "; ", _heads(), b"")) == [
+        assert list(labeller.row_blocks([np.array([[2.0, 0.25]])], "; ", _heads(), b"")) == [
             b"<0>2.0; 0.25"]
-        assert list(labeller.row_blocks(np.empty((2, 0)), ",", _heads(), b"\n")) == [
+        assert list(labeller.row_blocks([np.empty((2, 0))], ",", _heads(), b"\n")) == [
             b"<0>\n<1>\n"]
 
     def test_float_edge_cells(self):
@@ -672,26 +725,29 @@ class TestMatrixWriters:
 
     @pytest.mark.parametrize("full_precision", [False, True])
     def test_csv_temporaries_stay_per_block(self, complement_1000, full_precision):
-        # the rows and their join hold the text twice; a block of 64 rows
-        # needs well under 2 MB on top, the whole matrix at once over 20 MB
+        # the chunks hold the text once, with no join.  On top, a block of 64
+        # rows, built from the codes and labelled, needs two float blocks
+        # (1 MB) and, with repr labels, a fixed-width cell buffer (~1.3 MB)
+        # and the block's text twice, stripped and framed (~1 MB each); the
+        # whole matrix at once would need over 20 MB
         tracemalloc.start()
         try:
-            text = matrix_to_csv(complement_1000.order, complement_1000.values, full_precision)
+            chunks = matrix_to_csv(complement_1000.order, complement_1000.blocks(), full_precision)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * len(text) + 2e6
+        assert peak < len(b"".join(chunks)) + (4e6 if full_precision else 2e6)
 
     def test_signed_zeros_keep_their_labels(self):
         values = np.array([[-0.0, 0.0], [0.0, -0.0]])
-        assert matrix_to_csv(["A", "B"], values) == (
-            b"sensor,A,B\nA,-0.000,0.000\nB,0.000,-0.000\n")
-        assert matrix_to_csv(["A", "B"], values, full_precision=True) == (
-            b"sensor,A,B\nA,-0.0,0.0\nB,0.0,-0.0\n")
+        assert matrix_to_csv(["A", "B"], [values]) == [
+            b"sensor,A,B\n", b"A,-0.000,0.000\nB,0.000,-0.000\n"]
+        assert matrix_to_csv(["A", "B"], [values], full_precision=True) == [
+            b"sensor,A,B\n", b"A,-0.0,0.0\nB,0.0,-0.0\n"]
 
     def test_quoted_ids_round_trip(self):
         order, values = _writer_inputs(len(CSV_IDS), seed=3)
-        text = matrix_to_csv(order, values, True).decode()
+        text = b"".join(matrix_to_csv(order, [values], True)).decode()
         rows = list(csv.reader(io.StringIO(text, newline="")))
         assert rows[0] == ["sensor", *order]
         assert [row[0] for row in rows[1:]] == order
@@ -856,13 +912,31 @@ def digest_inputs(tmp_path_factory):
 
 class TestPinnedMatrixOutput:
     @pytest.mark.parametrize("name", sorted(DIGEST_COMMANDS))
-    def test_out_file_bytes(self, capsys, tmp_path, digest_inputs, name):
+    def test_out_file_bytes(self, capsys, tmp_path, digest_inputs, name, monkeypatch):
+        # the commands write the matrix from its row blocks, never from the
+        # dense values
+        monkeypatch.setattr(TrustMatrix, "values", property(lambda matrix: pytest.fail("values")))
         argv = [a.format(dir=tmp_path, **digest_inputs) for a in DIGEST_COMMANDS[name]]
         assert main([*argv, "--out", str(tmp_path / name)]) == 0
         written = sorted(p.name for p in tmp_path.iterdir())
         digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in written}
         assert digests == {f: PINNED_DIGESTS[f] for f in written}
         assert capsys.readouterr().out == ""
+
+
+    def test_trust_matrix_peak_holds_codes_and_text_once(self, tmp_path, digest_inputs):
+        # n = 1000: the 2-byte codes, the CSV text once and two row blocks,
+        # where a dense float matrix and a joined copy of the text would
+        # take 8 MB and 6 MB more
+        out = tmp_path / "m.csv"
+        assert main(["trust-matrix", str(digest_inputs["c1000"]), "--out", str(out)]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["trust-matrix", str(digest_inputs["c1000"]), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * 1000 * 2 + out.stat().st_size + 3e6, f"{peak / 2**20:.1f} MB"
 
 
 # --- the labeller's reference row: each block's cells are searched against
@@ -903,9 +977,11 @@ class TestLabellerReferenceRow:
         rows = [f"<{k}>{sep.join(fmt(v) for v in row)};\n".encode()
                 for k, row in enumerate(values.tolist())]
         want = [b"".join(rows[start:start + 64]) for start in range(0, len(rows), 64)]
-        assert list(_CellLabeller(fmt).row_blocks(values, sep, _heads(), b";\n")) == want
-        # a labeller that already knows some of the patterns, with the block as lists
+        assert list(_CellLabeller(fmt).row_blocks(dense_blocks(values), sep, _heads(),
+                                                  b";\n")) == want
+        # a labeller that already knows some of the patterns, with the blocks as lists
         labeller = _CellLabeller(fmt)
         labeller.labels(values[-1])
-        assert list(labeller.row_blocks(values.tolist(), sep, _heads(), b";\n")) == want
+        assert list(labeller.row_blocks(dense_blocks(values.tolist()), sep, _heads(),
+                                        b";\n")) == want
 

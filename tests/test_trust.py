@@ -204,7 +204,8 @@ class TestTrustMatrix:
 
     def test_retains_only_the_values(self):
         # n = 1000 under the complement rule with 3n wired links: every
-        # working array is dropped, so the result holds just the values
+        # working array is dropped, so the result holds just the 2-byte code
+        # matrix and per-column arrays, not n x n floats
         t = sparse_topology(np.random.default_rng(43), 1000, 3000)
         tracemalloc.start()
         try:
@@ -213,10 +214,11 @@ class TestTrustMatrix:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert retained <= matrix.values.nbytes + 2**20, f"{retained / 2**20:.1f} MB retained"
+        assert matrix.codes.itemsize == 2
+        assert retained <= matrix.codes.nbytes + 2**20, f"{retained / 2**20:.1f} MB retained"
 
     def test_peak_stays_near_the_values(self):
-        # the values are the only n x n array built; the rest of the
+        # the code matrix is the only n x n array built; the rest of the
         # working set is well under a MB at this size
         t = sparse_topology(np.random.default_rng(43), 1000, 3000)
         tracemalloc.start()
@@ -226,23 +228,26 @@ class TestTrustMatrix:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < matrix.values.nbytes + 6 * 2**20, f"{peak / 2**20:.1f} MB peak"
+        assert peak < matrix.codes.nbytes + 2**20, f"{peak / 2**20:.1f} MB peak"
 
     @pytest.mark.parametrize("edge_prob", [0.5, 1.0])
     def test_peak_is_bounded_on_dense_wiring(self, edge_prob):
         # n = 200 with half or all pairs wired: the sum of deg^2, one entry
         # per two-hop path, reaches n^3.  The paths are counted a bounded
-        # chunk at a time, so the peak is the values, the links both ways in
-        # two orders, and one chunk of keys: a fixed multiple of the values
+        # chunk at a time, and the float rows are built a block at a time, so
+        # the peak is the codes, the links both ways in two orders, one chunk
+        # of keys and two blocks: a fixed multiple of n^2 floats
         t = random_topology(np.random.default_rng(44), 200, edge_prob=edge_prob)
+        n = len(t.sensors)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            matrix = trust_matrix(t, COEF)
+            for _ in trust_matrix(t, COEF).blocks():
+                pass
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 8 * matrix.values.nbytes, f"{peak / matrix.values.nbytes:.1f} x the values"
+        assert peak < 8 * (n * n * 8), f"{peak / (n * n * 8):.1f} x n^2 floats"
 
     def test_value_accessor(self, fig2):
         matrix = trust_matrix(fig2, COEF)
