@@ -163,108 +163,50 @@ def _check_matrix_size(t: Topology) -> Topology:
     return t
 
 
-class _CellLabeller:
-    """Cell text of float matrices, from a table of the distinct values.
+def _id_rows(matrix, labels, sep: str, heads, tail: bytes):
+    """Each row block of the :class:`~kextrust.trust.TrustMatrix` ``matrix``
+    as one ``bytes``: per row, the next of the ``bytes`` ``heads``, the
+    labels of the row's value ids joined by ``sep``, then ``tail``.
+    ``labels`` are the ASCII labels of ``matrix.table``, in its order.
 
-    A trust matrix holds few distinct values.  Cells are looked up by their
-    ``uint64`` bit pattern (so ``-0.0`` keeps its own label) with
-    ``np.searchsorted`` in a sorted table of the patterns seen so far; a
-    pattern is formatted by ``fmt`` once, when it is first seen.  The
-    default ``fmt`` is the JSON text of a float: ``repr`` when finite.
-    Every ``fmt`` gives ASCII text.  (``np.unique`` would import
-    ``numpy.ma``, about 1 MB, on first use.)
+    Each id's ``sep + label`` is an entry of a fixed-width array, padded with
+    NULs, gathered by id into a buffer that every later block of the same
+    shape reuses (fresh memory for each block cost more in page faults than
+    the copies).  Where the labels differ in width, the NULs are stripped
+    once per block and each row ends after the widths of its entries.
     """
+    encoded = [(sep + label).encode() for label in labels]
+    entries = np.array(encoded, dtype=bytes)
+    # the smallest dtype, so that a block's cell widths are a small temporary
+    widths = np.array([len(e) for e in encoded], dtype=np.min_scalar_type(entries.itemsize))
+    padded = bool((widths < entries.itemsize).any())
+    heads, buffer, cells = iter(heads), None, None
+    for ids in matrix.blocks():
+        if cells is None or cells.shape != ids.shape:
+            buffer = bytearray(ids.size * entries.itemsize)
+            cells = np.frombuffer(buffer, dtype=entries.dtype).reshape(ids.shape)
+        np.take(entries, ids, out=cells, mode="clip")  # every id is in range
+        if padded:
+            ends = np.cumsum(widths[ids].sum(axis=1))
+        else:
+            ends = np.arange(1, len(ids) + 1) * (ids.shape[1] * entries.itemsize)
+        # the stripped text lives only through the call, so that no block's
+        # text is alive while the next one is stripped
+        yield _cut_rows(buffer.translate(None, b"\0") if padded else buffer, ends.tolist(),
+                        len(sep), heads, tail)
 
-    def __init__(self, fmt=json.dumps):
-        self._fmt = fmt
-        self._keys = np.empty(0, dtype=np.uint64)  # sorted, distinct
-        self._table = np.empty(0, dtype=object)  # label of each key
-        # the (sep + label).encode() of each key as a fixed-width array, the
-        # width of each, and the sep they were built for (None after learning)
-        self._entries = self._widths = self._sep = None
 
-    def labels(self, values) -> list:
-        """The labels of the floats ``values`` (an array or nested lists),
-        as nested lists of the same shape."""
-        pos = self._positions(np.asarray(values, dtype=np.float64).view(np.uint64))
-        return self._table[pos].tolist()  # the table as it is after learning
-
-    def row_blocks(self, blocks, sep: str, heads, tail: bytes):
-        """Each of the float ``blocks`` (2-D arrays or lists of float lists,
-        the rows of a matrix in order) as one ``bytes``: per row, the next of
-        the ``bytes`` ``heads``, the row's cell labels joined by ``sep``, then
-        ``tail``.
-
-        A block's reference row is, per column, the majority of its first
-        three rows' bit patterns (row 2's where all three differ; the first
-        row in a block of fewer than three rows).  Only the reference row
-        and the cells whose bit pattern differs from it in their column are
-        searched in the table.  The reference row's ``sep + label`` entries,
-        of fixed width padded with NULs, are copied into every row of a
-        buffer, and the differing cells are overwritten; the NULs are
-        stripped once per block.  Each row is cut from the block's bytes by
-        a ``memoryview`` slice, so the block's one join is its only copy of
-        the text.  Later blocks of the same shape reuse the buffer: fresh
-        memory for each block cost more in page faults than the copies.
-        """
-        heads, buffer, cells = iter(heads), None, None
-        for block in blocks:
-            bits = np.asarray(block, dtype=np.float64).view(np.uint64)
-            ref = bits[0] if len(bits) < 3 else np.where(bits[0] == bits[1], bits[0], bits[2])
-            differs = np.flatnonzero(bits != ref)  # flat cell indices
-            # one search for both parts, so that a pattern learnt for the
-            # differing cells cannot leave the reference positions stale
-            pos_ref, pos_differing = np.split(
-                self._positions(np.concatenate((ref, bits.ravel()[differs]))), [len(ref)])
-            if sep != self._sep:  # a pattern was learnt, or another separator
-                entries = [(sep + label).encode() for label in self._table.tolist()]
-                self._entries = np.array(entries, dtype=bytes)
-                self._widths = np.array([len(e) for e in entries], dtype=np.intp)
-                self._sep = sep
-            entries, widths = self._entries, self._widths
-            if cells is None or cells.shape != bits.shape or cells.dtype != entries.dtype:
-                buffer = bytearray(bits.size * entries.itemsize)
-                cells = np.frombuffer(buffer, dtype=entries.dtype).reshape(bits.shape)
-            cells[:] = entries[pos_ref]
-            cells.ravel()[differs] = entries[pos_differing]
-            if (widths < entries.itemsize).any():
-                text = buffer.translate(None, b"\0")
-                # each row's length: the reference row's, corrected by its differing cells
-                rows, columns = np.divmod(differs, len(ref))
-                ref_widths = widths[pos_ref]
-                lengths = np.bincount(rows, widths[pos_differing] - ref_widths[columns],
-                                      len(bits)).astype(np.intp) + ref_widths.sum()
-                ends = np.cumsum(lengths)
-            else:
-                text = buffer
-                ends = np.arange(1, len(bits) + 1) * (len(ref) * entries.itemsize)
-            text, parts, begin = memoryview(text), [], len(sep)
-            for end in ends.tolist():
-                parts += (next(heads), text[begin:end], tail)
-                begin = end + len(sep)
-            yield b"".join(parts)
-
-    def _positions(self, bits: np.ndarray) -> np.ndarray:
-        """The table positions of the bit patterns ``bits``, after learning
-        the ones the table lacks."""
-        pos = np.searchsorted(self._keys, bits)
-        if bits.size and (pos.max() == len(self._keys) or (self._keys[pos] != bits).any()):
-            self._learn(bits)
-            pos = np.searchsorted(self._keys, bits)
-        return pos
-
-    def _learn(self, bits: np.ndarray) -> None:
-        """Add the patterns of the non-empty ``bits`` to the table."""
-        keys = np.sort(np.concatenate((self._keys, bits.ravel())))
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        known = dict(zip(self._keys.tolist(), self._table.tolist()))
-        self._table = np.array(
-            [known[k] if k in known else self._fmt(v)
-             for k, v in zip(keys.tolist(), keys.view(np.float64).tolist())],
-            dtype=object,
-        )
-        self._keys = keys
-        self._sep = None
+def _cut_rows(text, ends, skip: int, heads, tail: bytes) -> bytes:
+    """The rows of ``text`` that end at ``ends``, each starting ``skip``
+    bytes (a separator) after the end of the one before, or after the
+    start: each framed by the next of ``heads`` and by ``tail``, and all
+    joined.  The rows are ``memoryview`` slices of ``text``, copied once,
+    by the join."""
+    text, parts, begin = memoryview(text), [], skip
+    for end in ends:
+        parts += (next(heads), text[begin:end], tail)
+        begin = end + skip
+    return b"".join(parts)
 
 
 def _csv_field(text: str) -> str:
@@ -276,46 +218,47 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def matrix_to_csv(order, blocks, full_precision: bool = False) -> list[bytes]:
-    """Trust matrix as CSV text in UTF-8, rows = evaluator, columns =
-    evaluated peer, from the float row ``blocks`` of the matrix (as
-    :meth:`~kextrust.trust.TrustMatrix.blocks` yields them): a list of
-    ``bytes`` chunks, the header and then one per block, all built by the
-    time it returns.
+def matrix_to_csv(matrix, full_precision: bool = False) -> list[bytes]:
+    """The :class:`~kextrust.trust.TrustMatrix` ``matrix`` as CSV text in
+    UTF-8, rows = evaluator, columns = evaluated peer: a list of ``bytes``
+    chunks, the header and then one per row block, all built by the time it
+    returns.
 
     Sensor ids are written with :func:`_csv_field`, and every cell as
-    ``repr(value)`` (``full_precision``) or ``f"{value:.3f}"``; lines end
-    in ``"\\n"``.
+    ``repr(value)`` (``full_precision``) or ``f"{value:.3f}"``, each entry of
+    ``matrix.table`` formatted once; lines end in ``"\\n"``.
     """
-    labeller = _CellLabeller(repr if full_precision else "{:.3f}".format)
-    fields = list(map(_csv_field, order))
+    label = repr if full_precision else "{:.3f}".format
+    fields = list(map(_csv_field, matrix.order))
     header = ",".join(["sensor", *fields]) + "\n"
     heads = (f"{field},".encode() for field in fields)
-    return [header.encode(), *labeller.row_blocks(blocks, ",", heads, b"\n")]
+    labels = map(label, matrix.table.tolist())
+    return [header.encode(), *_id_rows(matrix, labels, ",", heads, b"\n")]
 
 
-def _matrix_chunks(order, blocks, pad: str, labeller: _CellLabeller):
-    """``{"order": order, "values": values}`` for the square float matrix
-    whose rows are the ``blocks``, laid out as by ``json.dumps(indent=2)``
-    at indent ``pad``, as ``bytes`` chunks, one per block."""
+def _matrix_chunks(matrix, pad: str, labels):
+    """``{"order": order, "values": values}`` of the ``matrix``, laid out as
+    by ``json.dumps(indent=2)`` at indent ``pad``, as ``bytes`` chunks, one
+    per row block; ``labels`` are the JSON texts of ``matrix.table``."""
     inner, cell_pad = pad + "  ", pad + "      "
-    head = f'{{\n{inner}"order": {json_block(map(_json_str, order), inner)},\n{inner}"values": '
-    if not order:
+    head = f'{{\n{inner}"order": {json_block(map(_json_str, matrix.order), inner)},\n{inner}"values": '
+    if not matrix.order:
         yield f"{head}[]\n{pad}}}".encode()
         return
     yield head.encode()
     # each row opens the list or follows a comma, as json_chunks lays out entries
     row_head = f"\n{inner}  [\n{cell_pad}".encode()
     heads = itertools.chain([b"[" + row_head], itertools.repeat(b"," + row_head))
-    yield from labeller.row_blocks(blocks, ",\n" + cell_pad, heads, f"\n{inner}  ]".encode())
+    yield from _id_rows(matrix, labels, ",\n" + cell_pad, heads, f"\n{inner}  ]".encode())
     yield f"\n{inner}]\n{pad}}}".encode()
 
 
-def matrix_to_json(order, blocks) -> list[bytes]:
+def matrix_to_json(matrix) -> list[bytes]:
     """``json.dumps({"order": order, "values": values}, indent=2) + "\\n"``
-    for the float matrix whose rows are the ``blocks``, encoded (the text is
-    ASCII), as a list of ``bytes`` chunks, one per block and the framing."""
-    return [*_matrix_chunks(order, blocks, "", _CellLabeller()), b"\n"]
+    for the :class:`~kextrust.trust.TrustMatrix` ``matrix``, encoded (the
+    text is ASCII), as a list of ``bytes`` chunks, one per row block and the
+    framing."""
+    return [*_matrix_chunks(matrix, "", map(json.dumps, matrix.table.tolist())), b"\n"]
 
 
 def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
@@ -330,23 +273,26 @@ def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
 
     ``matrix`` and ``rankings`` are those :func:`trust_report` returns.  The
     matrix rows, the rankings and the records are yielded up to 64 at a
-    time; all floats are labelled by one :class:`_CellLabeller`.  The matrix
-    comes as ``bytes`` chunks and every other chunk as ``str``; the text is
-    ASCII.
+    time.  Every float is labelled from ``matrix.table``, each entry
+    formatted once: a ranking value is a matrix value, since a ranking is
+    the scalar :func:`~kextrust.trust.trust` of each peer.  The matrix comes
+    as ``bytes`` chunks and every other chunk as ``str``; the text is ASCII.
     """
-    labeller = _CellLabeller()
+    values = matrix.table.tolist()
+    labels = list(map(json.dumps, values))
+    label = dict(zip(values, labels))
     coefficients = (f'"{name}": {json.dumps(getattr(coef, name))}'
                     for name in ("a", "b", "c", "provenance"))
     yield (f'{{\n  "sensors": {json_block(map(_json_str, state.topology.sensors), "  ")},\n'
            f'  "coefficients": {json_block(coefficients, "  ", "{}")},\n'
            f'  "killed": {json_block(map(_json_str, sorted(state.kill.killed)), "  ")},\n'
            '  "matrix": ')
-    yield from _matrix_chunks(matrix.order, matrix.blocks(), "  ", labeller)
+    yield from _matrix_chunks(matrix, "  ", labels)
     yield ',\n  "rankings": '
     yield from json_chunks((
         f"{_json_str(sensor)}: " + json_block(
-            (f"[\n        {_json_str(peer)},\n        {label}\n      ]"
-             for (peer, _), label in zip(ranking, labeller.labels([v for _, v in ranking]))),
+            (f"[\n        {_json_str(peer)},\n        {label[value]}\n      ]"
+             for peer, value in ranking),
             "    ")
         for sensor, ranking in rankings.items()
     ), "  ", "{}")
@@ -392,9 +338,9 @@ def _cmd_trust_matrix(args) -> int:
     t = _check_matrix_size(_load_checked_topology(args.topology))
     matrix = trust_matrix(t, coefficients_closed_form(), _killed(args.kill, t))
     if args.format == "json":
-        chunks = matrix_to_json(matrix.order, matrix.blocks())
+        chunks = matrix_to_json(matrix)
     else:
-        chunks = matrix_to_csv(matrix.order, matrix.blocks(), args.full_precision)
+        chunks = matrix_to_csv(matrix, args.full_precision)
     _emit(chunks, args.out, source=args.topology)
     return 0
 
@@ -513,7 +459,7 @@ def _cmd_report(args) -> int:
     matrix, rankings = trust_report(state, coef)
     files = []
     if args.csv:
-        files.append((args.csv, matrix_to_csv(matrix.order, matrix.blocks(), args.full_precision)))
+        files.append((args.csv, matrix_to_csv(matrix, args.full_precision)))
     _emit(report_json_chunks(state, coef, matrix, rankings), args.out, *files,
           source=args.state)
     return 0

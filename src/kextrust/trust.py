@@ -182,7 +182,7 @@ def trust(
     return min(total, 1.0)
 
 
-_BLOCK_ROWS = 64  # rows per dense block of a TrustMatrix
+_BLOCK_ROWS = 64  # rows per block of a TrustMatrix
 
 
 def _code_dtype(n: int) -> np.dtype:
@@ -193,55 +193,72 @@ def _code_dtype(n: int) -> np.dtype:
     return np.min_scalar_type(max(2 * n - 1, 0))
 
 
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct entries of the 1-D ``a`` and, for each entry of
+    ``a``, its position among them: ``np.unique(a, return_inverse=True)``
+    by a stable sort and a compare of neighbours (``np.unique`` imports
+    ``numpy.ma``, about 1 MB, on first use)."""
+    order = np.argsort(a, kind="stable")
+    ranked = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ranked[new], inverse
+
+
 @dataclass
 class TrustMatrix:
-    """All-pairs trust, rows and columns in ``order``, as the integer
-    ``codes`` and the per-column arrays of :func:`trust_matrix`, the
-    ``killed`` column positions, and the topology's ``index``, whose CSR
-    lists the wired cells.  :meth:`blocks` builds the float rows from them:
-    ``values[i][j]`` follows :func:`trust` off the diagonal, bit for bit, and
-    the diagonal is 1.0 for a live sensor and 0.0 for a killed one.
+    """All-pairs trust, rows and columns in ``order``, as value ids.
+
+    ``table`` holds the sorted distinct float64 values of the matrix; 0.0
+    is its first entry and 1.0 its last.  Off the wired cells and the
+    diagonal, cell (i, j) holds ``table[lut[column_base[j] + codes[i, j]]]``,
+    from the integer ``codes`` and per-column ``column_base`` of
+    :func:`trust_matrix`; wired cells (the CSR of the topology's ``index``)
+    and the diagonal hold 1.0, and the ``killed`` column positions 0.0.
+    :meth:`blocks` yields the ids; ``values[i][j]`` follows :func:`trust`
+    off the diagonal, bit for bit, and the diagonal is 1.0 for a live
+    sensor and 0.0 for a killed one.
     """
 
     order: list[SensorId]
     codes: np.ndarray
-    degree: np.ndarray
-    z0: np.ndarray
-    base: np.ndarray
-    pa: np.ndarray
-    pb: np.ndarray
-    pc: np.ndarray
+    column_base: np.ndarray
+    lut: np.ndarray
+    table: np.ndarray
     killed: np.ndarray
     index: TopologyIndex
 
     def blocks(self):
-        """The rows of ``values`` as float64 arrays of up to 64 rows, in order,
-        each built when it is asked for."""
-        n = len(self.order)
+        """The value ids of ``values`` (``intp`` positions in ``table``) in
+        blocks of up to 64 rows, in order.  Every block is a view of one
+        buffer, which the next block overwrites: a caller that keeps a block
+        must copy it."""
+        n, one = len(self.order), len(self.table) - 1
         start, peers = self.index.peer_start, self.index.peer_positions
+        degree = np.diff(start)
+        buffer = np.empty((2, min(n, _BLOCK_ROWS), n), dtype=np.intp)  # keys and ids
         for lo in range(0, n, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, n)
-            block = np.empty((hi - lo, n))
-            block[...] = self.base
-            codes = self.codes[lo:hi].reshape(-1)
-            cells = np.flatnonzero(codes != 0)  # a bool mask: nonzero is ~8x faster on it
-            code = codes[cells].astype(np.intp)
-            k, col = code >> 1, cells % n
-            cell = self.pa[k] + self.pb[self.degree[col] - k] + self.pc[self.z0[col] - (code & 1)]
-            block.reshape(-1)[cells] = np.minimum(cell, 1.0)
+            keys, ids = buffer[:, :hi - lo]
+            np.add(self.codes[lo:hi], self.column_base, out=keys)
+            # "clip" leaves out the buffered copy that "raise" makes; every key is in range
+            np.take(self.lut, keys, out=ids, mode="clip")
             rows = np.arange(hi - lo)
-            block[np.repeat(rows, self.degree[lo:hi]), peers[start[lo]:start[hi]]] = 1.0
-            block[rows, rows + lo] = 1.0
-            block[:, self.killed] = 0.0
-            yield block
+            ids[np.repeat(rows, degree[lo:hi]), peers[start[lo]:start[hi]]] = one
+            ids[rows, rows + lo] = one
+            ids[:, self.killed] = 0
+            yield ids
 
     @property
     def values(self) -> np.ndarray:
-        """The n x n float64 values, assembled from :meth:`blocks` on each access."""
+        """The n x n float64 values, ``table`` gathered by :meth:`blocks` on
+        each access."""
         n = len(self.order)
         values = np.empty((n, n))
-        for lo, block in zip(range(0, n, _BLOCK_ROWS), self.blocks()):
-            values[lo:lo + len(block)] = block
+        for lo, ids in zip(range(0, n, _BLOCK_ROWS), self.blocks()):
+            values[lo:lo + len(ids)] = self.table[ids]
         return values
 
 
@@ -289,11 +306,15 @@ def trust_matrix(
     killed sensor's column, diagonal included, is 0.0.
 
     The only n x n array is ``codes``, 2K + member per cell in the unsigned
-    dtype of :func:`_code_dtype` (at most 2 bytes a cell up to n = 32768); float
-    rows exist only in the 64-row blocks of :meth:`TrustMatrix.blocks`.
-    However densely the network is wired, the working set beyond ``codes``
-    is one n^2 chunk of two-hop keys plus O(links), and time grows with
-    n^2 + sum of deg^2.  ``order`` is the topology's sensor order.
+    dtype of :func:`_code_dtype` (at most 2 bytes a cell up to n = 32768).
+    A cell's value off the wired cells and the diagonal is a function of its
+    code and its column's (deg_j, Z0_j), so the columns are grouped by that
+    pair and each group gets the values of every code it can hold, 0 to
+    2 deg_j + 1: at most 4 links + 2n floats, whose distinct values, with
+    0.0 and 1.0, form ``table``.  However densely the network is wired, the
+    working set beyond ``codes`` is one n^2 chunk of two-hop keys plus
+    O(links), and time grows with n^2 + sum of deg^2.  ``order`` is the
+    topology's sensor order.
     """
     order = list(t.sensors)
     n = len(order)
@@ -315,9 +336,18 @@ def trust_matrix(
     pa = _sum_table(coef.a, degree.max(initial=0))  # K <= deg_j
     pb = _sum_table(coef.b, degree.max(initial=0))
     pc = _sum_table(coef.c, z0.max(initial=0))
-    base = np.minimum(pb[degree] + pc[z0], 1.0)
+    span = z0.max(initial=0) + 1
+    classes, column_class = _distinct(degree * span + z0)
+    d, z = np.divmod(classes, span)
+    size = 2 * d + 2
+    class_base = np.cumsum(size) - size
+    code = np.arange(size.sum()) - np.repeat(class_base, size)
+    k, d, z = code >> 1, np.repeat(d, size), np.repeat(z, size)
+    # an odd code means i is in W_j, so Z0_j >= 1; where Z0_j = 0 it never occurs
+    cells = np.minimum(pa[k] + pb[d - k] + pc[np.maximum(z - (code & 1), 0)], 1.0)
+    table, lut = _distinct(np.concatenate((cells, [0.0, 1.0])))
     dead = np.fromiter((idx[s] for s in killed if s in idx), dtype=np.intp)
-    return TrustMatrix(order, codes, degree, z0, base, pa, pb, pc, dead, index)
+    return TrustMatrix(order, codes, class_base[column_class], lut[:-2], table, dead, index)
 
 
 def rank_peers(

@@ -266,12 +266,6 @@ def matrix_to_csv_reference(order, values, full_precision: bool = False) -> str:
     return "".join(lines)
 
 
-def dense_blocks(values) -> list:
-    """The rows of the float matrix ``values`` (an array or a list of float
-    lists) in slices of 64, as the matrix writers take them."""
-    return [values[lo:lo + 64] for lo in range(0, len(values), 64)]
-
-
 def joined_chunks(chunks) -> bytes:
     """The ``str`` and ``bytes`` ``chunks`` of a writer joined as one file
     holds them: each ``str`` encoded as UTF-8."""

@@ -234,9 +234,9 @@ class TestTrustMatrix:
     def test_peak_is_bounded_on_dense_wiring(self, edge_prob):
         # n = 200 with half or all pairs wired: the sum of deg^2, one entry
         # per two-hop path, reaches n^3.  The paths are counted a bounded
-        # chunk at a time, and the float rows are built a block at a time, so
+        # chunk at a time, and the value ids are built a block at a time, so
         # the peak is the codes, the links both ways in two orders, one chunk
-        # of keys and two blocks: a fixed multiple of n^2 floats
+        # of keys and a block's keys and ids: a fixed multiple of n^2 floats
         t = random_topology(np.random.default_rng(44), 200, edge_prob=edge_prob)
         n = len(t.sensors)
         tracemalloc.start()
