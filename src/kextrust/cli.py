@@ -147,7 +147,7 @@ def _emit(chunks, out: str | None, *files, source: str | None = None) -> None:
 
 
 # the most cells of a trust matrix that trust-matrix and report build, n =
-# 16384 sensors.  It bounds the code matrix (2 bytes a cell: 512 MiB) and the
+# 16384 sensors.  It bounds the id matrix (2 bytes a cell: 512 MiB) and the
 # text of trust-matrix and report --csv, built whole before it is written
 # (about 6 bytes a cell in CSV: 1.5 GiB; up to 30 in JSON or --full-precision)
 MATRIX_CELL_BUDGET = 1 << 28

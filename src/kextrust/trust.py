@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import SensorId, Topology, TopologyIndex
+from .topology import SensorId, Topology
 
 __all__ = [
     "TrustCoefficients",
@@ -185,14 +185,6 @@ def trust(
 _BLOCK_ROWS = 64  # rows per block of a TrustMatrix
 
 
-def _code_dtype(n: int) -> np.dtype:
-    """The smallest unsigned dtype that holds every 2K + member code of an
-    n-sensor matrix.  The largest is 2n - 1, on the diagonal: 2 deg_i, plus
-    one when an explicit set lists its own owner (off the diagonal it is
-    2(n - 2) + 1)."""
-    return np.min_scalar_type(max(2 * n - 1, 0))
-
-
 def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct entries of the 1-D ``a`` and, for each entry of
     ``a``, its position among them: ``np.unique(a, return_inverse=True)``
@@ -212,54 +204,26 @@ class TrustMatrix:
     """All-pairs trust, rows and columns in ``order``, as value ids.
 
     ``table`` holds the sorted distinct float64 values of the matrix; 0.0
-    is its first entry and 1.0 its last.  Off the wired cells and the
-    diagonal, cell (i, j) holds ``table[lut[column_base[j] + codes[i, j]]]``,
-    from the integer ``codes`` and per-column ``column_base`` of
-    :func:`trust_matrix`; wired cells (the CSR of the topology's ``index``)
-    and the diagonal hold 1.0, and the ``killed`` column positions 0.0.
-    :meth:`blocks` yields the ids; ``values[i][j]`` follows :func:`trust`
-    off the diagonal, bit for bit, and the diagonal is 1.0 for a live
-    sensor and 0.0 for a killed one.
+    is its first entry and 1.0 its last.  ``ids`` is the read-only n x n
+    array of positions in ``table``, in the smallest unsigned dtype that
+    holds them, so cell (i, j) is ``table[ids[i, j]]``: it follows
+    :func:`trust` off the diagonal, bit for bit, and the diagonal is 1.0
+    for a live sensor and 0.0 for a killed one.
     """
 
     order: list[SensorId]
-    codes: np.ndarray
-    column_base: np.ndarray
-    lut: np.ndarray
+    ids: np.ndarray
     table: np.ndarray
-    killed: np.ndarray
-    index: TopologyIndex
 
     def blocks(self):
-        """The value ids of ``values`` (``intp`` positions in ``table``) in
-        blocks of up to 64 rows, in order.  Every block is a view of one
-        buffer, which the next block overwrites: a caller that keeps a block
-        must copy it."""
-        n, one = len(self.order), len(self.table) - 1
-        start, peers = self.index.peer_start, self.index.peer_positions
-        degree = np.diff(start)
-        buffer = np.empty((2, min(n, _BLOCK_ROWS), n), dtype=np.intp)  # keys and ids
-        for lo in range(0, n, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, n)
-            keys, ids = buffer[:, :hi - lo]
-            np.add(self.codes[lo:hi], self.column_base, out=keys)
-            # "clip" leaves out the buffered copy that "raise" makes; every key is in range
-            np.take(self.lut, keys, out=ids, mode="clip")
-            rows = np.arange(hi - lo)
-            ids[np.repeat(rows, degree[lo:hi]), peers[start[lo]:start[hi]]] = one
-            ids[rows, rows + lo] = one
-            ids[:, self.killed] = 0
-            yield ids
+        """The rows of ``ids`` in read-only views of up to 64 rows, in order."""
+        for lo in range(0, len(self.order), _BLOCK_ROWS):
+            yield self.ids[lo:lo + _BLOCK_ROWS]
 
     @property
     def values(self) -> np.ndarray:
-        """The n x n float64 values, ``table`` gathered by :meth:`blocks` on
-        each access."""
-        n = len(self.order)
-        values = np.empty((n, n))
-        for lo, ids in zip(range(0, n, _BLOCK_ROWS), self.blocks()):
-            values[lo:lo + len(ids)] = self.table[ids]
-        return values
+        """The n x n float64 values, ``table[ids]``, gathered on each access."""
+        return self.table[self.ids]
 
 
 def _sum_table(r: float, top: int) -> np.ndarray:
@@ -305,33 +269,30 @@ def trust_matrix(
     call bit for bit.  Wired cells and the diagonal are then 1.0, and a
     killed sensor's column, diagonal included, is 0.0.
 
-    The only n x n array is ``codes``, 2K + member per cell in the unsigned
-    dtype of :func:`_code_dtype` (at most 2 bytes a cell up to n = 32768).
     A cell's value off the wired cells and the diagonal is a function of its
-    code and its column's (deg_j, Z0_j), so the columns are grouped by that
-    pair and each group gets the values of every code it can hold, 0 to
-    2 deg_j + 1: at most 4 links + 2n floats, whose distinct values, with
-    0.0 and 1.0, form ``table``.  However densely the network is wired, the
-    working set beyond ``codes`` is one n^2 chunk of two-hop keys plus
-    O(links), and time grows with n^2 + sum of deg^2.  ``order`` is the
-    topology's sensor order.
+    code, 2K + member, and its column's (deg_j, Z0_j), so the columns are
+    grouped by that pair and each group gets the values of every code it
+    can hold, 0 to 2 deg_j + 1: at most 4 links + 2n floats, whose distinct
+    values, with 0.0 and 1.0, form ``table``.  The only n x n array is
+    ``ids``, in the smallest unsigned dtype that holds both 2n - 1, the
+    largest code, and the largest id (2 bytes a cell for 128 < n <= 32768
+    while the table has at most 65536 values).  The codes are counted into it,
+    then turned into ids in place, 64 rows at a time, and the wired cells,
+    the diagonal and the killed columns are set once.  However densely the
+    network is wired, the working set beyond ``ids`` is one n^2 chunk of
+    two-hop keys plus O(links), and time grows with n^2 + sum of deg^2.
+    ``order`` is the topology's sensor order.
     """
     order = list(t.sensors)
     n = len(order)
     index = t.index
-    idx, start = index.positions, index.peer_start
+    idx, start, peers = index.positions, index.peer_start, index.peer_positions
     degree = np.diff(start)
-    codes = np.zeros((n, n), dtype=_code_dtype(n))
-    _add_two_hop_counts(codes.reshape(-1), n, start, index.peer_positions, degree)
-
     if t.wireless_sets is None:
         # clipped: a column wired to every other sensor has no base cell
         z0 = np.maximum(n - 2 - degree, 0)
     else:
         z0 = np.array([len(t.wireless_set(j)) for j in order], dtype=np.intp)
-        members = np.fromiter((idx[p] * n + j_pos for j_pos, j in enumerate(order)
-                               for p in t.wireless_set(j) if p in idx), dtype=np.intp)
-        codes.reshape(-1)[members] += 1  # distinct cells, so += adds once each
 
     pa = _sum_table(coef.a, degree.max(initial=0))  # K <= deg_j
     pb = _sum_table(coef.b, degree.max(initial=0))
@@ -346,8 +307,29 @@ def trust_matrix(
     # an odd code means i is in W_j, so Z0_j >= 1; where Z0_j = 0 it never occurs
     cells = np.minimum(pa[k] + pb[d - k] + pc[np.maximum(z - (code & 1), 0)], 1.0)
     table, lut = _distinct(np.concatenate((cells, [0.0, 1.0])))
-    dead = np.fromiter((idx[s] for s in killed if s in idx), dtype=np.intp)
-    return TrustMatrix(order, codes, class_base[column_class], lut[:-2], table, dead, index)
+    one = len(table) - 1
+
+    ids = np.zeros((n, n), dtype=np.min_scalar_type(max(2 * n - 1, one, 0)))
+    flat = ids.reshape(-1)
+    _add_two_hop_counts(flat, n, start, peers, degree)
+    if t.wireless_sets is not None:
+        members = np.fromiter((idx[p] * n + j_pos for j_pos, j in enumerate(order)
+                               for p in t.wireless_set(j) if p in idx), dtype=np.intp)
+        flat[members] += 1  # distinct cells, so += adds once each
+
+    column_base, lut = class_base[column_class], lut[:-2].astype(ids.dtype)
+    keys = np.empty((min(n, _BLOCK_ROWS), n), dtype=np.intp)
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = ids[lo:lo + _BLOCK_ROWS]
+        block = keys[:len(rows)]
+        np.add(rows, column_base, out=block)
+        # "clip" leaves out the buffered copy that "raise" makes; every key is in range
+        np.take(lut, block, out=rows, mode="clip")
+    flat[np.repeat(np.arange(n) * n, degree) + peers] = one
+    flat[::n + 1] = one
+    ids[:, [idx[s] for s in killed if s in idx]] = 0
+    ids.flags.writeable = False
+    return TrustMatrix(order, ids, table)
 
 
 def rank_peers(

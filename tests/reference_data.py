@@ -191,7 +191,7 @@ def trust_matrix_dense_reference(t: Topology, coef, killed=frozenset()) -> Simpl
     product ``adj @ adj`` (float32, exact for n < 2**24), W and Z as full
     arrays, each looked up in a partial-sum table and summed a, b, c, as
     ``order`` and the dense float64 ``values``.  The oracle for the
-    code-matrix build of :func:`kextrust.trust.trust_matrix`, whose blocks
+    value-id build of :func:`kextrust.trust.trust_matrix`, whose blocks
     must equal it bit for bit."""
     order = list(t.sensors)
     n = len(order)

@@ -27,7 +27,6 @@ import pytest
 import kextrust
 from kextrust import kljn
 from kextrust.cli import (
-    MATRIX_CELL_BUDGET,
     main,
     matrix_to_csv,
     matrix_to_json,
@@ -65,9 +64,9 @@ from kextrust.orchestrator import (
 from kextrust.topology import Topology, derive_wireless_sets, topology_to_doc
 from kextrust.trust import (
     TrustMatrix,
-    _code_dtype,
     coefficients_closed_form,
     coefficients_fixed_point,
+    trust,
     trust_matrix,
 )
 from reference_data import (
@@ -502,7 +501,7 @@ def _untidy_wireless_sets(t, rng):
 def _assert_matrix_equals_dense(t, coef=COEF, kills=None):
     """The value-id blocks of ``trust_matrix``, looked up in its ``table``,
     are the dense reference's rows, 64 at a time and bit for bit, and
-    ``values`` is the blocks put together."""
+    ``values`` is the blocks put together.  Returns the last matrix built."""
     if kills is None:
         kills = (frozenset(), frozenset(t.sensors[::3]), frozenset(t.sensors))
     for killed in kills:
@@ -510,12 +509,21 @@ def _assert_matrix_equals_dense(t, coef=COEF, kills=None):
         want = trust_matrix_dense_reference(t, coef, killed)
         n = len(want.order)
         assert got.order == want.order
-        blocks = [got.table[ids] for ids in got.blocks()]  # each block's buffer is reused
+        blocks = [got.table[ids] for ids in got.blocks()]
         assert [b.shape for b in blocks] == [(min(64, n - lo), n) for lo in range(0, n, 64)]
         rows = np.concatenate([np.empty((0, n)), *blocks])
         assert np.array_equal(rows.view(np.uint64), want.values.view(np.uint64)), killed
         assert got.values.shape == (n, n)
         assert np.array_equal(got.values.view(np.uint64), rows.view(np.uint64))
+    return got
+
+
+def _assert_smallest_id_dtype(matrix):
+    """``matrix.ids`` is in the smallest unsigned dtype that holds both the
+    largest code, 2n - 1, and the largest id, ``len(table) - 1``."""
+    dtype, top = matrix.ids.dtype, max(2 * len(matrix.order) - 1, len(matrix.table) - 1)
+    assert dtype.kind == "u" and np.iinfo(dtype).max >= top
+    assert dtype.itemsize == 1 or np.iinfo(f"u{dtype.itemsize // 2}").max < top
 
 
 class TestTrustMatrixKernel:
@@ -564,32 +572,43 @@ class TestTrustMatrixKernel:
         for u in (t, with_explicit_wireless_sets(t, rng, 0.4), _untidy_wireless_sets(t, rng)):
             _assert_matrix_equals_dense(u)
 
-    def test_blocks_share_one_buffer(self):
-        # every block, the short last one too, is built in the same id buffer
+    def test_blocks_are_read_only_views_of_ids(self):
+        # every block, the short last one too, is a slice of ids, and a block
+        # kept while later ones are drawn is left as it was
         t = sparse_topology(np.random.default_rng(8), 200, 600)
-        blocks = [(ids.shape, ids.__array_interface__["data"][0])
-                  for ids in trust_matrix(t, COEF).blocks()]
-        assert [shape for shape, _ in blocks] == [(64, 200)] * 3 + [(8, 200)]
-        assert len({address for _, address in blocks}) == 1
+        matrix = trust_matrix(t, COEF)
+        blocks = matrix.blocks()
+        first = next(blocks)
+        kept = first.copy()
+        rest = list(blocks)
+        assert [ids.shape for ids in (first, *rest)] == [(64, 200)] * 3 + [(8, 200)]
+        for ids in (first, *rest):
+            assert np.shares_memory(ids, matrix.ids) and not ids.flags.writeable
+        assert not matrix.ids.flags.writeable
+        assert np.array_equal(first, kept) and np.array_equal(first, matrix.ids[:64])
 
-    def test_largest_code_is_on_the_diagonal(self):
+    @pytest.mark.parametrize("n", [129, 130])
+    @pytest.mark.parametrize("derived", [False, True])
+    def test_largest_off_diagonal_code_at_the_byte_boundary(self, n, derived):
+        # every pair wired but (s000, s001), whose code 2(n - 2) + 1 is 255
+        # at n = 129 and 257 at n = 130: the ids are counted in a dtype that
+        # holds it, and the cell is the scalar trust bit for bit
+        sensors = tuple(f"s{k:03d}" for k in range(n))
+        edges = frozenset((a, b) for a in sensors for b in sensors if a < b) - {("s000", "s001")}
+        t = Topology(sensors, edges)
+        if derived:
+            t = derive_wireless_sets(t)
+        matrix = _assert_matrix_equals_dense(t, kills=(frozenset(),))
+        _assert_smallest_id_dtype(matrix)
+        cell, want = matrix.values[0, 1], np.float64(trust(t, COEF, frozenset(), "s000", "s001"))
+        assert cell.view(np.uint64) == want.view(np.uint64) and 0.0 < cell < 1.0
+
+    def test_owner_in_its_own_set_on_the_diagonal(self):
         # every pair wired and an owner in its own set: 2 deg_i + 1 = 2n - 1
         sensors = ("a", "b", "c", "d", "e")
         edges = frozenset((x, y) for x in sensors for y in sensors if x < y)
-        matrix = trust_matrix(Topology(sensors, edges, {"a": {"a"}}), COEF)
-        assert matrix.codes.max() == matrix.codes[0, 0] == 2 * len(sensors) - 1
-        assert matrix.codes.dtype == _code_dtype(len(sensors))
-
-    @pytest.mark.parametrize("n", [0, 1, 128, 129, math.isqrt(MATRIX_CELL_BUDGET), 32768, 32769,
-                                   32770])
-    def test_code_dtype_holds_every_count(self, n):
-        # the smallest unsigned dtype holding 2n - 1, 2 bytes up to the size
-        # guard and beyond; off the diagonal the largest count, 2(n - 2) + 1,
-        # crosses 2^16 one sensor later
-        dtype, top = _code_dtype(n), max(2 * n - 1, 0)
-        assert dtype.kind == "u" and np.iinfo(dtype).max >= top
-        assert dtype.itemsize == 1 or np.iinfo(f"u{dtype.itemsize // 2}").max < top
-        assert (dtype == np.uint16) == (128 < n <= 32768)
+        matrix = _assert_matrix_equals_dense(Topology(sensors, edges, {"a": {"a"}}))
+        _assert_smallest_id_dtype(matrix)
 
     def test_saturation_network(self):
         # (i, a) has K = W = Z = 40; under the fixed-point coefficients of
@@ -949,9 +968,9 @@ class TestPinnedMatrixOutput:
         assert capsys.readouterr().out == ""
 
 
-    def test_trust_matrix_peak_holds_codes_and_text_once(self, tmp_path, digest_inputs):
-        # n = 1000: the 2-byte codes, the CSV text once and one block's keys
-        # and value ids, where a dense float matrix and a joined copy of the text would
+    def test_trust_matrix_peak_holds_ids_and_text_once(self, tmp_path, digest_inputs):
+        # n = 1000: the 2-byte value ids, the CSV text once and one block's
+        # keys, where a dense float matrix and a joined copy of the text would
         # take 8 MB and 6 MB more
         out = tmp_path / "m.csv"
         assert main(["trust-matrix", str(digest_inputs["c1000"]), "--out", str(out)]) == 0
