@@ -185,6 +185,14 @@ def trust(
 _BLOCK_ROWS = 64  # rows per block of a TrustMatrix
 
 
+def _id_dtype(n: int, top: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every 2K + member code of an
+    n-sensor matrix and every value id up to ``top``.  The largest code is
+    2n - 1, on the diagonal: 2 deg_i, plus one when an explicit set lists
+    its own owner (off the diagonal it is 2(n - 2) + 1)."""
+    return np.min_scalar_type(max(2 * n - 1, top, 0))
+
+
 def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct entries of the 1-D ``a`` and, for each entry of
     ``a``, its position among them: ``np.unique(a, return_inverse=True)``
@@ -274,8 +282,8 @@ def trust_matrix(
     grouped by that pair and each group gets the values of every code it
     can hold, 0 to 2 deg_j + 1: at most 4 links + 2n floats, whose distinct
     values, with 0.0 and 1.0, form ``table``.  The only n x n array is
-    ``ids``, in the smallest unsigned dtype that holds both 2n - 1, the
-    largest code, and the largest id (2 bytes a cell for 128 < n <= 32768
+    ``ids``, in the :func:`_id_dtype` that holds both 2n - 1, the largest
+    code, and the largest id (2 bytes a cell for 128 < n <= 32768
     while the table has at most 65536 values).  The codes are counted into it,
     then turned into ids in place, 64 rows at a time, and the wired cells,
     the diagonal and the killed columns are set once.  However densely the
@@ -309,7 +317,7 @@ def trust_matrix(
     table, lut = _distinct(np.concatenate((cells, [0.0, 1.0])))
     one = len(table) - 1
 
-    ids = np.zeros((n, n), dtype=np.min_scalar_type(max(2 * n - 1, one, 0)))
+    ids = np.zeros((n, n), dtype=_id_dtype(n, one))
     flat = ids.reshape(-1)
     _add_two_hop_counts(flat, n, start, peers, degree)
     if t.wireless_sets is not None:

@@ -27,6 +27,7 @@ import pytest
 import kextrust
 from kextrust import kljn
 from kextrust.cli import (
+    MATRIX_CELL_BUDGET,
     main,
     matrix_to_csv,
     matrix_to_json,
@@ -64,6 +65,7 @@ from kextrust.orchestrator import (
 from kextrust.topology import Topology, derive_wireless_sets, topology_to_doc
 from kextrust.trust import (
     TrustMatrix,
+    _id_dtype,
     coefficients_closed_form,
     coefficients_fixed_point,
     trust,
@@ -603,12 +605,26 @@ class TestTrustMatrixKernel:
         cell, want = matrix.values[0, 1], np.float64(trust(t, COEF, frozenset(), "s000", "s001"))
         assert cell.view(np.uint64) == want.view(np.uint64) and 0.0 < cell < 1.0
 
-    def test_owner_in_its_own_set_on_the_diagonal(self):
+    def test_largest_code_is_on_the_diagonal(self):
         # every pair wired and an owner in its own set: 2 deg_i + 1 = 2n - 1
         sensors = ("a", "b", "c", "d", "e")
         edges = frozenset((x, y) for x in sensors for y in sensors if x < y)
         matrix = _assert_matrix_equals_dense(Topology(sensors, edges, {"a": {"a"}}))
         _assert_smallest_id_dtype(matrix)
+
+    @pytest.mark.parametrize("n", [0, 1, 128, 129, math.isqrt(MATRIX_CELL_BUDGET), 32768, 32769,
+                                   32770])
+    def test_code_dtype_holds_every_count(self, n):
+        # with few distinct values, the smallest unsigned dtype holding 2n - 1,
+        # 2 bytes up to the size guard and beyond; off the diagonal the largest
+        # count, 2(n - 2) + 1, crosses 2^16 one sensor later.  A table of more
+        # values than that widens it to hold the largest id
+        dtype, top = _id_dtype(n, 1), max(2 * n - 1, 1)
+        assert dtype.kind == "u" and np.iinfo(dtype).max >= top
+        assert dtype.itemsize == 1 or np.iinfo(f"u{dtype.itemsize // 2}").max < top
+        assert (dtype == np.uint16) == (128 < n <= 32768)
+        assert _id_dtype(n, 2 * n - 1) == dtype
+        assert _id_dtype(n, 2**16) == np.uint32
 
     def test_saturation_network(self):
         # (i, a) has K = W = Z = 40; under the fixed-point coefficients of
