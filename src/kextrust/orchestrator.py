@@ -20,10 +20,11 @@ import hashlib
 import json
 import os
 from collections.abc import Iterator, Mapping
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
+from types import MappingProxyType
 
 from .kljn import BudgetExhaustedError, KljnSessionConfig, run_key_exchange
 from .topology import (
@@ -92,7 +93,9 @@ class NetworkKeyState:
     """Key state of a network.
 
     ``stored`` holds the wired-session records with status ``ok`` or
-    ``failed``.  ``records`` is the read-only view of all records.
+    ``failed``.  :meth:`records_sorted` derives every record from it, the
+    master seed and the kill log; ``records`` is a read-only snapshot of
+    those records keyed by pair.
     """
 
     topology: Topology
@@ -106,8 +109,10 @@ class NetworkKeyState:
         self._positions = {s: k for k, s in enumerate(sorted(self.topology.sensor_set))}
 
     @property
-    def records(self) -> KeyRecords:
-        return KeyRecords(self)
+    def records(self) -> Mapping[Pair, KeyRecord]:
+        """Every record keyed by canonical pair, in canonical order: a
+        read-only snapshot of :meth:`records_sorted`, built on each access."""
+        return MappingProxyType({r.pair: r for r in self.records_sorted()})
 
     def pair_index(self, a: SensorId, b: SensorId) -> int | None:
         """1-based position of ``(a, b)`` among the canonical sensor pairs
@@ -117,55 +122,30 @@ class NetworkKeyState:
             return None
         return p * (2 * len(self._positions) - p - 1) // 2 + q - p
 
-    def pairs(self):
-        """Every canonical sensor pair, in canonical order."""
-        ordered = list(self._positions)
-        return ((a, b) for x, a in enumerate(ordered) for b in ordered[x + 1 :])
-
     def records_sorted(self) -> Iterator[KeyRecord]:
-        """``iter(self.records.values())`` without a position lookup per pair:
-        one record at a time, in canonical order."""
-        records = self.records
-        return (records._record(pair, index) for index, pair in enumerate(self.pairs(), 1))
+        """Every record, one canonical pair at a time in canonical order.
 
-
-class KeyRecords(Mapping):
-    """All records of a state, keyed by canonical pair, in canonical order.
-
-    Stored records are returned as they are; wireless records are derived
-    from the master seed on each lookup.  A record one of whose sensors
-    has a ``set`` kill event comes back as a revoked copy.
-    """
-
-    def __init__(self, state: NetworkKeyState):
-        self._state, self._seed = state, state.master_seed
-        self._revoked = {e.sensor for e in state.kill.event_log if e.action == "set"}
-
-    def __getitem__(self, pair: Pair) -> KeyRecord:
-        state = self._state
-        index = state.pair_index(*pair)
-        if pair not in state.stored and (index is None or pair in state.topology.kljn_edges):
-            raise KeyError(pair)
-        return self._record(pair, index)
-
-    def _record(self, pair: Pair, index: int) -> KeyRecord:
-        """The record of canonical pair ``pair`` at 1-based position ``index``:
-        stored, or else derived as a wireless record."""
-        record = self._state.stored.get(pair)
-        if record is None:  # token of json.dumps([master_seed, a, b, "wireless"])
-            a, b = pair
-            token = _fingerprint(f'[{self._seed}, {_json_str(a)}, {_json_str(b)}, "wireless"]')
-            record = KeyRecord(pair, CHANNEL_WIRELESS, token, index, STATUS_OK)
-        if not self._revoked.isdisjoint(pair):
-            record = replace(record, status=STATUS_REVOKED)
-        return record
-
-    def __iter__(self):
-        return self._state.pairs()
-
-    def __len__(self) -> int:
-        n = len(self._state._positions)
-        return n * (n - 1) // 2
+        A pair's record is the stored one, or else a wireless record whose
+        token is that of ``json.dumps([master_seed, a, b, "wireless"])`` and
+        whose ``established_at`` is the pair's position.  A record one of
+        whose sensors has a ``set`` kill event comes back as a revoked copy.
+        The JSON text of the first sensor and its revocation are found once
+        per row.
+        """
+        ordered = list(self._positions)
+        revoked = {e.sensor for e in self.kill.event_log if e.action == "set"}
+        stored, index = self.stored, 0
+        for x, a in enumerate(ordered):
+            prefix, row_revoked = f"[{self.master_seed}, {_json_str(a)}, ", a in revoked
+            for b in ordered[x + 1 :]:
+                index += 1
+                record = stored.get((a, b))
+                if record is None:
+                    token = _fingerprint(f'{prefix}{_json_str(b)}, "wireless"]')
+                    record = KeyRecord((a, b), CHANNEL_WIRELESS, token, index, STATUS_OK)
+                if row_revoked or b in revoked:
+                    record = replace(record, status=STATUS_REVOKED)
+                yield record
 
 
 def _derive_seed(master_seed: int, *parts: str) -> int:
@@ -190,12 +170,13 @@ def establish_network_keys(
     ``hash(master_seed, edge)``; a session that ends in attack detection or
     budget exhaustion marks just that record failed.  Wireless pairs get an
     opaque deterministic key token, derived when read (see
-    :class:`KeyRecords`).  ``attackers`` maps canonical edges to attacker
-    models, for exercising fault isolation.  The clock counts one tick per
-    pair, as if every pair were established in canonical order.  A
-    ``master_seed`` that is not an ``int``, or a ``target_bits`` that is
-    not an ``int`` of at least 1 (a ``bool`` is neither), raises
-    ``ValueError`` before any session runs, whatever the topology.
+    :meth:`NetworkKeyState.records_sorted`).  ``attackers`` maps canonical
+    edges to attacker models, for exercising fault isolation.  The clock
+    counts one tick per pair, as if every pair were established in
+    canonical order.  A ``master_seed`` that is not an ``int``, or a
+    ``target_bits`` that is not an ``int`` of at least 1 (a ``bool`` is
+    neither), raises ``ValueError`` before any session runs, whatever the
+    topology.
     """
     if type(master_seed) is not int:
         raise ValueError(f"master seed must be an int, not {master_seed!r}")
@@ -242,16 +223,6 @@ def trust_report(state: NetworkKeyState, coef: TrustCoefficients) -> tuple[Trust
     """
     t, killed = state.topology, state.kill.killed
     return trust_matrix(t, coef, killed), {i: rank_peers(t, coef, killed, i) for i in t.sensors}
-
-
-def _record_to_dict(r: KeyRecord) -> dict:
-    return {
-        "pair": list(r.pair),
-        "channel": r.channel,
-        "key_id": r.key_id,
-        "established_at": r.established_at,
-        "status": r.status,
-    }
 
 
 def json_chunks(items, pad: str, brackets: str = "[]"):
@@ -301,8 +272,8 @@ def state_to_json(state: NetworkKeyState) -> str:
     if "wireless_sets" in t:
         sets = (f"{_json_str(s)}: {_json_ids(peers)}" for s, peers in t["wireless_sets"].items())
         topology.append(f'"wireless_sets": {json_block(sets, "    ", "{}")}')
-    records = (json.dumps(_record_to_dict(state.stored[p])) for p in sorted(state.stored))
-    events = (json.dumps(asdict(e)) for e in state.kill.event_log)
+    records = (json.dumps(vars(state.stored[p])) for p in sorted(state.stored))
+    events = (json.dumps(vars(e)) for e in state.kill.event_log)
     return (
         f'{{\n  "version": 2,\n  "topology": {json_block(topology, "  ", "{}")},\n'
         f'  "clock": {state.clock},\n  "master_seed": {state.master_seed},\n'

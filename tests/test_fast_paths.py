@@ -407,6 +407,17 @@ class TestStateWriter:
             material = json.dumps([123, a, b, CHANNEL_WIRELESS]).encode()
             assert record.key_id == hashlib.sha256(material).hexdigest()[:16]
 
+    def test_cli_never_builds_the_records_mapping(self, capsys, tmp_path, monkeypatch):
+        # establish, kill and report take the records one at a time from
+        # records_sorted, never from the records snapshot
+        monkeypatch.setattr(NetworkKeyState, "records",
+                            property(lambda state: pytest.fail("records")))
+        state = str(tmp_path / "state.json")
+        assert main(["establish", "fig2", "--seed", "42", "--bits", "8", "--out", state]) == 0
+        assert main(["kill", state, "H"]) == 0
+        assert main(["report", state, "--csv", str(tmp_path / "m.csv")]) == 0
+        assert len(json.loads(capsys.readouterr().out)["records"]) == 45
+
     @pytest.mark.parametrize("sensors", [("A",), ()])
     def test_empty_records(self, sensors):
         state = establish_network_keys(Topology(sensors, frozenset()), master_seed=1)

@@ -138,12 +138,32 @@ def _attackers(t, rng):
     return {e: WireSubstitutionAttacker(start_period=0, seed=k) for k, e in enumerate(picks)}
 
 
-@pytest.mark.parametrize("wireless", ["complement", "explicit"])
-@pytest.mark.parametrize("seed", [3, 17, 29, 41])
-def test_derived_state_equals_eager_oracle(seed, wireless):
-    rng = np.random.default_rng(seed)
+# ids that JSON escapes; two sort before the ``s…`` ids and two after
+ODD_IDS = ("\u00e9", 'q"1', "back\\slash", "\u2603snow")
+
+
+def _odd_id_topology(rng):
+    """A random topology with explicit wireless sets whose first ids are
+    ``ODD_IDS``, listed in an order that is not sorted order: ``"é"``
+    first, the rest shuffled."""
     t = random_topology(rng, int(rng.integers(6, 14)), edge_prob=0.25)
-    if wireless == "explicit":
+    names = dict(zip(t.sensors, [*ODD_IDS, *t.sensors[len(ODD_IDS):]]))
+    order = [names[s] for s in t.sensors]
+    order[1:] = rng.permutation(order[1:]).tolist()
+    edges = frozenset(tuple(sorted((names[a], names[b]))) for a, b in t.kljn_edges)
+    return with_explicit_wireless_sets(Topology(tuple(order), edges), rng, 0.5)
+
+
+@pytest.mark.parametrize("network", ["complement", "explicit", "odd-ids"])
+@pytest.mark.parametrize("seed", [3, 17, 29, 41])
+def test_derived_state_equals_eager_oracle(seed, network):
+    rng = np.random.default_rng(seed)
+    if network == "odd-ids":
+        t = _odd_id_topology(rng)
+        assert list(t.sensors) != sorted(t.sensors)
+    else:
+        t = random_topology(rng, int(rng.integers(6, 14)), edge_prob=0.25)
+    if network == "explicit":
         t = with_explicit_wireless_sets(t, rng, 0.5)
     master_seed = int(rng.integers(0, 2**31))
     attack_rng = np.random.default_rng(seed + 1000)
