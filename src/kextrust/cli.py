@@ -488,6 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Key-exchange trust evaluation and wired exchange simulation",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    full_precision = "CSV cells as repr(value), not 3 decimals (JSON is always full precision)"
 
     p = subs.add_parser("validate", help="check a topology document")
     p.add_argument("topology")
@@ -505,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("topology")
     p.add_argument("--kill", default=None, help="comma-separated compromised sensors")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--full-precision", action="store_true")
+    p.add_argument("--full-precision", action="store_true", help=full_precision)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_trust_matrix)
 
@@ -554,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None, help="also write the matrix as CSV here")
-    p.add_argument("--full-precision", action="store_true")
+    p.add_argument("--full-precision", action="store_true", help=full_precision)
     p.set_defaults(handler=_cmd_report)
 
     return parser

@@ -390,7 +390,7 @@ def state_from_json(text: str) -> NetworkKeyState:
         raise ValueError(
             f"state file has a malformed record or kill log ({type(exc).__name__}: {exc})"
         ) from None
-    absent = next((pair for pair in sorted(t.kljn_edges) if pair not in state.stored), None)
+    absent = min(t.kljn_edges.difference(state.stored), default=None)
     if absent is not None:
         raise StateFormatError(f"state file has no record for pair {list(absent)!r}")
     return state

@@ -394,35 +394,28 @@ def derive_wireless_sets(t: Topology) -> Topology:
     return Topology(t.sensors, t.kljn_edges, derived)
 
 
-def _sets_are_clean(t: Topology) -> bool:
-    """Whether the explicit wireless sets hold no error :func:`validate`
-    reports: every owner and peer is a sensor, no sensor is in its own set
-    and no wired peer is in a set."""
-    sets, known, ids = t.wireless_sets, t.sensor_set, t.sensors
-    empty = frozenset()
-    return (
-        known.issuperset(sets)
-        and known.issuperset(chain.from_iterable(sets.values()))
-        and not any(s in peers for s, peers in sets.items())
-        and not any(ids[b] in sets.get(ids[a], empty) or ids[a] in sets.get(ids[b], empty)
-                    for a, b in t.index.links.tolist())
-    )
-
-
 def validate(t: Topology) -> ValidationReport:
     """Check explicit wireless sets, the part of the model that
     :class:`Topology` does not enforce: a set of or naming an unknown sensor
     (``unknown-sensor``), a sensor in its own set (``self-in-wireless``), a
     wired peer in a set (``kljn-wireless-overlap``) and, as a warning, a
     sensor without a set.  Violations are data, not exceptions.  The sets
-    are checked in bulk first, and scanned in sorted order for the report
-    only when that check fails."""
+    are checked in one pass over their owners in sorted order, so the
+    report lists the faults in that order; the wired peers in a set are
+    first found from the wired links, each read both ways."""
     report = ValidationReport()
     known = t.sensor_set
 
     if t.wireless_sets is not None:
-        for s in [] if _sets_are_clean(t) else sorted(t.wireless_sets):
-            peers = t.wireless_sets[s]
+        sets, ids = t.wireless_sets, t.sensors
+        # owner -> wired peers its set names, from the links: cheaper than kljn_set per owner
+        overlaps: dict[SensorId, list[SensorId]] = {}
+        for a, b in t.index.links.tolist():
+            for s, p in ((ids[a], ids[b]), (ids[b], ids[a])):
+                if p in sets.get(s, ()):
+                    overlaps.setdefault(s, []).append(p)
+        for s in sorted(sets):
+            peers = sets[s]
             if s not in known:
                 report.errors.append(
                     ValidationIssue(
@@ -430,22 +423,21 @@ def validate(t: Topology) -> ValidationReport:
                     )
                 )
                 continue
-            for p in sorted(peers):
-                if p not in known:
-                    report.errors.append(
-                        ValidationIssue(
-                            "unknown-sensor",
-                            f"wireless set of {s!r} contains unknown sensor {p!r}",
-                            (s, p),
-                        )
+            for p in sorted(peers - known):
+                report.errors.append(
+                    ValidationIssue(
+                        "unknown-sensor",
+                        f"wireless set of {s!r} contains unknown sensor {p!r}",
+                        (s, p),
                     )
+                )
             if s in peers:
                 report.errors.append(
                     ValidationIssue(
                         "self-in-wireless", f"sensor {s!r} lists itself as a wireless peer", (s,)
                     )
                 )
-            for p in sorted(peers & t.kljn_set(s)):
+            for p in sorted(overlaps.get(s, ())):
                 report.errors.append(
                     ValidationIssue(
                         "kljn-wireless-overlap",
@@ -453,7 +445,7 @@ def validate(t: Topology) -> ValidationReport:
                         (s, p),
                     )
                 )
-        missing = sorted(known - set(t.wireless_sets))
+        missing = sorted(known - set(sets))
         if missing:
             report.warnings.append(
                 ValidationIssue(

@@ -151,7 +151,8 @@ def topology_reference(sensors, kljn_edges, wireless_sets=None) -> SimpleNamespa
 
 def validate_reference(t: Topology) -> ValidationReport:
     """The report of :func:`kextrust.topology.validate`, from a scan of every
-    explicit set in sorted order: the oracle for its check in bulk."""
+    explicit set in sorted order that tests each peer on its own and reads
+    the wired peers through ``kljn_set``: the oracle for its one pass."""
     report = ValidationReport()
     known = t.sensor_set
     if t.wireless_sets is not None:

@@ -194,12 +194,23 @@ class TestValidate:
             ([], {"A": ["B"]}, 0,
              "warning [missing-wireless-entry]: no explicit wireless set for ['B'] "
              "(treated as empty)\nok: 2 sensors, 0 KLJN edges\n"),
+            # every fault at once, reported by owner in sorted order, each
+            # owner's unknown peers sorted, then the sensor without a set
+            ([["B", "C"]], {"Z": ["A"], "A": ["Y", "X"], "B": ["C", "B"]}, 1,
+             "error [unknown-sensor]: wireless set of 'A' contains unknown sensor 'X'\n"
+             "error [unknown-sensor]: wireless set of 'A' contains unknown sensor 'Y'\n"
+             "error [self-in-wireless]: sensor 'B' lists itself as a wireless peer\n"
+             "error [kljn-wireless-overlap]: 'C' is both a KLJN and a wireless peer of 'B'\n"
+             "error [unknown-sensor]: wireless set given for unknown sensor 'Z'\n"
+             "warning [missing-wireless-entry]: no explicit wireless set for ['C'] "
+             "(treated as empty)\n"),
         ],
     )
     def test_wireless_set_fault_report(self, capsys, tmp_path, edges, sets, code, report):
+        # the sensors are A, B and every end of a wired link
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"sensors": ["A", "B"], "kljn_edges": edges,
-                                   "wireless_sets": sets}))
+        bad.write_text(json.dumps({"sensors": sorted({"A", "B"}.union(*edges)),
+                                   "kljn_edges": edges, "wireless_sets": sets}))
         assert run_cli(capsys, "validate", str(bad)) == (code, report, "")
 
 
@@ -538,6 +549,18 @@ class TestStateWorkflow:
         assert (code, err) == (0, "")
         assert out.encode() == report.read_bytes()
 
+    def test_full_precision_leaves_json_unchanged(self, capsys, fig2_file, tmp_path):
+        # --full-precision changes CSV cells only: JSON is always full precision
+        state = str(tmp_path / "state.json")
+        assert main(["establish", fig2_file, "--bits", "8", "--out", state]) == 0
+        assert main(["kill", state, "H"]) == 0
+        code, plain, err = run_cli(capsys, "report", state)
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, "report", state, "--full-precision") == (0, plain, "")
+        code, plain, _ = run_cli(capsys, "trust-matrix", fig2_file, "--format", "json")
+        assert run_cli(capsys, "trust-matrix", fig2_file, "--format", "json",
+                       "--full-precision") == (0, plain, "")
+
     def test_establish_stdout_and_kill_out_flag(self, capsys, fig2_file, tmp_path):
         code, out, _ = run_cli(capsys, "establish", fig2_file, "--seed", "1", "--bits", "16")
         assert code == 0
@@ -648,6 +671,10 @@ class TestStateWorkflow:
             (_v2_state(records=[_WIRED_AB, _WIRED_AB]),
              "state file record 1 (pair ['A', 'B']): a second record for the pair"),
             (_v2_state(records=[]), "state file has no record for pair ['A', 'B']"),
+            # of three wired links, only the first in sorted order has a record
+            (_v2_state(topology={"sensors": ["A", "B", "C"],
+                                 "kljn_edges": [["B", "C"], ["A", "C"], ["A", "B"]]}),
+             "state file has no record for pair ['A', 'C']"),
             # kill events
             (_v2_state(kill_events={}), "state file kill events must be a list"),
             (_state_with_kill(timestamp="x"),

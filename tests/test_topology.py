@@ -501,7 +501,8 @@ class TestConstructionOracle:
 
 
 class TestValidateOracle:
-    """:func:`validate` checks the explicit sets in bulk; the sorted scan of
+    """:func:`validate` checks the explicit sets in one sorted pass, with the
+    wired peers in a set found from the wired links; the per-owner scan of
     :func:`reference_data.validate_reference` is the oracle for its report."""
 
     KINDS = ("unknown-owner", "unknown-peer", "self", "wired-peer", "missing")
@@ -526,6 +527,8 @@ class TestValidateOracle:
             sets[f"ghost{rng.integers(0, 3)}"] = {some}
         elif kind == "unknown-peer" and some in sets:
             sets[some].add(f"ghost{rng.integers(0, 3)}")
+        elif kind == "unknown-peers" and some in sets:
+            sets[some].update(f"ghost{k}" for k in rng.integers(0, 10**6, 5))
         elif kind == "self" and some in sets:
             sets[some].add(some)
         elif kind == "wired-peer" and edges:
@@ -540,10 +543,19 @@ class TestValidateOracle:
     def test_reports_equal_the_reference(self):
         rng = np.random.default_rng(31)
         faulty = 0
-        for trial in range(300):
-            sensors, edges, sets = self._clean(rng, int(rng.integers(1, 40)))
-            picks = [] if trial % 6 == 0 else list(rng.choice(
-                self.KINDS, size=int(rng.integers(1, 4)), replace=trial % 2 == 0))
+        for trial in range(306):
+            # the last six trials have the benchmark's shape, n = 200 and 30%
+            # reach: one clean, then every fault and a set with five random
+            # unknown peers, whose set order is almost never their sorted order
+            big = trial >= 300
+            sensors, edges, sets = self._clean(rng, 200 if big else int(rng.integers(1, 40)))
+            if trial % 6 == 0:
+                picks = []
+            elif big:
+                picks = [*self.KINDS, "unknown-peers"]
+            else:
+                picks = list(rng.choice(
+                    self.KINDS, size=int(rng.integers(1, 4)), replace=trial % 2 == 0))
             for kind in picks:
                 self._inject(rng, str(kind), sensors, edges, sets)
             t = Topology(sensors, edges, sets)
