@@ -55,6 +55,7 @@ from .topology import (
     validate,
 )
 from .trust import (
+    _BLOCK_ROWS,
     coefficients_closed_form,
     coefficients_fixed_point,
     rank_peers,
@@ -147,9 +148,10 @@ def _emit(chunks, out: str | None, *files, source: str | None = None) -> None:
 
 
 # the most cells of a trust matrix that trust-matrix and report build, n =
-# 16384 sensors.  It bounds the id matrix (2 bytes a cell: 512 MiB) and the
-# text of trust-matrix and report --csv, built whole before it is written
-# (about 6 bytes a cell in CSV: 1.5 GiB; up to 30 in JSON or --full-precision)
+# 16384 sensors.  It bounds the exceptions (at worst every cell, 4 bytes a
+# cell: 1 GiB) and the text of trust-matrix and report --csv, built whole
+# before it is written (about 6 bytes a cell in CSV: 1.5 GiB; up to 30 in
+# JSON or --full-precision)
 MATRIX_CELL_BUDGET = 1 << 28
 
 
@@ -170,26 +172,34 @@ def _id_rows(matrix, labels, sep: str, heads, tail: bytes):
     ``labels`` are the ASCII labels of ``matrix.table``, in its order.
 
     Each id's ``sep + label`` is an entry of a fixed-width array, padded with
-    NULs, gathered by id into a buffer that every later block of the same
+    NULs.  Each block of 64 rows is the base row, the entries of
+    ``matrix.base``, copied into a buffer that every later block of the same
     shape reuses (fresh memory for each block cost more in page faults than
-    the copies).  Where the labels differ in width, the NULs are stripped
-    once per block and each row ends after the widths of its entries.
+    the copies), then patched with the entries of its exceptions.  Where the
+    labels differ in width, the NULs are stripped once per block, and each
+    row ends after the base row's width plus the widths its exceptions add.
     """
     encoded = [(sep + label).encode() for label in labels]
     entries = np.array(encoded, dtype=bytes)
-    # the smallest dtype, so that a block's cell widths are a small temporary
-    widths = np.array([len(e) for e in encoded], dtype=np.min_scalar_type(entries.itemsize))
+    widths = np.array([len(e) for e in encoded], dtype=np.intp)
     padded = bool((widths < entries.itemsize).any())
+    n, start = len(matrix.order), matrix.row_start
+    base, base_widths = entries[matrix.base], widths[matrix.base]
+    row_bytes = int(base_widths.sum())
     heads, buffer, cells = iter(heads), None, None
-    for ids in matrix.blocks():
-        if cells is None or cells.shape != ids.shape:
-            buffer = bytearray(ids.size * entries.itemsize)
-            cells = np.frombuffer(buffer, dtype=entries.dtype).reshape(ids.shape)
-        np.take(entries, ids, out=cells, mode="clip")  # every id is in range
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, n - lo)
+        if cells is None or len(cells) != rows:
+            buffer = bytearray(rows * n * entries.itemsize)
+            cells = np.frombuffer(buffer, dtype=entries.dtype).reshape(rows, n)
+        cells[:] = base
+        bounds = start[lo:lo + rows + 1].astype(np.intp)
+        cols, ids = matrix.cols[bounds[0]:bounds[-1]], matrix.ids[bounds[0]:bounds[-1]]
+        cells.reshape(-1)[np.repeat(np.arange(rows) * n, np.diff(bounds)) + cols] = entries[ids]
+        ends = np.arange(1, rows + 1) * row_bytes
         if padded:
-            ends = np.cumsum(widths[ids].sum(axis=1))
-        else:
-            ends = np.arange(1, len(ids) + 1) * (ids.shape[1] * entries.itemsize)
+            added = np.concatenate(([0], np.cumsum(widths[ids] - base_widths[cols])))
+            ends += added[bounds[1:] - bounds[0]]
         # the stripped text lives only through the call, so that no block's
         # text is alive while the next one is stripped
         yield _cut_rows(buffer.translate(None, b"\0") if padded else buffer, ends.tolist(),

@@ -182,15 +182,7 @@ def trust(
     return min(total, 1.0)
 
 
-_BLOCK_ROWS = 64  # rows per block of a TrustMatrix
-
-
-def _id_dtype(n: int, top: int) -> np.dtype:
-    """The smallest unsigned dtype that holds every 2K + member code of an
-    n-sensor matrix and every value id up to ``top``.  The largest code is
-    2n - 1, on the diagonal: 2 deg_i, plus one when an explicit set lists
-    its own owner (off the diagonal it is 2(n - 2) + 1)."""
-    return np.min_scalar_type(max(2 * n - 1, top, 0))
+_BLOCK_ROWS = 64  # rows that trust_matrix counts, and the writers write, at a time
 
 
 def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,29 +201,33 @@ def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class TrustMatrix:
-    """All-pairs trust, rows and columns in ``order``, as value ids.
+    """All-pairs trust, rows and columns in ``order``, as ids of the sorted
+    distinct float64 values in ``table`` (0.0 first, 1.0 last).
 
-    ``table`` holds the sorted distinct float64 values of the matrix; 0.0
-    is its first entry and 1.0 its last.  ``ids`` is the read-only n x n
-    array of positions in ``table``, in the smallest unsigned dtype that
-    holds them, so cell (i, j) is ``table[ids[i, j]]``: it follows
-    :func:`trust` off the diagonal, bit for bit, and the diagonal is 1.0
-    for a live sensor and 0.0 for a killed one.
+    Cell (i, j) is ``table[ids[k]]`` if ``cols[k] == j`` for a k in
+    ``row_start[i]:row_start[i + 1]`` (row i's exceptions, columns
+    ascending), else its column's base, ``table[base[j]]``.  It follows
+    :func:`trust` off the diagonal, bit for bit; the diagonal is 1.0 for a
+    live sensor and 0.0 for a killed one.  The arrays are read-only, each in
+    the smallest unsigned dtype that holds its entries.
     """
 
     order: list[SensorId]
-    ids: np.ndarray
     table: np.ndarray
-
-    def blocks(self):
-        """The rows of ``ids`` in read-only views of up to 64 rows, in order."""
-        for lo in range(0, len(self.order), _BLOCK_ROWS):
-            yield self.ids[lo:lo + _BLOCK_ROWS]
+    base: np.ndarray
+    row_start: np.ndarray
+    cols: np.ndarray
+    ids: np.ndarray
 
     @property
     def values(self) -> np.ndarray:
-        """The n x n float64 values, ``table[ids]``, gathered on each access."""
-        return self.table[self.ids]
+        """The n x n float64 values, built from the bases and exceptions on
+        each access."""
+        n = len(self.order)
+        values = np.empty((n, n))
+        values[:] = self.table[self.base]
+        values[np.repeat(np.arange(n), np.diff(self.row_start)), self.cols] = self.table[self.ids]
+        return values
 
 
 def _sum_table(r: float, top: int) -> np.ndarray:
@@ -239,23 +235,6 @@ def _sum_table(r: float, top: int) -> np.ndarray:
     function (not vectorized power, which may round differently), so that
     matrix cells are bit-identical to trust() calls."""
     return np.array([geometric_partial_sum(r, k) for k in range(top + 1)])
-
-
-def _add_two_hop_counts(flat: np.ndarray, n: int, start: np.ndarray, peers: np.ndarray,
-                        degree: np.ndarray) -> None:
-    """Add 2 to ``flat[i * n + j]`` for every two-hop path i - m - j over the
-    wired peers in CSR form (m's peers are ``peers[start[m]:start[m + 1]]``,
-    ``degree`` of them), i == j included, so cell (i, j) gains 2K.  The
-    middle sensors of one degree d are taken together, at most n^2 paths
-    (8n^2 bytes of keys) at a time, each sensor's paths the outer sum of its
-    d wired peers with themselves."""
-    first, two = start[:-1], flat.dtype.type(2)
-    for d in np.flatnonzero(np.bincount(degree)[1:]) + 1:
-        rows = peers[first[degree == d][:, None] + np.arange(d)]
-        step = max(n * n // (d * d), 1)
-        for lo in range(0, len(rows), step):
-            block = rows[lo:lo + step]
-            np.add.at(flat, (block[:, :, None] * n + block[:, None, :]).ravel(), two)
 
 
 def trust_matrix(
@@ -274,21 +253,20 @@ def trust_matrix(
     ``min(pa[K] + pb[deg_j - K] + pc[Z0_j - member], 1.0)``.  pa, pb and pc
     are :func:`geometric_partial_sum` tables summed in the float order of
     :func:`trust` (pa[0] is 0.0), so every cell equals the :func:`trust`
-    call bit for bit.  Wired cells and the diagonal are then 1.0, and a
-    killed sensor's column, diagonal included, is 0.0.
+    call bit for bit.  Wired cells and the diagonal are exceptions of 1.0,
+    and a killed sensor's column, diagonal included, is 0.0: its base is
+    0.0 and it keeps no exceptions.
 
-    A cell's value off the wired cells and the diagonal is a function of its
-    code, 2K + member, and its column's (deg_j, Z0_j), so the columns are
-    grouped by that pair and each group gets the values of every code it
-    can hold, 0 to 2 deg_j + 1: at most 4 links + 2n floats, whose distinct
-    values, with 0.0 and 1.0, form ``table``.  The only n x n array is
-    ``ids``, in the :func:`_id_dtype` that holds both 2n - 1, the largest
-    code, and the largest id (2 bytes a cell for 128 < n <= 32768
-    while the table has at most 65536 values).  The codes are counted into it,
-    then turned into ids in place, 64 rows at a time, and the wired cells,
-    the diagonal and the killed columns are set once.  However densely the
-    network is wired, the working set beyond ``ids`` is one n^2 chunk of
-    two-hop keys plus O(links), and time grows with n^2 + sum of deg^2.
+    Off the wired cells and the diagonal, a cell's value is a function of
+    its code, 2K + member, and its column's (deg_j, Z0_j): each group of
+    columns sharing that pair gets the value of every code 0 to 2 deg_j + 1,
+    and 1.0 for 2 deg_j + 2, which marks the wired and diagonal cells (at
+    most 4 links + 3n floats).  The codes of 64 rows at a time are counted
+    into one reused block, a block's cells of two-hop paths at a time; its
+    non-zero codes are the exceptions, and the values that occur, with 0.0
+    and 1.0, form ``table``.  No n x n array is built: at worst, every pair
+    wired, every cell is an exception of 3 to 4 bytes (column and id), under
+    the 6 bytes a cell of CSV text.  Time grows with n^2 + sum of deg^2.
     ``order`` is the topology's sensor order.
     """
     order = list(t.sensors)
@@ -299,45 +277,77 @@ def trust_matrix(
     if t.wireless_sets is None:
         # clipped: a column wired to every other sensor has no base cell
         z0 = np.maximum(n - 2 - degree, 0)
+        members = np.empty(0, dtype=np.intp)
     else:
         z0 = np.array([len(t.wireless_set(j)) for j in order], dtype=np.intp)
+        members = np.sort(np.fromiter((idx[p] * n + j_pos for j_pos, j in enumerate(order)
+                                       for p in t.wireless_set(j) if p in idx), dtype=np.intp))
 
     pa = _sum_table(coef.a, degree.max(initial=0))  # K <= deg_j
     pb = _sum_table(coef.b, degree.max(initial=0))
-    pc = _sum_table(coef.c, z0.max(initial=0))
     span = z0.max(initial=0) + 1
     classes, column_class = _distinct(degree * span + z0)
     d, z = np.divmod(classes, span)
-    size = 2 * d + 2
+    # pc at Z0 and, for a member of W_j, at Z0 - 1 (no cell is a member where Z0 = 0)
+    pc = np.array([(geometric_partial_sum(coef.c, v), geometric_partial_sum(coef.c, max(v - 1, 0)))
+                   for v in z.tolist()]).reshape(-1, 2)
+    size = 2 * d + 3
     class_base = np.cumsum(size) - size
-    code = np.arange(size.sum()) - np.repeat(class_base, size)
-    k, d, z = code >> 1, np.repeat(d, size), np.repeat(z, size)
-    # an odd code means i is in W_j, so Z0_j >= 1; where Z0_j = 0 it never occurs
-    cells = np.minimum(pa[k] + pb[d - k] + pc[np.maximum(z - (code & 1), 0)], 1.0)
-    table, lut = _distinct(np.concatenate((cells, [0.0, 1.0])))
-    one = len(table) - 1
+    group = np.repeat(np.arange(len(classes)), size)
+    code = np.arange(size.sum()) - class_base[group]
+    d = d[group]
+    k = np.minimum(code >> 1, d)  # the marker code's value is set below
+    cells = np.minimum(pa[k] + pb[d - k] + pc[group, code & 1], 1.0)
+    cells[class_base + size - 1] = 1.0
+    column_base = class_base[column_class]
 
-    ids = np.zeros((n, n), dtype=_id_dtype(n, one))
-    flat = ids.reshape(-1)
-    _add_two_hop_counts(flat, n, start, peers, degree)
-    if t.wireless_sets is not None:
-        members = np.fromiter((idx[p] * n + j_pos for j_pos, j in enumerate(order)
-                               for p in t.wireless_set(j) if p in idx), dtype=np.intp)
-        flat[members] += 1  # distinct cells, so += adds once each
+    rows_at = np.repeat(np.arange(n) * n, degree)  # cell of row i, column 0, per wired (i, m)
+    wired, marks = rows_at + peers, 2 * degree + 2
+    width = degree[peers]  # two-hop paths through each (i, m)
+    paths = np.concatenate(([0], np.cumsum(width)))  # and before it
+    shift = start[peers] - paths[:-1]  # from a path's number to its j's place in peers
+    member_cut = np.searchsorted(members, np.arange(0, n + _BLOCK_ROWS, _BLOCK_ROWS) * n)
+    dead = [idx[s] for s in killed if s in idx]
+    scratch = np.zeros((min(n, _BLOCK_ROWS), n), dtype=np.min_scalar_type(2 * n))
+    two = scratch.dtype.type(2)  # np.add.at is many times slower with a Python int
+    col_dtype = np.min_scalar_type(max(n - 1, 0))
+    key_dtype = np.min_scalar_type(len(cells))
+    found = [(np.zeros(0, col_dtype), np.zeros(0, key_dtype), np.zeros(0, np.intp))]
+    for block, lo in enumerate(range(0, n, _BLOCK_ROWS)):
+        rows = scratch[:n - lo]
+        rows[:] = 0
+        flat, offset, hi = rows.reshape(-1), lo * n, lo + len(rows)
+        first, last = start[lo], start[hi]
+        # the two-hop paths i - m - j of the block's rows, a block's cells at a time
+        cuts = np.searchsorted(paths, np.arange(paths[first], paths[last], scratch.size))
+        for p, q in zip(cuts, [*cuts[1:], last]):
+            at = np.repeat(shift[p:q], width[p:q])
+            at += np.arange(paths[p], paths[q])
+            np.add.at(flat, np.repeat(rows_at[p:q] - offset, width[p:q]) + peers[at], two)
+        # distinct cells, so += adds once each
+        flat[members[member_cut[block]:member_cut[block + 1]] - offset] += 1
+        flat[wired[first:last] - offset] = marks[peers[first:last]]
+        flat[np.arange(len(rows)) * (n + 1) + lo] = marks[lo:hi]
+        rows[:, dead] = 0
+        at = np.flatnonzero(flat != 0)  # several times faster than on the codes
+        row, col = np.divmod(at, n)
+        key = (column_base[col] + flat[at]).astype(key_dtype)
+        found.append((col.astype(col_dtype), key, np.bincount(row, minlength=len(rows))))
 
-    column_base, lut = class_base[column_class], lut[:-2].astype(ids.dtype)
-    keys = np.empty((min(n, _BLOCK_ROWS), n), dtype=np.intp)
-    for lo in range(0, n, _BLOCK_ROWS):
-        rows = ids[lo:lo + _BLOCK_ROWS]
-        block = keys[:len(rows)]
-        np.add(rows, column_base, out=block)
-        # "clip" leaves out the buffered copy that "raise" makes; every key is in range
-        np.take(lut, block, out=rows, mode="clip")
-    flat[np.repeat(np.arange(n) * n, degree) + peers] = one
-    flat[::n + 1] = one
-    ids[:, [idx[s] for s in killed if s in idx]] = 0
-    ids.flags.writeable = False
-    return TrustMatrix(order, ids, table)
+    cols, keys, counts = (np.concatenate(part) for part in zip(*found))
+    # a column all of whose cells are exceptions holds no base value
+    live = np.bincount(cols, minlength=n) < n
+    live[dead] = False
+    used = np.bincount(np.concatenate((keys, column_base[live])), minlength=len(cells)) > 0
+    table, lut = _distinct(np.concatenate((cells[used], [0.0, 1.0])))
+    id_of = np.zeros(len(cells), dtype=np.min_scalar_type(len(table) - 1))
+    id_of[used] = lut[:-2]
+    base = np.where(live, id_of[column_base], 0).astype(id_of.dtype)
+    row_start = np.concatenate(([0], np.cumsum(counts))).astype(np.min_scalar_type(len(cols)))
+    ids = id_of[keys]
+    for array in (base, row_start, cols, ids):
+        array.flags.writeable = False
+    return TrustMatrix(order, table, base, row_start, cols, ids)
 
 
 def rank_peers(

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -938,6 +939,103 @@ class TestOutputStreams:
         with contextlib.redirect_stdout(text):
             _emit(["b", b"c", "dé", b"e"], None)
         assert text.getvalue() == "bcdée"
+
+
+def _drawn_network(n, draws, seed):
+    """``n`` sensors s000, s001, ... and the distinct pairs among ``draws``
+    drawn with ``random.Random(seed)``, sorted, as a topology document."""
+    r = random.Random(seed)
+    sensors = [f"s{k:03d}" for k in range(n)]
+    edges = sorted({tuple(sorted(r.sample(sensors, 2))) for _ in range(draws)})
+    return {"sensors": sensors, "kljn_edges": edges}
+
+
+@pytest.fixture(scope="module")
+def edge_networks(tmp_path_factory):
+    """The networks at the row-block and dtype edges of the matrix writer:
+    c300 (five blocks) and c129 (two full blocks and a row) with drawn
+    links, n130 with every pair wired but (s000, s001), e0 with no sensor
+    and e1 with one, as paths of their topology files."""
+    base = tmp_path_factory.mktemp("edges")
+    sensors = [f"s{k:03d}" for k in range(130)]
+    docs = {
+        "c300": _drawn_network(300, 900, seed=1),
+        "c129": _drawn_network(129, 400, seed=4),
+        "n130": {"sensors": sensors, "kljn_edges": [
+            [a, b] for a in sensors for b in sensors if a < b and (a, b) != ("s000", "s001")]},
+        "e0": {"sensors": []},
+        "e1": {"sensors": ["s000"]},
+    }
+    for name, doc in docs.items():
+        (base / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    return {name: str(base / f"{name}.json") for name in docs}
+
+
+MATRIX_FORMATS = ((), ("--full-precision",), ("--format", "json"))
+
+
+class TestMatrixStdoutEqualsOut:
+    """``trust-matrix`` and ``report`` write the same bytes to stdout as to
+    ``--out``, at the row-block and dtype edges of the matrix writer."""
+
+    @staticmethod
+    def _assert_same(capsys, tmp_path, *argv):
+        """Both runs of ``argv``, to stdout and with ``--out``, exit 0 with
+        nothing on stderr, and write the same non-empty bytes; returns them."""
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        out = tmp_path / "out"
+        assert run_cli(capsys, *argv, "--out", str(out)) == (0, "", "")
+        written = out.read_bytes()
+        assert written and stdout.encode() == written
+        return written
+
+    @pytest.mark.parametrize("kill", [(), ("--kill", "s000,s150")], ids=["live", "kill"])
+    @pytest.mark.parametrize("fmt", MATRIX_FORMATS, ids=["csv", "full", "json"])
+    def test_trust_matrix_at_n_300(self, capsys, tmp_path, edge_networks, fmt, kill):
+        self._assert_same(capsys, tmp_path, "trust-matrix", edge_networks["c300"], *fmt, *kill)
+
+    @pytest.mark.parametrize("fmt", MATRIX_FORMATS, ids=["csv", "full", "json"])
+    def test_trust_matrix_at_n_129(self, capsys, tmp_path, edge_networks, fmt):
+        self._assert_same(capsys, tmp_path, "trust-matrix", edge_networks["c129"], *fmt)
+
+    def test_cell_past_the_byte_boundary_is_the_scalar_trust(self, capsys, tmp_path,
+                                                              edge_networks):
+        # the one non-wired pair, (s000, s001), has 2K + 1 = 257
+        topology = edge_networks["n130"]
+        text = self._assert_same(capsys, tmp_path, "trust-matrix", topology, "--full-precision")
+        code, scalar, _ = run_cli(capsys, "trust", topology, "s000", "s001", "--full-precision")
+        assert code == 0
+        assert text.decode().splitlines()[1].split(",")[2] == scalar.rstrip("\n")
+
+    @pytest.mark.parametrize("kill", [(), ("--kill",)], ids=["live", "kill"])
+    @pytest.mark.parametrize("fmt", MATRIX_FORMATS, ids=["csv", "full", "json"])
+    @pytest.mark.parametrize("name, killed", [("e0", ","), ("e1", "s000")])
+    def test_trust_matrix_at_n_0_and_1(self, capsys, tmp_path, edge_networks, name, killed,
+                                       fmt, kill):
+        # an empty --kill list at n = 0, the one sensor killed at n = 1
+        kill = (*kill, killed) if kill else ()
+        self._assert_same(capsys, tmp_path, "trust-matrix", edge_networks[name], *fmt, *kill)
+
+    @pytest.mark.parametrize("name, seed", [("c129", "5"), ("e1", "5")])
+    def test_report_and_its_csv(self, capsys, tmp_path, edge_networks, name, seed):
+        state = str(tmp_path / "state.json")
+        assert main(["establish", edge_networks[name], "--seed", seed, "--bits", "8",
+                     "--out", state]) == 0
+        code, stdout, err = run_cli(capsys, "report", state, "--csv", str(tmp_path / "stdout.csv"))
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, "report", state, "--csv", str(tmp_path / "out.csv"),
+                       "--out", str(tmp_path / "report.json")) == (0, "", "")
+        written = (tmp_path / "report.json").read_bytes()
+        assert written and stdout.encode() == written
+        assert (tmp_path / "stdout.csv").read_bytes() == (tmp_path / "out.csv").read_bytes()
+
+    def test_report_at_n_300(self, capsys, tmp_path, edge_networks):
+        # the matrix of five 64-row blocks goes to stdout as bytes
+        state = str(tmp_path / "state.json")
+        assert main(["establish", edge_networks["c300"], "--seed", "3", "--bits", "8",
+                     "--out", state]) == 0
+        self._assert_same(capsys, tmp_path, "report", state)
 
 
 class TestMatrixBudget:

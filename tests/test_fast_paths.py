@@ -27,7 +27,6 @@ import pytest
 import kextrust
 from kextrust import kljn
 from kextrust.cli import (
-    MATRIX_CELL_BUDGET,
     main,
     matrix_to_csv,
     matrix_to_json,
@@ -65,7 +64,6 @@ from kextrust.orchestrator import (
 from kextrust.topology import Topology, derive_wireless_sets, topology_to_doc
 from kextrust.trust import (
     TrustMatrix,
-    _id_dtype,
     coefficients_closed_form,
     coefficients_fixed_point,
     trust,
@@ -511,32 +509,73 @@ def _untidy_wireless_sets(t, rng):
     return Topology(t.sensors, t.kljn_edges, sets)
 
 
+def _exception_cells(t):
+    """The cells that ``trust_matrix`` keeps as exceptions, but for those
+    of killed columns: each sensor's wired, two-hop and diagonal cells, and
+    the members of the explicit wireless sets, as a set of i * n + j."""
+    n = len(t.sensors)
+    start, peers = t.index.peer_start.tolist(), t.index.peer_positions.tolist()
+    cells = set()
+    for i in range(n):
+        near = {i, *peers[start[i]:start[i + 1]]}
+        for m in peers[start[i]:start[i + 1]]:
+            near.update(peers[start[m]:start[m + 1]])
+        cells.update(i * n + j for j in near)
+    if t.wireless_sets is not None:
+        idx = t.index.positions
+        cells.update(idx[p] * n + j for j, s in enumerate(t.sensors)
+                     for p in t.wireless_set(s) if p in idx)
+    return cells
+
+
+def _assert_parts(matrix, values, t, killed):
+    """The parts of ``matrix``, the trust matrix of ``t`` with the sensors
+    ``killed`` and the dense ``values``: ``table`` is their sorted distinct
+    values, with 0.0 and 1.0; the exceptions are exactly the cells of
+    :func:`_exception_cells` outside the killed columns, each row's in
+    ascending column order; a killed column has base 0; and every array is
+    read-only, in the smallest unsigned dtype that holds its entries."""
+    n, table = len(matrix.order), matrix.table
+    assert table[0] == 0.0 and table[-1] == 1.0 and np.all(table[1:] > table[:-1])
+    at = np.searchsorted(table, values.ravel())
+    assert np.array_equal(table[at], values.ravel())
+    assert np.all(np.bincount(at, minlength=len(table))[1:-1] > 0)
+    start = matrix.row_start.astype(np.intp)
+    assert len(start) == n + 1 and start[0] == 0 and start[-1] == len(matrix.cols)
+    assert len(matrix.ids) == len(matrix.cols) and np.all(np.diff(start) >= 0)
+    cells = np.repeat(np.arange(n) * n, np.diff(start)) + matrix.cols
+    assert np.all(np.diff(cells) > 0)
+    dead = [matrix.order.index(s) for s in killed if s in matrix.order]
+    want = {c for c in _exception_cells(t) if c % n not in dead} if n else set()
+    assert set(cells.tolist()) == want
+    assert np.all(matrix.base[dead] == 0)
+    for array, top in ((matrix.base, len(table) - 1), (matrix.ids, len(table) - 1),
+                       (matrix.cols, n - 1), (matrix.row_start, len(matrix.cols))):
+        assert array.dtype == np.min_scalar_type(max(top, 0)) and not array.flags.writeable
+
+
 def _assert_matrix_equals_dense(t, coef=COEF, kills=None):
-    """The value-id blocks of ``trust_matrix``, looked up in its ``table``,
-    are the dense reference's rows, 64 at a time and bit for bit, and
-    ``values`` is the blocks put together.  Returns the last matrix built."""
+    """``values`` of ``trust_matrix``, its column bases patched with its
+    exceptions, is the dense reference bit for bit, and its parts are as
+    :func:`_assert_parts` says.  Returns the last matrix built."""
     if kills is None:
         kills = (frozenset(), frozenset(t.sensors[::3]), frozenset(t.sensors))
     for killed in kills:
         got = trust_matrix(t, coef, killed)
         want = trust_matrix_dense_reference(t, coef, killed)
         n = len(want.order)
-        assert got.order == want.order
-        blocks = [got.table[ids] for ids in got.blocks()]
-        assert [b.shape for b in blocks] == [(min(64, n - lo), n) for lo in range(0, n, 64)]
-        rows = np.concatenate([np.empty((0, n)), *blocks])
-        assert np.array_equal(rows.view(np.uint64), want.values.view(np.uint64)), killed
-        assert got.values.shape == (n, n)
-        assert np.array_equal(got.values.view(np.uint64), rows.view(np.uint64))
+        values = got.values
+        assert got.order == want.order and values.shape == (n, n)
+        assert np.array_equal(values.view(np.uint64), want.values.view(np.uint64)), killed
+        _assert_parts(got, values, t, killed)
     return got
 
 
-def _assert_smallest_id_dtype(matrix):
-    """``matrix.ids`` is in the smallest unsigned dtype that holds both the
-    largest code, 2n - 1, and the largest id, ``len(table) - 1``."""
-    dtype, top = matrix.ids.dtype, max(2 * len(matrix.order) - 1, len(matrix.table) - 1)
-    assert dtype.kind == "u" and np.iinfo(dtype).max >= top
-    assert dtype.itemsize == 1 or np.iinfo(f"u{dtype.itemsize // 2}").max < top
+def _block_edges(t):
+    """The sensors at positions 0, 63, 64, 127, 128 and n - 1 of ``t``: the
+    first and last rows and columns of the 64-row blocks."""
+    n = len(t.sensors)
+    return [t.sensors[k] for k in sorted({0, 63, 64, 127, 128, n - 1}) if 0 <= k < n]
 
 
 class TestTrustMatrixKernel:
@@ -585,34 +624,20 @@ class TestTrustMatrixKernel:
         for u in (t, with_explicit_wireless_sets(t, rng, 0.4), _untidy_wireless_sets(t, rng)):
             _assert_matrix_equals_dense(u)
 
-    def test_blocks_are_read_only_views_of_ids(self):
-        # every block, the short last one too, is a slice of ids, and a block
-        # kept while later ones are drawn is left as it was
-        t = sparse_topology(np.random.default_rng(8), 200, 600)
-        matrix = trust_matrix(t, COEF)
-        blocks = matrix.blocks()
-        first = next(blocks)
-        kept = first.copy()
-        rest = list(blocks)
-        assert [ids.shape for ids in (first, *rest)] == [(64, 200)] * 3 + [(8, 200)]
-        for ids in (first, *rest):
-            assert np.shares_memory(ids, matrix.ids) and not ids.flags.writeable
-        assert not matrix.ids.flags.writeable
-        assert np.array_equal(first, kept) and np.array_equal(first, matrix.ids[:64])
-
-    @pytest.mark.parametrize("n", [129, 130])
+    @pytest.mark.parametrize("n", [127, 128, 129, 130])
     @pytest.mark.parametrize("derived", [False, True])
-    def test_largest_off_diagonal_code_at_the_byte_boundary(self, n, derived):
-        # every pair wired but (s000, s001), whose code 2(n - 2) + 1 is 255
-        # at n = 129 and 257 at n = 130: the ids are counted in a dtype that
-        # holds it, and the cell is the scalar trust bit for bit
+    def test_largest_codes_at_the_byte_boundary(self, n, derived):
+        # every pair wired but (s000, s001): the wired and diagonal cells are
+        # marked 2 deg_j + 2, at most 254 at n = 127 and 256 at n = 128, and
+        # the one non-wired pair's code 2(n - 2) + 1 is 255 at n = 129 and 257
+        # at n = 130; the codes are counted in a dtype that holds them, and
+        # the cell is the scalar trust bit for bit
         sensors = tuple(f"s{k:03d}" for k in range(n))
         edges = frozenset((a, b) for a in sensors for b in sensors if a < b) - {("s000", "s001")}
         t = Topology(sensors, edges)
         if derived:
             t = derive_wireless_sets(t)
         matrix = _assert_matrix_equals_dense(t, kills=(frozenset(),))
-        _assert_smallest_id_dtype(matrix)
         cell, want = matrix.values[0, 1], np.float64(trust(t, COEF, frozenset(), "s000", "s001"))
         assert cell.view(np.uint64) == want.view(np.uint64) and 0.0 < cell < 1.0
 
@@ -620,32 +645,44 @@ class TestTrustMatrixKernel:
         # every pair wired and an owner in its own set: 2 deg_i + 1 = 2n - 1
         sensors = ("a", "b", "c", "d", "e")
         edges = frozenset((x, y) for x in sensors for y in sensors if x < y)
-        matrix = _assert_matrix_equals_dense(Topology(sensors, edges, {"a": {"a"}}))
-        _assert_smallest_id_dtype(matrix)
+        _assert_matrix_equals_dense(Topology(sensors, edges, {"a": {"a"}}))
 
-    @pytest.mark.parametrize("n", [0, 1, 128, 129, math.isqrt(MATRIX_CELL_BUDGET), 32768, 32769,
-                                   32770])
-    def test_code_dtype_holds_every_count(self, n):
-        # with few distinct values, the smallest unsigned dtype holding 2n - 1,
-        # 2 bytes up to the size guard and beyond; off the diagonal the largest
-        # count, 2(n - 2) + 1, crosses 2^16 one sensor later.  A table of more
-        # values than that widens it to hold the largest id
-        dtype, top = _id_dtype(n, 1), max(2 * n - 1, 1)
-        assert dtype.kind == "u" and np.iinfo(dtype).max >= top
-        assert dtype.itemsize == 1 or np.iinfo(f"u{dtype.itemsize // 2}").max < top
-        assert (dtype == np.uint16) == (128 < n <= 32768)
-        assert _id_dtype(n, 2 * n - 1) == dtype
-        assert _id_dtype(n, 2**16) == np.uint32
+    @pytest.mark.parametrize("n", [129, 200])
+    def test_kills_at_the_block_edges(self, n):
+        # the first and last rows and columns of the blocks killed one at a
+        # time and all together, under the complement rule and with explicit
+        # sets, tidy and untidy (owners listing themselves among them)
+        rng = np.random.default_rng(60 + n)
+        t = random_topology(rng, n, edge_prob=0.05)
+        edges = _block_edges(t)
+        kills = [frozenset({s}) for s in edges] + [frozenset(edges)]
+        for u in (t, with_explicit_wireless_sets(t, rng, 0.4), _untidy_wireless_sets(t, rng)):
+            _assert_matrix_equals_dense(u, kills=kills)
+
+    @pytest.mark.parametrize("n", [1000, 2000, 4000])
+    def test_complement_networks_up_to_n_4000(self, n):
+        # 3n wired links, the benchmark's density, with the block edges killed
+        t = sparse_topology(np.random.default_rng(n), n, 3 * n)
+        _assert_matrix_equals_dense(t, kills=(frozenset(_block_edges(t)),))
 
     def test_saturation_network(self):
         # (i, a) has K = W = Z = 40; under the fixed-point coefficients of
-        # tol 1e-4 its sum is above 1.0, so the cap must hold
+        # tol 1e-4 its sum is above 1.0, so the cap must hold, and the cell
+        # takes the id and the CSV label of a wired cell
         t = _saturation_topology()
         loose = coefficients_fixed_point(1e-4)
         for coef in (COEF, loose):
             _assert_matrix_equals_dense(t, coef)
         matrix = trust_matrix(t, loose)
-        assert matrix.values[matrix.order.index("i"), matrix.order.index("a")] == 1.0
+        i, a, m = (matrix.order.index(s) for s in ("i", "a", "m00"))
+        start = matrix.row_start[i]
+        row = dict(zip(matrix.cols[start:matrix.row_start[i + 1]].tolist(),
+                       matrix.ids[start:matrix.row_start[i + 1]].tolist()))
+        assert row[a] == row[m] == len(matrix.table) - 1 and matrix.table[-1] == 1.0
+        for full_precision in (False, True):
+            text = b"".join(matrix_to_csv(matrix, full_precision)).decode()
+            cells = list(csv.reader(io.StringIO(text, newline="")))[1 + i][1:]
+            assert cells[a] == cells[m] == ("1.0" if full_precision else "1.000")
 
     def test_benchmark_sized_networks(self):
         rng = np.random.default_rng(23)
@@ -701,6 +738,18 @@ class TestValueTable:
         assert table[0] == 0.0 and table[-1] == 1.0
         # the report labels its rankings through the table
         assert {v for ranking in rankings.values() for _, v in ranking} <= set(table.tolist())
+
+    def test_table_holds_only_the_values_that_occur(self):
+        # n = 300 with half the pairs wired and one kill: every non-wired
+        # cell saturates, so the matrix holds only 0.0 and 1.0, and so does
+        # the table, though its column groups could hold 60 values; the
+        # --full-precision CSV is the csv.writer text of the values
+        t = random_topology(np.random.default_rng(46), 300, edge_prob=0.5)
+        matrix = trust_matrix(t, COEF, frozenset({t.sensors[100]}))
+        values = matrix.values
+        assert matrix.table.tolist() == sorted({0.0, 1.0, *values.ravel().tolist()}) == [0.0, 1.0]
+        assert b"".join(matrix_to_csv(matrix, True)) == matrix_to_csv_reference(
+            matrix.order, values, True).encode()
 
     def test_bit_order_is_value_order(self):
         # every value is >= 0 and never -0.0, so sorting the table by bit
@@ -778,10 +827,10 @@ class TestMatrixWriters:
     @pytest.mark.parametrize("full_precision", [False, True])
     def test_csv_temporaries_stay_per_block(self, complement_1000, full_precision):
         # the chunks hold the text once, with no join.  On top, a block of 64
-        # rows needs its keys and value ids (1 MB) and, with repr labels, a
-        # fixed-width cell buffer (~1.3 MB), the block's entry widths and its
-        # text twice, stripped and framed (~1 MB each); the whole matrix at
-        # once would need over 20 MB
+        # rows needs a fixed-width cell buffer (0.4 MB, ~1.3 MB with repr
+        # labels), the places and entries of its exceptions and, with repr
+        # labels, its text twice, stripped and framed (~1 MB each); the whole
+        # matrix at once would need over 20 MB
         tracemalloc.start()
         try:
             chunks = matrix_to_csv(complement_1000, full_precision)
@@ -996,9 +1045,9 @@ class TestPinnedMatrixOutput:
 
 
     def test_trust_matrix_peak_holds_ids_and_text_once(self, tmp_path, digest_inputs):
-        # n = 1000: the 2-byte value ids, the CSV text once and one block's
-        # keys, where a dense float matrix and a joined copy of the text would
-        # take 8 MB and 6 MB more
+        # n = 1000: the column bases and exceptions, the CSV text once and one
+        # block's codes and cells, where a dense float matrix and a joined copy
+        # of the text would take 8 MB and 6 MB more
         out = tmp_path / "m.csv"
         assert main(["trust-matrix", str(digest_inputs["c1000"]), "--out", str(out)]) == 0
         tracemalloc.start()

@@ -204,46 +204,45 @@ class TestTrustMatrix:
 
     def test_retains_only_the_values(self):
         # n = 1000 under the complement rule with 3n wired links: every
-        # working array is dropped, so the result holds just the 2-byte value
-        # ids and the value table, not n x n floats
+        # working array is dropped, so the result holds just the column
+        # bases, the 42,000 or so exceptions (a 2-byte column and a 1-byte id
+        # each) and the value table, not n x n ids or floats
         t = sparse_topology(np.random.default_rng(43), 1000, 3000)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            matrix = trust_matrix(t, COEF)
+            trust_matrix(t, COEF)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert matrix.ids.itemsize == 2
-        assert retained <= matrix.ids.nbytes + 2**20, f"{retained / 2**20:.1f} MB retained"
+        assert retained <= 2**20, f"{retained / 2**20:.1f} MB retained"
 
     def test_peak_stays_near_the_values(self):
-        # the id matrix is the only n x n array built; the rest of the
-        # working set is well under a MB at this size
+        # no n x n array is built: the working set is one 64-row block of
+        # codes and the exceptions, each held once more while they are joined
         t = sparse_topology(np.random.default_rng(43), 1000, 3000)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            matrix = trust_matrix(t, COEF)
+            trust_matrix(t, COEF)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < matrix.ids.nbytes + 2**20, f"{peak / 2**20:.1f} MB peak"
+        assert peak < 2 * 2**20, f"{peak / 2**20:.1f} MB peak"
 
     @pytest.mark.parametrize("edge_prob", [0.5, 1.0])
     def test_peak_is_bounded_on_dense_wiring(self, edge_prob):
         # n = 200 with half or all pairs wired: the sum of deg^2, one entry
-        # per two-hop path, reaches n^3.  The paths are counted a bounded
-        # chunk at a time, and the codes turn into value ids a block at a time,
-        # so the peak is the ids, the links both ways in two orders, one chunk
-        # of keys and a block's keys: a fixed multiple of n^2 floats
+        # per two-hop path, reaches n^3.  The paths are counted at most a
+        # block's cells at a time, so the peak is the links both ways, a
+        # block of codes and its paths, and the exceptions, up to every cell
+        # once wired: a fixed multiple of n^2 floats
         t = random_topology(np.random.default_rng(44), 200, edge_prob=edge_prob)
         n = len(t.sensors)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for _ in trust_matrix(t, COEF).blocks():
-                pass
+            trust_matrix(t, COEF)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
