@@ -55,7 +55,6 @@ from .topology import (
     validate,
 )
 from .trust import (
-    _BLOCK_ROWS,
     coefficients_closed_form,
     coefficients_fixed_point,
     rank_peers,
@@ -148,10 +147,10 @@ def _emit(chunks, out: str | None, *files, source: str | None = None) -> None:
 
 
 # the most cells of a trust matrix that trust-matrix and report build, n =
-# 16384 sensors.  It bounds the exceptions (at worst every cell, 4 bytes a
-# cell: 1 GiB) and the text of trust-matrix and report --csv, built whole
-# before it is written (about 6 bytes a cell in CSV: 1.5 GiB; up to 30 in
-# JSON or --full-precision)
+# 16384 sensors.  It bounds the exceptions (at worst every cell: 3 bytes a
+# cell kept, 6 while trust_matrix joins them, 1.5 GiB) and the text of
+# trust-matrix and report --csv, built whole before it is written (about 6
+# bytes a cell in CSV: 1.5 GiB; up to 30 in JSON or --full-precision)
 MATRIX_CELL_BUDGET = 1 << 28
 
 
@@ -172,34 +171,31 @@ def _id_rows(matrix, labels, sep: str, heads, tail: bytes):
     ``labels`` are the ASCII labels of ``matrix.table``, in its order.
 
     Each id's ``sep + label`` is an entry of a fixed-width array, padded with
-    NULs.  Each block of 64 rows is the base row, the entries of
-    ``matrix.base``, copied into a buffer that every later block of the same
-    shape reuses (fresh memory for each block cost more in page faults than
-    the copies), then patched with the entries of its exceptions.  Where the
-    labels differ in width, the NULs are stripped once per block, and each
-    row ends after the base row's width plus the widths its exceptions add.
+    NULs.  A block is the base row, ``matrix.base``'s entries, copied into a
+    buffer that later blocks of its shape reuse (fresh memory cost more in
+    page faults than the copies), then patched with its exceptions' entries.
+    Where the labels differ in width, the NULs are stripped once per block,
+    and each row ends after the base row's width plus its exceptions' deltas.
     """
     encoded = [(sep + label).encode() for label in labels]
     entries = np.array(encoded, dtype=bytes)
     widths = np.array([len(e) for e in encoded], dtype=np.intp)
     padded = bool((widths < entries.itemsize).any())
-    n, start = len(matrix.order), matrix.row_start
+    n = len(matrix.order)
     base, base_widths = entries[matrix.base], widths[matrix.base]
     row_bytes = int(base_widths.sum())
     heads, buffer, cells = iter(heads), None, None
-    for lo in range(0, n, _BLOCK_ROWS):
-        rows = min(_BLOCK_ROWS, n - lo)
-        if cells is None or len(cells) != rows:
-            buffer = bytearray(rows * n * entries.itemsize)
-            cells = np.frombuffer(buffer, dtype=entries.dtype).reshape(rows, n)
+    for rows, at, ids in matrix.patches():
+        if cells is None or len(cells) != len(rows):
+            buffer = bytearray(len(rows) * n * entries.itemsize)
+            cells = np.frombuffer(buffer, dtype=entries.dtype).reshape(len(rows), n)
         cells[:] = base
-        bounds = start[lo:lo + rows + 1].astype(np.intp)
-        cols, ids = matrix.cols[bounds[0]:bounds[-1]], matrix.ids[bounds[0]:bounds[-1]]
-        cells.reshape(-1)[np.repeat(np.arange(rows) * n, np.diff(bounds)) + cols] = entries[ids]
-        ends = np.arange(1, rows + 1) * row_bytes
+        cells.reshape(-1)[at] = entries[ids]
+        row_ends = np.arange(1, len(rows) + 1)
+        ends = row_ends * row_bytes
         if padded:
-            added = np.concatenate(([0], np.cumsum(widths[ids] - base_widths[cols])))
-            ends += added[bounds[1:] - bounds[0]]
+            added = np.concatenate(([0], np.cumsum(widths[ids] - base_widths[at % n])))
+            ends += added[np.searchsorted(at, row_ends * n)]
         # the stripped text lives only through the call, so that no block's
         # text is alive while the next one is stripped
         yield _cut_rows(buffer.translate(None, b"\0") if padded else buffer, ends.tolist(),

@@ -221,13 +221,24 @@ class TrustMatrix:
 
     @property
     def values(self) -> np.ndarray:
-        """The n x n float64 values, built from the bases and exceptions on
-        each access."""
+        """The n x n float64 values, built from base and exceptions on each access."""
         n = len(self.order)
         values = np.empty((n, n))
         values[:] = self.table[self.base]
-        values[np.repeat(np.arange(n), np.diff(self.row_start)), self.cols] = self.table[self.ids]
+        for rows, at, ids in self.patches():
+            values[rows.start:rows.stop].reshape(-1)[at] = self.table[ids]
         return values
+
+    def patches(self):
+        """Per block of up to 64 rows: its rows, as a ``range``, then its
+        exceptions' positions among its cells (row-major, ascending) and ids."""
+        n = len(self.order)
+        for lo in range(0, n, _BLOCK_ROWS):
+            rows = range(lo, min(lo + _BLOCK_ROWS, n))
+            bounds = self.row_start[lo:rows.stop + 1].astype(np.intp)
+            cells = slice(bounds[0], bounds[-1])
+            at = np.repeat(np.arange(len(rows)) * n, np.diff(bounds)) + self.cols[cells]
+            yield rows, at, self.ids[cells]
 
 
 def _sum_table(r: float, top: int) -> np.ndarray:
@@ -262,12 +273,13 @@ def trust_matrix(
     columns sharing that pair gets the value of every code 0 to 2 deg_j + 1,
     and 1.0 for 2 deg_j + 2, which marks the wired and diagonal cells (at
     most 4 links + 3n floats).  The codes of 64 rows at a time are counted
-    into one reused block, a block's cells of two-hop paths at a time; its
+    into one reused block, from the block's links and two-hop paths; its
     non-zero codes are the exceptions, and the values that occur, with 0.0
-    and 1.0, form ``table``.  No n x n array is built: at worst, every pair
-    wired, every cell is an exception of 3 to 4 bytes (column and id), under
-    the 6 bytes a cell of CSV text.  Time grows with n^2 + sum of deg^2.
-    ``order`` is the topology's sensor order.
+    and 1.0, form ``table``.  No n x n array is built.  At worst, every pair
+    wired, the result keeps 3 bytes a cell (column and id) and the build
+    peaks at 6 while the exceptions are joined (1.5 GiB at n = 16384; 10
+    where the codes' values outgrow 2-byte keys).  Time grows with n^2 +
+    sum of deg^2.  ``order`` is the topology's sensor order.
     """
     order = list(t.sensors)
     n = len(order)
@@ -285,66 +297,70 @@ def trust_matrix(
 
     pa = _sum_table(coef.a, degree.max(initial=0))  # K <= deg_j
     pb = _sum_table(coef.b, degree.max(initial=0))
+    pc = _sum_table(coef.c, z0.max(initial=0))
     span = z0.max(initial=0) + 1
     classes, column_class = _distinct(degree * span + z0)
     d, z = np.divmod(classes, span)
-    # pc at Z0 and, for a member of W_j, at Z0 - 1 (no cell is a member where Z0 = 0)
-    pc = np.array([(geometric_partial_sum(coef.c, v), geometric_partial_sum(coef.c, max(v - 1, 0)))
-                   for v in z.tolist()]).reshape(-1, 2)
     size = 2 * d + 3
     class_base = np.cumsum(size) - size
-    group = np.repeat(np.arange(len(classes)), size)
-    code = np.arange(size.sum()) - class_base[group]
-    d = d[group]
+    code = np.arange(size.sum()) - np.repeat(class_base, size)
+    d, z = np.repeat(d, size), np.repeat(z, size)
     k = np.minimum(code >> 1, d)  # the marker code's value is set below
-    cells = np.minimum(pa[k] + pb[d - k] + pc[group, code & 1], 1.0)
+    # an odd code means i is in W_j, so Z0_j >= 1; where Z0_j = 0 it never occurs
+    cells = np.minimum(pa[k] + pb[d - k] + pc[np.maximum(z - (code & 1), 0)], 1.0)
     cells[class_base + size - 1] = 1.0
     column_base = class_base[column_class]
 
-    rows_at = np.repeat(np.arange(n) * n, degree)  # cell of row i, column 0, per wired (i, m)
-    wired, marks = rows_at + peers, 2 * degree + 2
-    width = degree[peers]  # two-hop paths through each (i, m)
-    paths = np.concatenate(([0], np.cumsum(width)))  # and before it
-    shift = start[peers] - paths[:-1]  # from a path's number to its j's place in peers
+    marks = 2 * degree + 2
     member_cut = np.searchsorted(members, np.arange(0, n + _BLOCK_ROWS, _BLOCK_ROWS) * n)
     dead = [idx[s] for s in killed if s in idx]
     scratch = np.zeros((min(n, _BLOCK_ROWS), n), dtype=np.min_scalar_type(2 * n))
     two = scratch.dtype.type(2)  # np.add.at is many times slower with a Python int
     col_dtype = np.min_scalar_type(max(n - 1, 0))
     key_dtype = np.min_scalar_type(len(cells))
-    found = [(np.zeros(0, col_dtype), np.zeros(0, key_dtype), np.zeros(0, np.intp))]
+    col_parts, key_parts, row_counts = [np.zeros(0, col_dtype)], [np.zeros(0, key_dtype)], []
+    column_counts = np.zeros(n, dtype=np.intp)
     for block, lo in enumerate(range(0, n, _BLOCK_ROWS)):
         rows = scratch[:n - lo]
         rows[:] = 0
-        flat, offset, hi = rows.reshape(-1), lo * n, lo + len(rows)
-        first, last = start[lo], start[hi]
+        flat, hi = rows.reshape(-1), lo + len(rows)
+        links = peers[start[lo]:start[hi]]  # the block's wired (i, m), as m
+        rows_at = np.repeat(np.arange(len(rows)) * n, degree[lo:hi])  # and as i's cell in column 0
+        width = degree[links]  # two-hop paths through each (i, m)
+        paths = np.concatenate(([0], np.cumsum(width)))  # and before it
+        shift = start[links] - paths[:-1]  # from a path's number to its j's place in peers
         # the two-hop paths i - m - j of the block's rows, a block's cells at a time
-        cuts = np.searchsorted(paths, np.arange(paths[first], paths[last], scratch.size))
-        for p, q in zip(cuts, [*cuts[1:], last]):
+        cuts = np.searchsorted(paths, np.arange(0, paths[-1], scratch.size))
+        for p, q in zip(cuts, [*cuts[1:], len(links)]):
             at = np.repeat(shift[p:q], width[p:q])
             at += np.arange(paths[p], paths[q])
-            np.add.at(flat, np.repeat(rows_at[p:q] - offset, width[p:q]) + peers[at], two)
+            np.add.at(flat, np.repeat(rows_at[p:q], width[p:q]) + peers[at], two)
         # distinct cells, so += adds once each
-        flat[members[member_cut[block]:member_cut[block + 1]] - offset] += 1
-        flat[wired[first:last] - offset] = marks[peers[first:last]]
+        flat[members[member_cut[block]:member_cut[block + 1]] - lo * n] += 1
+        flat[rows_at + links] = marks[links]
         flat[np.arange(len(rows)) * (n + 1) + lo] = marks[lo:hi]
         rows[:, dead] = 0
         at = np.flatnonzero(flat != 0)  # several times faster than on the codes
         row, col = np.divmod(at, n)
-        key = (column_base[col] + flat[at]).astype(key_dtype)
-        found.append((col.astype(col_dtype), key, np.bincount(row, minlength=len(rows))))
+        col_parts.append(col.astype(col_dtype))
+        key_parts.append((column_base[col] + flat[at]).astype(key_dtype))
+        row_counts.append(np.bincount(row, minlength=len(rows)))
+        column_counts += np.bincount(col, minlength=n)
 
-    cols, keys, counts = (np.concatenate(part) for part in zip(*found))
+    # each part list is dropped once joined, and the keys once mapped to ids
+    cols, col_parts = np.concatenate(col_parts), None
+    keys, key_parts = np.concatenate(key_parts), None
     # a column all of whose cells are exceptions holds no base value
-    live = np.bincount(cols, minlength=n) < n
+    live = column_counts < n
     live[dead] = False
-    used = np.bincount(np.concatenate((keys, column_base[live])), minlength=len(cells)) > 0
+    used = np.zeros(len(cells), dtype=bool)
+    used[keys] = used[column_base[live]] = True
     table, lut = _distinct(np.concatenate((cells[used], [0.0, 1.0])))
     id_of = np.zeros(len(cells), dtype=np.min_scalar_type(len(table) - 1))
     id_of[used] = lut[:-2]
     base = np.where(live, id_of[column_base], 0).astype(id_of.dtype)
-    row_start = np.concatenate(([0], np.cumsum(counts))).astype(np.min_scalar_type(len(cols)))
-    ids = id_of[keys]
+    row_start = np.concatenate(([0], *row_counts)).cumsum().astype(np.min_scalar_type(len(cols)))
+    ids, keys = id_of[keys], None
     for array in (base, row_start, cols, ids):
         array.flags.writeable = False
     return TrustMatrix(order, table, base, row_start, cols, ids)

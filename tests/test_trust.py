@@ -211,10 +211,13 @@ class TestTrustMatrix:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            trust_matrix(t, COEF)
+            matrix = trust_matrix(t, COEF)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
+        assert (matrix.cols.itemsize, matrix.ids.itemsize) == (2, 1)
+        # the measure holds the result it was taken with
+        assert retained >= matrix.cols.nbytes + matrix.ids.nbytes
         assert retained <= 2**20, f"{retained / 2**20:.1f} MB retained"
 
     def test_peak_stays_near_the_values(self):
@@ -224,28 +227,31 @@ class TestTrustMatrix:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            trust_matrix(t, COEF)
+            matrix = trust_matrix(t, COEF)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
+        assert peak >= matrix.cols.nbytes + matrix.ids.nbytes
         assert peak < 2 * 2**20, f"{peak / 2**20:.1f} MB peak"
 
     @pytest.mark.parametrize("edge_prob", [0.5, 1.0])
     def test_peak_is_bounded_on_dense_wiring(self, edge_prob):
         # n = 200 with half or all pairs wired: the sum of deg^2, one entry
-        # per two-hop path, reaches n^3.  The paths are counted at most a
-        # block's cells at a time, so the peak is the links both ways, a
-        # block of codes and its paths, and the exceptions, up to every cell
-        # once wired: a fixed multiple of n^2 floats
+        # per two-hop path, reaches n^3.  The links and paths are taken a
+        # block at a time and counted at most a block's cells at a time, so
+        # the peak is the topology's links, a block of codes, its links and
+        # paths, and the exceptions, up to every cell once wired: a fixed
+        # multiple of n^2 floats
         t = random_topology(np.random.default_rng(44), 200, edge_prob=edge_prob)
         n = len(t.sensors)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            trust_matrix(t, COEF)
+            matrix = trust_matrix(t, COEF)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
+        assert peak >= matrix.cols.nbytes + matrix.ids.nbytes
         assert peak < 8 * (n * n * 8), f"{peak / (n * n * 8):.1f} x n^2 floats"
 
     def test_value_accessor(self, fig2):
