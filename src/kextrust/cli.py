@@ -119,7 +119,7 @@ def _killed(kill_list: str | None, t: Topology) -> frozenset[SensorId]:
 
 
 def _emit(chunks, out: str | None, *files, source: str | None = None) -> None:
-    """Write the ``chunks`` (``str``, written as UTF-8, or ``bytes``) to the
+    """Write the ``chunks`` (``str``, written as UTF-8, or bytes-like) to the
     file ``out``, or to stdout if ``out`` is not given, and each further
     ``(path, chunks)`` to its file.
 
@@ -129,7 +129,8 @@ def _emit(chunks, out: str | None, *files, source: str | None = None) -> None:
     so a failed write leaves no output behind.  On stdout the chunks go to
     its binary buffer, after a flush of its text layer, so that stdout gets
     the bytes a file would; a stdout without a buffer (``io.StringIO``) gets
-    the ``bytes`` chunks decoded.
+    the other chunks decoded.  Lazy chunks, such as the matrix writers',
+    are built as they are written, on stdout as in a file.
     """
     if source is not None and os.path.exists(source):
         for path in (out, *(path for path, _ in files)):
@@ -140,7 +141,7 @@ def _emit(chunks, out: str | None, *files, source: str | None = None) -> None:
         return
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:
-        sys.stdout.writelines(c.decode() if isinstance(c, bytes) else c for c in chunks)
+        sys.stdout.writelines(c if isinstance(c, str) else c.decode() for c in chunks)
     else:
         sys.stdout.flush()
         buffer.writelines(c.encode() if isinstance(c, str) else c for c in chunks)
@@ -148,9 +149,9 @@ def _emit(chunks, out: str | None, *files, source: str | None = None) -> None:
 
 # the most cells of a trust matrix that trust-matrix and report build, n =
 # 16384 sensors.  It bounds the exceptions (at worst every cell: 3 bytes a
-# cell kept, 6 while trust_matrix joins them, 1.5 GiB) and the text of
-# trust-matrix and report --csv, built whole before it is written (about 6
-# bytes a cell in CSV: 1.5 GiB; up to 30 in JSON or --full-precision)
+# cell kept, 6 while trust_matrix joins them, 1.5 GiB) and the text written,
+# 64 rows at a time, never whole (about 6 bytes a cell in CSV: 1.5 GiB to
+# write; up to 30 in JSON or --full-precision)
 MATRIX_CELL_BUDGET = 1 << 28
 
 
@@ -164,55 +165,46 @@ def _check_matrix_size(t: Topology) -> Topology:
     return t
 
 
-def _id_rows(matrix, labels, sep: str, heads, tail: bytes):
-    """Each row block of the :class:`~kextrust.trust.TrustMatrix` ``matrix``
-    as one ``bytes``: per row, the next of the ``bytes`` ``heads``, the
-    labels of the row's value ids joined by ``sep``, then ``tail``.
+def _id_rows(matrix, labels, sep: str, heads: list[bytes], tail: bytes):
+    """The row blocks of the :class:`~kextrust.trust.TrustMatrix` ``matrix``
+    as an iterator of ``bytearray`` chunks, each built as it is taken: per
+    row, its entry of the ``bytes`` ``heads`` (the widest at least as long
+    as ``sep``), the labels of its value ids joined by ``sep``, and ``tail``.
     ``labels`` are the ASCII labels of ``matrix.table``, in its order.
 
-    Each id's ``sep + label`` is an entry of a fixed-width array, padded with
-    NULs.  A block is the base row, ``matrix.base``'s entries, copied into a
-    buffer that later blocks of its shape reuse (fresh memory cost more in
-    page faults than the copies), then patched with its exceptions' entries.
-    Where the labels differ in width, the NULs are stripped once per block,
-    and each row ends after the base row's width plus its exceptions' deltas.
+    Each id's ``sep + label`` is an entry of a fixed-width array.  A block
+    is a buffer of framed rows: each the base row, ``matrix.base``'s
+    entries, patched with its exceptions' entries, its head written over
+    its first separator, then the tail.  Shorter entries and heads are
+    padded with 0xFF, a byte UTF-8 never holds.  An unpadded block's
+    buffer is its chunk, so each is fresh; a padded block's chunk is its
+    one copy, stripped by ``translate``, so its buffer is kept for the next.
     """
     encoded = [(sep + label).encode() for label in labels]
-    entries = np.array(encoded, dtype=bytes)
-    widths = np.array([len(e) for e in encoded], dtype=np.intp)
-    padded = bool((widths < entries.itemsize).any())
-    n = len(matrix.order)
-    base, base_widths = entries[matrix.base], widths[matrix.base]
-    row_bytes = int(base_widths.sum())
-    heads, buffer, cells = iter(heads), None, None
-    for rows, at, ids in matrix.patches():
-        if cells is None or len(cells) != len(rows):
-            buffer = bytearray(len(rows) * n * entries.itemsize)
-            cells = np.frombuffer(buffer, dtype=entries.dtype).reshape(len(rows), n)
+    width, head = max(map(len, encoded)), max(map(len, heads), default=0)
+    padded = any(len(e) < width for e in encoded) or any(len(h) < head for h in heads)
+    entries = np.frombuffer(b"".join(e.ljust(width, b"\xff") for e in encoded), (np.void, width))
+    head_rows = np.frombuffer(b"".join(h.rjust(head, b"\xff") for h in heads), np.uint8)
+    head_rows = head_rows.reshape(len(heads), head)
+    base = entries[matrix.base]
+    first = head - len(sep)  # where a row's cells start: its head covers their first sep
+    stride, tail = first + base.nbytes + len(tail), np.frombuffer(tail, np.uint8)
+    spare = {}  # a padded block's buffer, by its number of rows
+
+    def block(rows, at, ids):
+        buffer = spare.get(len(rows)) or bytearray(len(rows) * stride)
+        text = np.frombuffer(buffer, np.uint8).reshape(len(rows), stride)
+        cells = text[:, first:first + base.nbytes].view(entries.dtype)
         cells[:] = base
-        cells.reshape(-1)[at] = entries[ids]
-        row_ends = np.arange(1, len(rows) + 1)
-        ends = row_ends * row_bytes
-        if padded:
-            added = np.concatenate(([0], np.cumsum(widths[ids] - base_widths[at % n])))
-            ends += added[np.searchsorted(at, row_ends * n)]
-        # the stripped text lives only through the call, so that no block's
-        # text is alive while the next one is stripped
-        yield _cut_rows(buffer.translate(None, b"\0") if padded else buffer, ends.tolist(),
-                        len(sep), heads, tail)
+        cells[at] = entries[ids]
+        text[:, :head] = head_rows[rows.start:rows.stop]
+        text[:, stride - len(tail):] = tail
+        if not padded:
+            return buffer
+        spare[len(rows)] = buffer
+        return buffer.translate(None, b"\xff")
 
-
-def _cut_rows(text, ends, skip: int, heads, tail: bytes) -> bytes:
-    """The rows of ``text`` that end at ``ends``, each starting ``skip``
-    bytes (a separator) after the end of the one before, or after the
-    start: each framed by the next of ``heads`` and by ``tail``, and all
-    joined.  The rows are ``memoryview`` slices of ``text``, copied once,
-    by the join."""
-    text, parts, begin = memoryview(text), [], skip
-    for end in ends:
-        parts += (next(heads), text[begin:end], tail)
-        begin = end + skip
-    return b"".join(parts)
+    return itertools.starmap(block, matrix.patches())
 
 
 def _csv_field(text: str) -> str:
@@ -224,11 +216,11 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def matrix_to_csv(matrix, full_precision: bool = False) -> list[bytes]:
+def matrix_to_csv(matrix, full_precision: bool = False):
     """The :class:`~kextrust.trust.TrustMatrix` ``matrix`` as CSV text in
-    UTF-8, rows = evaluator, columns = evaluated peer: a list of ``bytes``
-    chunks, the header and then one per row block, all built by the time it
-    returns.
+    UTF-8, rows = evaluator, columns = evaluated peer: an iterator of
+    chunks, the header as ``bytes`` and then one ``bytearray`` per row
+    block, each built as it is taken.
 
     Sensor ids are written with :func:`_csv_field`, and every cell as
     ``repr(value)`` (``full_precision``) or ``f"{value:.3f}"``, each entry of
@@ -237,15 +229,16 @@ def matrix_to_csv(matrix, full_precision: bool = False) -> list[bytes]:
     label = repr if full_precision else "{:.3f}".format
     fields = list(map(_csv_field, matrix.order))
     header = ",".join(["sensor", *fields]) + "\n"
-    heads = (f"{field},".encode() for field in fields)
+    heads = [f"{field},".encode() for field in fields]
     labels = map(label, matrix.table.tolist())
-    return [header.encode(), *_id_rows(matrix, labels, ",", heads, b"\n")]
+    return itertools.chain([header.encode()], _id_rows(matrix, labels, ",", heads, b"\n"))
 
 
 def _matrix_chunks(matrix, pad: str, labels):
     """``{"order": order, "values": values}`` of the ``matrix``, laid out as
-    by ``json.dumps(indent=2)`` at indent ``pad``, as ``bytes`` chunks, one
-    per row block; ``labels`` are the JSON texts of ``matrix.table``."""
+    by ``json.dumps(indent=2)`` at indent ``pad``, as chunks of :func:`_id_rows`,
+    one per row block, and ``bytes`` for the framing; ``labels`` are the JSON
+    texts of ``matrix.table``."""
     inner, cell_pad = pad + "  ", pad + "      "
     head = f'{{\n{inner}"order": {json_block(map(_json_str, matrix.order), inner)},\n{inner}"values": '
     if not matrix.order:
@@ -254,17 +247,18 @@ def _matrix_chunks(matrix, pad: str, labels):
     yield head.encode()
     # each row opens the list or follows a comma, as json_chunks lays out entries
     row_head = f"\n{inner}  [\n{cell_pad}".encode()
-    heads = itertools.chain([b"[" + row_head], itertools.repeat(b"," + row_head))
+    heads = [b"[" + row_head] + [b"," + row_head] * (len(matrix.order) - 1)
     yield from _id_rows(matrix, labels, ",\n" + cell_pad, heads, f"\n{inner}  ]".encode())
     yield f"\n{inner}]\n{pad}}}".encode()
 
 
-def matrix_to_json(matrix) -> list[bytes]:
+def matrix_to_json(matrix):
     """``json.dumps({"order": order, "values": values}, indent=2) + "\\n"``
     for the :class:`~kextrust.trust.TrustMatrix` ``matrix``, encoded (the
-    text is ASCII), as a list of ``bytes`` chunks, one per row block and the
-    framing."""
-    return [*_matrix_chunks(matrix, "", map(json.dumps, matrix.table.tolist())), b"\n"]
+    text is ASCII), as an iterator of the chunks of :func:`_matrix_chunks`,
+    each built as it is taken, and a last ``b"\\n"``."""
+    return itertools.chain(_matrix_chunks(matrix, "", map(json.dumps, matrix.table.tolist())),
+                           [b"\n"])
 
 
 def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
@@ -282,7 +276,8 @@ def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
     time.  Every float is labelled from ``matrix.table``, each entry
     formatted once: a ranking value is a matrix value, since a ranking is
     the scalar :func:`~kextrust.trust.trust` of each peer.  The matrix comes
-    as ``bytes`` chunks and every other chunk as ``str``; the text is ASCII.
+    as the chunks of :func:`_matrix_chunks` and every other chunk as ``str``;
+    the text is ASCII.
     """
     values = matrix.table.tolist()
     labels = list(map(json.dumps, values))

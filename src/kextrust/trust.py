@@ -183,6 +183,7 @@ def trust(
 
 
 _BLOCK_ROWS = 64  # rows that trust_matrix counts, and the writers write, at a time
+_CANDIDATES_PER_CELL = 1  # above this many a cell, trust_matrix scans a block's cells
 
 
 def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,22 +223,20 @@ class TrustMatrix:
     @property
     def values(self) -> np.ndarray:
         """The n x n float64 values, built from base and exceptions on each access."""
-        n = len(self.order)
-        values = np.empty((n, n))
-        values[:] = self.table[self.base]
+        values = np.tile(self.table[self.base], (len(self.order), 1))
         for rows, at, ids in self.patches():
-            values[rows.start:rows.stop].reshape(-1)[at] = self.table[ids]
+            values[rows.start:rows.stop][at] = self.table[ids]
         return values
 
     def patches(self):
         """Per block of up to 64 rows: its rows, as a ``range``, then its
-        exceptions' positions among its cells (row-major, ascending) and ids."""
-        n = len(self.order)
-        for lo in range(0, n, _BLOCK_ROWS):
-            rows = range(lo, min(lo + _BLOCK_ROWS, n))
+        exceptions' places in the block, as a pair of arrays (row in the
+        block, column; row-major, ascending), and their ids."""
+        for lo in range(0, len(self.order), _BLOCK_ROWS):
+            rows = range(lo, min(lo + _BLOCK_ROWS, len(self.order)))
             bounds = self.row_start[lo:rows.stop + 1].astype(np.intp)
             cells = slice(bounds[0], bounds[-1])
-            at = np.repeat(np.arange(len(rows)) * n, np.diff(bounds)) + self.cols[cells]
+            at = np.repeat(np.arange(len(rows)), np.diff(bounds)), self.cols[cells]
             yield rows, at, self.ids[cells]
 
 
@@ -275,11 +274,13 @@ def trust_matrix(
     most 4 links + 3n floats).  The codes of 64 rows at a time are counted
     into one reused block, from the block's links and two-hop paths; its
     non-zero codes are the exceptions, and the values that occur, with 0.0
-    and 1.0, form ``table``.  No n x n array is built.  At worst, every pair
-    wired, the result keeps 3 bytes a cell (column and id) and the build
-    peaks at 6 while the exceptions are joined (1.5 GiB at n = 16384; 10
-    where the codes' values outgrow 2-byte keys).  Time grows with n^2 +
-    sum of deg^2.  ``order`` is the topology's sensor order.
+    and 1.0, form ``table``: read at the block's candidate cells (two-hop,
+    member, wired, diagonal), unless they outnumber its cells, which are
+    then scanned.  No n x n array is built.  At worst, every pair wired,
+    the result keeps 3 bytes a cell (column and id) and the build peaks at
+    6 while the exceptions are joined (1.5 GiB at n = 16384; 10 where the
+    codes' values outgrow 2-byte keys).  Time grows with n^2 + sum of
+    deg^2.  ``order`` is the topology's sensor order.
     """
     order = list(t.sensors)
     n = len(order)
@@ -329,18 +330,31 @@ def trust_matrix(
         width = degree[links]  # two-hop paths through each (i, m)
         paths = np.concatenate(([0], np.cumsum(width)))  # and before it
         shift = start[links] - paths[:-1]  # from a path's number to its j's place in peers
+        member = members[member_cut[block]:member_cut[block + 1]] - lo * n
+        wired, diagonal = rows_at + links, np.arange(len(rows)) * (n + 1) + lo
+        # the cells that can hold a code, kept unless they outnumber the block's
+        scan = paths[-1] + len(member) + len(wired) + len(rows) > flat.size * _CANDIDATES_PER_CELL
+        candidates = [member, wired, diagonal]
         # the two-hop paths i - m - j of the block's rows, a block's cells at a time
         cuts = np.searchsorted(paths, np.arange(0, paths[-1], scratch.size))
         for p, q in zip(cuts, [*cuts[1:], len(links)]):
             at = np.repeat(shift[p:q], width[p:q])
             at += np.arange(paths[p], paths[q])
-            np.add.at(flat, np.repeat(rows_at[p:q], width[p:q]) + peers[at], two)
-        # distinct cells, so += adds once each
-        flat[members[member_cut[block]:member_cut[block + 1]] - lo * n] += 1
-        flat[rows_at + links] = marks[links]
-        flat[np.arange(len(rows)) * (n + 1) + lo] = marks[lo:hi]
+            hops = np.repeat(rows_at[p:q], width[p:q]) + peers[at]
+            np.add.at(flat, hops, two)
+            if not scan:
+                candidates.append(hops)
+        flat[member] += 1  # distinct cells, so += adds once each
+        flat[wired] = marks[links]
+        flat[diagonal] = marks[lo:hi]
         rows[:, dead] = 0
-        at = np.flatnonzero(flat != 0)  # several times faster than on the codes
+        if scan:
+            at = np.flatnonzero(flat != 0)  # several times faster than on the codes
+        else:
+            at = np.sort(np.concatenate(candidates))
+            keep = flat[at] != 0
+            keep[1:] &= at[1:] != at[:-1]
+            at = at[keep]
         row, col = np.divmod(at, n)
         col_parts.append(col.astype(col_dtype))
         key_parts.append((column_base[col] + flat[at]).astype(key_dtype))

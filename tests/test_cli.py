@@ -937,8 +937,8 @@ class TestOutputStreams:
         assert (done.returncode, done.stdout) == (0, "abcdéef".encode())
         text = io.StringIO()
         with contextlib.redirect_stdout(text):
-            _emit(["b", b"c", "dé", b"e"], None)
-        assert text.getvalue() == "bcdée"
+            _emit(["b", b"c", "dé", b"e", bytearray(b"g")], None)
+        assert text.getvalue() == "bcdéeg"
 
 
 def _drawn_network(n, draws, seed):
@@ -1036,6 +1036,54 @@ class TestMatrixStdoutEqualsOut:
         assert main(["establish", edge_networks["c300"], "--seed", "3", "--bits", "8",
                      "--out", state]) == 0
         self._assert_same(capsys, tmp_path, "report", state)
+
+
+class TestMatrixWritersOnStdout:
+    """The console checks of the matrix writers on stdout, on fig2 and on
+    ids that CSV must quote, run through ``main``."""
+
+    def test_fig2_report_on_stdout_is_its_out_file(self, capsys, tmp_path, monkeypatch):
+        # fig2 established with seed 42, H killed: the streamed report is the
+        # same on stdout as in --out, and is JSON; with --full-precision and
+        # --csv, both the report and the CSV are written
+        monkeypatch.chdir(tmp_path)
+        assert main(["establish", "fig2", "--seed", "42", "--out", "state.json"]) == 0
+        assert main(["kill", "state.json", "H", "--note", "ci"]) == 0
+        assert run_cli(capsys, "report", "state.json", "--out", "report.json",
+                       "--csv", "matrix.csv") == (0, "", "")
+        report = Path("report.json").read_bytes()
+        assert report and Path("matrix.csv").stat().st_size
+        code, stdout, err = run_cli(capsys, "report", "state.json")
+        assert (code, err) == (0, "") and stdout.encode() == report
+        json.loads(report)
+        code, stdout, err = run_cli(capsys, "report", "state.json", "--full-precision",
+                                    "--csv", "m2.csv")
+        assert (code, err) == (0, "") and stdout and Path("m2.csv").stat().st_size
+
+    def test_fig2_trust_matrix_on_stdout(self, capsys, tmp_path, monkeypatch):
+        # the JSON matrix, and the full-precision CSV with H killed
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run_cli(capsys, "trust-matrix", "fig2", "--format", "json")
+        assert (code, err) == (0, "") and stdout
+        assert json.loads(stdout)["order"] == list(SENSORS)
+        code, stdout, err = run_cli(capsys, "trust-matrix", "fig2", "--full-precision",
+                                    "--kill", "H")
+        assert (code, err) == (0, "") and stdout
+
+    def test_odd_ids_are_quoted_on_stdout(self, capsys, tmp_path):
+        # ids holding a comma or a carriage return: csv.reader reads the
+        # matrix and the ranking back whole
+        odd = tmp_path / "odd.json"
+        odd.write_text(json.dumps({"sensors": ["a,b", "c\rd", "e"],
+                                   "kljn_edges": [["a,b", "c\rd"]]}), encoding="utf-8")
+        code, stdout, err = run_cli(capsys, "trust-matrix", str(odd))
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(stdout, newline="")))
+        assert rows[0] == ["sensor", "a,b", "c\rd", "e"] and [len(r) for r in rows] == [4] * 4
+        code, stdout, err = run_cli(capsys, "rank", str(odd), "e")
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(stdout, newline="")))
+        assert sorted(r[0] for r in rows) == ["a,b", "c\rd"] and [len(r) for r in rows] == [2] * 2
 
 
 class TestMatrixBudget:
