@@ -103,10 +103,6 @@ class NetworkKeyState:
     kill: KillSwitchState
     clock: int
     master_seed: int
-    _positions: dict[SensorId, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._positions = {s: k for k, s in enumerate(sorted(self.topology.sensor_set))}
 
     @property
     def records(self) -> Mapping[Pair, KeyRecord]:
@@ -117,10 +113,11 @@ class NetworkKeyState:
     def pair_index(self, a: SensorId, b: SensorId) -> int | None:
         """1-based position of ``(a, b)`` among the canonical sensor pairs
         (sorted, first sensor below the second), or ``None`` if it is not one."""
-        p, q = self._positions.get(a), self._positions.get(b)
+        positions = self.topology.index.positions  # each sensor's rank
+        p, q = positions.get(a), positions.get(b)
         if p is None or q is None or p >= q:
             return None
-        return p * (2 * len(self._positions) - p - 1) // 2 + q - p
+        return p * (2 * len(positions) - p - 1) // 2 + q - p
 
     def records_sorted(self) -> Iterator[KeyRecord]:
         """Every record, one canonical pair at a time in canonical order.
@@ -132,12 +129,11 @@ class NetworkKeyState:
         The JSON text of the first sensor and its revocation are found once
         per row.
         """
-        ordered = list(self._positions)
         revoked = {e.sensor for e in self.kill.event_log if e.action == "set"}
-        stored, index = self.stored, 0
-        for x, a in enumerate(ordered):
+        ids, stored, index = self.topology.sensors, self.stored, 0
+        for x, a in enumerate(ids):
             prefix, row_revoked = f"[{self.master_seed}, {_json_str(a)}, ", a in revoked
-            for b in ordered[x + 1 :]:
+            for b in ids[x + 1 :]:
                 index += 1
                 record = stored.get((a, b))
                 if record is None:
@@ -185,7 +181,8 @@ def establish_network_keys(
     attackers = attackers or {}
     n = len(t.sensor_set)
     state = NetworkKeyState(t, {}, KillSwitchState(), n * (n - 1) // 2, master_seed)
-    for a, b in sorted(t.kljn_edges):
+    for p, q in t.index.links.tolist():  # in canonical order
+        a, b = t.sensors[p], t.sensors[q]
         index = state.pair_index(a, b)
         cfg = KljnSessionConfig(seed=_derive_seed(master_seed, a, b))
         try:
@@ -218,7 +215,7 @@ def apply_kill_event(state: NetworkKeyState, sensor: SensorId, note: str = "") -
 def trust_report(state: NetworkKeyState, coef: TrustCoefficients) -> tuple[TrustMatrix, dict]:
     """``(matrix, rankings)`` of the state's network with its killed sensors:
     the :func:`trust_matrix`, and each sensor's :func:`rank_peers` keyed by
-    sensor in topology order.  ``kextrust.cli.report_json_chunks`` writes
+    sensor in sorted order.  ``kextrust.cli.report_json_chunks`` writes
     them, with the state's records and kill log, as the ``report`` document.
     """
     t, killed = state.topology, state.kill.killed

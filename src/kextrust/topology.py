@@ -66,7 +66,7 @@ class _ComplementSet(Set):
     """The wireless peers of ``i`` under the complement rule, as a read-only
     view: every known sensor except ``i`` and its wired peers.
 
-    ``len`` and ``in`` take O(1); iteration walks the sensors in topology
+    ``len`` and ``in`` take O(1); iteration walks the sensors in sorted
     order.  ``&``, ``|``, ``-`` and ``^`` return frozensets.  A view
     compares equal to the frozenset of its members but is unhashable, since
     its hash could not equal that frozenset's without visiting every member.
@@ -132,12 +132,12 @@ class TopologyIndex:
     """The integer index of a topology, built once at construction.
 
     ``positions`` is a read-only mapping of each sensor to its position in
-    ``Topology.sensors``.  ``links`` is an (E, 2) ``intp`` array holding each
-    wired link once as (lower position, higher position), sorted.
-    ``peer_start`` and ``peer_positions`` list the wired peers of each
-    sensor by position (CSR): those of the sensor at position p are
-    ``peer_positions[peer_start[p]:peer_start[p + 1]]``.  All three arrays
-    are read-only.
+    ``Topology.sensors``, its rank among the ids.  ``links`` is an (E, 2)
+    ``intp`` array holding each wired link once as (lower position, higher
+    position), sorted.  ``peer_start`` and ``peer_positions`` list the wired
+    peers of each sensor by position (CSR): those of the sensor at position
+    p are ``peer_positions[peer_start[p]:peer_start[p + 1]]``.  All three
+    arrays are read-only.
     """
 
     positions: Mapping[SensorId, int]
@@ -163,16 +163,19 @@ class TopologyIndex:
         return cls(MappingProxyType(positions), links, start, peers)
 
 
-def _sensor_positions(sensors: tuple) -> dict[SensorId, int]:
-    """Each sensor's position.  An id that is not a non-empty string, or that
-    repeats one, raises :class:`TopologyFormatError` naming the first such
-    id."""
-    positions: dict[SensorId, int] = {}
-    for p, s in enumerate(sensors):
-        if not isinstance(s, str) or not s:
-            raise TopologyFormatError(f"sensor id must be a non-empty string, got {s!r}")
-        if positions.setdefault(s, p) != p:
-            raise TopologyFormatError(f"duplicate sensor id {s!r}")
+def _sorted_positions(sensors: list) -> dict[SensorId, int]:
+    """Each sensor's position among the sorted ids.  An id that is not a
+    non-empty string, or that repeats one, raises :class:`TopologyFormatError`
+    naming the first such id in the given order."""
+    ids = sorted(sensors) if all(issubclass(k, str) for k in set(map(type, sensors))) else []
+    positions = dict(zip(ids, range(len(ids))))
+    if len(positions) < len(sensors) or "" in positions:  # a fault: scan for the first
+        seen: dict[SensorId, int] = {}
+        for p, s in enumerate(sensors):
+            if not isinstance(s, str) or not s:
+                raise TopologyFormatError(f"sensor id must be a non-empty string, got {s!r}")
+            if seen.setdefault(s, p) != p:
+                raise TopologyFormatError(f"duplicate sensor id {s!r}")
     return positions
 
 
@@ -218,19 +221,20 @@ class Topology:
     owner or peer that is not a non-empty string or a peer collection that
     is a string, a sensor id that is not a non-empty string or repeats one,
     and an edge that is not a pair of two distinct sensors of the topology.
-    ``kljn_edges`` holds canonical sorted pairs, so link symmetry cannot be
-    violated by construction.  ``wireless_sets`` is ``None`` until sets are
-    given explicitly or derived with :func:`derive_wireless_sets`; accessors
-    fall back to the complement rule when it is ``None``.  :func:`validate`
-    checks explicit sets against the sensors and the wired links.
+    ``sensors`` holds the ids sorted, in whatever order they are given, and
+    ``kljn_edges`` canonical sorted pairs, so link symmetry cannot be
+    violated.  ``wireless_sets`` is ``None`` until sets are given explicitly
+    or derived with :func:`derive_wireless_sets`; accessors fall back to the
+    complement rule when it is ``None``.  :func:`validate` checks explicit
+    sets against the sensors and the wired links.
 
-    Construction checks the sensors one by one and the edges in bulk, and
-    builds :class:`TopologyIndex` once from their positions.  ``kljn_edges``
-    is built from the index on its first read; each sensor's wired-peer
-    frozenset is built on its first lookup.  Under the complement rule
-    :meth:`wireless_set` returns an O(1) view over the index.  Topologies
-    compare, hash and print by ``(sensors, kljn_edges, wireless_sets)`` and
-    cannot be changed.
+    Construction checks the sensors and the edges in bulk (a fault falls
+    back to a scan in the given order, which names the first), and builds
+    :class:`TopologyIndex` once.  ``kljn_edges`` is built from the index on
+    its first read; each sensor's wired-peer frozenset on its first lookup.
+    Under the complement rule :meth:`wireless_set` returns an O(1) view
+    over the index.  Topologies compare, hash and print by ``(sensors,
+    kljn_edges, wireless_sets)`` and cannot be changed.
     """
 
     sensors: tuple[SensorId, ...]
@@ -244,8 +248,8 @@ class Topology:
         if wireless_sets is not None:
             wireless_sets = _frozen_wireless_sets(wireless_sets)
         set_("wireless_sets", wireless_sets)
-        set_("sensors", tuple(sensors))
-        positions = _sensor_positions(self.sensors)
+        positions = _sorted_positions(list(sensors))
+        set_("sensors", tuple(positions))
         set_("index", TopologyIndex.build(positions, _edge_ends(list(kljn_edges), positions)))
         set_("sensor_set", frozenset(positions))
         set_("_kljn_sets", _PeerSets(self.sensors, self.index))
@@ -256,9 +260,8 @@ class Topology:
         """Each wired link once, as a sorted pair of ids."""
         if self._kljn_edges is None:
             ids = self.sensors
-            pairs = ((ids[a], ids[b]) for a, b in self.index.links.tolist())
             object.__setattr__(self, "_kljn_edges",
-                               frozenset((a, b) if a < b else (b, a) for a, b in pairs))
+                               frozenset((ids[a], ids[b]) for a, b in self.index.links.tolist()))
         return self._kljn_edges
 
     def _key(self) -> tuple:
@@ -373,10 +376,9 @@ def topology_from_doc(doc) -> Topology:
 
 def topology_to_doc(t: Topology) -> dict:
     """The canonical document form: sorted sensors, edges and wireless sets."""
-    doc: dict = {
-        "sensors": sorted(t.sensors),
-        "kljn_edges": sorted(list(e) for e in t.kljn_edges),
-    }
+    ids = t.sensors
+    doc: dict = {"sensors": list(ids),
+                 "kljn_edges": [[ids[a], ids[b]] for a, b in t.index.links.tolist()]}
     if t.wireless_sets is not None:
         doc["wireless_sets"] = {
             s: sorted(peers) for s, peers in sorted(t.wireless_sets.items())

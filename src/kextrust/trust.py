@@ -202,8 +202,8 @@ def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class TrustMatrix:
-    """All-pairs trust, rows and columns in ``order``, as ids of the sorted
-    distinct float64 values in ``table`` (0.0 first, 1.0 last).
+    """All-pairs trust, rows and columns in ``order`` (sorted ids), as ids
+    of the sorted distinct float64 values in ``table`` (0.0 first, 1.0 last).
 
     Cell (i, j) is ``table[ids[k]]`` if ``cols[k] == j`` for a k in
     ``row_start[i]:row_start[i + 1]`` (row i's exceptions, columns
@@ -280,7 +280,7 @@ def trust_matrix(
     the result keeps 3 bytes a cell (column and id) and the build peaks at
     6 while the exceptions are joined (1.5 GiB at n = 16384; 10 where the
     codes' values outgrow 2-byte keys).  Time grows with n^2 + sum of
-    deg^2.  ``order`` is the topology's sensor order.
+    deg^2.  ``order`` is the topology's sensors, sorted by id.
     """
     order = list(t.sensors)
     n = len(order)
@@ -386,7 +386,7 @@ def rank_peers(
     killed: Set[SensorId],
     i: SensorId,
 ) -> list[tuple[SensorId, float]]:
-    """Peers of ``i`` ordered by descending trust, ties broken by sensor id.
+    """Peers of ``i`` ordered by descending trust, ties in ``t.sensors`` (id) order.
 
     A live wired peer ranks above every non-wired peer of equal value: from
     K = W = Z = 39 on, a non-wired peer's sum saturates to exactly 1.0 and
@@ -394,5 +394,5 @@ def rank_peers(
     """
     live_wired = t.kljn_set(i) - killed
     scored = [(j, trust(t, coef, killed, i, j)) for j in t.sensors if j != i]
-    scored.sort(key=lambda pair: (-pair[1], pair[0] not in live_wired, pair[0]))
+    scored.sort(key=lambda pair: (-pair[1], pair[0] not in live_wired))
     return scored

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -147,6 +148,7 @@ class TestValidate:
         "doc, message",
         [
             ({"sensors": ["A", "B", "A"]}, "duplicate sensor id 'A'"),
+            ({"sensors": ["A", "A"]}, "duplicate sensor id 'A'"),
             ({"sensors": ["A", ""]}, "sensor id must be a non-empty string, got ''"),
             ({"sensors": ["A", 3]}, "sensor id must be a non-empty string, got 3"),
             ({"sensors": ["A", "B"], "kljn_edges": [["A", "A"]]},
@@ -1084,6 +1086,86 @@ class TestMatrixWritersOnStdout:
         assert (code, err) == (0, "")
         rows = list(csv.reader(io.StringIO(stdout, newline="")))
         assert sorted(r[0] for r in rows) == ["a,b", "c\rd"] and [len(r) for r in rows] == [2] * 2
+
+
+class TestConsoleChecks:
+    """Console checks of the command line that no other test here makes,
+    run through ``main`` with their inputs and assertions."""
+
+    def test_outputs_go_to_their_files(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in (("simulate-kljn", "--bits", "16", "--out", "session.json"),
+                     ("coefficients", "--check", "1e-10", "--out", "coefficients.txt")):
+            assert run_cli(capsys, *argv) == (0, "", "")
+            assert Path(argv[-1]).stat().st_size
+
+    def test_kill_flag_on_fig2(self, capsys, tmp_path, monkeypatch):
+        # --kill zeroes a peer, skips blank names and reports the first unknown name
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, "trust", "fig2", "A", "H", "--kill", "H") == (0, "0.000\n", "")
+        code, out, err = run_cli(capsys, "rank", "fig2", "A", "--kill", "H, ,C")
+        assert (code, err) == (0, "") and out.splitlines()[-1] == "H,0.000"
+        assert run_cli(capsys, "trust-matrix", "fig2", "--kill", "Q,R") == (
+            1, "", "error: --kill names unknown sensor 'Q'\n")
+
+    def test_bulk_edge_checks_at_n_1000(self, capsys, tmp_path):
+        # 1000 sensors with repeated and reversed links pass the checks in
+        # bulk; a self-loop as the last edge falls back to the ordered scan
+        # and names it
+        r = random.Random(2)
+        s = [f"s{k:04d}" for k in range(1000)]
+        e = [r.sample(s, 2) for _ in range(3000)]
+        e += [list(p) for p in e[:500]] + [p[::-1] for p in e[500:1000]]
+        n = len({frozenset(p) for p in e})
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"sensors": s, "kljn_edges": e}))
+        assert run_cli(capsys, "validate", str(big)) == (
+            0, f"ok: 1000 sensors, {n} KLJN edges\n", "")
+        e.append(["s0007", "s0007"])
+        big.write_text(json.dumps({"sensors": s, "kljn_edges": e}))
+        assert run_cli(capsys, "validate", str(big)) == (
+            1, "", "error: KLJN edge ['s0007', 's0007'] is a self-loop\n")
+
+    def test_clean_explicit_sets_at_n_200(self, capsys, tmp_path):
+        # 30% reach and symmetric sets: no fault and no warning
+        r = random.Random(3)
+        s = [f"s{k:03d}" for k in range(200)]
+        e = {tuple(sorted(r.sample(s, 2))) for _ in range(40)}
+        w = {a: [] for a in s}
+        for a in s:
+            for b in s:
+                if a < b and (a, b) not in e and r.random() < 0.3:
+                    w[a].append(b)
+                    w[b].append(a)
+        path = tmp_path / "sets200.json"
+        path.write_text(json.dumps({"sensors": s, "kljn_edges": sorted(e), "wireless_sets": w}))
+        assert run_cli(capsys, "validate", str(path)) == (0, "ok: 200 sensors, 40 KLJN edges\n", "")
+
+    def test_unsorted_odd_ids_give_sorted_records(self, capsys, tmp_path, monkeypatch):
+        # six sensors with ids JSON escapes, listed unsorted, one wired link and
+        # one killed sensor: every record is derived in sorted pair order
+        monkeypatch.chdir(tmp_path)
+        listed = ["\u00e9", "s001", 'q"1', "\u2603snow", "back\\slash", "s000"]
+        Path("odd6.json").write_text(json.dumps({"sensors": listed,
+                                                 "kljn_edges": [["\u2603snow", 'q"1']]}))
+        assert main(["establish", "odd6.json", "--seed", "7", "--bits", "8",
+                     "--out", "odd6_state.json"]) == 0
+        assert main(["kill", "odd6_state.json", "\u00e9"]) == 0
+        code, stdout, err = run_cli(capsys, "report", "odd6_state.json")
+        assert run_cli(capsys, "report", "odd6_state.json", "--out", "odd6_report.json") == (
+            0, "", "")
+        assert (code, err) == (0, "") and stdout.encode() == Path("odd6_report.json").read_bytes()
+        report = json.loads(stdout)
+        r = report["records"]
+        assert [x["established_at"] for x in r] == list(range(1, 16)), r
+        assert [x["pair"] for x in r if x["channel"] == "kljn"] == [['q"1', "\u2603snow"]], r
+        assert all(x["key_id"] == hashlib.sha256(json.dumps([7, *x["pair"], "wireless"]).encode())
+                   .hexdigest()[:16] for x in r if x["channel"] == "wireless"), r
+        revoked = [x["pair"] for x in r if x["status"] == "revoked"]
+        assert revoked == [x["pair"] for x in r if "\u00e9" in x["pair"]] != [], r
+        ids = sorted(listed)
+        assert report["sensors"] == report["matrix"]["order"] == list(report["rankings"]) == ids
+        assert [x["pair"] for x in r] == [[a, b] for k, a in enumerate(ids) for b in ids[k + 1:]]
 
 
 class TestMatrixBudget:

@@ -1056,18 +1056,31 @@ DIGEST_COMMANDS = {
 PINNED_DIGESTS = {
     "fig2.csv": "6c11010e854b8e38aa778eabab1770e80070bc7d97dc3652025dc57a08c40cd2",
     "fig2.json": "5a5f78c881170c30e18163593f0c7ce0cab82888d75a31394b2911acefa8eb29",
-    "m.csv": "82480876439a642b42c556b7936bdd2decbf9a4e030d5b48c8d494ca310c92fb",
-    "m.json": "a323778b0f79006d8d959618ae480b3ea647056b5401fcd1c6578c5c102ef256",
-    "m_full.csv": "202131c670b7dd8bc2d61725e70de089af27214a444ce8f17c18211df047769e",
-    "m_full_kill.csv": "fa6b08c2b6c7e16c84e8e597a91b1537808fbacff38c2cd1b247e2f1181b77b8",
-    "m_kill.csv": "dc2652132ffa5181537118a6c911210e576b6ea74b2e13e89fe36193704ba62b",
-    "m_kill.json": "be0460568297588141abf749a988ff9b6d8101df5a14b273188e2fcaeb88ddba",
+    "m.csv": "71123462b7557a04932bdb01e6dd296da28fbb90f13168cc0f76907f6670491a",
+    "m.json": "c663a99cf6a66291d6aa002e2b45229527db0d7c22995335b3e4cfc8c35c5d6a",
+    "m_full.csv": "dce5f5f45e362eae014f8f7bfeb9e3f468e6b9965a5137417cbf6301409b1599",
+    "m_full_kill.csv": "cf1391a50911fc0487d1ad6b44bc57f38c004d9e454a0c6065a293566d2bbfed",
+    "m_kill.csv": "8d32aa1e154a2e9f6f5185215ab4e187784b2c97646cc8ab69fabb5e4182d2a6",
+    "m_kill.json": "9c30efc2e5783945f998f023e1644835332f104eaf7656ce914a402af6e56794",
     "rank.csv": "1f74764b2a7faa55bfe6a693175fbf3744bf652af42a3dc5b45abcaa51a23f84",
     "rank_kill.csv": "fd8cce810d0a938db5d62af8f579453de21b5b49aaebd6fad3e3b49f99e6ad63",
     "s300.csv": "ebd242af22f2f6bc2e33d79ab8320270e776f1a8401e08ada5ed9fe87b3a6ac1",
     "s300.json": "dc43cc43af70a4d223334db19a96f4209439744d73ea2a8612d1b0bfc192d4bf",
     "s300_full.csv": "125ac46dbe1ffd50bf40c6256dc32b4348d956de0b90b6f16f3355f97d94093d",
     "s300_full.json": "dc43cc43af70a4d223334db19a96f4209439744d73ea2a8612d1b0bfc192d4bf",
+}
+
+
+# The c1000 trust-matrix digests from when the rows kept the document's
+# listing order, which puts "été" third; the rows are now in sorted order,
+# "été" last.  Re-ordered into the listing order, today's files hash to these.
+LISTING_ORDER_DIGESTS = {
+    "m.csv": "82480876439a642b42c556b7936bdd2decbf9a4e030d5b48c8d494ca310c92fb",
+    "m.json": "a323778b0f79006d8d959618ae480b3ea647056b5401fcd1c6578c5c102ef256",
+    "m_full.csv": "202131c670b7dd8bc2d61725e70de089af27214a444ce8f17c18211df047769e",
+    "m_full_kill.csv": "fa6b08c2b6c7e16c84e8e597a91b1537808fbacff38c2cd1b247e2f1181b77b8",
+    "m_kill.csv": "dc2652132ffa5181537118a6c911210e576b6ea74b2e13e89fe36193704ba62b",
+    "m_kill.json": "be0460568297588141abf749a988ff9b6d8101df5a14b273188e2fcaeb88ddba",
 }
 
 
@@ -1108,6 +1121,33 @@ class TestPinnedMatrixOutput:
         digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in written}
         assert digests == {f: PINNED_DIGESTS[f] for f in written}
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("name", sorted(LISTING_ORDER_DIGESTS))
+    def test_listing_order_gives_the_old_bytes(self, tmp_path, digest_inputs, name):
+        # the sorted rows and columns, put back in the order the document
+        # lists its sensors, are the file pinned before the sort, byte for byte
+        argv = [a.format(dir=tmp_path, **digest_inputs) for a in DIGEST_COMMANDS[name]]
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        listed = json.loads(digest_inputs["c1000"].read_text(encoding="utf-8"))["sensors"]
+        assert listed != sorted(listed)
+        position = {s: k for k, s in enumerate(sorted(listed))}
+        at = [position[s] for s in listed]
+        if name.endswith(".json"):
+            doc = json.loads(out.read_text(encoding="utf-8"))
+            assert doc["order"] == sorted(listed)
+            values = [[doc["values"][p][q] for q in at] for p in at]
+            text = json.dumps({"order": listed, "values": values}, indent=2) + "\n"
+        else:
+            with open(out, newline="", encoding="utf-8") as f:
+                (corner, *order), *rows = csv.reader(f)
+            assert order == sorted(listed) and [r[0] for r in rows] == order
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow([corner, *listed])
+            writer.writerows([listed[x], *(rows[p][1 + q] for q in at)] for x, p in enumerate(at))
+            text = buffer.getvalue()
+        assert hashlib.sha256(text.encode()).hexdigest() == LISTING_ORDER_DIGESTS[name]
 
 
     def test_trust_matrix_never_holds_the_text_whole(self, tmp_path, digest_inputs):

@@ -145,13 +145,13 @@ ODD_IDS = ("\u00e9", 'q"1', "back\\slash", "\u2603snow")
 def _odd_id_topology(rng):
     """A random topology with explicit wireless sets whose first ids are
     ``ODD_IDS``, listed in an order that is not sorted order: ``"é"``
-    first, the rest shuffled."""
+    first, the rest shuffled.  Returns the topology and that order."""
     t = random_topology(rng, int(rng.integers(6, 14)), edge_prob=0.25)
     names = dict(zip(t.sensors, [*ODD_IDS, *t.sensors[len(ODD_IDS):]]))
     order = [names[s] for s in t.sensors]
     order[1:] = rng.permutation(order[1:]).tolist()
     edges = frozenset(tuple(sorted((names[a], names[b]))) for a, b in t.kljn_edges)
-    return with_explicit_wireless_sets(Topology(tuple(order), edges), rng, 0.5)
+    return with_explicit_wireless_sets(Topology(tuple(order), edges), rng, 0.5), order
 
 
 @pytest.mark.parametrize("network", ["complement", "explicit", "odd-ids"])
@@ -159,8 +159,8 @@ def _odd_id_topology(rng):
 def test_derived_state_equals_eager_oracle(seed, network):
     rng = np.random.default_rng(seed)
     if network == "odd-ids":
-        t = _odd_id_topology(rng)
-        assert list(t.sensors) != sorted(t.sensors)
+        t, order = _odd_id_topology(rng)
+        assert order != sorted(order) and list(t.sensors) == sorted(order)
     else:
         t = random_topology(rng, int(rng.integers(6, 14)), edge_prob=0.25)
     if network == "explicit":

@@ -354,7 +354,8 @@ class TestRankPeers:
         t = Topology(("i", "a", *mutual, *others, *isolated), frozenset(edges))
         assert counts(t, "i", "a") == (40, 40, 40)
         assert trust(t, COEF, frozenset(), "i", "a") == 1.0
-        assert trust_matrix(t, COEF).values[0, 1] == 1.0  # ("i", "a")
+        matrix = trust_matrix(t, COEF)
+        assert matrix.values[matrix.order.index("i"), matrix.order.index("a")] == 1.0
         ranking = rank_peers(t, COEF, frozenset(), "i")
         assert ranking[:41] == [(m, 1.0) for m in mutual] + [("a", 1.0)]
         # killed peers, wired or not, stay in id order at 0.0
