@@ -167,15 +167,15 @@ def _sorted_positions(sensors: list) -> dict[SensorId, int]:
     """Each sensor's position among the sorted ids.  An id that is not a
     non-empty string, or that repeats one, raises :class:`TopologyFormatError`
     naming the first such id in the given order."""
-    ids = sorted(sensors) if all(issubclass(k, str) for k in set(map(type, sensors))) else []
+    seen: set[SensorId] = set()
+    for s in sensors:
+        if not isinstance(s, str) or not s:
+            raise TopologyFormatError(f"sensor id must be a non-empty string, got {s!r}")
+        if s in seen:
+            raise TopologyFormatError(f"duplicate sensor id {s!r}")
+        seen.add(s)
+    ids = sorted(sensors)
     positions = dict(zip(ids, range(len(ids))))
-    if len(positions) < len(sensors) or "" in positions:  # a fault: scan for the first
-        seen: dict[SensorId, int] = {}
-        for p, s in enumerate(sensors):
-            if not isinstance(s, str) or not s:
-                raise TopologyFormatError(f"sensor id must be a non-empty string, got {s!r}")
-            if seen.setdefault(s, p) != p:
-                raise TopologyFormatError(f"duplicate sensor id {s!r}")
     return positions
 
 
@@ -228,8 +228,8 @@ class Topology:
     complement rule when it is ``None``.  :func:`validate` checks explicit
     sets against the sensors and the wired links.
 
-    Construction checks the sensors and the edges in bulk (a fault falls
-    back to a scan in the given order, which names the first), and builds
+    Construction checks the sensors one by one in the given order, so a
+    fault names the first bad id listed, and the edges in bulk, and builds
     :class:`TopologyIndex` once.  ``kljn_edges`` is built from the index on
     its first read; each sensor's wired-peer frozenset on its first lookup.
     Under the complement rule :meth:`wireless_set` returns an O(1) view

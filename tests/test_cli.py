@@ -160,6 +160,9 @@ class TestValidate:
             ({"sensors": ["A", "B"], "kljn_edges": [["A", 5]]},
              "KLJN edge ['A', 5] references unknown sensor 5"),
             ({"sensors": ["A", "B"], "kljn_edges": [["A"]]}, "KLJN edge must be a pair, got ['A']"),
+            # the first faulty edge in the order given, not in sorted order
+            ({"sensors": ["z", "b", "a"], "kljn_edges": [["z", "b"], ["z", "q"], ["a", "a"]]},
+             "KLJN edge ['z', 'q'] references unknown sensor 'q'"),
             ({"sensors": "A"}, "'sensors' must be a list of sensor ids"),
             ({"sensors": ["A"], "kljn_edges": "AB"},
              "'kljn_edges' must be a list of [id, id] pairs"),
