@@ -18,7 +18,6 @@ from collections.abc import Mapping, Set
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import partial
 from importlib import resources
-from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -96,10 +95,11 @@ class _ComplementSet(Set):
 
 
 def _frozen_wireless_sets(sets) -> dict[SensorId, frozenset[SensorId]]:
-    """``sets`` with each peer collection made a frozenset.  An owner or a
-    peer that is not a non-empty string, or a peer collection that is a
-    string (which would read as one peer per character), raises
-    :class:`TopologyFormatError`."""
+    """``sets`` with each peer collection made a frozenset, checked in one
+    pass in the given order: an owner or a peer that is not a non-empty
+    string, hashable or not, or a peer collection that is a string (which
+    would read as one peer per character), raises
+    :class:`TopologyFormatError` naming the first such owner or peer."""
     frozen = {}
     for s, peers in sets.items():
         if not isinstance(s, str) or not s:
@@ -108,23 +108,15 @@ def _frozen_wireless_sets(sets) -> dict[SensorId, frozenset[SensorId]]:
             raise TopologyFormatError(
                 f"wireless set of {s!r} must be a collection of sensor ids, got {peers!r}"
             )
-        frozen[s] = _checked_peers(s, peers)
-    return frozen
-
-
-def _checked_peers(s: SensorId, peers) -> frozenset[SensorId]:
-    """``peers`` as a frozenset.  A peer that is not a non-empty string,
-    hashable or not, raises :class:`TopologyFormatError` naming the first
-    such peer in the given order."""
-    if not isinstance(peers, (set, frozenset)):
-        peers = list(peers)
-    if set(map(type, peers)) - {str} or "" in peers:
+        if not isinstance(peers, (set, frozenset)):
+            peers = list(peers)
         for p in peers:
             if not isinstance(p, str) or not p:
                 raise TopologyFormatError(
                     f"wireless peer of {s!r} must be a non-empty string, got {p!r}"
                 )
-    return frozenset(peers)
+        frozen[s] = frozenset(peers)
+    return frozen
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,23 +171,11 @@ def _sorted_positions(sensors: list) -> dict[SensorId, int]:
     return positions
 
 
-def _edge_ends(edges: list, positions: dict[SensorId, int]) -> np.ndarray:
-    """The (E, 2) positions of the endpoints of ``edges``, as given.  An edge
-    that is not a pair of two distinct sensors raises
-    :class:`TopologyFormatError` naming the first such edge and its first
-    fault.  Lists and tuples of two ``str`` ids are checked and gathered in
-    bulk; other input (such as tuple subclasses), and any fault, goes to the
-    ordered scan."""
-    if (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}
-            and set(map(type, chain.from_iterable(edges))) <= {str}):
-        try:
-            ends = np.fromiter(map(positions.__getitem__, chain.from_iterable(edges)),
-                               dtype=np.intp, count=2 * len(edges)).reshape(-1, 2)
-        except KeyError:  # an unknown endpoint
-            pass
-        else:
-            if not (ends[:, 0] == ends[:, 1]).any():
-                return ends
+def _edge_ends(edges, positions: dict[SensorId, int]) -> np.ndarray:
+    """The (E, 2) positions of the endpoints of ``edges``, as given, checked
+    in one pass in the given order.  An edge that is not a pair of two
+    distinct sensors raises :class:`TopologyFormatError` naming the first
+    such edge and its first fault."""
     scanned: list[int] = []
     get = positions.get
     for e in edges:
@@ -228,13 +208,14 @@ class Topology:
     complement rule when it is ``None``.  :func:`validate` checks explicit
     sets against the sensors and the wired links.
 
-    Construction checks the sensors one by one in the given order, so a
-    fault names the first bad id listed, and the edges in bulk, and builds
-    :class:`TopologyIndex` once.  ``kljn_edges`` is built from the index on
-    its first read; each sensor's wired-peer frozenset on its first lookup.
-    Under the complement rule :meth:`wireless_set` returns an O(1) view
-    over the index.  Topologies compare, hash and print by ``(sensors,
-    kljn_edges, wireless_sets)`` and cannot be changed.
+    Construction checks the wireless sets, the sensors and the edges each
+    in one pass in the given order, so a fault names the first bad item
+    listed, and builds :class:`TopologyIndex` once.  ``kljn_edges`` is
+    built from the index on its first read; each sensor's wired-peer
+    frozenset on its first lookup.  Under the complement rule
+    :meth:`wireless_set` returns an O(1) view over the index.  Topologies
+    compare, hash and print by ``(sensors, kljn_edges, wireless_sets)`` and
+    cannot be changed.
     """
 
     sensors: tuple[SensorId, ...]
@@ -250,7 +231,7 @@ class Topology:
         set_("wireless_sets", wireless_sets)
         positions = _sorted_positions(list(sensors))
         set_("sensors", tuple(positions))
-        set_("index", TopologyIndex.build(positions, _edge_ends(list(kljn_edges), positions)))
+        set_("index", TopologyIndex.build(positions, _edge_ends(kljn_edges, positions)))
         set_("sensor_set", frozenset(positions))
         set_("_kljn_sets", _PeerSets(self.sensors, self.index))
         set_("_kljn_edges", None)

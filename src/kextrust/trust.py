@@ -186,20 +186,6 @@ _BLOCK_ROWS = 64  # rows that trust_matrix counts, and the writers write, at a t
 _CANDIDATES_PER_CELL = 1  # above this many a cell, trust_matrix scans a block's cells
 
 
-def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct entries of the 1-D ``a`` and, for each entry of
-    ``a``, its position among them: ``np.unique(a, return_inverse=True)``
-    by a stable sort and a compare of neighbours (``np.unique`` imports
-    ``numpy.ma``, about 1 MB, on first use)."""
-    order = np.argsort(a, kind="stable")
-    ranked = a[order]
-    new = np.ones(len(a), dtype=bool)
-    new[1:] = ranked[1:] != ranked[:-1]
-    inverse = np.empty(len(a), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return ranked[new], inverse
-
-
 @dataclass
 class TrustMatrix:
     """All-pairs trust, rows and columns in ``order`` (sorted ids), as ids
@@ -300,7 +286,7 @@ def trust_matrix(
     pb = _sum_table(coef.b, degree.max(initial=0))
     pc = _sum_table(coef.c, z0.max(initial=0))
     span = z0.max(initial=0) + 1
-    classes, column_class = _distinct(degree * span + z0)
+    classes, column_class = np.unique(degree * span + z0, return_inverse=True)
     d, z = np.divmod(classes, span)
     size = 2 * d + 3
     class_base = np.cumsum(size) - size
@@ -369,7 +355,7 @@ def trust_matrix(
     live[dead] = False
     used = np.zeros(len(cells), dtype=bool)
     used[keys] = used[column_base[live]] = True
-    table, lut = _distinct(np.concatenate((cells[used], [0.0, 1.0])))
+    table, lut = np.unique(np.concatenate((cells[used], [0.0, 1.0])), return_inverse=True)
     id_of = np.zeros(len(cells), dtype=np.min_scalar_type(len(table) - 1))
     id_of[used] = lut[:-2]
     base = np.where(live, id_of[column_base], 0).astype(id_of.dtype)

@@ -100,8 +100,8 @@ def with_explicit_wireless_sets(t: Topology, rng, reach: float) -> Topology:
 
 def topology_reference(sensors, kljn_edges, wireless_sets=None) -> SimpleNamespace:
     """What :class:`Topology` builds from its arguments, checked one item at
-    a time in the given order: the oracle for its checks in bulk and its
-    index.  Returns ``sensors`` (sorted), ``sensor_set``, ``kljn_edges``,
+    a time in the given order: the oracle for its checks and its index.
+    Returns ``sensors`` (sorted), ``sensor_set``, ``kljn_edges``,
     ``kljn_sets`` (sensor -> frozenset of wired peers) and
     ``wireless_sets``, or raises :class:`TopologyFormatError` with the
     message the topology must give."""

@@ -1111,10 +1111,9 @@ class TestConsoleChecks:
         assert run_cli(capsys, "trust-matrix", "fig2", "--kill", "Q,R") == (
             1, "", "error: --kill names unknown sensor 'Q'\n")
 
-    def test_bulk_edge_checks_at_n_1000(self, capsys, tmp_path):
-        # 1000 sensors with repeated and reversed links pass the checks in
-        # bulk; a self-loop as the last edge falls back to the ordered scan
-        # and names it
+    def test_edge_checks_at_n_1000(self, capsys, tmp_path):
+        # 1000 sensors with repeated and reversed links pass the checks; a
+        # self-loop as the last edge is named
         r = random.Random(2)
         s = [f"s{k:04d}" for k in range(1000)]
         e = [r.sample(s, 2) for _ in range(3000)]

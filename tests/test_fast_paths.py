@@ -914,8 +914,9 @@ class TestMatrixWriters:
         assert [[float(cell) for cell in row[1:]] for row in rows[1:]] == matrix.values.tolist()
 
     def test_writers_leave_numpy_ma_unimported(self, tmp_path):
-        # np.unique imports numpy.ma (about 1 MB) on first use; the value
-        # table is built without it, in every command that writes a matrix
+        # np.unique imports numpy.ma (about 1 MB) when it is asked for
+        # neither indices nor counts; the value table asks for the inverse,
+        # so every command that writes a matrix leaves numpy.ma unimported
         topology = tmp_path / "t.json"
         topology.write_text(json.dumps(topology_to_doc(_writer_topology(70, seed=4))),
                             encoding="utf-8")

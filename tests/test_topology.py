@@ -157,6 +157,8 @@ def test_construction_refuses_what_the_model_excludes(sensors, edge, message):
         ({"A": ["B", ""], "B": []}, "wireless peer of 'A' must be a non-empty string, got ''"),
         ({"A": ["B"], 1: ["A"]}, "wireless set owner must be a non-empty string, got 1"),
         ({"A": ["B"], "": ["A"]}, "wireless set owner must be a non-empty string, got ''"),
+        ({"A": ["B", None, 1, ""], "B": []},
+         "wireless peer of 'A' must be a non-empty string, got None"),
     ],
 )
 def test_construction_refuses_wireless_ids_that_are_not_strings(sets, message):
@@ -343,7 +345,7 @@ class TestValueSemantics:
 
 
 class _Pair(tuple):
-    """A tuple-subclass edge: it passes the per-item checks, not the bulk ones."""
+    """A tuple-subclass edge: the edge scan takes it as a pair."""
 
 
 class _Lookalike:
@@ -363,8 +365,7 @@ class _Lookalike:
 
 
 class _Id(str):
-    """A str-subclass id: as an endpoint it passes the per-edge checks, not
-    the bulk ones."""
+    """A str-subclass id: the sensor and edge checks take it as an id."""
 
 
 _ALPHABET = list("abcXYZ019,_\u00e9")
@@ -424,9 +425,10 @@ def _outcome(build, *args):
 
 
 class TestConstructionOracle:
-    """Construction checks the edges in bulk and indexes once; the per-item
-    checks of :func:`reference_data.topology_reference`, which builds no
-    index, are the oracle for both."""
+    """Construction checks the sets, sensors and edges in the given order
+    and indexes once; the per-item checks of
+    :func:`reference_data.topology_reference`, which builds no index, are
+    the oracle for both."""
 
     def test_valid_documents_give_the_reference_sets(self):
         rng = np.random.default_rng(2024)
@@ -492,8 +494,7 @@ class TestConstructionOracle:
 
     def test_endpoint_that_only_equals_a_sensor_id_is_unknown(self):
         """An endpoint that is not a str but hashes and compares equal to a
-        sensor id fails the bulk check, and the scan refuses it as the
-        reference does."""
+        sensor id is refused as unknown, as the reference refuses it."""
         a, b = _Lookalike("A"), _Lookalike("B")
         for edge, end in [(("A", b), b), ((a, "B"), a), (_Pair(("A", b)), b)]:
             got = _outcome(Topology, ["A", "B"], [edge])
