@@ -37,7 +37,6 @@ from .kljn import (
 )
 from .orchestrator import (
     NetworkKeyState,
-    STATUS_FAILED,
     apply_kill_event,
     establish_network_keys,
     json_block,
@@ -440,7 +439,7 @@ def _cmd_establish(args) -> int:
     t = _load_checked_topology(args.topology)
     state = establish_network_keys(t, master_seed=args.seed, target_bits=args.bits)
     _emit((state_to_json(state),), args.out, source=args.topology)
-    failed = sum(1 for r in state.stored.values() if r.status == STATUS_FAILED)
+    failed = state.kljn_keys.count("")
     if failed:
         print(f"warning: {failed} record(s) failed", file=sys.stderr)
     return 0

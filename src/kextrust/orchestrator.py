@@ -7,10 +7,11 @@ handshake is conditionally-secure commodity and contributes nothing to
 the trust math beyond its classification).  The state has one record per
 unordered sensor pair, the operator kill switch, and a logical clock so
 repeated runs with the same master seed serialize to identical bytes.
-Only the wired sessions and the kill events are stored: a wireless record
-is a pure function of the master seed and its pair, the killed set is the
-replay of the kill events, and a record is revoked iff one of its sensors
-has a ``set`` kill event.
+Only each wired link's key id and the kill events are stored: a wired
+record is its link's key id at the link's position, failed where the key
+id is empty, a wireless record is a pure function of the master seed and
+its pair, the killed set is the replay of the kill events, and a record is
+revoked iff one of its sensors has a ``set`` kill event.
 """
 
 from __future__ import annotations
@@ -92,14 +93,15 @@ class KeyRecord:
 class NetworkKeyState:
     """Key state of a network.
 
-    ``stored`` holds the wired-session records with status ``ok`` or
-    ``failed``.  :meth:`records_sorted` derives every record from it, the
-    master seed and the kill log; ``records`` is a read-only snapshot of
-    those records keyed by pair.
+    ``kljn_keys`` holds one key id per wired link, parallel to
+    ``topology.index.links`` (the links in sorted order); a key id is
+    ``""`` where the link's session failed.  :meth:`records_sorted` derives
+    every record from it, the master seed and the kill log; ``records`` is
+    a read-only snapshot of those records keyed by pair.
     """
 
     topology: Topology
-    stored: dict[Pair, KeyRecord]
+    kljn_keys: list[str]
     kill: KillSwitchState
     clock: int
     master_seed: int
@@ -110,33 +112,33 @@ class NetworkKeyState:
         read-only snapshot of :meth:`records_sorted`, built on each access."""
         return MappingProxyType({r.pair: r for r in self.records_sorted()})
 
-    def pair_index(self, a: SensorId, b: SensorId) -> int | None:
-        """1-based position of ``(a, b)`` among the canonical sensor pairs
-        (sorted, first sensor below the second), or ``None`` if it is not one."""
-        positions = self.topology.index.positions  # each sensor's rank
-        p, q = positions.get(a), positions.get(b)
-        if p is None or q is None or p >= q:
-            return None
-        return p * (2 * len(positions) - p - 1) // 2 + q - p
-
     def records_sorted(self) -> Iterator[KeyRecord]:
         """Every record, one canonical pair at a time in canonical order.
 
-        A pair's record is the stored one, or else a wireless record whose
-        token is that of ``json.dumps([master_seed, a, b, "wireless"])`` and
-        whose ``established_at`` is the pair's position.  A record one of
+        ``established_at`` is the pair's position.  The wired links are
+        walked in step with the pairs: a wired pair's record has the link's
+        key id, and status ``ok``, or ``failed`` where the key id is empty.
+        Any other pair's record is a wireless one whose token is that of
+        ``json.dumps([master_seed, a, b, "wireless"])``.  A record one of
         whose sensors has a ``set`` kill event comes back as a revoked copy.
         The JSON text of the first sensor and its revocation are found once
         per row.
         """
         revoked = {e.sensor for e in self.kill.event_log if e.action == "set"}
-        ids, stored, index = self.topology.sensors, self.stored, 0
+        ids, index = self.topology.sensors, 0
+        n = len(ids)
+        wired = ((p * (2 * n - p - 1) // 2 + q - p, key)  # each link's position
+                 for (p, q), key in zip(self.topology.index.links.tolist(), self.kljn_keys))
+        at, key = next(wired, (0, ""))
         for x, a in enumerate(ids):
             prefix, row_revoked = f"[{self.master_seed}, {_json_str(a)}, ", a in revoked
             for b in ids[x + 1 :]:
                 index += 1
-                record = stored.get((a, b))
-                if record is None:
+                if index == at:
+                    status = STATUS_OK if key else STATUS_FAILED
+                    record = KeyRecord((a, b), CHANNEL_KLJN, key, index, status)
+                    at, key = next(wired, (0, ""))
+                else:
                     token = _fingerprint(f'{prefix}{_json_str(b)}, "wireless"]')
                     record = KeyRecord((a, b), CHANNEL_WIRELESS, token, index, STATUS_OK)
                 if row_revoked or b in revoked:
@@ -163,13 +165,14 @@ def establish_network_keys(
     """Establish a key record for every unordered sensor pair.
 
     Wired edges each run a full simulated key-exchange session seeded from
-    ``hash(master_seed, edge)``; a session that ends in attack detection or
-    budget exhaustion marks just that record failed.  Wireless pairs get an
-    opaque deterministic key token, derived when read (see
-    :meth:`NetworkKeyState.records_sorted`).  ``attackers`` maps canonical
-    edges to attacker models, for exercising fault isolation.  The clock
-    counts one tick per pair, as if every pair were established in
-    canonical order.  A ``master_seed`` that is not an ``int``, or a
+    ``hash(master_seed, edge)``, in sorted order, and append the key's id
+    to ``kljn_keys``; a session that ends in attack detection or budget
+    exhaustion appends ``""``, which marks just that record failed.
+    Wireless pairs get an opaque deterministic key token, derived when read
+    (see :meth:`NetworkKeyState.records_sorted`).  ``attackers`` maps
+    canonical edges to attacker models, for exercising fault isolation.
+    The clock counts one tick per pair, as if every pair were established
+    in canonical order.  A ``master_seed`` that is not an ``int``, or a
     ``target_bits`` that is not an ``int`` of at least 1 (a ``bool`` is
     neither), raises ``ValueError`` before any session runs, whatever the
     topology.
@@ -180,21 +183,16 @@ def establish_network_keys(
         raise ValueError(f"target_bits must be an int of at least 1, not {target_bits!r}")
     attackers = attackers or {}
     n = len(t.sensor_set)
-    state = NetworkKeyState(t, {}, KillSwitchState(), n * (n - 1) // 2, master_seed)
+    state = NetworkKeyState(t, [], KillSwitchState(), n * (n - 1) // 2, master_seed)
     for p, q in t.index.links.tolist():  # in canonical order
         a, b = t.sensors[p], t.sensors[q]
-        index = state.pair_index(a, b)
         cfg = KljnSessionConfig(seed=_derive_seed(master_seed, a, b))
         try:
             result = run_key_exchange(cfg, target_bits, attacker=attackers.get((a, b)))
         except BudgetExhaustedError:
             result = None
-        if result is None or result.attack_detected:
-            record = KeyRecord((a, b), CHANNEL_KLJN, "", index, STATUS_FAILED)
-        else:
-            token = _fingerprint(f"kljn|{result.key_bits}")
-            record = KeyRecord((a, b), CHANNEL_KLJN, token, index, STATUS_OK)
-        state.stored[(a, b)] = record
+        failed = result is None or result.attack_detected
+        state.kljn_keys.append("" if failed else _fingerprint(f"kljn|{result.key_bits}"))
     return state
 
 
@@ -252,10 +250,11 @@ def _json_ids(ids) -> str:
 
 
 def state_to_json(state: NetworkKeyState) -> str:
-    """Serialize the state as a version 2 document; key bits are not persisted.
+    """Serialize the state as a version 3 document; key bits are not persisted.
 
     The document holds ``version``, ``topology``, ``clock``, ``master_seed``,
-    the stored records and the kill events (README: "State files").  It is
+    ``kljn_keys`` (one key id per wired link, in the order ``kljn_edges``
+    is written) and the kill events (README: "State files").  It is
     indented two spaces per level; a list of sensor ids is one line, every
     other list or object has one entry per line, and each entry is written
     as ``json.dumps`` writes it without ``indent`` (no pure-Python encoder
@@ -269,18 +268,17 @@ def state_to_json(state: NetworkKeyState) -> str:
     if "wireless_sets" in t:
         sets = (f"{_json_str(s)}: {_json_ids(peers)}" for s, peers in t["wireless_sets"].items())
         topology.append(f'"wireless_sets": {json_block(sets, "    ", "{}")}')
-    records = (json.dumps(vars(state.stored[p])) for p in sorted(state.stored))
     events = (json.dumps(vars(e)) for e in state.kill.event_log)
     return (
-        f'{{\n  "version": 2,\n  "topology": {json_block(topology, "  ", "{}")},\n'
+        f'{{\n  "version": 3,\n  "topology": {json_block(topology, "  ", "{}")},\n'
         f'  "clock": {state.clock},\n  "master_seed": {state.master_seed},\n'
-        f'  "records": {json_block(records, "  ")},\n'
+        f'  "kljn_keys": {json_block(map(_json_str, state.kljn_keys), "  ")},\n'
         f'  "kill_events": {json_block(events, "  ")}\n}}\n'
     )
 
 
-_STATE_KEYS = ("version", "topology", "clock", "master_seed", "records", "kill_events")
-_REESTABLISH = "re-run 'kextrust establish' to write a version 2 state file"
+_STATE_KEYS = ("version", "topology", "clock", "master_seed", "kljn_keys", "kill_events")
+_REESTABLISH = "re-run 'kextrust establish' to write a version 3 state file"
 
 
 class StateFormatError(ValueError):
@@ -288,20 +286,24 @@ class StateFormatError(ValueError):
 
 
 def _kill_from_doc(events: list, t: Topology) -> KillSwitchState:
-    """The kill log read from its event list.  Every sensor named must
+    """The kill log read from its event list.  Each event must be an object
+    with ``timestamp``, ``sensor`` and ``action``, every sensor named must
     be one of ``t``'s and every event field is type checked."""
     if not isinstance(events, list):
         raise StateFormatError("state file kill events must be a list")
     kill = KillSwitchState()
     for index, e in enumerate(events):
-        timestamp, sensor, action, note = e["timestamp"], e["sensor"], e["action"], e.get("note", "")
-        if type(timestamp) is not int:
+        if not isinstance(e, dict):
+            problem = "an event must be an object"
+        elif missing := [key for key in ("timestamp", "sensor", "action") if key not in e]:
+            problem = f"missing {', '.join(map(repr, missing))}"
+        elif type(timestamp := e["timestamp"]) is not int:
             problem = "'timestamp' must be an integer"
-        elif not (isinstance(sensor, str) and t.has_sensor(sensor)):
+        elif not (isinstance(sensor := e["sensor"], str) and t.has_sensor(sensor)):
             problem = f"'sensor' {sensor!r} is not a sensor of the topology"
-        elif action not in ("set", "clear"):
+        elif (action := e["action"]) not in ("set", "clear"):
             problem = "'action' must be \"set\" or \"clear\""
-        elif not isinstance(note, str):
+        elif not isinstance(note := e.get("note", ""), str):
             problem = "'note' must be a string"
         else:
             (kill.kill if action == "set" else kill.clear)(sensor, timestamp, note)
@@ -310,53 +312,15 @@ def _kill_from_doc(events: list, t: Topology) -> KillSwitchState:
     return kill
 
 
-def _store_records(state: NetworkKeyState, records: list) -> None:
-    """Check each of a file's records against the state's topology, and
-    store it: only wired-session records, with status ``ok`` or ``failed``."""
-    if not isinstance(records, list):
-        raise StateFormatError("state file 'records' must be a list")
-    kljn_edges = state.topology.kljn_edges
-    for index, r in enumerate(records):
-        pair, channel, key_id = r["pair"], r["channel"], r["key_id"]
-        established_at, status = r["established_at"], r["status"]
-        if not (isinstance(pair, list) and len(pair) == 2
-                and isinstance(pair[0], str) and isinstance(pair[1], str)):
-            problem = "'pair' must be two strings"
-        elif not (isinstance(channel, str) and isinstance(key_id, str)
-                  and isinstance(status, str)):
-            problem = "'channel', 'key_id' and 'status' must be strings"
-        elif type(established_at) is not int:
-            problem = "'established_at' must be an integer"
-        elif (key := tuple(pair)) in state.stored:
-            problem = "a second record for the pair"
-        elif (position := state.pair_index(*key)) is None:
-            problem = "'pair' must be two sensors of the topology in sorted order"
-        elif channel != (kind := CHANNEL_KLJN if key in kljn_edges else CHANNEL_WIRELESS):
-            problem = f"'channel' must be {kind!r}"
-        elif kind == CHANNEL_WIRELESS:
-            problem = "a wireless record is derived from 'master_seed', not stored"
-        elif status not in (STATUS_OK, STATUS_FAILED):
-            problem = "'status' must be 'ok' or 'failed'"
-        elif (status == STATUS_FAILED) != (key_id == ""):
-            problem = "'key_id' must be empty exactly when 'status' is 'failed'"
-        elif established_at != position:
-            problem = f"'established_at' must be {position}, the pair's canonical position"
-        else:
-            state.stored[key] = KeyRecord(key, channel, key_id, established_at, status)
-            continue
-        raise StateFormatError(f"state file record {index} (pair {pair!r}): {problem}")
-
-
 def state_from_json(text: str) -> NetworkKeyState:
-    """Parse a version 2 state file with an integer master seed; anything
+    """Parse a version 3 state file with an integer master seed; anything
     else raises ``ValueError``, with a one-line message.
 
-    Every field is type checked.  The records must be the canonical wired
-    edges, each once, with the right channel and ``established_at``; the
-    kill events may only name sensors of the topology.  A file of another
-    version (an earlier one has no ``version``) or without a master seed is
-    refused: its keys cannot be derived, so the state must be established
-    again.
+    Every field is type checked.  ``kljn_keys`` must be a list of strings,
+    one per wired link; each kill event must be an object, and may only
+    name sensors of the topology.  A file of another version (an earlier
+    one has no ``version``) or without a master seed is refused: the state
+    must be established again.
     """
     doc = decode_json(text, "state file", StateFormatError)
     if not isinstance(doc, dict):
@@ -365,7 +329,7 @@ def state_from_json(text: str) -> NetworkKeyState:
         raise ValueError(f"state file has no 'version'; {_REESTABLISH}")
     version = doc["version"]
     # a JSON true/false loads as bool, an int subclass
-    if type(version) is not int or version != 2:
+    if type(version) is not int or version != 3:
         raise ValueError(f"state file version {version!r} is not supported; {_REESTABLISH}")
     missing = [key for key in _STATE_KEYS if key not in doc]
     if missing:
@@ -377,20 +341,13 @@ def state_from_json(text: str) -> NetworkKeyState:
         raise ValueError(f"state file 'master_seed' must be an integer, not "
                          f"{json.dumps(master_seed)}; {_REESTABLISH}")
     t = topology_from_doc(doc["topology"])
-    state = NetworkKeyState(t, {}, KillSwitchState(), doc["clock"], master_seed)
-    try:
-        _store_records(state, doc["records"])
-        state.kill = _kill_from_doc(doc["kill_events"], t)
-    except StateFormatError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ValueError(
-            f"state file has a malformed record or kill log ({type(exc).__name__}: {exc})"
-        ) from None
-    absent = min(t.kljn_edges.difference(state.stored), default=None)
-    if absent is not None:
-        raise StateFormatError(f"state file has no record for pair {list(absent)!r}")
-    return state
+    keys, links = doc["kljn_keys"], len(t.index.links)
+    if not (isinstance(keys, list) and len(keys) == links
+            and all(isinstance(key, str) for key in keys)):
+        raise StateFormatError(f"state file 'kljn_keys' must be a list of strings, one per "
+                               f"wired link (the topology has {links})")
+    return NetworkKeyState(t, keys, _kill_from_doc(doc["kill_events"], t), doc["clock"],
+                           master_seed)
 
 
 def write_files(files) -> None:

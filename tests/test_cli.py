@@ -44,43 +44,67 @@ def run_cli(capsys, *argv):
 
 
 _SET_A = {"timestamp": 2, "sensor": "A", "action": "set", "note": ""}
-_WIRED_AB = {"pair": ["A", "B"], "channel": "kljn", "key_id": "k", "established_at": 1,
-             "status": "ok"}
-_WIRELESS_AC = {"pair": ["A", "C"], "channel": "wireless", "key_id": "k", "established_at": 2,
-                "status": "ok"}
 
 
-def _v2_state(records=(_WIRED_AB,), sensors=("A", "B"), **fields):
-    """A version 2 state file text whose one wired link is A-B, with
+def _v3_state(**fields):
+    """A version 3 state file text whose one wired link is A-B, with
     top-level ``fields`` changed."""
-    doc = {"version": 2, "topology": {"sensors": list(sensors), "kljn_edges": [["A", "B"]]},
-           "clock": 1, "master_seed": 7, "records": records, "kill_events": [], **fields}
+    doc = {"version": 3, "topology": {"sensors": ["A", "B"], "kljn_edges": [["A", "B"]]},
+           "clock": 1, "master_seed": 7, "kljn_keys": ["k"], "kill_events": [], **fields}
     return json.dumps(doc)
 
 
-def _state_with_record(**fields):
-    """A version 2 state file text whose one record, A-B, has ``fields`` changed."""
-    return _v2_state(records=[{**_WIRED_AB, **fields}])
-
-
 def _state_with_kill(clock=1, **event):
-    """A version 2 state file text with the clock ``clock`` and, if ``event``
+    """A version 3 state file text with the clock ``clock`` and, if ``event``
     holds fields, one kill event changed by them."""
     events = [{**_SET_A, "timestamp": 1, **event}] if event else []
-    return _v2_state(clock=clock, kill_events=events)
+    return _v3_state(clock=clock, kill_events=events)
 
 
-def _v2_state_without(*keys):
-    """A version 2 state file text with the top-level ``keys`` left out."""
-    doc = json.loads(_v2_state())
+def _v3_state_without(*keys):
+    """A version 3 state file text with the top-level ``keys`` left out."""
+    doc = json.loads(_v3_state())
     return json.dumps({key: value for key, value in doc.items() if key not in keys})
 
 
-_REESTABLISH = "re-run 'kextrust establish' to write a version 2 state file"
+_REESTABLISH = "re-run 'kextrust establish' to write a version 3 state file"
 # the same network as version 1 wrote it: every record, no master seed
 _V1_STATE = json.dumps({
     "topology": {"sensors": ["A", "B"], "kljn_edges": [["A", "B"]]}, "clock": 1,
-    "records": [_WIRED_AB], "kill": {"killed": [], "events": []}})
+    "records": [{"pair": ["A", "B"], "channel": "kljn", "key_id": "k", "established_at": 1,
+                 "status": "ok"}],
+    "kill": {"killed": [], "events": []}})
+# 'establish fig2 --seed 42' as version 2 wrote it, one record per wired link
+# (SHA-256 97ab36c0333bcf56d70c19dda3138e9619d045fdea089f71b6b51c2c67b5d5da)
+_V2_STATE = """\
+{
+  "version": 2,
+  "topology": {
+    "sensors": ["A", "B", "C", "D", "E", "F", "G", "H", "I", "J"],
+    "kljn_edges": [
+      ["A", "B"],
+      ["A", "D"],
+      ["B", "E"],
+      ["C", "D"],
+      ["D", "E"],
+      ["F", "G"]
+    ]
+  },
+  "clock": 45,
+  "master_seed": 42,
+  "records": [
+    {"pair": ["A", "B"], "channel": "kljn", "key_id": "293a1c4140380aad", "established_at": 1, "status": "ok"},
+    {"pair": ["A", "D"], "channel": "kljn", "key_id": "34f4548062210944", "established_at": 3, "status": "ok"},
+    {"pair": ["B", "E"], "channel": "kljn", "key_id": "855b03c45e759aa4", "established_at": 12, "status": "ok"},
+    {"pair": ["C", "D"], "channel": "kljn", "key_id": "6127c5a72bf746c5", "established_at": 18, "status": "ok"},
+    {"pair": ["D", "E"], "channel": "kljn", "key_id": "6c951212b73a8960", "established_at": 25, "status": "ok"},
+    {"pair": ["F", "G"], "channel": "kljn", "key_id": "2d20a9991ccf1bf3", "established_at": 36, "status": "ok"}
+  ],
+  "kill_events": []
+}
+"""
+_KEYS_FOR_ONE_LINK = ("state file 'kljn_keys' must be a list of strings, one per wired link "
+                      "(the topology has 1)")
 
 
 def parse_csv_matrix(text):
@@ -583,106 +607,63 @@ class TestStateWorkflow:
         [
             # text that is not JSON, or that nests too deeply for the decoder
             ("not json", "state file is not valid JSON: Expecting value (line 1, column 1)"),
-            ('{"version": 2,\n  "clock": }',
+            ('{"version": 3,\n  "clock": }',
              "state file is not valid JSON: Expecting value (line 2, column 12)"),
             pytest.param("[" * 100_000, "state file is not valid JSON: nested too deeply",
                          id="deep-arrays"),
-            pytest.param('{"version": 2, "topology": ' + '{"a": ' * 100_000,
+            pytest.param('{"version": 3, "topology": ' + '{"a": ' * 100_000,
                          "state file is not valid JSON: nested too deeply", id="deep-objects"),
             ("[]", "state file must hold a JSON object"),
             # earlier versions and seedless states: the keys cannot be derived
             (_V1_STATE, f"state file has no 'version'; {_REESTABLISH}"),
-            (_v2_state(version=1), f"state file version 1 is not supported; {_REESTABLISH}"),
-            (_v2_state(version=3), f"state file version 3 is not supported; {_REESTABLISH}"),
-            (_v2_state(version=True), f"state file version True is not supported; {_REESTABLISH}"),
-            (_v2_state(version="2"), f"state file version '2' is not supported; {_REESTABLISH}"),
-            (_v2_state(master_seed=None),
+            pytest.param(_V2_STATE, f"state file version 2 is not supported; {_REESTABLISH}",
+                         id="v2-establish-fig2-seed-42"),
+            (_v3_state(version=1), f"state file version 1 is not supported; {_REESTABLISH}"),
+            (_v3_state(version=4), f"state file version 4 is not supported; {_REESTABLISH}"),
+            (_v3_state(version=True), f"state file version True is not supported; {_REESTABLISH}"),
+            (_v3_state(version="3"), f"state file version '3' is not supported; {_REESTABLISH}"),
+            (_v3_state(master_seed=None),
              f"state file 'master_seed' must be an integer, not null; {_REESTABLISH}"),
-            (_v2_state(master_seed="7"),
+            (_v3_state(master_seed="7"),
              f'state file \'master_seed\' must be an integer, not "7"; {_REESTABLISH}'),
-            (_v2_state(master_seed=7.0),
+            (_v3_state(master_seed=7.0),
              f"state file 'master_seed' must be an integer, not 7.0; {_REESTABLISH}"),
-            (_v2_state(master_seed=True),
+            (_v3_state(master_seed=True),
              f"state file 'master_seed' must be an integer, not true; {_REESTABLISH}"),
-            ('{"version": 2, "topology": {"sensors": []}, "clock": 0, "master_seed": 0, '
-             '"kill_events": []}', "state file is missing 'records'"),
-            ('{"version": 2, "topology": {"sensors": []}, "clock": 0, "records": [], '
+            ('{"version": 3, "topology": {"sensors": []}, "clock": 0, "master_seed": 0, '
+             '"kill_events": []}', "state file is missing 'kljn_keys'"),
+            ('{"version": 3, "topology": {"sensors": []}, "clock": 0, "kljn_keys": [], '
              '"kill_events": []}', "state file is missing 'master_seed'"),
-            (_v2_state_without("kill_events"), "state file is missing 'kill_events'"),
-            (_v2_state_without("records", "kill_events"),
-             "state file is missing 'records', 'kill_events'"),
-            (_v2_state(topology=[]), "topology document must be a JSON object"),
-            (_v2_state(records=[1]), "state file has a malformed record or kill log (TypeError"),
-            (_v2_state(kill_events=[1]),
-             "state file has a malformed record or kill log (TypeError"),
-            (_v2_state(records=[{k: v for k, v in _WIRED_AB.items() if k != "status"}]),
-             "state file has a malformed record or kill log (KeyError: 'status')"),
-            (_v2_state(kill_events=[{k: v for k, v in _SET_A.items() if k != "sensor"}]),
-             "state file has a malformed record or kill log (KeyError: 'sensor')"),
-            (_v2_state(clock="0"), "state file 'clock' must be an integer"),
+            (_v3_state_without("kill_events"), "state file is missing 'kill_events'"),
+            (_v3_state_without("kljn_keys", "kill_events"),
+             "state file is missing 'kljn_keys', 'kill_events'"),
+            (_v3_state(topology=[]), "topology document must be a JSON object"),
+            (_v3_state(clock="0"), "state file 'clock' must be an integer"),
             (_state_with_kill(clock=True), "state file 'clock' must be an integer"),
             (_state_with_kill(clock=2.0), "state file 'clock' must be an integer"),
-            # records
-            (_v2_state(records={}), "state file 'records' must be a list"),
-            (_state_with_record(pair=["A"]),
-             "state file record 0 (pair ['A']): 'pair' must be two strings"),
-            (_state_with_record(pair=["A", 2]),
-             "state file record 0 (pair ['A', 2]): 'pair' must be two strings"),
-            (_state_with_record(pair="AB"),
-             "state file record 0 (pair 'AB'): 'pair' must be two strings"),
-            (_state_with_record(channel=1),
-             "state file record 0 (pair ['A', 'B']): 'channel', 'key_id' and 'status'"),
-            (_state_with_record(key_id=None),
-             "state file record 0 (pair ['A', 'B']): 'channel', 'key_id' and 'status'"),
-            (_state_with_record(status=["ok"]),
-             "state file record 0 (pair ['A', 'B']): 'channel', 'key_id' and 'status'"),
-            (_state_with_record(established_at="1"),
-             "state file record 0 (pair ['A', 'B']): 'established_at' must be an integer"),
-            (_state_with_record(established_at=True),
-             "state file record 0 (pair ['A', 'B']): 'established_at' must be an integer"),
-            (_state_with_record(established_at=1.0),
-             "state file record 0 (pair ['A', 'B']): 'established_at' must be an integer"),
-            (_state_with_record(pair=["B", "A"]),
-             "state file record 0 (pair ['B', 'A']): 'pair' must be two sensors of the "
-             "topology in sorted order"),
-            (_state_with_record(pair=["A", "Z"]),
-             "state file record 0 (pair ['A', 'Z']): 'pair' must be two sensors of the "
-             "topology in sorted order"),
-            (_state_with_record(pair=["A", "A"]),
-             "state file record 0 (pair ['A', 'A']): 'pair' must be two sensors of the "
-             "topology in sorted order"),
-            (_state_with_record(channel="bogus"),
-             "state file record 0 (pair ['A', 'B']): 'channel' must be 'kljn'"),
-            (_state_with_record(channel="wireless"),
-             "state file record 0 (pair ['A', 'B']): 'channel' must be 'kljn'"),
-            (_v2_state(records=[_WIRED_AB, {**_WIRELESS_AC, "channel": "kljn"}],
-                       sensors=("A", "B", "C")),
-             "state file record 1 (pair ['A', 'C']): 'channel' must be 'wireless'"),
-            (_v2_state(records=[_WIRED_AB, _WIRELESS_AC], sensors=("A", "B", "C")),
-             "state file record 1 (pair ['A', 'C']): a wireless record is derived from "
-             "'master_seed', not stored"),
-            (_state_with_record(status="lost"),
-             "state file record 0 (pair ['A', 'B']): 'status' must be 'ok' or 'failed'"),
-            (_state_with_record(status="revoked"),
-             "state file record 0 (pair ['A', 'B']): 'status' must be 'ok' or 'failed'"),
-            (_state_with_record(key_id=""),
-             "state file record 0 (pair ['A', 'B']): 'key_id' must be empty exactly when "
-             "'status' is 'failed'"),
-            (_state_with_record(status="failed"),
-             "state file record 0 (pair ['A', 'B']): 'key_id' must be empty exactly when "
-             "'status' is 'failed'"),
-            (_state_with_record(established_at=2),
-             "state file record 0 (pair ['A', 'B']): 'established_at' must be 1, the pair's "
-             "canonical position"),
-            (_v2_state(records=[_WIRED_AB, _WIRED_AB]),
-             "state file record 1 (pair ['A', 'B']): a second record for the pair"),
-            (_v2_state(records=[]), "state file has no record for pair ['A', 'B']"),
-            # of three wired links, only the first in sorted order has a record
-            (_v2_state(topology={"sensors": ["A", "B", "C"],
+            # wired keys: a list of strings, one per wired link
+            (_v3_state(kljn_keys={}), _KEYS_FOR_ONE_LINK),
+            (_v3_state(kljn_keys="k"), _KEYS_FOR_ONE_LINK),
+            (_v3_state(kljn_keys=None), _KEYS_FOR_ONE_LINK),
+            (_v3_state(kljn_keys=[1]), _KEYS_FOR_ONE_LINK),
+            (_v3_state(kljn_keys=[None]), _KEYS_FOR_ONE_LINK),
+            (_v3_state(kljn_keys=[["k"]]), _KEYS_FOR_ONE_LINK),
+            (_v3_state(kljn_keys=[]), _KEYS_FOR_ONE_LINK),  # one key too few
+            (_v3_state(kljn_keys=["k", ""]), _KEYS_FOR_ONE_LINK),  # one key too many
+            # of three wired links, only the first in sorted order has a key
+            (_v3_state(topology={"sensors": ["A", "B", "C"],
                                  "kljn_edges": [["B", "C"], ["A", "C"], ["A", "B"]]}),
-             "state file has no record for pair ['A', 'C']"),
+             "state file 'kljn_keys' must be a list of strings, one per wired link "
+             "(the topology has 3)"),
             # kill events
-            (_v2_state(kill_events={}), "state file kill events must be a list"),
+            (_v3_state(kill_events={}), "state file kill events must be a list"),
+            (_v3_state(kill_events=[7]), "state file kill event 0: an event must be an object"),
+            (_v3_state(kill_events=[_SET_A, ["A", "set"]]),
+             "state file kill event 1: an event must be an object"),
+            (_v3_state(kill_events=[{k: v for k, v in _SET_A.items() if k != "sensor"}]),
+             "state file kill event 0: missing 'sensor'"),
+            (_v3_state(kill_events=[{"note": ""}]),
+             "state file kill event 0: missing 'timestamp', 'sensor', 'action'"),
             (_state_with_kill(timestamp="x"),
              "state file kill event 0: 'timestamp' must be an integer"),
             (_state_with_kill(timestamp=False),
@@ -713,7 +694,7 @@ class TestStateWorkflow:
         topology = {"sensors": ["A", "B"], "kljn_edges": [["A", "B"]],
                     "wireless_sets": {"A": ["B"], "B": ["A"]}}
         state_path = tmp_path / "state.json"
-        state_path.write_text(_v2_state(topology=topology))
+        state_path.write_text(_v3_state(topology=topology))
         before = state_path.read_bytes()
         argv = [command, str(state_path)] + (["A"] if command == "kill" else [])
         code, out, err = run_cli(capsys, *argv)
@@ -1199,7 +1180,7 @@ class TestMatrixBudget:
     def test_report_over_budget(self, capsys, tmp_path):
         path = tmp_path / "state.json"
         sensors = [f"s{k}" for k in range(self.OVER)]
-        path.write_text(_v2_state(records=[], topology={"sensors": sensors, "kljn_edges": []}))
+        path.write_text(_v3_state(kljn_keys=[], topology={"sensors": sensors, "kljn_edges": []}))
         self._assert_refused(capsys, tmp_path, "report", str(path))
 
     def test_budget_edge(self):

@@ -309,11 +309,11 @@ class TestWordsMismatch:
 # --- state writer
 
 
-# The version 2 layout, spelled as a rule: these containers (by key path,
+# The version 3 layout, spelled as a rule: these containers (by key path,
 # "*" for any list entry) have one entry per line, everything else is
 # written as json.dumps writes it without indent.
 _EXPANDED = {(), ("topology",), ("topology", "kljn_edges"), ("topology", "wireless_sets"),
-             ("records",), ("kill_events",)}
+             ("kljn_keys",), ("kill_events",)}
 
 
 def _ref_layout(value, path=(), pad=""):
@@ -331,31 +331,17 @@ def _ref_layout(value, path=(), pad=""):
 
 
 def _ref_state_json(state):
-    """The version 2 document of ``state``, read off its records view: the
-    wired records with the status they had before any kill, and the kill
-    events."""
+    """The version 3 document of ``state``, read off its records view: the
+    wired records' key ids, and the kill events."""
     def event(e):
         return {"timestamp": e.timestamp, "sensor": e.sensor, "action": e.action, "note": e.note}
 
-    def unrevoked(r):
-        return r.status if r.status != "revoked" else ("ok" if r.key_id else "failed")
-
     doc = {
-        "version": 2,
+        "version": 3,
         "topology": topology_to_doc(state.topology),
         "clock": state.clock,
         "master_seed": state.master_seed,
-        "records": [
-            {
-                "pair": list(r.pair),
-                "channel": r.channel,
-                "key_id": r.key_id,
-                "established_at": r.established_at,
-                "status": unrevoked(r),
-            }
-            for r in state.records_sorted()
-            if r.channel == "kljn"
-        ],
+        "kljn_keys": [r.key_id for r in state.records_sorted() if r.channel == "kljn"],
         "kill_events": [event(e) for e in state.kill.event_log],
     }
     return _ref_layout(doc) + "\n"
@@ -966,7 +952,7 @@ PINNED_SESSIONS = {
     ("2024", "wire-substitution"): "74e6a5566c7188e9f90e56eff268c929e124b92409b8037b538b396d512ecfba",
     ("2024", "current-injection"): "2161158521b8bb9d9d68cf0279e5bde162e7d0ae64d9833d91ac22bbf7a4906e",
 }
-PINNED_ESTABLISH_FIG2_SEED_42 = "97ab36c0333bcf56d70c19dda3138e9619d045fdea089f71b6b51c2c67b5d5da"
+PINNED_ESTABLISH_FIG2_SEED_42 = "075cd5aebd4136982419c9f8deb24182c4dd7dbe48e9b08d3a4cd5e4257b14e1"
 # report --out/--csv after establish fig2 --seed 42 and kill H, recorded
 # with the json.dumps report writer
 PINNED_REPORT_FIG2_KILL_H = {
@@ -998,7 +984,7 @@ class TestPinnedOutput:
         assert main(["establish", "fig2", "--seed", "42", "--out", state]) == 0
         assert main(["kill", state, "H"]) == 0
         doc = json.loads(Path(state).read_text(encoding="utf-8"))
-        assert (doc["version"], doc["master_seed"], len(doc["records"])) == (2, 42, 6)
+        assert (doc["version"], doc["master_seed"], len(doc["kljn_keys"])) == (3, 42, 6)
         assert main(["report", state, "--out", str(tmp_path / "report.json"),
                      "--csv", str(tmp_path / "report.csv")]) == 0
         assert main(["report", state, "--full-precision",

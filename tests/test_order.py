@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from kextrust.cli import main
+from kextrust.kljn import WireSubstitutionAttacker
 from kextrust.orchestrator import (
     apply_kill_event,
     establish_network_keys,
@@ -23,6 +24,7 @@ from kextrust.orchestrator import (
 from kextrust.topology import (
     Topology,
     TopologyFormatError,
+    bundled_topology,
     parse_topology,
     topology_to_doc,
 )
@@ -106,19 +108,31 @@ def test_listing_order_does_not_count(seed):
 
 
 def test_report_on_a_state_that_lists_its_sensors_unsorted(tmp_path, capsys):
-    """kextrust writes a state file's sensors sorted; a file that lists them
-    in another order reports exactly as the sorted file does."""
+    """kextrust writes a state file's sensors and wired links sorted, and its
+    k-th key belongs to the k-th link in sorted order; a file that lists its
+    sensors and links in another order reports exactly as the sorted file
+    does."""
+    attackers = {("A", "D"): WireSubstitutionAttacker(start_period=0, seed=1)}
+    state = establish_network_keys(bundled_topology(), 42, 16, attackers=attackers)
     path = tmp_path / "state.json"
-    assert main(["establish", "fig2", "--seed", "42", "--out", str(path)]) == 0
+    path.write_text(state_to_json(state), encoding="utf-8")
     assert main(["kill", str(path), "H"]) == 0
-    capsys.readouterr()
     assert main(["report", str(path)]) == 0
     report = capsys.readouterr().out
+    statuses = {tuple(r["pair"]): r["status"] for r in json.loads(report)["records"]}
+    assert [statuses[e] for e in sorted(state.topology.kljn_edges)] == [
+        "ok", "failed", "ok", "ok", "ok", "ok"]
     doc = json.loads(path.read_text(encoding="utf-8"))
     doc["topology"]["sensors"].reverse()
+    doc["topology"]["kljn_edges"] = [[b, a] for a, b in reversed(doc["topology"]["kljn_edges"])]
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["report", str(path)]) == 0
     assert capsys.readouterr().out == report
+    # the keys are read in sorted link order, not in the order the links are listed
+    doc["kljn_keys"].reverse()
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["report", str(path)]) == 0
+    assert capsys.readouterr().out != report
 
 
 @pytest.mark.parametrize("sensors, message", [

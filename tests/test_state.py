@@ -2,9 +2,9 @@
 
 The oracle is the earlier state model, kept here as it was: one stored
 record per sensor pair, and a kill that revokes every record of the sensor.
-The state under test stores only the wired sessions and the kill events,
-and derives the rest; every view of it, and of the state its file loads
-to, must equal the oracle's records.
+The state under test stores only each wired link's key id and the kill
+events, and derives the rest; every view of it, and of the state its file
+loads to, must equal the oracle's records.
 """
 
 import hashlib
@@ -206,4 +206,4 @@ def test_records_view_is_read_only_and_keyed_by_canonical_pairs():
     assert ("A", "C") in state.records
     with pytest.raises(TypeError):
         state.records[("A", "C")] = None
-    assert set(state.stored) == {("A", "B")}  # wireless records are never stored
+    assert len(state.kljn_keys) == 1  # one key per wired link; wireless keys are never stored
