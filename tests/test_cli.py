@@ -622,6 +622,9 @@ class TestStateWorkflow:
             (_v3_state(version=4), f"state file version 4 is not supported; {_REESTABLISH}"),
             (_v3_state(version=True), f"state file version True is not supported; {_REESTABLISH}"),
             (_v3_state(version="3"), f"state file version '3' is not supported; {_REESTABLISH}"),
+            # a float equal to 3 is not the integer version
+            (_v3_state(version=3.0), f"state file version 3.0 is not supported; {_REESTABLISH}"),
+            (_v3_state_without("version"), f"state file has no 'version'; {_REESTABLISH}"),
             (_v3_state(master_seed=None),
              f"state file 'master_seed' must be an integer, not null; {_REESTABLISH}"),
             (_v3_state(master_seed="7"),
@@ -630,6 +633,8 @@ class TestStateWorkflow:
              f"state file 'master_seed' must be an integer, not 7.0; {_REESTABLISH}"),
             (_v3_state(master_seed=True),
              f"state file 'master_seed' must be an integer, not true; {_REESTABLISH}"),
+            (_v3_state(master_seed=[7]),
+             f"state file 'master_seed' must be an integer, not [7]; {_REESTABLISH}"),
             ('{"version": 3, "topology": {"sensors": []}, "clock": 0, "master_seed": 0, '
              '"kill_events": []}', "state file is missing 'kljn_keys'"),
             ('{"version": 3, "topology": {"sensors": []}, "clock": 0, "kljn_keys": [], '
@@ -637,10 +642,16 @@ class TestStateWorkflow:
             (_v3_state_without("kill_events"), "state file is missing 'kill_events'"),
             (_v3_state_without("kljn_keys", "kill_events"),
              "state file is missing 'kljn_keys', 'kill_events'"),
+            (_v3_state_without("topology"), "state file is missing 'topology'"),
+            # every missing key is named, in the order the file writes them
+            (_v3_state_without("topology", "clock", "master_seed", "kljn_keys", "kill_events"),
+             "state file is missing 'topology', 'clock', 'master_seed', 'kljn_keys', "
+             "'kill_events'"),
             (_v3_state(topology=[]), "topology document must be a JSON object"),
             (_v3_state(clock="0"), "state file 'clock' must be an integer"),
             (_state_with_kill(clock=True), "state file 'clock' must be an integer"),
             (_state_with_kill(clock=2.0), "state file 'clock' must be an integer"),
+            (_v3_state(clock=None), "state file 'clock' must be an integer"),
             # wired keys: a list of strings, one per wired link
             (_v3_state(kljn_keys={}), _KEYS_FOR_ONE_LINK),
             (_v3_state(kljn_keys="k"), _KEYS_FOR_ONE_LINK),
@@ -648,6 +659,10 @@ class TestStateWorkflow:
             (_v3_state(kljn_keys=[1]), _KEYS_FOR_ONE_LINK),
             (_v3_state(kljn_keys=[None]), _KEYS_FOR_ONE_LINK),
             (_v3_state(kljn_keys=[["k"]]), _KEYS_FOR_ONE_LINK),
+            (_v3_state(kljn_keys=[True]), _KEYS_FOR_ONE_LINK),
+            # a version 2 record in place of its key id
+            (_v3_state(kljn_keys=[{"pair": ["A", "B"], "channel": "kljn", "key_id": "k",
+                                   "established_at": 1, "status": "ok"}]), _KEYS_FOR_ONE_LINK),
             (_v3_state(kljn_keys=[]), _KEYS_FOR_ONE_LINK),  # one key too few
             (_v3_state(kljn_keys=["k", ""]), _KEYS_FOR_ONE_LINK),  # one key too many
             # of three wired links, only the first in sorted order has a key
@@ -655,8 +670,17 @@ class TestStateWorkflow:
                                  "kljn_edges": [["B", "C"], ["A", "C"], ["A", "B"]]}),
              "state file 'kljn_keys' must be a list of strings, one per wired link "
              "(the topology has 3)"),
+            # a key for a topology without wired links, and one key for two links
+            (_v3_state(topology={"sensors": ["A", "B"], "kljn_edges": []}),
+             "state file 'kljn_keys' must be a list of strings, one per wired link "
+             "(the topology has 0)"),
+            (_v3_state(topology={"sensors": ["A", "B", "C"],
+                                 "kljn_edges": [["A", "B"], ["B", "C"]]}),
+             "state file 'kljn_keys' must be a list of strings, one per wired link "
+             "(the topology has 2)"),
             # kill events
             (_v3_state(kill_events={}), "state file kill events must be a list"),
+            (_v3_state(kill_events=None), "state file kill events must be a list"),
             (_v3_state(kill_events=[7]), "state file kill event 0: an event must be an object"),
             (_v3_state(kill_events=[_SET_A, ["A", "set"]]),
              "state file kill event 1: an event must be an object"),
@@ -664,17 +688,31 @@ class TestStateWorkflow:
              "state file kill event 0: missing 'sensor'"),
             (_v3_state(kill_events=[{"note": ""}]),
              "state file kill event 0: missing 'timestamp', 'sensor', 'action'"),
+            (_v3_state(kill_events=[{k: v for k, v in _SET_A.items() if k != "action"}]),
+             "state file kill event 0: missing 'action'"),
+            # the first bad event is named by its index
+            (_v3_state(kill_events=[_SET_A, {**_SET_A, "action": "clear"},
+                                    {**_SET_A, "sensor": "Z"}]),
+             "state file kill event 2: 'sensor' 'Z' is not a sensor of the topology"),
             (_state_with_kill(timestamp="x"),
              "state file kill event 0: 'timestamp' must be an integer"),
             (_state_with_kill(timestamp=False),
+             "state file kill event 0: 'timestamp' must be an integer"),
+            (_state_with_kill(timestamp=1.0),
              "state file kill event 0: 'timestamp' must be an integer"),
             (_state_with_kill(sensor=5),
              "state file kill event 0: 'sensor' 5 is not a sensor of the topology"),
             (_state_with_kill(sensor="Z"),
              "state file kill event 0: 'sensor' 'Z' is not a sensor of the topology"),
+            (_state_with_kill(sensor=None),
+             "state file kill event 0: 'sensor' None is not a sensor of the topology"),
+            # sensor ids are case-sensitive
+            (_state_with_kill(sensor="a"),
+             "state file kill event 0: 'sensor' 'a' is not a sensor of the topology"),
             (_state_with_kill(action="kill"),
              "state file kill event 0: 'action' must be \"set\" or \"clear\""),
             (_state_with_kill(note=["x"]), "state file kill event 0: 'note' must be a string"),
+            (_state_with_kill(note=None), "state file kill event 0: 'note' must be a string"),
         ],
     )
     @pytest.mark.parametrize("command", ["report", "kill"])
