@@ -9,6 +9,8 @@ byte-identical output for identical inputs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import functools
 import itertools
 import json
@@ -41,7 +43,7 @@ from .orchestrator import (
     establish_network_keys,
     json_block,
     json_chunks,
-    load_state,
+    state_from_json,
     state_to_json,
     trust_report,
     write_files,
@@ -87,10 +89,25 @@ def _load_checked_topology(arg: str) -> Topology:
     return _check_topology(parse_topology(_read_topology_text(arg)))
 
 
-def _load_checked_state(path: str) -> NetworkKeyState:
-    state = load_state(path)
+def _checked_state(text: str) -> NetworkKeyState:
+    state = state_from_json(text)
     _check_topology(state.topology)
     return state
+
+
+@contextlib.contextmanager
+def _locked(path: str):
+    """``path`` open for reading under an exclusive ``flock`` (POSIX advisory
+    locking), held until the block ends.  A writer that replaced the file
+    while this one waited (``os.replace`` swaps the inode) left the lock on
+    the old file, so the new one is opened and locked in its turn."""
+    while True:
+        with open(path, encoding="utf-8") as f:
+            fcntl.flock(f, fcntl.LOCK_EX)
+            held, now = os.fstat(f.fileno()), os.stat(path)
+            if (held.st_dev, held.st_ino) == (now.st_dev, now.st_ino):
+                yield f
+                return
 
 
 # one --kill field: an id in double quotes, unquoted text up to a comma, or
@@ -268,7 +285,7 @@ def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
     ``values``), ``rankings`` (each sensor's ``[peer, value]`` list),
     ``records`` (``pair``, ``channel``, ``key_id``, ``established_at``,
     ``status``, in ``state.records_sorted()`` order) and ``kill_log``
-    (``timestamp``, ``sensor``, ``action``, ``note``).
+    (``timestamp``, ``sensor``, ``action``, ``note``: ``state.kill_log()``).
 
     ``matrix`` and ``rankings`` are those :func:`trust_report` returns.  The
     matrix rows, the rankings and the records are yielded up to 64 at a
@@ -307,9 +324,9 @@ def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
     ), "  ")
     yield ',\n  "kill_log": '
     yield from json_chunks((
-        f'{{\n      "timestamp": {e.timestamp},\n      "sensor": {_json_str(e.sensor)},\n'
+        f'{{\n      "timestamp": {timestamp},\n      "sensor": {_json_str(e.sensor)},\n'
         f'      "action": {_json_str(e.action)},\n      "note": {_json_str(e.note)}\n    }}'
-        for e in state.kill.event_log
+        for timestamp, e in state.kill_log()
     ), "  ")
     yield "\n}\n"
 
@@ -446,14 +463,16 @@ def _cmd_establish(args) -> int:
 
 
 def _cmd_kill(args) -> int:
-    state = _load_checked_state(args.state)
-    apply_kill_event(state, args.sensor, note=args.note)
-    _emit((state_to_json(state),), args.out or args.state)
+    # locked from the read to the rename, so that concurrent kills all land
+    with _locked(args.state) as f:
+        state = _checked_state(f.read())
+        apply_kill_event(state, args.sensor, note=args.note)
+        _emit((state_to_json(state),), args.out or args.state)
     return 0
 
 
 def _cmd_report(args) -> int:
-    state = _load_checked_state(args.state)
+    state = _checked_state(Path(args.state).read_text(encoding="utf-8"))
     _check_matrix_size(state.topology)
     coef = coefficients_closed_form()
     matrix, rankings = trust_report(state, coef)

@@ -5,17 +5,18 @@ their key exchange runs directly over the simulated wire protocol; every
 other pair gets an abstract wireless exchange record (the wireless
 handshake is conditionally-secure commodity and contributes nothing to
 the trust math beyond its classification).  The state has one record per
-unordered sensor pair, the operator kill switch, and a logical clock so
-repeated runs with the same master seed serialize to identical bytes.
-Only each wired link's key id and the kill events are stored: a wired
-record is its link's key id at the link's position, failed where the key
-id is empty, a wireless record is a pure function of the master seed and
-its pair, the killed set is the replay of the kill events, and a record is
-revoked iff one of its sensors has a ``set`` kill event.
+unordered sensor pair and the operator kill switch.  Only each wired
+link's key id and the kill events are stored: a wired record is its link's
+key id at the link's position, failed where the key id is empty, a wireless
+record is a pure function of the master seed and its pair, the killed set
+is the replay of the kill events, a record is revoked iff one of its
+sensors has a ``set`` kill event, and the logical clock and the events'
+timestamps count one tick per sensor pair and one per kill event.
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import hashlib
 import json
@@ -49,7 +50,6 @@ Pair = tuple[SensorId, SensorId]
 
 @dataclass
 class KillEvent:
-    timestamp: int
     sensor: SensorId
     action: str  # "set" (kill the sensor) or "clear" (revive it)
     note: str = ""
@@ -59,8 +59,7 @@ class KillEvent:
 class KillSwitchState:
     """The operator's kill log, the one source of the killed sensors.
 
-    Each event is stamped with the state's logical clock.  A sensor is
-    killed while its last event is a ``set``.
+    A sensor is killed while its last event is a ``set``.
     """
 
     event_log: list[KillEvent] = field(default_factory=list)
@@ -73,11 +72,11 @@ class KillSwitchState:
             (killed.add if e.action == "set" else killed.discard)(e.sensor)
         return frozenset(killed)
 
-    def kill(self, sensor: SensorId, timestamp: int, note: str = "") -> None:
-        self.event_log.append(KillEvent(timestamp, sensor, "set", note))
+    def kill(self, sensor: SensorId, note: str = "") -> None:
+        self.event_log.append(KillEvent(sensor, "set", note))
 
-    def clear(self, sensor: SensorId, timestamp: int, note: str = "") -> None:
-        self.event_log.append(KillEvent(timestamp, sensor, "clear", note))
+    def clear(self, sensor: SensorId, note: str = "") -> None:
+        self.event_log.append(KillEvent(sensor, "clear", note))
 
 
 @dataclass
@@ -103,8 +102,17 @@ class NetworkKeyState:
     topology: Topology
     kljn_keys: list[str]
     kill: KillSwitchState
-    clock: int
     master_seed: int
+
+    @property
+    def clock(self) -> int:
+        """The logical clock: one tick per sensor pair, then one per kill event."""
+        n = len(self.topology.sensors)
+        return n * (n - 1) // 2 + len(self.kill.event_log)
+
+    def kill_log(self) -> Iterator[tuple[int, KillEvent]]:
+        """Each kill event with its timestamp, the clock once it was logged."""
+        return enumerate(self.kill.event_log, self.clock - len(self.kill.event_log) + 1)
 
     @property
     def records(self) -> Mapping[Pair, KeyRecord]:
@@ -170,20 +178,17 @@ def establish_network_keys(
     exhaustion appends ``""``, which marks just that record failed.
     Wireless pairs get an opaque deterministic key token, derived when read
     (see :meth:`NetworkKeyState.records_sorted`).  ``attackers`` maps
-    canonical edges to attacker models, for exercising fault isolation.
-    The clock counts one tick per pair, as if every pair were established
-    in canonical order.  A ``master_seed`` that is not an ``int``, or a
-    ``target_bits`` that is not an ``int`` of at least 1 (a ``bool`` is
-    neither), raises ``ValueError`` before any session runs, whatever the
-    topology.
+    canonical edges to attacker models, for exercising fault isolation.  A
+    ``master_seed`` that is not an ``int``, or a ``target_bits`` that is not
+    an ``int`` of at least 1 (a ``bool`` is neither), raises ``ValueError``
+    before any session runs, whatever the topology.
     """
     if type(master_seed) is not int:
         raise ValueError(f"master seed must be an int, not {master_seed!r}")
     if type(target_bits) is not int or target_bits < 1:
         raise ValueError(f"target_bits must be an int of at least 1, not {target_bits!r}")
     attackers = attackers or {}
-    n = len(t.sensor_set)
-    state = NetworkKeyState(t, [], KillSwitchState(), n * (n - 1) // 2, master_seed)
+    state = NetworkKeyState(t, [], KillSwitchState(), master_seed)
     for p, q in t.index.links.tolist():  # in canonical order
         a, b = t.sensors[p], t.sensors[q]
         cfg = KljnSessionConfig(seed=_derive_seed(master_seed, a, b))
@@ -197,16 +202,15 @@ def establish_network_keys(
 
 
 def apply_kill_event(state: NetworkKeyState, sensor: SensorId, note: str = "") -> NetworkKeyState:
-    """Mark a sensor compromised: tick the clock and log a ``set`` kill
-    event, which revokes its records.
+    """Mark a sensor compromised: log a ``set`` kill event, which revokes
+    its records and ticks the clock.
 
     Idempotent on the records and the killed set; every call appends one
     log entry.  An unknown sensor raises ``UnknownSensorError`` before the
     state changes.  Mutates and returns ``state`` (single-writer contract).
     """
     state.topology.kljn_set(sensor)  # an unknown id raises UnknownSensorError
-    state.clock += 1
-    state.kill.kill(sensor, state.clock, note)
+    state.kill.kill(sensor, note)
     return state
 
 
@@ -250,9 +254,9 @@ def _json_ids(ids) -> str:
 
 
 def state_to_json(state: NetworkKeyState) -> str:
-    """Serialize the state as a version 3 document; key bits are not persisted.
+    """Serialize the state as a version 4 document; key bits are not persisted.
 
-    The document holds ``version``, ``topology``, ``clock``, ``master_seed``,
+    The document holds ``version``, ``topology``, ``master_seed``,
     ``kljn_keys`` (one key id per wired link, in the order ``kljn_edges``
     is written) and the kill events (README: "State files").  It is
     indented two spaces per level; a list of sensor ids is one line, every
@@ -270,15 +274,15 @@ def state_to_json(state: NetworkKeyState) -> str:
         topology.append(f'"wireless_sets": {json_block(sets, "    ", "{}")}')
     events = (json.dumps(vars(e)) for e in state.kill.event_log)
     return (
-        f'{{\n  "version": 3,\n  "topology": {json_block(topology, "  ", "{}")},\n'
-        f'  "clock": {state.clock},\n  "master_seed": {state.master_seed},\n'
+        f'{{\n  "version": 4,\n  "topology": {json_block(topology, "  ", "{}")},\n'
+        f'  "master_seed": {state.master_seed},\n'
         f'  "kljn_keys": {json_block(map(_json_str, state.kljn_keys), "  ")},\n'
         f'  "kill_events": {json_block(events, "  ")}\n}}\n'
     )
 
 
-_STATE_KEYS = ("version", "topology", "clock", "master_seed", "kljn_keys", "kill_events")
-_REESTABLISH = "re-run 'kextrust establish' to write a version 3 state file"
+_STATE_KEYS = ("version", "topology", "master_seed", "kljn_keys", "kill_events")
+_REESTABLISH = "re-run 'kextrust establish' to write a version 4 state file"
 
 
 class StateFormatError(ValueError):
@@ -287,18 +291,16 @@ class StateFormatError(ValueError):
 
 def _kill_from_doc(events: list, t: Topology) -> KillSwitchState:
     """The kill log read from its event list.  Each event must be an object
-    with ``timestamp``, ``sensor`` and ``action``, every sensor named must
-    be one of ``t``'s and every event field is type checked."""
+    with ``sensor`` and ``action``, every sensor named must be one of
+    ``t``'s and every event field is type checked."""
     if not isinstance(events, list):
         raise StateFormatError("state file kill events must be a list")
     kill = KillSwitchState()
     for index, e in enumerate(events):
         if not isinstance(e, dict):
             problem = "an event must be an object"
-        elif missing := [key for key in ("timestamp", "sensor", "action") if key not in e]:
+        elif missing := [key for key in ("sensor", "action") if key not in e]:
             problem = f"missing {', '.join(map(repr, missing))}"
-        elif type(timestamp := e["timestamp"]) is not int:
-            problem = "'timestamp' must be an integer"
         elif not (isinstance(sensor := e["sensor"], str) and t.has_sensor(sensor)):
             problem = f"'sensor' {sensor!r} is not a sensor of the topology"
         elif (action := e["action"]) not in ("set", "clear"):
@@ -306,14 +308,14 @@ def _kill_from_doc(events: list, t: Topology) -> KillSwitchState:
         elif not isinstance(note := e.get("note", ""), str):
             problem = "'note' must be a string"
         else:
-            (kill.kill if action == "set" else kill.clear)(sensor, timestamp, note)
+            (kill.kill if action == "set" else kill.clear)(sensor, note)
             continue
         raise StateFormatError(f"state file kill event {index}: {problem}")
     return kill
 
 
 def state_from_json(text: str) -> NetworkKeyState:
-    """Parse a version 3 state file with an integer master seed; anything
+    """Parse a version 4 state file with an integer master seed; anything
     else raises ``ValueError``, with a one-line message.
 
     Every field is type checked.  ``kljn_keys`` must be a list of strings,
@@ -329,13 +331,11 @@ def state_from_json(text: str) -> NetworkKeyState:
         raise ValueError(f"state file has no 'version'; {_REESTABLISH}")
     version = doc["version"]
     # a JSON true/false loads as bool, an int subclass
-    if type(version) is not int or version != 3:
+    if type(version) is not int or version != 4:
         raise ValueError(f"state file version {version!r} is not supported; {_REESTABLISH}")
     missing = [key for key in _STATE_KEYS if key not in doc]
     if missing:
         raise ValueError(f"state file is missing {', '.join(map(repr, missing))}")
-    if type(doc["clock"]) is not int:
-        raise ValueError("state file 'clock' must be an integer")
     master_seed = doc["master_seed"]
     if type(master_seed) is not int:
         raise ValueError(f"state file 'master_seed' must be an integer, not "
@@ -346,15 +346,15 @@ def state_from_json(text: str) -> NetworkKeyState:
             and all(isinstance(key, str) for key in keys)):
         raise StateFormatError(f"state file 'kljn_keys' must be a list of strings, one per "
                                f"wired link (the topology has {links})")
-    return NetworkKeyState(t, keys, _kill_from_doc(doc["kill_events"], t), doc["clock"],
-                           master_seed)
+    return NetworkKeyState(t, keys, _kill_from_doc(doc["kill_events"], t), master_seed)
 
 
 def write_files(files) -> None:
     """Write each ``(path, chunks)`` of ``files``, ``chunks`` an iterable of
     ``bytes`` and of ``str`` (written as UTF-8) written in turn, through a
-    temporary file next to its path, and move the files into place only
-    once every one is written.
+    temporary file of its own next to its path (created with the mode
+    ``open`` gives a new file, so that concurrent writers never share one),
+    and move the files into place only once every one is written.
 
     A directory among the paths, or two paths naming the same file, is
     refused before anything is written.  A failed or interrupted write, or
@@ -377,10 +377,14 @@ def write_files(files) -> None:
     try:
         for path, chunks in files:
             path = Path(path)
-            partial = path.with_name(f".{path.name}.partial")
-            partials[partial] = path
             try:
-                with partial.open("wb") as f:
+                fd = None
+                while fd is None:  # a name taken by another writer is drawn again
+                    partial = path.with_name(f".{path.name}.{os.urandom(6).hex()}.partial")
+                    with contextlib.suppress(FileExistsError):
+                        fd = os.open(partial, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+                partials[partial] = path
+                with open(fd, "wb") as f:
                     f.writelines(c.encode() if isinstance(c, str) else c for c in chunks)
             except OSError as exc:  # name the path asked for, not the temporary file
                 raise type(exc)(exc.errno, exc.strerror, str(path)) from None

@@ -296,8 +296,10 @@ def report_doc(state, coef) -> dict:
             }
             for r in state.records_sorted()
         ],
+        # event k (from 0) is stamped C(n, 2) + k + 1: one tick per pair, then per event
         "kill_log": [
-            {"timestamp": e.timestamp, "sensor": e.sensor, "action": e.action, "note": e.note}
-            for e in state.kill.event_log
+            {"timestamp": len(t.sensors) * (len(t.sensors) - 1) // 2 + k, "sensor": e.sensor,
+             "action": e.action, "note": e.note}
+            for k, e in enumerate(state.kill.event_log, 1)
         ],
     }

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import fcntl
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 import kextrust
-from kextrust import orchestrator
+from kextrust import cli, orchestrator
 from kextrust.cli import (
     MATRIX_CELL_BUDGET,
     _check_matrix_size,
@@ -43,31 +45,29 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-_SET_A = {"timestamp": 2, "sensor": "A", "action": "set", "note": ""}
+_SET_A = {"sensor": "A", "action": "set", "note": ""}
 
 
-def _v3_state(**fields):
-    """A version 3 state file text whose one wired link is A-B, with
+def _v4_state(**fields):
+    """A version 4 state file text whose one wired link is A-B, with
     top-level ``fields`` changed."""
-    doc = {"version": 3, "topology": {"sensors": ["A", "B"], "kljn_edges": [["A", "B"]]},
-           "clock": 1, "master_seed": 7, "kljn_keys": ["k"], "kill_events": [], **fields}
+    doc = {"version": 4, "topology": {"sensors": ["A", "B"], "kljn_edges": [["A", "B"]]},
+           "master_seed": 7, "kljn_keys": ["k"], "kill_events": [], **fields}
     return json.dumps(doc)
 
 
-def _state_with_kill(clock=1, **event):
-    """A version 3 state file text with the clock ``clock`` and, if ``event``
-    holds fields, one kill event changed by them."""
-    events = [{**_SET_A, "timestamp": 1, **event}] if event else []
-    return _v3_state(clock=clock, kill_events=events)
+def _state_with_kill(**event):
+    """A version 4 state file text with one kill event changed by ``event``."""
+    return _v4_state(kill_events=[{**_SET_A, **event}])
 
 
-def _v3_state_without(*keys):
-    """A version 3 state file text with the top-level ``keys`` left out."""
-    doc = json.loads(_v3_state())
+def _v4_state_without(*keys):
+    """A version 4 state file text with the top-level ``keys`` left out."""
+    doc = json.loads(_v4_state())
     return json.dumps({key: value for key, value in doc.items() if key not in keys})
 
 
-_REESTABLISH = "re-run 'kextrust establish' to write a version 3 state file"
+_REESTABLISH = "re-run 'kextrust establish' to write a version 4 state file"
 # the same network as version 1 wrote it: every record, no master seed
 _V1_STATE = json.dumps({
     "topology": {"sensors": ["A", "B"], "kljn_edges": [["A", "B"]]}, "clock": 1,
@@ -101,6 +101,39 @@ _V2_STATE = """\
     {"pair": ["F", "G"], "channel": "kljn", "key_id": "2d20a9991ccf1bf3", "established_at": 36, "status": "ok"}
   ],
   "kill_events": []
+}
+"""
+# 'establish fig2 --seed 42', 'kill H' and 'kill A --note "second alarm"' as
+# version 3 wrote them, with the clock and each event's timestamp stored
+# (SHA-256 82f035bd309df34d5adc3aa1e1b68e09758e7c8797ee93ffc112b04a4e5c2ff9)
+_V3_STATE = """\
+{
+  "version": 3,
+  "topology": {
+    "sensors": ["A", "B", "C", "D", "E", "F", "G", "H", "I", "J"],
+    "kljn_edges": [
+      ["A", "B"],
+      ["A", "D"],
+      ["B", "E"],
+      ["C", "D"],
+      ["D", "E"],
+      ["F", "G"]
+    ]
+  },
+  "clock": 47,
+  "master_seed": 42,
+  "kljn_keys": [
+    "293a1c4140380aad",
+    "34f4548062210944",
+    "855b03c45e759aa4",
+    "6127c5a72bf746c5",
+    "6c951212b73a8960",
+    "2d20a9991ccf1bf3"
+  ],
+  "kill_events": [
+    {"timestamp": 46, "sensor": "H", "action": "set", "note": ""},
+    {"timestamp": 47, "sensor": "A", "action": "set", "note": "second alarm"}
+  ]
 }
 """
 _KEYS_FOR_ONE_LINK = ("state file 'kljn_keys' must be a list of strings, one per wired link "
@@ -607,99 +640,91 @@ class TestStateWorkflow:
         [
             # text that is not JSON, or that nests too deeply for the decoder
             ("not json", "state file is not valid JSON: Expecting value (line 1, column 1)"),
-            ('{"version": 3,\n  "clock": }',
-             "state file is not valid JSON: Expecting value (line 2, column 12)"),
+            ('{"version": 4,\n  "kljn_keys": }',
+             "state file is not valid JSON: Expecting value (line 2, column 16)"),
             pytest.param("[" * 100_000, "state file is not valid JSON: nested too deeply",
                          id="deep-arrays"),
-            pytest.param('{"version": 3, "topology": ' + '{"a": ' * 100_000,
+            pytest.param('{"version": 4, "topology": ' + '{"a": ' * 100_000,
                          "state file is not valid JSON: nested too deeply", id="deep-objects"),
             ("[]", "state file must hold a JSON object"),
             # earlier versions and seedless states: the keys cannot be derived
             (_V1_STATE, f"state file has no 'version'; {_REESTABLISH}"),
             pytest.param(_V2_STATE, f"state file version 2 is not supported; {_REESTABLISH}",
                          id="v2-establish-fig2-seed-42"),
-            (_v3_state(version=1), f"state file version 1 is not supported; {_REESTABLISH}"),
-            (_v3_state(version=4), f"state file version 4 is not supported; {_REESTABLISH}"),
-            (_v3_state(version=True), f"state file version True is not supported; {_REESTABLISH}"),
-            (_v3_state(version="3"), f"state file version '3' is not supported; {_REESTABLISH}"),
-            # a float equal to 3 is not the integer version
-            (_v3_state(version=3.0), f"state file version 3.0 is not supported; {_REESTABLISH}"),
-            (_v3_state_without("version"), f"state file has no 'version'; {_REESTABLISH}"),
-            (_v3_state(master_seed=None),
+            pytest.param(_V3_STATE, f"state file version 3 is not supported; {_REESTABLISH}",
+                         id="v3-fig2-seed-42-two-kills"),
+            (_v4_state(version=1), f"state file version 1 is not supported; {_REESTABLISH}"),
+            (_v4_state(version=3), f"state file version 3 is not supported; {_REESTABLISH}"),
+            (_v4_state(version=5), f"state file version 5 is not supported; {_REESTABLISH}"),
+            (_v4_state(version=True), f"state file version True is not supported; {_REESTABLISH}"),
+            (_v4_state(version="4"), f"state file version '4' is not supported; {_REESTABLISH}"),
+            # a float equal to 4 is not the integer version
+            (_v4_state(version=4.0), f"state file version 4.0 is not supported; {_REESTABLISH}"),
+            (_v4_state_without("version"), f"state file has no 'version'; {_REESTABLISH}"),
+            (_v4_state(master_seed=None),
              f"state file 'master_seed' must be an integer, not null; {_REESTABLISH}"),
-            (_v3_state(master_seed="7"),
+            (_v4_state(master_seed="7"),
              f'state file \'master_seed\' must be an integer, not "7"; {_REESTABLISH}'),
-            (_v3_state(master_seed=7.0),
+            (_v4_state(master_seed=7.0),
              f"state file 'master_seed' must be an integer, not 7.0; {_REESTABLISH}"),
-            (_v3_state(master_seed=True),
+            (_v4_state(master_seed=True),
              f"state file 'master_seed' must be an integer, not true; {_REESTABLISH}"),
-            (_v3_state(master_seed=[7]),
+            (_v4_state(master_seed=[7]),
              f"state file 'master_seed' must be an integer, not [7]; {_REESTABLISH}"),
-            ('{"version": 3, "topology": {"sensors": []}, "clock": 0, "master_seed": 0, '
-             '"kill_events": []}', "state file is missing 'kljn_keys'"),
-            ('{"version": 3, "topology": {"sensors": []}, "clock": 0, "kljn_keys": [], '
-             '"kill_events": []}', "state file is missing 'master_seed'"),
-            (_v3_state_without("kill_events"), "state file is missing 'kill_events'"),
-            (_v3_state_without("kljn_keys", "kill_events"),
+            ('{"version": 4, "topology": {"sensors": []}, "master_seed": 0, "kill_events": []}',
+             "state file is missing 'kljn_keys'"),
+            ('{"version": 4, "topology": {"sensors": []}, "kljn_keys": [], "kill_events": []}',
+             "state file is missing 'master_seed'"),
+            (_v4_state_without("kill_events"), "state file is missing 'kill_events'"),
+            (_v4_state_without("kljn_keys", "kill_events"),
              "state file is missing 'kljn_keys', 'kill_events'"),
-            (_v3_state_without("topology"), "state file is missing 'topology'"),
+            (_v4_state_without("topology"), "state file is missing 'topology'"),
             # every missing key is named, in the order the file writes them
-            (_v3_state_without("topology", "clock", "master_seed", "kljn_keys", "kill_events"),
-             "state file is missing 'topology', 'clock', 'master_seed', 'kljn_keys', "
-             "'kill_events'"),
-            (_v3_state(topology=[]), "topology document must be a JSON object"),
-            (_v3_state(clock="0"), "state file 'clock' must be an integer"),
-            (_state_with_kill(clock=True), "state file 'clock' must be an integer"),
-            (_state_with_kill(clock=2.0), "state file 'clock' must be an integer"),
-            (_v3_state(clock=None), "state file 'clock' must be an integer"),
+            (_v4_state_without("topology", "master_seed", "kljn_keys", "kill_events"),
+             "state file is missing 'topology', 'master_seed', 'kljn_keys', 'kill_events'"),
+            (_v4_state(topology=[]), "topology document must be a JSON object"),
             # wired keys: a list of strings, one per wired link
-            (_v3_state(kljn_keys={}), _KEYS_FOR_ONE_LINK),
-            (_v3_state(kljn_keys="k"), _KEYS_FOR_ONE_LINK),
-            (_v3_state(kljn_keys=None), _KEYS_FOR_ONE_LINK),
-            (_v3_state(kljn_keys=[1]), _KEYS_FOR_ONE_LINK),
-            (_v3_state(kljn_keys=[None]), _KEYS_FOR_ONE_LINK),
-            (_v3_state(kljn_keys=[["k"]]), _KEYS_FOR_ONE_LINK),
-            (_v3_state(kljn_keys=[True]), _KEYS_FOR_ONE_LINK),
+            (_v4_state(kljn_keys={}), _KEYS_FOR_ONE_LINK),
+            (_v4_state(kljn_keys="k"), _KEYS_FOR_ONE_LINK),
+            (_v4_state(kljn_keys=None), _KEYS_FOR_ONE_LINK),
+            (_v4_state(kljn_keys=[1]), _KEYS_FOR_ONE_LINK),
+            (_v4_state(kljn_keys=[None]), _KEYS_FOR_ONE_LINK),
+            (_v4_state(kljn_keys=[["k"]]), _KEYS_FOR_ONE_LINK),
+            (_v4_state(kljn_keys=[True]), _KEYS_FOR_ONE_LINK),
             # a version 2 record in place of its key id
-            (_v3_state(kljn_keys=[{"pair": ["A", "B"], "channel": "kljn", "key_id": "k",
+            (_v4_state(kljn_keys=[{"pair": ["A", "B"], "channel": "kljn", "key_id": "k",
                                    "established_at": 1, "status": "ok"}]), _KEYS_FOR_ONE_LINK),
-            (_v3_state(kljn_keys=[]), _KEYS_FOR_ONE_LINK),  # one key too few
-            (_v3_state(kljn_keys=["k", ""]), _KEYS_FOR_ONE_LINK),  # one key too many
+            (_v4_state(kljn_keys=[]), _KEYS_FOR_ONE_LINK),  # one key too few
+            (_v4_state(kljn_keys=["k", ""]), _KEYS_FOR_ONE_LINK),  # one key too many
             # of three wired links, only the first in sorted order has a key
-            (_v3_state(topology={"sensors": ["A", "B", "C"],
+            (_v4_state(topology={"sensors": ["A", "B", "C"],
                                  "kljn_edges": [["B", "C"], ["A", "C"], ["A", "B"]]}),
              "state file 'kljn_keys' must be a list of strings, one per wired link "
              "(the topology has 3)"),
             # a key for a topology without wired links, and one key for two links
-            (_v3_state(topology={"sensors": ["A", "B"], "kljn_edges": []}),
+            (_v4_state(topology={"sensors": ["A", "B"], "kljn_edges": []}),
              "state file 'kljn_keys' must be a list of strings, one per wired link "
              "(the topology has 0)"),
-            (_v3_state(topology={"sensors": ["A", "B", "C"],
+            (_v4_state(topology={"sensors": ["A", "B", "C"],
                                  "kljn_edges": [["A", "B"], ["B", "C"]]}),
              "state file 'kljn_keys' must be a list of strings, one per wired link "
              "(the topology has 2)"),
             # kill events
-            (_v3_state(kill_events={}), "state file kill events must be a list"),
-            (_v3_state(kill_events=None), "state file kill events must be a list"),
-            (_v3_state(kill_events=[7]), "state file kill event 0: an event must be an object"),
-            (_v3_state(kill_events=[_SET_A, ["A", "set"]]),
+            (_v4_state(kill_events={}), "state file kill events must be a list"),
+            (_v4_state(kill_events=None), "state file kill events must be a list"),
+            (_v4_state(kill_events=[7]), "state file kill event 0: an event must be an object"),
+            (_v4_state(kill_events=[_SET_A, ["A", "set"]]),
              "state file kill event 1: an event must be an object"),
-            (_v3_state(kill_events=[{k: v for k, v in _SET_A.items() if k != "sensor"}]),
+            (_v4_state(kill_events=[{k: v for k, v in _SET_A.items() if k != "sensor"}]),
              "state file kill event 0: missing 'sensor'"),
-            (_v3_state(kill_events=[{"note": ""}]),
-             "state file kill event 0: missing 'timestamp', 'sensor', 'action'"),
-            (_v3_state(kill_events=[{k: v for k, v in _SET_A.items() if k != "action"}]),
+            (_v4_state(kill_events=[{"note": ""}]),
+             "state file kill event 0: missing 'sensor', 'action'"),
+            (_v4_state(kill_events=[{k: v for k, v in _SET_A.items() if k != "action"}]),
              "state file kill event 0: missing 'action'"),
             # the first bad event is named by its index
-            (_v3_state(kill_events=[_SET_A, {**_SET_A, "action": "clear"},
+            (_v4_state(kill_events=[_SET_A, {**_SET_A, "action": "clear"},
                                     {**_SET_A, "sensor": "Z"}]),
              "state file kill event 2: 'sensor' 'Z' is not a sensor of the topology"),
-            (_state_with_kill(timestamp="x"),
-             "state file kill event 0: 'timestamp' must be an integer"),
-            (_state_with_kill(timestamp=False),
-             "state file kill event 0: 'timestamp' must be an integer"),
-            (_state_with_kill(timestamp=1.0),
-             "state file kill event 0: 'timestamp' must be an integer"),
             (_state_with_kill(sensor=5),
              "state file kill event 0: 'sensor' 5 is not a sensor of the topology"),
             (_state_with_kill(sensor="Z"),
@@ -732,7 +757,7 @@ class TestStateWorkflow:
         topology = {"sensors": ["A", "B"], "kljn_edges": [["A", "B"]],
                     "wireless_sets": {"A": ["B"], "B": ["A"]}}
         state_path = tmp_path / "state.json"
-        state_path.write_text(_v3_state(topology=topology))
+        state_path.write_text(_v4_state(topology=topology))
         before = state_path.read_bytes()
         argv = [command, str(state_path)] + (["A"] if command == "kill" else [])
         code, out, err = run_cli(capsys, *argv)
@@ -747,6 +772,84 @@ class TestStateWorkflow:
         code, _, err = run_cli(capsys, "kill", str(state_path), "Q")
         assert code == 1
         assert "unknown sensor" in err
+
+    @pytest.mark.parametrize("clock,stamps", [
+        (1, (99, -5)),  # stamps out of order and above the clock
+        # values the version 3 reader refused
+        ("0", ("x", "y")), (True, (False, True)), (2.0, (1.0, 2.0)), (None, (None, None)),
+    ])
+    def test_stray_clock_and_stamps_are_not_read(self, capsys, tmp_path, clock, stamps):
+        # version 4 derives the clock and every stamp: one tick per sensor
+        # pair (here 1), then one per event, whatever a file adds
+        state_path = tmp_path / "state.json"
+        events = [{**_SET_A, "timestamp": stamps[0]},
+                  {**_SET_A, "action": "clear", "timestamp": stamps[1]}]
+        state_path.write_text(_v4_state(clock=clock, kill_events=events))
+        assert run_cli(capsys, "kill", str(state_path), "B") == (0, "", "")
+        text = state_path.read_text()
+        assert '"clock"' not in text and '"timestamp"' not in text
+        code, out, _ = run_cli(capsys, "report", str(state_path))
+        assert code == 0
+        assert [(e["timestamp"], e["sensor"], e["action"]) for e in json.loads(out)["kill_log"]] == [
+            (2, "A", "set"), (3, "A", "clear"), (4, "B", "set")]
+
+    def test_concurrent_kills_both_land(self, capsys, tmp_path, monkeypatch):
+        # a second kill starts while the first is between its read and its
+        # rename: it waits for the lock, finds the file replaced, locks the
+        # new one and adds its event to the first one's
+        state = str(tmp_path / "state.json")
+        assert main(["establish", "fig2", "--bits", "8", "--out", state]) == 0
+        flock, apply = fcntl.flock, cli.apply_kill_event
+        second_locks, second_code, threads = [], [], []
+        opened = threading.Event()
+
+        def traced_flock(f, operation):
+            if threading.current_thread() is not threading.main_thread():
+                second_locks.append(os.fstat(f.fileno()).st_ino)
+                opened.set()
+            flock(f, operation)
+
+        def apply_during_second(key_state, sensor, note=""):
+            if threading.current_thread() is threading.main_thread():
+                second = threading.Thread(
+                    target=lambda: second_code.append(main(["kill", state, "A"])))
+                second.start()
+                assert opened.wait(30)
+                second.join(0.2)
+                assert second.is_alive()  # blocked on the lock the first kill holds
+                threads.append(second)
+            return apply(key_state, sensor, note)
+
+        monkeypatch.setattr(fcntl, "flock", traced_flock)
+        monkeypatch.setattr(cli, "apply_kill_event", apply_during_second)
+        assert main(["kill", state, "H", "--note", "first"]) == 0
+        threads[0].join(30)
+        assert not threads[0].is_alive() and second_code == [0]
+        # the second kill locked the file it read first, then the one put in its place
+        assert len(second_locks) == 2 and second_locks[0] != second_locks[1]
+        events = load_state(state).kill.event_log
+        assert [(e.sensor, e.note) for e in events] == [("H", "first"), ("A", "")]
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+    def test_many_concurrent_kills_all_land(self, tmp_path):
+        # more kills than cores, switching threads as often as the
+        # interpreter allows: every event is kept
+        state = str(tmp_path / "state.json")
+        assert main(["establish", "fig2", "--bits", "8", "--out", state]) == 0
+        sensors, codes = SENSORS[:6], []
+        threads = [threading.Thread(target=lambda s=s: codes.append(main(["kill", state, s])))
+                   for s in sensors]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and codes == [0] * 6
+        assert sorted(e.sensor for e in load_state(state).kill.event_log) == sensors
 
 class TestOutputPaths:
     """Output and state paths the system refuses: exit 1 with a message."""
@@ -1218,7 +1321,7 @@ class TestMatrixBudget:
     def test_report_over_budget(self, capsys, tmp_path):
         path = tmp_path / "state.json"
         sensors = [f"s{k}" for k in range(self.OVER)]
-        path.write_text(_v3_state(kljn_keys=[], topology={"sensors": sensors, "kljn_edges": []}))
+        path.write_text(_v4_state(kljn_keys=[], topology={"sensors": sensors, "kljn_edges": []}))
         self._assert_refused(capsys, tmp_path, "report", str(path))
 
     def test_budget_edge(self):

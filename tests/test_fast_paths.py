@@ -309,7 +309,7 @@ class TestWordsMismatch:
 # --- state writer
 
 
-# The version 3 layout, spelled as a rule: these containers (by key path,
+# The version 4 layout, spelled as a rule: these containers (by key path,
 # "*" for any list entry) have one entry per line, everything else is
 # written as json.dumps writes it without indent.
 _EXPANDED = {(), ("topology",), ("topology", "kljn_edges"), ("topology", "wireless_sets"),
@@ -331,15 +331,14 @@ def _ref_layout(value, path=(), pad=""):
 
 
 def _ref_state_json(state):
-    """The version 3 document of ``state``, read off its records view: the
+    """The version 4 document of ``state``, read off its records view: the
     wired records' key ids, and the kill events."""
     def event(e):
-        return {"timestamp": e.timestamp, "sensor": e.sensor, "action": e.action, "note": e.note}
+        return {"sensor": e.sensor, "action": e.action, "note": e.note}
 
     doc = {
-        "version": 3,
+        "version": 4,
         "topology": topology_to_doc(state.topology),
-        "clock": state.clock,
         "master_seed": state.master_seed,
         "kljn_keys": [r.key_id for r in state.records_sorted() if r.channel == "kljn"],
         "kill_events": [event(e) for e in state.kill.event_log],
@@ -754,9 +753,10 @@ class TestValueTable:
     def test_table_holds_every_value_once(self, name, coef, kill_every):
         t = KERNEL_GRID[name]
         kill = KillSwitchState()
-        for timestamp, sensor in enumerate(t.sensors[::kill_every] if kill_every else ()):
-            kill.kill(sensor, timestamp)
-        matrix, rankings = trust_report(NetworkKeyState(t, {}, kill, len(t.sensors), 0), coef)
+        for sensor in t.sensors[::kill_every] if kill_every else ():
+            kill.kill(sensor)
+        keys = ["k"] * len(t.index.links)  # one key id per wired link, as a state file holds
+        matrix, rankings = trust_report(NetworkKeyState(t, keys, kill, 0), coef)
         table = matrix.table
         assert table.dtype == np.float64
         assert np.all(table[1:] > table[:-1])  # sorted and distinct
@@ -952,13 +952,20 @@ PINNED_SESSIONS = {
     ("2024", "wire-substitution"): "74e6a5566c7188e9f90e56eff268c929e124b92409b8037b538b396d512ecfba",
     ("2024", "current-injection"): "2161158521b8bb9d9d68cf0279e5bde162e7d0ae64d9833d91ac22bbf7a4906e",
 }
-PINNED_ESTABLISH_FIG2_SEED_42 = "075cd5aebd4136982419c9f8deb24182c4dd7dbe48e9b08d3a4cd5e4257b14e1"
+PINNED_ESTABLISH_FIG2_SEED_42 = "43eab534eb15b1ac461f0036dc81438e5dbe514822cf11c88e8a8a3256236453"
 # report --out/--csv after establish fig2 --seed 42 and kill H, recorded
 # with the json.dumps report writer
 PINNED_REPORT_FIG2_KILL_H = {
     "report.json": "6d50938d1aaa94c33f6a22e5b86a849b2a927ffa0f2493563610f850fc4d5279",
     "report.csv": "1763ee60018fde7e97a6ce7ed3535b0b60f48d80865f52eab6ffcaf4582d1466",
     "full.csv": "ba4fa585dc36d90adee3717e8e9bd09222e52f2c270a55791e4fa9a3b30c6386",
+}
+# report --out/--csv after establish fig2 --seed 42, kill H and kill A --note
+# "second alarm", recorded from a version 3 state file, whose clock and
+# timestamps were stored
+PINNED_REPORT_FIG2_TWO_KILLS = {
+    "report.json": "e2b5a05c5da5884be915bbc7f88a43306d96bb5c2ced5817f95c65cfbc89f610",
+    "report.csv": "3680d874a65aede0d29106479fe8f1b21b5f784d57dc2370ae7e3c583ce90b49",
 }
 
 
@@ -984,7 +991,7 @@ class TestPinnedOutput:
         assert main(["establish", "fig2", "--seed", "42", "--out", state]) == 0
         assert main(["kill", state, "H"]) == 0
         doc = json.loads(Path(state).read_text(encoding="utf-8"))
-        assert (doc["version"], doc["master_seed"], len(doc["kljn_keys"])) == (3, 42, 6)
+        assert (doc["version"], doc["master_seed"], len(doc["kljn_keys"])) == (4, 42, 6)
         assert main(["report", state, "--out", str(tmp_path / "report.json"),
                      "--csv", str(tmp_path / "report.csv")]) == 0
         assert main(["report", state, "--full-precision",
@@ -993,6 +1000,18 @@ class TestPinnedOutput:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in PINNED_REPORT_FIG2_KILL_H}
         assert digests == PINNED_REPORT_FIG2_KILL_H
+
+    def test_report_fig2_after_two_kills(self, tmp_path):
+        # the derived stamps 46 and 47 are those the version 3 file stored
+        state = str(tmp_path / "state.json")
+        assert main(["establish", "fig2", "--seed", "42", "--out", state]) == 0
+        assert main(["kill", state, "H"]) == 0
+        assert main(["kill", state, "A", "--note", "second alarm"]) == 0
+        assert main(["report", state, "--out", str(tmp_path / "report.json"),
+                     "--csv", str(tmp_path / "report.csv")]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in PINNED_REPORT_FIG2_TWO_KILLS}
+        assert digests == PINNED_REPORT_FIG2_TWO_KILLS
 
 
 # --- matrix, rank and report files pinned to digests recorded with the

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -116,19 +118,19 @@ class TestKillSwitchState:
     def test_killed_replays_the_log(self):
         ks = KillSwitchState()
         assert ks.killed == frozenset()
-        ks.kill("A", 1, note="tamper alert")
-        ks.kill("B", 2)
-        ks.kill("A", 3)
+        ks.kill("A", note="tamper alert")
+        ks.kill("B")
+        ks.kill("A")
         assert ks.killed == {"A", "B"}
-        ks.clear("A", 4, note="false alarm")
+        ks.clear("A", note="false alarm")
         assert ks.killed == {"B"}
         assert [e.action for e in ks.event_log] == ["set", "set", "set", "clear"]
-        assert [e.timestamp for e in ks.event_log] == [1, 2, 3, 4]
+        assert [e.sensor for e in ks.event_log] == ["A", "B", "A", "A"]
         assert ks.event_log[0].note == "tamper alert"
 
     def test_killed_follows_an_edited_log(self):
         ks = KillSwitchState()
-        ks.kill("A", 1)
+        ks.kill("A")
         ks.event_log.pop()
         assert ks.killed == frozenset()
 
@@ -142,7 +144,23 @@ class TestKillEvents:
         assert all("H" in r.pair for r in revoked)
         assert state.kill.killed == {"H"}
         assert state.kill.event_log[-1].note == "tamper alarm"
-        assert state.kill.event_log[-1].timestamp == 46
+        assert list(state.kill_log()) == [(46, state.kill.event_log[-1])]
+        assert state.clock == 46
+
+    def test_clock_and_stamps_are_derived(self, fig2):
+        # C(10, 2) = 45 ticks for the pairs, then one per event, a clear included
+        state = establish_network_keys(fig2, master_seed=42, target_bits=KEY_BITS)
+        assert state.clock == 45 and list(state.kill_log()) == []
+        apply_kill_event(state, "H")
+        apply_kill_event(state, "A", note="second alarm")
+        state.kill.clear("A", note="false alarm")
+        assert state.clock == 48
+        assert [(stamp, e.sensor, e.action) for stamp, e in state.kill_log()] == [
+            (46, "H", "set"), (47, "A", "set"), (48, "A", "clear")]
+        text = state_to_json(state)
+        assert '"clock"' not in text and '"timestamp"' not in text
+        with pytest.raises(AttributeError):
+            state.clock = 1
 
     def test_kill_is_idempotent_but_logged(self, fig2):
         state = establish_network_keys(fig2, master_seed=42, target_bits=KEY_BITS)
@@ -206,7 +224,7 @@ class TestPersistence:
         state = establish_network_keys(fig2, master_seed=42, target_bits=KEY_BITS)
         apply_kill_event(state, "B", note="drill")
         apply_kill_event(state, "C")
-        state.kill.clear("C", note="false alarm", timestamp=state.clock)
+        state.kill.clear("C", note="false alarm")
         path = tmp_path / "state.json"
         write_files([(path, (state_to_json(state),))])
         loaded = load_state(path)
@@ -229,6 +247,46 @@ class TestPersistence:
             write_files([(tmp_path / "first.txt", (b"whole", "\n")), (earlier, chunks())])
         assert earlier.read_bytes() == b"earlier\n"
         assert [p.name for p in tmp_path.iterdir()] == ["earlier.json"]  # no .partial
+
+    def test_writers_never_share_a_temporary_file(self, tmp_path):
+        # a second writer of the same path runs to the end while the first is
+        # part way through its chunks: each writes through a file of its own
+        path, seen = tmp_path / "out.txt", []
+
+        def second():
+            seen.extend(p.name for p in tmp_path.iterdir())
+            yield "second\n"
+
+        def first():
+            yield "first, "
+            write_files([(path, second())])
+            assert path.read_text() == "second\n"
+            yield "whole\n"
+
+        write_files([(path, first())])
+        assert path.read_text() == "first, whole\n"
+        assert list(tmp_path.iterdir()) == [path]
+        assert len(set(seen)) == 2
+        assert all(name.startswith(".out.txt.") and name.endswith(".partial") for name in seen)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o002])
+    def test_output_mode_is_that_of_a_new_file(self, tmp_path, umask):
+        # 0o666 less the umask, as open(path, "w") creates a file, whatever
+        # the mode of the file replaced
+        new, replaced = tmp_path / "new.txt", tmp_path / "replaced.txt"
+        replaced.write_text("earlier\n")
+        replaced.chmod(0o600)
+        old = os.umask(umask)
+        try:
+            write_files([(new, ("new\n",)), (replaced, (b"replaced\n",))])
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+        finally:
+            os.umask(old)
+        want = 0o666 & ~umask
+        assert stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode) == want
+        assert stat.S_IMODE(new.stat().st_mode) == want
+        assert stat.S_IMODE(replaced.stat().st_mode) == want
 
     def test_key_material_not_persisted(self, fig2_state):
         text = state_to_json(fig2_state)

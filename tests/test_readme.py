@@ -18,3 +18,4 @@ def test_library_example_runs():
     assert kt.rank_peers(topo, coef, {"H"}, "A")[-1] == ("H", 0.0)
     assert namespace["matrix"].order == list(topo.sensors)
     assert namespace["state"].kill.killed == {"H"}
+    assert namespace["state"].clock == 46

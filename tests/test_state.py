@@ -1,10 +1,12 @@
 """The derived state against an eager oracle.
 
-The oracle is the earlier state model, kept here as it was: one stored
-record per sensor pair, and a kill that revokes every record of the sensor.
-The state under test stores only each wired link's key id and the kill
-events, and derives the rest; every view of it, and of the state its file
-loads to, must equal the oracle's records.
+The oracle is the earlier state model, kept here as it was but for its
+clear, which now ticks the clock as a kill does: one stored record per
+sensor pair, a kill that revokes every record of the sensor, and a stored
+clock that ticks once per pair and once per kill or clear, stamping each
+event.  The state under test stores only each wired link's key id and
+the kill events, and derives the rest; every view of it, and of the state
+its file loads to, must equal the oracle's records, clock and stamps.
 """
 
 import hashlib
@@ -48,18 +50,22 @@ def _oracle_fingerprint(material):
 
 @dataclass
 class EagerKillLog:
-    """The kill log with its killed set stored next to it, updated per event."""
+    """The kill log with its killed set and each event's timestamp stored
+    next to it, updated per event."""
 
     killed: set = field(default_factory=set)
     event_log: list = field(default_factory=list)
+    stamps: list = field(default_factory=list)
 
     def kill(self, sensor, timestamp, note=""):
         self.killed.add(sensor)
-        self.event_log.append(KillEvent(timestamp, sensor, "set", note))
+        self.event_log.append(KillEvent(sensor, "set", note))
+        self.stamps.append(timestamp)
 
     def clear(self, sensor, timestamp, note=""):
         self.killed.discard(sensor)
-        self.event_log.append(KillEvent(timestamp, sensor, "clear", note))
+        self.event_log.append(KillEvent(sensor, "clear", note))
+        self.stamps.append(timestamp)
 
 
 @dataclass
@@ -102,6 +108,11 @@ def eager_kill(state, sensor, note=""):
             record.status = "revoked"
 
 
+def eager_clear(state, sensor, note=""):
+    state.clock += 1
+    state.kill.clear(sensor, note=note, timestamp=state.clock)
+
+
 # --- comparison
 
 
@@ -119,6 +130,7 @@ def assert_same_records(state, oracle):
         assert _row(state.records[pair]) == _row(record)
     assert state.kill.killed == oracle.kill.killed
     assert state.kill.event_log == oracle.kill.event_log
+    assert list(state.kill_log()) == list(zip(oracle.kill.stamps, oracle.kill.event_log))
     assert state.clock == oracle.clock
 
 
@@ -178,12 +190,17 @@ def test_derived_state_equals_eager_oracle(seed, network):
     first, second = t.sensors[int(rng.integers(len(t.sensors)))], t.sensors[0]
     steps = [("kill", first), ("kill", second), ("kill", first),  # a repeated kill
              ("clear", second), ("kill", t.sensors[-1])]
+
+    def library_clear(s, sensor, note):
+        s.kill.clear(sensor, note=note)
+
     for action, sensor in steps:
-        for s, kill in ((state, apply_kill_event), (oracle, eager_kill)):
+        for s, kill, clear in ((state, apply_kill_event, library_clear),
+                               (oracle, eager_kill, eager_clear)):
             if action == "kill":
                 kill(s, sensor, note=f"alarm {sensor}")
             else:
-                s.kill.clear(sensor, note="false alarm", timestamp=s.clock)
+                clear(s, sensor, note="false alarm")
         assert_same_records(state, oracle)
         assert_file_loads_to_oracle(state, oracle)
 
@@ -192,7 +209,7 @@ def test_cleared_sensor_keeps_revoked_records():
     t = Topology(("A", "B", "C"), frozenset({("A", "B")}))
     state = establish_network_keys(t, master_seed=5, target_bits=KEY_BITS)
     apply_kill_event(state, "B")
-    state.kill.clear("B", timestamp=state.clock)
+    state.kill.clear("B")
     assert state.kill.killed == set()
     assert [(r.pair, r.status) for r in state.records_sorted()] == [
         (("A", "B"), "revoked"), (("A", "C"), "ok"), (("B", "C"), "revoked")]
