@@ -38,6 +38,7 @@ from .kljn import (
     run_key_exchange,
 )
 from .orchestrator import (
+    CHANNEL_WIRELESS,
     NetworkKeyState,
     apply_kill_event,
     establish_network_keys,
@@ -163,21 +164,25 @@ def _emit(chunks, out: str | None, *files, source: str | None = None) -> None:
         buffer.writelines(c.encode() if isinstance(c, str) else c for c in chunks)
 
 
-# the most cells of a trust matrix that trust-matrix and report build, n =
-# 16384 sensors.  It bounds the exceptions (at worst every cell: 3 bytes a
-# cell kept, 6 while trust_matrix joins them, 1.5 GiB) and the text written,
-# 64 rows at a time, never whole (about 6 bytes a cell in CSV: 1.5 GiB to
+# the most cells of a trust matrix that trust-matrix builds, n = 16384
+# sensors.  It bounds the exceptions (at worst every cell: 3 bytes a cell
+# kept, 6 while trust_matrix joins them, 1.5 GiB) and the text written, 64
+# rows at a time, never whole (about 6 bytes a cell in CSV: 1.5 GiB to
 # write; up to 30 in JSON or --full-precision)
 MATRIX_CELL_BUDGET = 1 << 28
+# the most ordered pairs of sensors that report writes, n = 4096: about 185
+# bytes a pair (its matrix cell, its ranking entry, half a record), 3 GB
+REPORT_CELL_BUDGET = 1 << 24
 
 
-def _check_matrix_size(t: Topology) -> Topology:
-    """``t``, if its dense trust matrix fits ``MATRIX_CELL_BUDGET``."""
+def _check_matrix_size(t: Topology, budget: int = MATRIX_CELL_BUDGET,
+                       output: str = "trust matrix") -> Topology:
+    """``t``, if its ``output`` of n x n cells fits ``budget`` cells."""
     n = len(t.sensors)
-    if n * n > MATRIX_CELL_BUDGET:
+    if n * n > budget:
         raise DomainError(
-            f"{n} sensors need a {n} x {n} trust matrix, over the budget of "
-            f"{MATRIX_CELL_BUDGET} cells (at most {math.isqrt(MATRIX_CELL_BUDGET)} sensors)")
+            f"{n} sensors need a {n} x {n} {output}, over the budget of "
+            f"{budget} cells (at most {math.isqrt(budget)} sensors)")
     return t
 
 
@@ -289,39 +294,38 @@ def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
 
     ``matrix`` and ``rankings`` are those :func:`trust_report` returns.  The
     matrix rows, the rankings and the records are yielded up to 64 at a
-    time.  Every float is labelled from ``matrix.table``, each entry
-    formatted once: a ranking value is a matrix value, since a ranking is
-    the scalar :func:`~kextrust.trust.trust` of each peer.  The matrix comes
-    as the chunks of :func:`_matrix_chunks` and every other chunk as ``str``;
-    the text is ASCII.
+    time, each ranking read from ``rankings`` as its batch is formatted, so
+    that one ranking and one batch of text are held at a time.  Each
+    sensor id is encoded as JSON once, and the records are formatted from
+    ``state.record_rows``.  Every float is labelled from ``matrix.table``,
+    each entry formatted once: a ranking value is a matrix value, since a
+    ranking is the scalar :func:`~kextrust.trust.trust` of each peer.  The
+    matrix comes as the chunks of :func:`_matrix_chunks` and every other
+    chunk as ``str``; the text is ASCII.
     """
+    ids = state.topology.sensors
+    names = list(map(_json_str, ids))
     values = matrix.table.tolist()
     labels = list(map(json.dumps, values))
     label = dict(zip(values, labels))
     coefficients = (f'"{name}": {json.dumps(getattr(coef, name))}'
                     for name in ("a", "b", "c", "provenance"))
-    yield (f'{{\n  "sensors": {json_block(map(_json_str, state.topology.sensors), "  ")},\n'
+    yield (f'{{\n  "sensors": {json_block(names, "  ")},\n'
            f'  "coefficients": {json_block(coefficients, "  ", "{}")},\n'
            f'  "killed": {json_block(map(_json_str, sorted(state.kill.killed)), "  ")},\n'
            '  "matrix": ')
     yield from _matrix_chunks(matrix, "  ", labels)
     yield ',\n  "rankings": '
+    named = dict(zip(ids, names))
+    # a ranking entry is its peer's head, the value's label and the tail
+    heads = {i: f"[\n        {name},\n        " for i, name in named.items()}
     yield from json_chunks((
-        f"{_json_str(sensor)}: " + json_block(
-            (f"[\n        {_json_str(peer)},\n        {label[value]}\n      ]"
-             for peer, value in ranking),
-            "    ")
+        f"{named[sensor]}: " + json_block(
+            [f"{heads[peer]}{label[value]}\n      ]" for peer, value in ranking], "    ")
         for sensor, ranking in rankings.items()
     ), "  ", "{}")
     yield ',\n  "records": '
-    yield from json_chunks((
-        f'{{\n      "pair": [\n        {_json_str(r.pair[0])},\n        {_json_str(r.pair[1])}\n'
-        f'      ],\n      "channel": {_json_str(r.channel)},\n'
-        f'      "key_id": {_json_str(r.key_id)},\n'
-        f'      "established_at": {r.established_at},\n'
-        f'      "status": {_json_str(r.status)}\n    }}'
-        for r in state.records_sorted()
-    ), "  ")
+    yield from json_chunks(_record_texts(state, names), "  ")
     yield ',\n  "kill_log": '
     yield from json_chunks((
         f'{{\n      "timestamp": {timestamp},\n      "sensor": {_json_str(e.sensor)},\n'
@@ -329,6 +333,21 @@ def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
         for timestamp, e in state.kill_log()
     ), "  ")
     yield "\n}\n"
+
+
+def _record_texts(state: NetworkKeyState, names: list[str]):
+    """Each record of ``state.record_rows(names)`` as its JSON object text,
+    from one template: the pair's head is built once per first sensor, a
+    wireless token (hex) is quoted as it is and only a wired key id is
+    encoded."""
+    row = None
+    for x, y, channel, key_id, index, status in state.record_rows(names):
+        if x != row:
+            row, head = x, f'{{\n      "pair": [\n        {names[x]},\n        '
+        key_id = f'"{key_id}"' if channel == CHANNEL_WIRELESS else _json_str(key_id)
+        yield (f'{head}{names[y]}\n      ],\n      "channel": "{channel}",\n'
+               f'      "key_id": {key_id},\n      "established_at": {index},\n'
+               f'      "status": "{status}"\n    }}')
 
 
 def _cmd_validate(args) -> int:
@@ -473,7 +492,7 @@ def _cmd_kill(args) -> int:
 
 def _cmd_report(args) -> int:
     state = _checked_state(Path(args.state).read_text(encoding="utf-8"))
-    _check_matrix_size(state.topology)
+    _check_matrix_size(state.topology, REPORT_CELL_BUDGET, "trust report")
     coef = coefficients_closed_form()
     matrix, rankings = trust_report(state, coef)
     files = []

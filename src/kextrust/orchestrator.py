@@ -22,7 +22,7 @@ import hashlib
 import json
 import os
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
@@ -94,9 +94,10 @@ class NetworkKeyState:
 
     ``kljn_keys`` holds one key id per wired link, parallel to
     ``topology.index.links`` (the links in sorted order); a key id is
-    ``""`` where the link's session failed.  :meth:`records_sorted` derives
-    every record from it, the master seed and the kill log; ``records`` is
-    a read-only snapshot of those records keyed by pair.
+    ``""`` where the link's session failed.  :meth:`record_rows` derives
+    every record from it, the master seed and the kill log,
+    :meth:`records_sorted` builds them as :class:`KeyRecord` objects, and
+    ``records`` is a read-only snapshot of those keyed by pair.
     """
 
     topology: Topology
@@ -121,37 +122,43 @@ class NetworkKeyState:
         return MappingProxyType({r.pair: r for r in self.records_sorted()})
 
     def records_sorted(self) -> Iterator[KeyRecord]:
-        """Every record, one canonical pair at a time in canonical order.
+        """Every record, one canonical pair at a time in canonical order:
+        the :meth:`record_rows` with each pair's ids."""
+        ids = self.topology.sensors
+        for x, y, channel, key_id, index, status in self.record_rows(list(map(_json_str, ids))):
+            yield KeyRecord((ids[x], ids[y]), channel, key_id, index, status)
+
+    def record_rows(self, names: list[str]) -> Iterator[tuple[int, int, str, str, int, str]]:
+        """Every record as ``(x, y, channel, key_id, established_at, status)``,
+        one canonical pair ``(sensors[x], sensors[y])`` at a time in canonical
+        order; ``names`` holds each sensor's id as JSON text, by position.
 
         ``established_at`` is the pair's position.  The wired links are
         walked in step with the pairs: a wired pair's record has the link's
         key id, and status ``ok``, or ``failed`` where the key id is empty.
         Any other pair's record is a wireless one whose token is that of
-        ``json.dumps([master_seed, a, b, "wireless"])``.  A record one of
-        whose sensors has a ``set`` kill event comes back as a revoked copy.
-        The JSON text of the first sensor and its revocation are found once
-        per row.
+        ``json.dumps([master_seed, a, b, "wireless"])``, written from
+        ``names``.  A record one of whose sensors has a ``set`` kill event
+        is revoked.
         """
         revoked = {e.sensor for e in self.kill.event_log if e.action == "set"}
-        ids, index = self.topology.sensors, 0
-        n = len(ids)
+        dead = [s in revoked for s in self.topology.sensors]
+        n, index = len(names), 0
         wired = ((p * (2 * n - p - 1) // 2 + q - p, key)  # each link's position
                  for (p, q), key in zip(self.topology.index.links.tolist(), self.kljn_keys))
         at, key = next(wired, (0, ""))
-        for x, a in enumerate(ids):
-            prefix, row_revoked = f"[{self.master_seed}, {_json_str(a)}, ", a in revoked
-            for b in ids[x + 1 :]:
+        for x in range(n):
+            prefix, row_dead = f"[{self.master_seed}, {names[x]}, ", dead[x]
+            for y in range(x + 1, n):
                 index += 1
+                gone = row_dead or dead[y]
                 if index == at:
-                    status = STATUS_OK if key else STATUS_FAILED
-                    record = KeyRecord((a, b), CHANNEL_KLJN, key, index, status)
+                    status = STATUS_REVOKED if gone else STATUS_OK if key else STATUS_FAILED
+                    yield x, y, CHANNEL_KLJN, key, index, status
                     at, key = next(wired, (0, ""))
                 else:
-                    token = _fingerprint(f'{prefix}{_json_str(b)}, "wireless"]')
-                    record = KeyRecord((a, b), CHANNEL_WIRELESS, token, index, STATUS_OK)
-                if row_revoked or b in revoked:
-                    record = replace(record, status=STATUS_REVOKED)
-                yield record
+                    token = _fingerprint(f'{prefix}{names[y]}, "wireless"]')
+                    yield x, y, CHANNEL_WIRELESS, token, index, STATUS_REVOKED if gone else STATUS_OK
 
 
 def _derive_seed(master_seed: int, *parts: str) -> int:
@@ -214,14 +221,38 @@ def apply_kill_event(state: NetworkKeyState, sensor: SensorId, note: str = "") -
     return state
 
 
-def trust_report(state: NetworkKeyState, coef: TrustCoefficients) -> tuple[TrustMatrix, dict]:
+class Rankings(Mapping):
+    """Each sensor's :func:`~kextrust.trust.rank_peers` ranking keyed by
+    sensor, in sorted order: a read-only mapping that ranks a sensor's
+    peers on each read and keeps nothing, so that a reader walking it holds
+    one ranking at a time.  An id that is not a sensor raises ``KeyError``.
+    """
+
+    def __init__(self, t: Topology, coef: TrustCoefficients, killed: frozenset[SensorId]):
+        self._t, self._coef, self._killed = t, coef, killed
+
+    def __getitem__(self, i: SensorId) -> list[tuple[SensorId, float]]:
+        if not self._t.has_sensor(i):
+            raise KeyError(i)
+        return rank_peers(self._t, self._coef, self._killed, i)
+
+    def __iter__(self) -> Iterator[SensorId]:
+        return iter(self._t.sensors)
+
+    def __len__(self) -> int:
+        return len(self._t.sensors)
+
+
+def trust_report(state: NetworkKeyState, coef: TrustCoefficients) -> tuple[TrustMatrix, Rankings]:
     """``(matrix, rankings)`` of the state's network with its killed sensors:
     the :func:`trust_matrix`, and each sensor's :func:`rank_peers` keyed by
-    sensor in sorted order.  ``kextrust.cli.report_json_chunks`` writes
-    them, with the state's records and kill log, as the ``report`` document.
+    sensor in sorted order, as a :class:`Rankings` mapping that computes
+    each ranking when it is read.  ``kextrust.cli.report_json_chunks``
+    writes them, with the state's records and kill log, as the ``report``
+    document.
     """
     t, killed = state.topology, state.kill.killed
-    return trust_matrix(t, coef, killed), {i: rank_peers(t, coef, killed, i) for i in t.sensors}
+    return trust_matrix(t, coef, killed), Rankings(t, coef, killed)
 
 
 def json_chunks(items, pad: str, brackets: str = "[]"):

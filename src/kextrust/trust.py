@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections.abc import Set
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -379,6 +380,10 @@ def rank_peers(
     would otherwise interleave with the wired peers by id.
     """
     live_wired = t.kljn_set(i) - killed
-    scored = [(j, trust(t, coef, killed, i, j)) for j in t.sensors if j != i]
-    scored.sort(key=lambda pair: (-pair[1], pair[0] not in live_wired))
+    # the live wired peers first, then the others, each in id order: one
+    # stable sort by value then keeps them ahead of an equal non-wired peer
+    peers = sorted(live_wired)
+    peers += (j for j in t.sensors if j != i and j not in live_wired)
+    scored = [(j, trust(t, coef, killed, i, j)) for j in peers]
+    scored.sort(key=itemgetter(1), reverse=True)
     return scored

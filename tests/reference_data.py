@@ -15,7 +15,7 @@ from kextrust.topology import (
     ValidationIssue,
     ValidationReport,
 )
-from kextrust.trust import geometric_partial_sum, rank_peers, trust_matrix
+from kextrust.trust import geometric_partial_sum, rank_peers, trust, trust_matrix
 
 # Exchange sets of the example network (sensors A..J, six wired links).
 EXCHANGE_SETS = {
@@ -180,6 +180,16 @@ def validate_reference(t: Topology) -> ValidationReport:
                 "missing-wireless-entry",
                 f"no explicit wireless set for {missing} (treated as empty)", tuple(missing)))
     return report
+
+
+def rank_peers_reference(t: Topology, coef, killed, i) -> list:
+    """The peers of ``i`` with their scalar ``trust``, taken in id order and
+    sorted on the key (minus the value, not a live wired peer): the oracle
+    for the order of :func:`kextrust.trust.rank_peers`, which sorts once by
+    value after listing the live wired peers first."""
+    live_wired = t.kljn_set(i) - killed
+    scored = [(j, trust(t, coef, killed, i, j)) for j in t.sensors if j != i]
+    return sorted(scored, key=lambda p: (-p[1], p[0] not in live_wired))
 
 
 def _partial_sums(r: float, counts: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ import kextrust
 from kextrust import cli, orchestrator
 from kextrust.cli import (
     MATRIX_CELL_BUDGET,
+    REPORT_CELL_BUDGET,
     _check_matrix_size,
     _emit,
     build_parser,
@@ -1293,14 +1294,21 @@ class TestConsoleChecks:
 
 
 class TestMatrixBudget:
-    """``trust-matrix`` and ``report`` refuse a network whose dense matrix
-    would exceed ``MATRIX_CELL_BUDGET`` cells, before building it."""
+    """``trust-matrix`` refuses a network whose dense matrix would exceed
+    ``MATRIX_CELL_BUDGET`` cells, and ``report`` one of more than
+    ``REPORT_CELL_BUDGET`` ordered pairs, before building the matrix."""
 
     OVER = math.isqrt(MATRIX_CELL_BUDGET) + 1  # 16385 sensors
     MESSAGE = (f"error: {OVER} sensors need a {OVER} x {OVER} trust matrix, over the budget "
                "of 268435456 cells (at most 16384 sensors)\n")
+    REPORT_OVER = math.isqrt(REPORT_CELL_BUDGET) + 1  # 4097 sensors
 
-    def _assert_refused(self, capsys, tmp_path, *argv):
+    @staticmethod
+    def _report_message(n):
+        return (f"error: {n} sensors need a {n} x {n} trust report, over the budget "
+                "of 16777216 cells (at most 4096 sensors)\n")
+
+    def _assert_refused(self, capsys, tmp_path, message, *argv):
         out = tmp_path / "out"
         tracemalloc.start()
         try:
@@ -1308,21 +1316,35 @@ class TestMatrixBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result == (1, "", self.MESSAGE)
+        assert result == (1, "", message)
         assert not out.exists()
         assert peak < 64e6  # the matrix alone would take 2 GB
+
+    @staticmethod
+    def _state(tmp_path, n):
+        path = tmp_path / "state.json"
+        sensors = [f"s{k}" for k in range(n)]
+        path.write_text(_v4_state(kljn_keys=[], topology={"sensors": sensors, "kljn_edges": []}))
+        return str(path)
 
     def test_trust_matrix_over_budget(self, capsys, tmp_path):
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"sensors": [f"s{k}" for k in range(self.OVER)],
                                     "kljn_edges": []}))
-        self._assert_refused(capsys, tmp_path, "trust-matrix", str(path))
+        self._assert_refused(capsys, tmp_path, self.MESSAGE, "trust-matrix", str(path))
 
     def test_report_over_budget(self, capsys, tmp_path):
-        path = tmp_path / "state.json"
-        sensors = [f"s{k}" for k in range(self.OVER)]
-        path.write_text(_v4_state(kljn_keys=[], topology={"sensors": sensors, "kljn_edges": []}))
-        self._assert_refused(capsys, tmp_path, "report", str(path))
+        self._assert_refused(capsys, tmp_path, self._report_message(self.OVER),
+                             "report", self._state(tmp_path, self.OVER))
+
+    def test_report_budget_edge(self, capsys, tmp_path, monkeypatch):
+        # 4097 sensors are refused before the matrix is built; 4096 pass the check
+        monkeypatch.setattr(orchestrator, "trust_matrix", lambda *a: pytest.fail("matrix built"))
+        self._assert_refused(capsys, tmp_path, self._report_message(self.REPORT_OVER),
+                             "report", self._state(tmp_path, self.REPORT_OVER))
+        t = Topology(tuple(f"s{k}" for k in range(self.REPORT_OVER - 1)), frozenset())
+        assert _check_matrix_size(t, REPORT_CELL_BUDGET, "trust report") is t
+        assert (self.REPORT_OVER - 1) ** 2 == REPORT_CELL_BUDGET
 
     def test_budget_edge(self):
         t = Topology(tuple(f"s{k}" for k in range(self.OVER - 1)), frozenset())

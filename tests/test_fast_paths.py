@@ -66,6 +66,7 @@ from kextrust.trust import (
     TrustMatrix,
     coefficients_closed_form,
     coefficients_fixed_point,
+    rank_peers,
     trust,
     trust_matrix,
 )
@@ -73,6 +74,7 @@ from reference_data import (
     joined_chunks,
     matrix_to_csv_reference,
     random_topology,
+    rank_peers_reference,
     report_doc,
     sparse_topology,
     trust_matrix_dense_reference,
@@ -456,9 +458,24 @@ class TestReportWriter:
             apply_kill_event(state, sensor, note=f"alarm {sensor}")
             _assert_report_equals_json_dumps(state)
 
+    def test_escaped_ids_with_a_failed_session_and_two_kills(self):
+        # every id needs escaping or is non-ASCII; the wired ('a,b', 'q"t')
+        # session is attacked, so its key id is "" and its record failed
+        ids = ('q"t', "back\\slash", "a,b", "tab\there", "\u00e9", "\u2603")
+        edges = {(ids[2], ids[0]), (ids[1], ids[3]), (ids[4], ids[5])}
+        t = Topology(ids, frozenset(edges))
+        attackers = {(ids[2], ids[0]): WireSubstitutionAttacker(seed=9)}
+        state = establish_network_keys(t, master_seed=17, target_bits=8, attackers=attackers)
+        assert state.kljn_keys.count("") == 1
+        _assert_report_equals_json_dumps(state)
+        for sensor in (ids[1], ids[5]):
+            apply_kill_event(state, sensor, note=f"alarm {sensor}")
+            _assert_report_equals_json_dumps(state)
+        assert {r.status for r in state.records_sorted()} == {"ok", "failed", "revoked"}
 
     def test_report_is_streamed(self, tmp_path):
-        # the report of 200 sensors is 7 MB; written whole it peaked near 30 MB
+        # the report of 200 sensors is 7 MB; written whole it peaked near 30 MB,
+        # and with every ranking built before the writer started, near 7 MB
         t = _explicit_sets_topology(200, 200, edge_prob=0.002)
         state = establish_network_keys(t, master_seed=201, target_bits=8)
         for sensor in (t.sensors[7], t.sensors[42]):
@@ -471,7 +488,23 @@ class TestReportWriter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6
+        assert peak < 6e6
+
+    def test_report_holds_one_ranking(self, tmp_path):
+        # n = 600: all 600 rankings held at once, as a dict built before the
+        # writer started, peaked at 40 MB; read one at a time, at 8 MB
+        t = sparse_topology(np.random.default_rng(600), 600, 10)
+        state = establish_network_keys(t, master_seed=601, target_bits=8)
+        apply_kill_event(state, t.sensors[300])
+        write_files([(tmp_path / "state.json", (state_to_json(state),))])
+        tracemalloc.start()
+        try:
+            assert main(["report", str(tmp_path / "state.json"),
+                         "--out", str(tmp_path / "report.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 # --- the base-plus-exceptions trust matrix against the dense kernel
@@ -784,6 +817,36 @@ class TestValueTable:
         t = sparse_topology(np.random.default_rng(23), 1000, 3000)
         table = trust_matrix(t, COEF, frozenset(t.sensors[::7])).table
         assert np.array_equal(np.sort(table.view(np.uint64)), table.view(np.uint64))
+
+
+# --- rank_peers' one sort by value against the (value, wired) sort key
+
+
+class TestRankOrder:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_topologies(self, seed):
+        # under the complement rule and with explicit sets, with and without kills
+        rng = np.random.default_rng(700 + seed)
+        bare = random_topology(rng, int(rng.integers(2, 40)))
+        killed = frozenset(s for s in bare.sensors if rng.random() < 0.2)
+        for t in (bare, with_explicit_wireless_sets(bare, rng, 0.4)):
+            for kill in (frozenset(), killed):
+                for i in t.sensors:
+                    assert rank_peers(t, COEF, kill, i) == rank_peers_reference(t, COEF, kill, i)
+
+    @pytest.mark.parametrize("killed", [(), ("m00", "a", "w05"), ("i",)])
+    def test_saturated_peer_ties_a_wired_peer(self, killed):
+        # "a" is not wired to "i" and scores exactly 1.0, as its wired peers
+        # do; by id alone it would rank first
+        t, coef = _saturation_topology(), coefficients_fixed_point(1e-4)
+        assert trust(t, coef, frozenset(), "i", "a") == 1.0
+        for i in t.sensors:
+            ranking = rank_peers(t, coef, frozenset(killed), i)
+            assert ranking == rank_peers_reference(t, coef, frozenset(killed), i)
+        if "a" not in killed:
+            ranking = rank_peers(t, coef, frozenset(killed), "i")
+            ones = [j for j, v in ranking if v == 1.0]
+            assert ones == [*sorted(t.kljn_set("i") - set(killed)), "a"]
 
 
 # --- table-driven matrix writers against csv.writer and json.dumps

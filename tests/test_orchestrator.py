@@ -24,7 +24,7 @@ from kextrust.orchestrator import (
     write_files,
 )
 from kextrust.topology import Topology, UnknownSensorError
-from kextrust.trust import coefficients_closed_form
+from kextrust.trust import coefficients_closed_form, rank_peers
 from reference_data import EXPECTED_TRUST, SENSORS, expected_tolerance, joined_chunks
 
 COEF = coefficients_closed_form()
@@ -211,6 +211,24 @@ class TestReport:
         assert report["kill_log"][0]["sensor"] == "H"
         for i in SENSORS:
             assert all(j != "H" or v == 0.0 for j, v in rankings[i])
+
+    def test_rankings_are_ranked_on_each_read(self, fig2):
+        state = establish_network_keys(fig2, master_seed=42, target_bits=KEY_BITS)
+        apply_kill_event(state, "H")
+        _, rankings = trust_report(state, COEF)
+        assert list(rankings) == list(fig2.sensors) == SENSORS
+        assert len(rankings) == 10
+        for i in SENSORS:
+            assert i in rankings
+            assert rankings[i] == rank_peers(fig2, COEF, frozenset({"H"}), i)
+            first, second = rankings[i], rankings[i]
+            assert first == second and first is not second
+        for unknown in ("Q", "", ("A",)):
+            assert unknown not in rankings
+            with pytest.raises(KeyError):
+                rankings[unknown]
+        assert rankings.get("Q") is None
+        assert dict(rankings) == {i: rank_peers(fig2, COEF, frozenset({"H"}), i) for i in SENSORS}
 
     def test_rankings_sorted_descending(self, fig2_state):
         _, rankings = trust_report(fig2_state, COEF)
