@@ -42,8 +42,6 @@ from .orchestrator import (
     NetworkKeyState,
     apply_kill_event,
     establish_network_keys,
-    json_block,
-    json_chunks,
     state_from_json,
     state_to_json,
     trust_report,
@@ -255,6 +253,30 @@ def matrix_to_csv(matrix, full_precision: bool = False):
     return itertools.chain([header.encode()], _id_rows(matrix, labels, ",", heads, b"\n"))
 
 
+def json_chunks(items, pad: str, brackets: str = "[]"):
+    """A list (an object with ``brackets="{}"``) laid out as ``json.dumps(...,
+    indent=2)`` lays it out where its opening line is indented by ``pad``:
+    one entry per line.  ``items`` are the entries as JSON text, so an entry
+    may itself span lines; none may be empty.  Empty gives ``[]`` or ``{}``.
+
+    The text comes in chunks of up to 64 entries each, joined by
+    ``str.join``: the report's rankings and records, 1.5 n(n - 1) entries
+    in all, are written a batch at a time, not a chunk per entry.
+    """
+    sep, items = f",\n{pad}  ", iter(items)
+    head = f"{brackets[0]}\n{pad}  "
+    while body := sep.join(itertools.islice(items, 64)):
+        yield head
+        yield body
+        head = sep
+    yield f"\n{pad}{brackets[1]}" if head is sep else brackets
+
+
+def json_block(items, pad: str, brackets: str = "[]") -> str:
+    """The chunks of :func:`json_chunks` joined into one string."""
+    return "".join(json_chunks(items, pad, brackets))
+
+
 def _matrix_chunks(matrix, pad: str, labels):
     """``{"order": order, "values": values}`` of the ``matrix``, laid out as
     by ``json.dumps(indent=2)`` at indent ``pad``, as chunks of :func:`_id_rows`,
@@ -282,7 +304,7 @@ def matrix_to_json(matrix):
                            [b"\n"])
 
 
-def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
+def report_json_chunks(state: NetworkKeyState, coef, matrix):
     """The ``report`` document of ``state`` as chunks of JSON text; encoded
     and joined, they are ``json.dumps(doc, indent=2) + "\n"`` for the
     document with the keys ``sensors``, ``coefficients`` (``a``, ``b``,
@@ -292,18 +314,19 @@ def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
     ``status``, in ``state.records_sorted()`` order) and ``kill_log``
     (``timestamp``, ``sensor``, ``action``, ``note``: ``state.kill_log()``).
 
-    ``matrix`` and ``rankings`` are those :func:`trust_report` returns.  The
-    matrix rows, the rankings and the records are yielded up to 64 at a
-    time, each ranking read from ``rankings`` as its batch is formatted, so
-    that one ranking and one batch of text are held at a time.  Each
-    sensor id is encoded as JSON once, and the records are formatted from
-    ``state.record_rows``.  Every float is labelled from ``matrix.table``,
-    each entry formatted once: a ranking value is a matrix value, since a
-    ranking is the scalar :func:`~kextrust.trust.trust` of each peer.  The
-    matrix comes as the chunks of :func:`_matrix_chunks` and every other
-    chunk as ``str``; the text is ASCII.
+    ``matrix`` is the one :func:`trust_report` returns.  The matrix rows,
+    the rankings and the records are yielded up to 64 at a time, and each
+    sensor is ranked by :func:`~kextrust.trust.rank_peers` as its batch is
+    formatted, so that one ranking and one batch of text are held at a
+    time.  Each sensor id is encoded as JSON once, and the records are
+    formatted from ``state.record_rows``.  Every float is labelled from
+    ``matrix.table``, each entry formatted once: a ranking value is a matrix
+    value, since a ranking is the scalar :func:`~kextrust.trust.trust` of
+    each peer.  The matrix comes as the chunks of :func:`_matrix_chunks` and
+    every other chunk as ``str``; the text is ASCII.
     """
-    ids = state.topology.sensors
+    t, killed = state.topology, state.kill.killed
+    ids = t.sensors
     names = list(map(_json_str, ids))
     values = matrix.table.tolist()
     labels = list(map(json.dumps, values))
@@ -312,17 +335,17 @@ def report_json_chunks(state: NetworkKeyState, coef, matrix, rankings):
                     for name in ("a", "b", "c", "provenance"))
     yield (f'{{\n  "sensors": {json_block(names, "  ")},\n'
            f'  "coefficients": {json_block(coefficients, "  ", "{}")},\n'
-           f'  "killed": {json_block(map(_json_str, sorted(state.kill.killed)), "  ")},\n'
+           f'  "killed": {json_block(map(_json_str, sorted(killed)), "  ")},\n'
            '  "matrix": ')
     yield from _matrix_chunks(matrix, "  ", labels)
     yield ',\n  "rankings": '
-    named = dict(zip(ids, names))
     # a ranking entry is its peer's head, the value's label and the tail
-    heads = {i: f"[\n        {name},\n        " for i, name in named.items()}
+    heads = {i: f"[\n        {name},\n        " for i, name in zip(ids, names)}
     yield from json_chunks((
-        f"{named[sensor]}: " + json_block(
-            [f"{heads[peer]}{label[value]}\n      ]" for peer, value in ranking], "    ")
-        for sensor, ranking in rankings.items()
+        f"{name}: " + json_block(
+            [f"{heads[peer]}{label[value]}\n      ]"
+             for peer, value in rank_peers(t, coef, killed, sensor)], "    ")
+        for sensor, name in zip(ids, names)
     ), "  ", "{}")
     yield ',\n  "records": '
     yield from json_chunks(_record_texts(state, names), "  ")
@@ -422,19 +445,17 @@ def _cmd_coefficients(args) -> int:
     return 0
 
 
-def _build_attacker(name: str, start: int, seed: int):
-    if name == "none":
-        return None
-    if name == "wire-substitution":
-        return WireSubstitutionAttacker(start_period=start, seed=seed)
-    if name == "current-injection":
-        return CurrentInjectionAttacker(start_period=start, seed=seed)
-    raise DomainError(f"unknown attacker model {name!r}")
+# the --attacker choices: each builds its model from the start period and seed
+_ATTACKERS = {
+    "none": lambda start_period, seed: None,
+    "wire-substitution": WireSubstitutionAttacker,
+    "current-injection": CurrentInjectionAttacker,
+}
 
 
 def _cmd_simulate_kljn(args) -> int:
     cfg = KljnSessionConfig(level_tolerance=args.tol, seed=args.seed)
-    attacker = _build_attacker(args.attacker, args.attack_start, args.seed)
+    attacker = _ATTACKERS[args.attacker](start_period=args.attack_start, seed=args.seed)
 
     exhausted = False
     try:
@@ -494,11 +515,11 @@ def _cmd_report(args) -> int:
     state = _checked_state(Path(args.state).read_text(encoding="utf-8"))
     _check_matrix_size(state.topology, REPORT_CELL_BUDGET, "trust report")
     coef = coefficients_closed_form()
-    matrix, rankings = trust_report(state, coef)
+    matrix = trust_report(state, coef)
     files = []
     if args.csv:
         files.append((args.csv, matrix_to_csv(matrix, args.full_precision)))
-    _emit(report_json_chunks(state, coef, matrix, rankings), args.out, *files,
+    _emit(report_json_chunks(state, coef, matrix), args.out, *files,
           source=args.state)
     return 0
 
@@ -567,8 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--tol", type=float, default=KljnSessionConfig.level_tolerance,
                    help="level classification tolerance")
-    p.add_argument("--attacker", choices=["none", "wire-substitution", "current-injection"],
-                   default="none")
+    p.add_argument("--attacker", choices=list(_ATTACKERS), default="none")
     p.add_argument("--attack-start", type=_non_negative, default=0, metavar="PERIOD")
     p.add_argument("--emit-key", action="store_true",
                    help="include the key as hex in the report")

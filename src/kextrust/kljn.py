@@ -105,6 +105,8 @@ LEVELS = ChannelLevels(
 # Clipping beyond 6 sigma affects ~2e-9 of samples and both ends clip alike.
 VOLTAGE_FULL_SCALE = 6.0 * math.sqrt(LEVELS.voltage[2])
 CURRENT_FULL_SCALE = 6.0 * math.sqrt(LEVELS.current[0])
+# RMS of the current an injection attacker feeds in: half the mixed level's.
+INJECTION_RMS = 0.5 * math.sqrt(LEVELS.current[1])
 
 
 def classify_level(measured: float, levels: tuple[float, float, float], tol: float) -> LevelClass:
@@ -223,9 +225,8 @@ class CurrentInjectionAttacker:
     their current words diverge while the voltage stays shared.
     """
 
-    def __init__(self, start_period: int = 0, scale: float = 0.5, seed: int = 0):
+    def __init__(self, start_period: int = 0, seed: int = 0):
         self.start_period = start_period
-        self.scale = scale
         self._rng = np.random.default_rng(seed)
 
     def active(self, period_index: int) -> bool:
@@ -233,7 +234,7 @@ class CurrentInjectionAttacker:
 
     def tamper(self, r_a, r_b, u_a, u_b):
         u_ch, i_ch = channel_waveforms(r_a, r_b, u_a, u_b)
-        injected = self._rng.normal(0.0, self.scale * math.sqrt(LEVELS.current[1]), len(u_a))
+        injected = self._rng.normal(0.0, INJECTION_RMS, len(u_a))
         return u_ch, i_ch + injected / 2.0, u_ch, i_ch - injected / 2.0
 
 

@@ -23,7 +23,6 @@ import json
 import os
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from types import MappingProxyType
@@ -36,7 +35,7 @@ from .topology import (
     topology_from_doc,
     topology_to_doc,
 )
-from .trust import TrustCoefficients, TrustMatrix, rank_peers, trust_matrix
+from .trust import TrustCoefficients, TrustMatrix, trust_matrix
 
 CHANNEL_KLJN = "kljn"
 CHANNEL_WIRELESS = "wireless"
@@ -221,95 +220,31 @@ def apply_kill_event(state: NetworkKeyState, sensor: SensorId, note: str = "") -
     return state
 
 
-class Rankings(Mapping):
-    """Each sensor's :func:`~kextrust.trust.rank_peers` ranking keyed by
-    sensor, in sorted order: a read-only mapping that ranks a sensor's
-    peers on each read and keeps nothing, so that a reader walking it holds
-    one ranking at a time.  An id that is not a sensor raises ``KeyError``.
+def trust_report(state: NetworkKeyState, coef: TrustCoefficients) -> TrustMatrix:
+    """The :func:`trust_matrix` of the state's network with its killed
+    sensors.  ``kextrust.cli.report_json_chunks`` writes it, with each
+    sensor's ranking, the state's records and its kill log, as the
+    ``report`` document.
     """
-
-    def __init__(self, t: Topology, coef: TrustCoefficients, killed: frozenset[SensorId]):
-        self._t, self._coef, self._killed = t, coef, killed
-
-    def __getitem__(self, i: SensorId) -> list[tuple[SensorId, float]]:
-        if not self._t.has_sensor(i):
-            raise KeyError(i)
-        return rank_peers(self._t, self._coef, self._killed, i)
-
-    def __iter__(self) -> Iterator[SensorId]:
-        return iter(self._t.sensors)
-
-    def __len__(self) -> int:
-        return len(self._t.sensors)
-
-
-def trust_report(state: NetworkKeyState, coef: TrustCoefficients) -> tuple[TrustMatrix, Rankings]:
-    """``(matrix, rankings)`` of the state's network with its killed sensors:
-    the :func:`trust_matrix`, and each sensor's :func:`rank_peers` keyed by
-    sensor in sorted order, as a :class:`Rankings` mapping that computes
-    each ranking when it is read.  ``kextrust.cli.report_json_chunks``
-    writes them, with the state's records and kill log, as the ``report``
-    document.
-    """
-    t, killed = state.topology, state.kill.killed
-    return trust_matrix(t, coef, killed), Rankings(t, coef, killed)
-
-
-def json_chunks(items, pad: str, brackets: str = "[]"):
-    """A list (an object with ``brackets="{}"``) laid out as ``json.dumps(...,
-    indent=2)`` lays it out where its opening line is indented by ``pad``:
-    one entry per line.  ``items`` are the entries as JSON text, so an entry
-    may itself span lines; none may be empty.  Empty gives ``[]`` or ``{}``.
-
-    The text comes in chunks of up to 64 entries each, joined by
-    ``str.join``: a chunk per entry made a matrix row of 1000 cells take
-    ten times as long.
-    """
-    sep, items = f",\n{pad}  ", iter(items)
-    head = f"{brackets[0]}\n{pad}  "
-    while body := sep.join(islice(items, 64)):
-        yield head
-        yield body
-        head = sep
-    yield f"\n{pad}{brackets[1]}" if head is sep else brackets
-
-
-def json_block(items, pad: str, brackets: str = "[]") -> str:
-    """The chunks of :func:`json_chunks` joined into one string."""
-    return "".join(json_chunks(items, pad, brackets))
-
-
-def _json_ids(ids) -> str:
-    """A list of strings as ``json.dumps`` writes it without ``indent``."""
-    return f'[{", ".join(map(_json_str, ids))}]'
+    return trust_matrix(state.topology, coef, state.kill.killed)
 
 
 def state_to_json(state: NetworkKeyState) -> str:
-    """Serialize the state as a version 4 document; key bits are not persisted.
+    """Serialize the state as a version 4 document on one line, as
+    ``json.dumps`` writes it; key bits are not persisted.
 
     The document holds ``version``, ``topology``, ``master_seed``,
     ``kljn_keys`` (one key id per wired link, in the order ``kljn_edges``
-    is written) and the kill events (README: "State files").  It is
-    indented two spaces per level; a list of sensor ids is one line, every
-    other list or object has one entry per line, and each entry is written
-    as ``json.dumps`` writes it without ``indent`` (no pure-Python encoder
-    runs).
+    is written) and the kill events (README: "State files").
     """
-    t = topology_to_doc(state.topology)
-    topology = [
-        f'"sensors": {_json_ids(t["sensors"])}',
-        f'"kljn_edges": {json_block(map(_json_ids, t["kljn_edges"]), "    ")}',
-    ]
-    if "wireless_sets" in t:
-        sets = (f"{_json_str(s)}: {_json_ids(peers)}" for s, peers in t["wireless_sets"].items())
-        topology.append(f'"wireless_sets": {json_block(sets, "    ", "{}")}')
-    events = (json.dumps(vars(e)) for e in state.kill.event_log)
-    return (
-        f'{{\n  "version": 4,\n  "topology": {json_block(topology, "  ", "{}")},\n'
-        f'  "master_seed": {state.master_seed},\n'
-        f'  "kljn_keys": {json_block(map(_json_str, state.kljn_keys), "  ")},\n'
-        f'  "kill_events": {json_block(events, "  ")}\n}}\n'
-    )
+    doc = {
+        "version": 4,
+        "topology": topology_to_doc(state.topology),
+        "master_seed": state.master_seed,
+        "kljn_keys": state.kljn_keys,
+        "kill_events": [vars(e) for e in state.kill.event_log],
+    }
+    return json.dumps(doc) + "\n"
 
 
 _STATE_KEYS = ("version", "topology", "master_seed", "kljn_keys", "kill_events")
@@ -392,7 +327,10 @@ def write_files(files) -> None:
     an exception raised by a ``chunks`` iterable, removes the temporary
     files and leaves every earlier file at the paths whole.  Only a rename
     that fails after an earlier one succeeded (the filesystem changing
-    during the call) would leave some paths replaced.
+    during the call) would leave some paths replaced.  A process killed
+    mid-write leaves its ``.<name>.<12 hex digits>.partial`` next to the
+    path, which no later call removes; it is safe to delete by hand once no
+    writer is at work on that path.
     """
     files = list(files)
     named: dict[str, object] = {}

@@ -348,12 +348,12 @@ def test_criterion_7_orchestrated_establishment(fig2):
     if state_to_json(again) != state_to_json(state):
         failures.append("same master seed did not produce byte-identical state")
 
-    before = trust_report(state, COEF)[0].values
+    before = trust_report(state, COEF).values
     apply_kill_event(state, "H", note="criterion 7")
     revoked = [r for r in state.records.values() if r.status == STATUS_REVOKED]
     if len(revoked) != 9:
         failures.append(f"{len(revoked)} records revoked by killing H, expected 9")
-    after = trust_report(state, COEF)[0].values
+    after = trust_report(state, COEF).values
     h = SENSORS.index("H")
     if after[:, h].any():
         failures.append("column H not zeroed after kill")

@@ -137,8 +137,61 @@ _V3_STATE = """\
   ]
 }
 """
+# `establish fig2 --seed 42` then `kill H --note 'tamper "alarm"'`, as version
+# 4 first wrote them, indented with one entry per line
+# (SHA-256 32aa7cda1febcf7e1ea29b0b52a9c67f48574ba753673a6ef89ef10569c43f95),
+# and the SHA-256 of the `report --out` and `--csv` files written from it then
+_V4_INDENTED_STATE = r"""{
+  "version": 4,
+  "topology": {
+    "sensors": ["A", "B", "C", "D", "E", "F", "G", "H", "I", "J"],
+    "kljn_edges": [
+      ["A", "B"],
+      ["A", "D"],
+      ["B", "E"],
+      ["C", "D"],
+      ["D", "E"],
+      ["F", "G"]
+    ]
+  },
+  "master_seed": 42,
+  "kljn_keys": [
+    "293a1c4140380aad",
+    "34f4548062210944",
+    "855b03c45e759aa4",
+    "6127c5a72bf746c5",
+    "6c951212b73a8960",
+    "2d20a9991ccf1bf3"
+  ],
+  "kill_events": [
+    {"sensor": "H", "action": "set", "note": "tamper \"alarm\""}
+  ]
+}
+"""
+_V4_INDENTED_REPORT = {
+    "report.json": "47ed2bab4acedecc28c4e1d2d187ff0667219caa8809217828ba1ee80057eb47",
+    "report.csv": "1763ee60018fde7e97a6ce7ed3535b0b60f48d80865f52eab6ffcaf4582d1466",
+}
 _KEYS_FOR_ONE_LINK = ("state file 'kljn_keys' must be a list of strings, one per wired link "
                       "(the topology has 1)")
+
+
+def _count_calls(monkeypatch, fn):
+    """The argument tuples of each call of ``fn``, wrapped, as the
+    benchmark's tracer wraps it, in every attribute of a kextrust module
+    bound to it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "kextrust" or name.startswith("kextrust."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
 
 
 def parse_csv_matrix(text):
@@ -635,6 +688,41 @@ class TestStateWorkflow:
         assert code == 0
         assert load_state(state_path).kill.killed == set()
         assert load_state(out_path).kill.killed == {"A"}
+
+    def test_indented_version_4_file(self, capsys, tmp_path):
+        # a file in the layout version 4 was first written in gives the report
+        # it gave then, as does the one-line file of the same commands, and
+        # kill rewrites it as one line with its event appended
+        old, new = tmp_path / "old.json", str(tmp_path / "new.json")
+        old.write_text(_V4_INDENTED_STATE, encoding="utf-8")
+        assert main(["establish", "fig2", "--seed", "42", "--out", new]) == 0
+        assert main(["kill", new, "H", "--note", 'tamper "alarm"']) == 0
+        assert json.loads(Path(new).read_text(encoding="utf-8")) == json.loads(_V4_INDENTED_STATE)
+        for state in (str(old), new):
+            assert run_cli(capsys, "report", state, "--out", str(tmp_path / "report.json"),
+                           "--csv", str(tmp_path / "report.csv")) == (0, "", "")
+            digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                       for name in _V4_INDENTED_REPORT}
+            assert digests == _V4_INDENTED_REPORT
+        assert run_cli(capsys, "kill", str(old), "A", "--note", "second alarm") == (0, "", "")
+        text = old.read_text(encoding="utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        doc = json.loads(_V4_INDENTED_STATE)
+        doc["kill_events"].append({"sensor": "A", "action": "set", "note": "second alarm"})
+        assert json.loads(text) == doc
+
+    def test_report_calls_the_traced_functions(self, capsys, tmp_path, monkeypatch):
+        # the benchmark counts these calls by wrapping every module attribute
+        # bound to each function; a call through a reference taken earlier
+        # (a default argument, a partial) would escape its count
+        state = str(tmp_path / "state.json")
+        assert main(["establish", "fig2", "--seed", "1", "--bits", "8", "--out", state]) == 0
+        assert main(["kill", state, "H"]) == 0
+        ranked = _count_calls(monkeypatch, cli.rank_peers)
+        reported = _count_calls(monkeypatch, orchestrator.trust_report)
+        assert run_cli(capsys, "report", state, "--out", str(tmp_path / "r.json")) == (0, "", "")
+        assert [args[3] for args in ranked] == SENSORS
+        assert len(reported) == 1
 
     @pytest.mark.parametrize(
         "text,message",

@@ -94,10 +94,11 @@ class TestEstablish:
     def test_single_sensor_network(self):
         state = establish_network_keys(Topology(("A",), frozenset()), master_seed=1)
         assert state.records == {}
-        matrix, rankings = trust_report(state, COEF)
+        matrix = trust_report(state, COEF)
         assert list(state.records_sorted()) == []
         assert matrix.values.tolist() == [[1.0]]
-        assert rankings == {"A": []}
+        report = json.loads(joined_chunks(report_json_chunks(state, COEF, matrix)))
+        assert report["rankings"] == {"A": []}
 
     @pytest.mark.parametrize("master_seed", [None, True, 4.0, "4", np.int64(4)])
     def test_master_seed_must_be_an_int(self, master_seed):
@@ -183,15 +184,15 @@ class TestKillEvents:
 
     def test_kill_never_increases_trust(self, fig2):
         state = establish_network_keys(fig2, master_seed=42, target_bits=KEY_BITS)
-        before, _ = trust_report(state, COEF)
+        before = trust_report(state, COEF)
         apply_kill_event(state, "D")
-        after, _ = trust_report(state, COEF)
+        after = trust_report(state, COEF)
         assert np.all(after.values <= before.values)
 
 
 class TestReport:
     def test_fresh_report_matches_published_matrix(self, fig2_state):
-        matrix, _ = trust_report(fig2_state, COEF)
+        matrix = trust_report(fig2_state, COEF)
         assert matrix.order == SENSORS
         for i_pos, i in enumerate(SENSORS):
             for j_pos, j in enumerate(SENSORS):
@@ -203,36 +204,30 @@ class TestReport:
     def test_report_after_kill_zeroes_column(self, fig2):
         state = establish_network_keys(fig2, master_seed=42, target_bits=KEY_BITS)
         apply_kill_event(state, "H")
-        matrix, rankings = trust_report(state, COEF)
+        matrix = trust_report(state, COEF)
         h = SENSORS.index("H")
         assert np.all(matrix.values[:, h] == 0.0)
-        report = json.loads(joined_chunks(report_json_chunks(state, COEF, matrix, rankings)))
+        report = json.loads(joined_chunks(report_json_chunks(state, COEF, matrix)))
         assert report["killed"] == ["H"]
         assert report["kill_log"][0]["sensor"] == "H"
         for i in SENSORS:
-            assert all(j != "H" or v == 0.0 for j, v in rankings[i])
+            assert all(j != "H" or v == 0.0 for j, v in report["rankings"][i])
 
-    def test_rankings_are_ranked_on_each_read(self, fig2):
+    def test_report_rankings_are_rank_peers(self, fig2):
+        # each sensor in sorted order, ranked as rank_peers ranks it
         state = establish_network_keys(fig2, master_seed=42, target_bits=KEY_BITS)
         apply_kill_event(state, "H")
-        _, rankings = trust_report(state, COEF)
-        assert list(rankings) == list(fig2.sensors) == SENSORS
-        assert len(rankings) == 10
-        for i in SENSORS:
-            assert i in rankings
-            assert rankings[i] == rank_peers(fig2, COEF, frozenset({"H"}), i)
-            first, second = rankings[i], rankings[i]
-            assert first == second and first is not second
-        for unknown in ("Q", "", ("A",)):
-            assert unknown not in rankings
-            with pytest.raises(KeyError):
-                rankings[unknown]
-        assert rankings.get("Q") is None
-        assert dict(rankings) == {i: rank_peers(fig2, COEF, frozenset({"H"}), i) for i in SENSORS}
+        report = json.loads(joined_chunks(
+            report_json_chunks(state, COEF, trust_report(state, COEF))))
+        assert list(report["rankings"]) == SENSORS
+        assert report["rankings"] == {
+            i: [list(entry) for entry in rank_peers(fig2, COEF, frozenset({"H"}), i)]
+            for i in SENSORS}
 
     def test_rankings_sorted_descending(self, fig2_state):
-        _, rankings = trust_report(fig2_state, COEF)
-        for ranking in rankings.values():
+        report = json.loads(joined_chunks(
+            report_json_chunks(fig2_state, COEF, trust_report(fig2_state, COEF))))
+        for ranking in report["rankings"].values():
             values = [v for _, v in ranking]
             assert values == sorted(values, reverse=True)
 
@@ -308,8 +303,8 @@ class TestPersistence:
 
     def test_key_material_not_persisted(self, fig2_state):
         text = state_to_json(fig2_state)
-        matrix, rankings = trust_report(fig2_state, COEF)
-        report = joined_chunks(report_json_chunks(fig2_state, COEF, matrix, rankings)).decode()
+        matrix = trust_report(fig2_state, COEF)
+        report = joined_chunks(report_json_chunks(fig2_state, COEF, matrix)).decode()
         for a, b in sorted(fig2_state.topology.kljn_edges):
             key_bits = _wired_key_bits(fig2_state, a, b)
             assert key_bits not in text

@@ -104,7 +104,7 @@ def test_listing_order_does_not_count(seed):
             apply_kill_event(other_state, s, note=f"alarm {s}")
         assert list(other_state.records_sorted()) == list(state.records_sorted())
         assert state_to_json(other_state) == state_to_json(state)
-        assert list(trust_report(other_state, COEF)[1]) == sensors
+        assert list(trust_report(other_state, COEF).order) == sensors
 
 
 def test_report_on_a_state_that_lists_its_sensors_unsorted(tmp_path, capsys):
