@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import fcntl
 import functools
 import itertools
@@ -272,9 +273,10 @@ def json_chunks(items, pad: str, brackets: str = "[]"):
     yield f"\n{pad}{brackets[1]}" if head is sep else brackets
 
 
-def json_block(items, pad: str, brackets: str = "[]") -> str:
-    """The chunks of :func:`json_chunks` joined into one string."""
-    return "".join(json_chunks(items, pad, brackets))
+def _json_at(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` laid out where its opening line is
+    indented by ``pad``: JSON text holds no raw line break but its own."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
 def _matrix_chunks(matrix, pad: str, labels):
@@ -283,7 +285,7 @@ def _matrix_chunks(matrix, pad: str, labels):
     one per row block, and ``bytes`` for the framing; ``labels`` are the JSON
     texts of ``matrix.table``."""
     inner, cell_pad = pad + "  ", pad + "      "
-    head = f'{{\n{inner}"order": {json_block(map(_json_str, matrix.order), inner)},\n{inner}"values": '
+    head = f'{{\n{inner}"order": {_json_at(matrix.order, inner)},\n{inner}"values": '
     if not matrix.order:
         yield f"{head}[]\n{pad}}}".encode()
         return
@@ -306,7 +308,7 @@ def matrix_to_json(matrix):
 
 def report_json_chunks(state: NetworkKeyState, coef, matrix):
     """The ``report`` document of ``state`` as chunks of JSON text; encoded
-    and joined, they are ``json.dumps(doc, indent=2) + "\n"`` for the
+    and joined, they are ``json.dumps(doc, indent=2) + "\\n"`` for the
     document with the keys ``sensors``, ``coefficients`` (``a``, ``b``,
     ``c``, ``provenance``), ``killed`` (sorted), ``matrix`` (``order``,
     ``values``), ``rankings`` (each sensor's ``[peer, value]`` list),
@@ -314,16 +316,16 @@ def report_json_chunks(state: NetworkKeyState, coef, matrix):
     ``status``, in ``state.records_sorted()`` order) and ``kill_log``
     (``timestamp``, ``sensor``, ``action``, ``note``: ``state.kill_log()``).
 
-    ``matrix`` is the one :func:`trust_report` returns.  The matrix rows,
-    the rankings and the records are yielded up to 64 at a time, and each
-    sensor is ranked by :func:`~kextrust.trust.rank_peers` as its batch is
+    ``matrix`` is the one :func:`trust_report` returns.  The head and the
+    kill log are written by ``json.dumps``; the matrix rows, the rankings
+    and the records are laid out here, up to 64 at a time, and each sensor
+    is ranked by :func:`~kextrust.trust.rank_peers` as its batch is
     formatted, so that one ranking and one batch of text are held at a
-    time.  Each sensor id is encoded as JSON once, and the records are
-    formatted from ``state.record_rows``.  Every float is labelled from
-    ``matrix.table``, each entry formatted once: a ranking value is a matrix
-    value, since a ranking is the scalar :func:`~kextrust.trust.trust` of
-    each peer.  The matrix comes as the chunks of :func:`_matrix_chunks` and
-    every other chunk as ``str``; the text is ASCII.
+    time.  Every float of those is labelled from ``matrix.table``, each
+    entry formatted once: a ranking value is a matrix value, since a
+    ranking is the scalar :func:`~kextrust.trust.trust` of each peer.  The
+    matrix comes as the chunks of :func:`_matrix_chunks` and every other
+    chunk as ``str``; the text is ASCII.
     """
     t, killed = state.topology, state.kill.killed
     ids = t.sensors
@@ -331,40 +333,31 @@ def report_json_chunks(state: NetworkKeyState, coef, matrix):
     values = matrix.table.tolist()
     labels = list(map(json.dumps, values))
     label = dict(zip(values, labels))
-    coefficients = (f'"{name}": {json.dumps(getattr(coef, name))}'
-                    for name in ("a", "b", "c", "provenance"))
-    yield (f'{{\n  "sensors": {json_block(names, "  ")},\n'
-           f'  "coefficients": {json_block(coefficients, "  ", "{}")},\n'
-           f'  "killed": {json_block(map(_json_str, sorted(killed)), "  ")},\n'
-           '  "matrix": ')
+    head = {"sensors": ids, "coefficients": dataclasses.asdict(coef), "killed": sorted(killed)}
+    yield json.dumps(head, indent=2)[:-2] + ',\n  "matrix": '  # its closing "\n}" cut
     yield from _matrix_chunks(matrix, "  ", labels)
     yield ',\n  "rankings": '
     # a ranking entry is its peer's head, the value's label and the tail
     heads = {i: f"[\n        {name},\n        " for i, name in zip(ids, names)}
     yield from json_chunks((
-        f"{name}: " + json_block(
+        f"{name}: " + "".join(json_chunks(
             [f"{heads[peer]}{label[value]}\n      ]"
-             for peer, value in rank_peers(t, coef, killed, sensor)], "    ")
+             for peer, value in rank_peers(t, coef, killed, sensor)], "    "))
         for sensor, name in zip(ids, names)
     ), "  ", "{}")
     yield ',\n  "records": '
     yield from json_chunks(_record_texts(state, names), "  ")
-    yield ',\n  "kill_log": '
-    yield from json_chunks((
-        f'{{\n      "timestamp": {timestamp},\n      "sensor": {_json_str(e.sensor)},\n'
-        f'      "action": {_json_str(e.action)},\n      "note": {_json_str(e.note)}\n    }}'
-        for timestamp, e in state.kill_log()
-    ), "  ")
-    yield "\n}\n"
+    kill_log = [{"timestamp": stamp, **vars(e)} for stamp, e in state.kill_log()]
+    yield f',\n  "kill_log": {_json_at(kill_log, "  ")}\n}}\n'
 
 
 def _record_texts(state: NetworkKeyState, names: list[str]):
-    """Each record of ``state.record_rows(names)`` as its JSON object text,
-    from one template: the pair's head is built once per first sensor, a
-    wireless token (hex) is quoted as it is and only a wired key id is
-    encoded."""
+    """Each record of ``state.record_rows()`` as its JSON object text, from
+    one template; ``names`` holds each sensor's id as JSON text, by
+    position.  The pair's head is built once per first sensor, a wireless
+    token (hex) is quoted as it is and only a wired key id is encoded."""
     row = None
-    for x, y, channel, key_id, index, status in state.record_rows(names):
+    for x, y, channel, key_id, index, status in state.record_rows():
         if x != row:
             row, head = x, f'{{\n      "pair": [\n        {names[x]},\n        '
         key_id = f'"{key_id}"' if channel == CHANNEL_WIRELESS else _json_str(key_id)
@@ -623,7 +616,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

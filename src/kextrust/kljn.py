@@ -193,12 +193,9 @@ class PeriodOutcome:
     bob_trace: PeriodTrace
 
 
-class WireSubstitutionAttacker:
-    """Severs the wire and impersonates a key-exchange partner toward each end.
-
-    Each end still sees a plausible channel, but the two ends now observe
-    independent noise, which the public word comparison exposes.
-    """
+class _Attacker:
+    """An attacker model active from ``start_period`` on, drawing its noise
+    from its own generator seeded with ``seed``."""
 
     def __init__(self, start_period: int = 0, seed: int = 0):
         self.start_period = start_period
@@ -206,6 +203,14 @@ class WireSubstitutionAttacker:
 
     def active(self, period_index: int) -> bool:
         return period_index >= self.start_period
+
+
+class WireSubstitutionAttacker(_Attacker):
+    """Severs the wire and impersonates a key-exchange partner toward each end.
+
+    Each end still sees a plausible channel, but the two ends now observe
+    independent noise, which the public word comparison exposes.
+    """
 
     def tamper(self, r_a, r_b, u_a, u_b):
         n = len(u_a)
@@ -218,19 +223,12 @@ class WireSubstitutionAttacker:
         return alice_u, alice_i, bob_u, bob_i
 
 
-class CurrentInjectionAttacker:
+class CurrentInjectionAttacker(_Attacker):
     """Feeds noise current into the wire between the two measurement points.
 
     The injected current splits between the ends with opposite signs, so
     their current words diverge while the voltage stays shared.
     """
-
-    def __init__(self, start_period: int = 0, seed: int = 0):
-        self.start_period = start_period
-        self._rng = np.random.default_rng(seed)
-
-    def active(self, period_index: int) -> bool:
-        return period_index >= self.start_period
 
     def tamper(self, r_a, r_b, u_a, u_b):
         u_ch, i_ch = channel_waveforms(r_a, r_b, u_a, u_b)

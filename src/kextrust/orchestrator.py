@@ -124,23 +124,24 @@ class NetworkKeyState:
         """Every record, one canonical pair at a time in canonical order:
         the :meth:`record_rows` with each pair's ids."""
         ids = self.topology.sensors
-        for x, y, channel, key_id, index, status in self.record_rows(list(map(_json_str, ids))):
+        for x, y, channel, key_id, index, status in self.record_rows():
             yield KeyRecord((ids[x], ids[y]), channel, key_id, index, status)
 
-    def record_rows(self, names: list[str]) -> Iterator[tuple[int, int, str, str, int, str]]:
+    def record_rows(self) -> Iterator[tuple[int, int, str, str, int, str]]:
         """Every record as ``(x, y, channel, key_id, established_at, status)``,
         one canonical pair ``(sensors[x], sensors[y])`` at a time in canonical
-        order; ``names`` holds each sensor's id as JSON text, by position.
+        order.
 
         ``established_at`` is the pair's position.  The wired links are
         walked in step with the pairs: a wired pair's record has the link's
         key id, and status ``ok``, or ``failed`` where the key id is empty.
         Any other pair's record is a wireless one whose token is that of
-        ``json.dumps([master_seed, a, b, "wireless"])``, written from
-        ``names``.  A record one of whose sensors has a ``set`` kill event
-        is revoked.
+        ``json.dumps([master_seed, a, b, "wireless"])``, written from each
+        id's JSON text, encoded once.  A record one of whose sensors has a
+        ``set`` kill event is revoked.
         """
         revoked = {e.sensor for e in self.kill.event_log if e.action == "set"}
+        names = list(map(_json_str, self.topology.sensors))
         dead = [s in revoked for s in self.topology.sensors]
         n, index = len(names), 0
         wired = ((p * (2 * n - p - 1) // 2 + q - p, key)  # each link's position
@@ -251,16 +252,12 @@ _STATE_KEYS = ("version", "topology", "master_seed", "kljn_keys", "kill_events")
 _REESTABLISH = "re-run 'kextrust establish' to write a version 4 state file"
 
 
-class StateFormatError(ValueError):
-    """A state file whose content is not a network key state."""
-
-
 def _kill_from_doc(events: list, t: Topology) -> KillSwitchState:
     """The kill log read from its event list.  Each event must be an object
     with ``sensor`` and ``action``, every sensor named must be one of
     ``t``'s and every event field is type checked."""
     if not isinstance(events, list):
-        raise StateFormatError("state file kill events must be a list")
+        raise ValueError("state file kill events must be a list")
     kill = KillSwitchState()
     for index, e in enumerate(events):
         if not isinstance(e, dict):
@@ -276,7 +273,7 @@ def _kill_from_doc(events: list, t: Topology) -> KillSwitchState:
         else:
             (kill.kill if action == "set" else kill.clear)(sensor, note)
             continue
-        raise StateFormatError(f"state file kill event {index}: {problem}")
+        raise ValueError(f"state file kill event {index}: {problem}")
     return kill
 
 
@@ -290,7 +287,7 @@ def state_from_json(text: str) -> NetworkKeyState:
     one has no ``version``) or without a master seed is refused: the state
     must be established again.
     """
-    doc = decode_json(text, "state file", StateFormatError)
+    doc = decode_json(text, "state file", ValueError)
     if not isinstance(doc, dict):
         raise ValueError("state file must hold a JSON object")
     if "version" not in doc:
@@ -310,8 +307,8 @@ def state_from_json(text: str) -> NetworkKeyState:
     keys, links = doc["kljn_keys"], len(t.index.links)
     if not (isinstance(keys, list) and len(keys) == links
             and all(isinstance(key, str) for key in keys)):
-        raise StateFormatError(f"state file 'kljn_keys' must be a list of strings, one per "
-                               f"wired link (the topology has {links})")
+        raise ValueError(f"state file 'kljn_keys' must be a list of strings, one per "
+                         f"wired link (the topology has {links})")
     return NetworkKeyState(t, keys, _kill_from_doc(doc["kill_events"], t), master_seed)
 
 

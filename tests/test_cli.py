@@ -508,6 +508,16 @@ class TestTrustCommands:
         assert lines[1] == "D,1.000"
         assert lines[-1] == "J,0.173"
 
+    def test_internal_key_error_propagates(self, fig2_file, monkeypatch):
+        # main reports the errors that inputs raise; a KeyError is a fault of
+        # the program, not an error line
+        def broken(*args):
+            raise KeyError(0.55)
+
+        monkeypatch.setattr(cli, "rank_peers", broken)
+        with pytest.raises(KeyError):
+            main(["rank", fig2_file, "A"])
+
 
 class TestCoefficients:
     def test_text_output(self, capsys):

@@ -27,7 +27,6 @@ import pytest
 import kextrust
 from kextrust import kljn
 from kextrust.cli import (
-    json_block,
     json_chunks,
     main,
     matrix_to_csv,
@@ -61,7 +60,12 @@ from kextrust.orchestrator import (
     trust_report,
     write_files,
 )
-from kextrust.topology import Topology, derive_wireless_sets, topology_to_doc
+from kextrust.topology import (
+    Topology,
+    bundled_topology_path,
+    derive_wireless_sets,
+    topology_to_doc,
+)
 from kextrust.trust import (
     TrustMatrix,
     coefficients_closed_form,
@@ -340,13 +344,12 @@ class TestListWriter:
         values = [i if i % 2 else f"s{i}" for i in range(size)]
         want = json.dumps(values, indent=2).replace("\n", "\n" + pad)
         items = [json.dumps(v) for v in values]
-        assert json_block(items, pad) == want
-        assert json_block(iter(items), pad) == want
         assert "".join(json_chunks(items, pad)) == want
+        assert "".join(json_chunks(iter(items), pad)) == want
         obj = {f"k{i}": v for i, v in enumerate(values)}
         want = json.dumps(obj, indent=2).replace("\n", "\n" + pad)
-        assert json_block((f"{json.dumps(k)}: {json.dumps(v)}" for k, v in obj.items()),
-                          pad, "{}") == want
+        assert "".join(json_chunks((f"{json.dumps(k)}: {json.dumps(v)}" for k, v in obj.items()),
+                                   pad, "{}")) == want
 
 
 class TestStateWriter:
@@ -452,6 +455,41 @@ class TestReportWriter:
             apply_kill_event(state, sensor, note=f"alarm {sensor}")
             _assert_report_equals_json_dumps(state)
         assert {r.status for r in state.records_sorted()} == {"ok", "failed", "revoked"}
+
+    @pytest.mark.parametrize("precision", [(), ("--full-precision",)], ids=["3dp", "full"])
+    @pytest.mark.parametrize("network", ["fig2", "odd"])
+    def test_report_csv_equals_trust_matrix_kill(self, tmp_path, network, precision):
+        # report --csv writes the bytes of trust-matrix --kill naming the
+        # state's killed sensors: on fig2 after two kills, and on ODD_IDS
+        # with explicit wireless sets, its kills named as quoted --kill fields
+        if network == "fig2":
+            topology, killed, kill = str(bundled_topology_path("fig2")), ("H", "A"), "H,A"
+        else:
+            # each sensor reaches the two on either side of it, but its wired peer
+            n, wired = len(ODD_IDS), {(0, 2), (1, 3)}
+            sets = {a: [ODD_IDS[(k + d) % n] for d in (1, 2, n - 2, n - 1)
+                        if tuple(sorted((k, (k + d) % n))) not in wired]
+                    for k, a in enumerate(ODD_IDS)}
+            doc = {"sensors": list(ODD_IDS), "wireless_sets": sets,
+                   "kljn_edges": [[ODD_IDS[i], ODD_IDS[j]] for i, j in sorted(wired)]}
+            topology = str(tmp_path / "odd.json")
+            Path(topology).write_text(json.dumps(doc), encoding="utf-8")
+            killed = (ODD_IDS[0], ODD_IDS[4])
+            kill = ",".join('"' + s.replace('"', '""') + '"' for s in killed)
+        state = str(tmp_path / "state.json")
+        assert main(["establish", topology, "--seed", "7", "--bits", "8", "--out", state]) == 0
+        for sensor in killed:
+            assert main(["kill", state, sensor]) == 0
+        report_csv, matrix_csv = tmp_path / "report.csv", tmp_path / "matrix.csv"
+        assert main(["report", state, *precision, "--csv", str(report_csv),
+                     "--out", str(tmp_path / "report.json")]) == 0
+        assert main(["trust-matrix", topology, "--kill", kill, *precision,
+                     "--out", str(matrix_csv)]) == 0
+        rows = list(csv.reader(io.StringIO(report_csv.read_text(encoding="utf-8"), newline="")))
+        zero = [rows[0][k] for k in range(1, len(rows))
+                if {float(row[k]) for row in rows[1:] if row[0] != rows[0][k]} == {0.0}]
+        assert zero == sorted(killed)
+        assert report_csv.read_bytes() == matrix_csv.read_bytes()
 
     def test_report_is_streamed(self, tmp_path):
         # the report of 200 sensors is 7 MB; written whole it peaked near 30 MB,
